@@ -5,18 +5,40 @@ macroscopic mean profile.
 All integrals over the tilt profile u + (1-x) v use a fixed 64-node
 Gauss-Legendre rule; the integrands are smooth whenever the tilts stay inside
 the domain of the limiting log-MGF.
+
+Supported potentials: the Gaussian has closed forms; the power law
+kappa |x|^alpha (alpha >= 1) goes through one tilted-moment kernel.  At each
+tilt h the kernel finds the peak and width of exp(-eps Phi(x) + h x) by a
+scalar search, cuts the window where the exponent has fallen by 60, and
+evaluates the integrand once, as one array, on a tanh-sinh rule whose pieces
+end at the window ends, the peak and the kink of |x|^alpha at x = 0.  log Z,
+the mean and the variance come from those same nodes and are cached per tilt,
+so value, d1 and d2 at one tilt cost one evaluation.  The tests hold the
+kernel to adaptive quadrature within 1e-8 relative for alpha in {1, 1.5, 2, 4}
+and to the Gaussian closed forms within 1e-12 at alpha = 2.  A table
+potential is rejected: it is undefined beyond its grid, where the tilted
+tails reach.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate, optimize
+# `integrate` has no caller here but stays bound: perfbench/spans.py counts
+# the quad calls made through `semiflex.ldp.integrate`
+from scipy import integrate, optimize  # noqa: F401
 
-from .model import BoundaryConditions, GaussianPotential, ModelParams, Potential
+from .model import (
+    BoundaryConditions,
+    GaussianPotential,
+    ModelParams,
+    Potential,
+    TabulatedPotential,
+)
 
 __all__ = [
     "LogMgf",
@@ -37,6 +59,33 @@ _X01 = 0.5 * (_GL_NODES + 1.0)  # nodes mapped to [0, 1]
 _W01 = 0.5 * _GL_WEIGHTS
 
 
+def _tanh_sinh(step: float, t_max: float):
+    """Tanh-sinh rule on [0, 1]: x = 1 / (1 + exp(-pi sinh t)) at t = k*step.
+
+    The nodes crowd both ends doubly exponentially, so an end where the
+    integrand is only Hoelder continuous (|x|^alpha at x = 0) costs no
+    accuracy.  Each node is returned as a signed offset from its nearer end
+    (positive from 0, negative from 1), which keeps full precision there.
+    """
+    t = np.arange(-math.ceil(t_max / step), math.ceil(t_max / step) + 1) * step
+    s = np.pi * np.sinh(t)
+    left = 1.0 / (1.0 + np.exp(-s))  # distance from 0
+    right = 1.0 / (1.0 + np.exp(s))  # distance from 1
+    from_left = left < 0.5
+    weight = step * np.pi * np.cosh(t) * left * right
+    return from_left, np.where(from_left, left, -right), weight
+
+
+# step 1/32 and |t| <= 3.2: 207 nodes per piece, ends reached within 2e-17.
+# Against step 1/64 and |t| <= 3.6, no moment moved by more than 3e-13
+# relative for alpha in {1, 1.5, 2, 3, 4} at tilts up to 30 standard
+# deviations, at eps = 1 and 1e-5 (7e-11 at alpha = 1.25, growing with the
+# tilt from 1e-15 at 3 standard deviations)
+_TS_FROM_LEFT, _TS_OFFSET, _TS_WEIGHT = _tanh_sinh(1.0 / 32.0, 3.2)
+# the tilted density is cut where it has fallen by e^60 from its peak
+_TAIL = -60.0
+
+
 @dataclass(frozen=True)
 class LogMgf:
     """Log moment generating function with first two derivatives and the
@@ -47,28 +96,36 @@ class LogMgf:
     d2: Callable[[float], float]
     h_max: float
 
-    def check(self, h: float) -> None:
-        if abs(h) >= self.h_max:
-            raise ValueError(f"tilt {h} outside the log-MGF domain (|h| < {self.h_max})")
+    def check(self, h) -> None:
+        """Raise ValueError unless every tilt in h (a float or an array) lies
+        inside the domain |h| < h_max."""
+        worst = float(np.max(np.abs(h)))
+        if worst >= self.h_max:
+            raise ValueError(f"tilt {worst} leaves the log-MGF domain (|h| < {self.h_max})")
 
 
 def _quad_log_mgf(pot: Potential, eps: float) -> LogMgf:
     """Quadrature route: tilted integrals of exp(-eps*Phi(x) + h x)."""
+    if isinstance(pot, TabulatedPotential):
+        raise ValueError(
+            "the log-MGF needs a potential defined on the whole line, but a table "
+            "potential stops at its grid ends; use potential kind 'gaussian' or 'power'")
 
     def _exponent(h: float):
-        def g(x: float) -> float:
-            return -eps * float(pot(x)) + h * x
+        def g(x):
+            return -eps * pot(x) + h * x
 
         # concave exponent (convex Phi): the integral is finite exactly when
         # g sinks below g(0) on both sides, which this doubling establishes
         b = 1.0
-        g0 = g(0.0)
+        g0 = float(g(0.0))
         while g(b) >= g0 or g(-b) >= g0:
             b *= 2.0
             if b > 2.0**60:
                 raise ValueError(f"tilted normalizer diverges at h={h}")
         return g, g0, b
 
+    @functools.lru_cache(maxsize=256)
     def _moments(h: float):
         # the tilted integrand is a single bump (Phi is convex and even); for
         # large h or small eps it sits far from the origin and is narrow, so
@@ -77,7 +134,9 @@ def _quad_log_mgf(pot: Potential, eps: float) -> LogMgf:
         g, g0, b = _exponent(h)
         peak = optimize.minimize_scalar(lambda x: -g(x), bounds=(-b, b),
                                         method="bounded")
-        x0, shift = (0.0, g0) if g0 >= g(float(peak.x)) else (float(peak.x), g(float(peak.x)))
+        xp = float(peak.x)
+        gp = float(g(xp))
+        x0, shift = (0.0, g0) if g0 >= gp else (xp, gp)
         # width = scale over which the exponent drops by about 1/2 .. 10
         d = 1.0
         while min(g(x0 + d), g(x0 - d)) - shift < -10.0 and d > 1e-12:
@@ -85,31 +144,44 @@ def _quad_log_mgf(pot: Potential, eps: float) -> LogMgf:
         while max(g(x0 + d), g(x0 - d)) - shift > -0.1 and d < 2.0**60:
             d *= 2.0
 
-        def w(u: float) -> float:
-            return math.exp(min(g(x0 + u * d) - shift, 700.0))
-
-        # centered u-moments keep every integrand O(1); the raw second moment
-        # at x0 ~ h/eps would lose the variance to cancellation
-        z, _ = integrate.quad(w, -np.inf, np.inf, limit=200)
+        # the window ends where the exponent has dropped below _TAIL on both
+        # sides; the integrand is smooth on each piece between the window
+        # ends, the peak (u = 0) and the kink of |x|^alpha at x = 0
+        left = right = 1.0
+        while g(x0 - left * d) - shift > _TAIL:
+            left *= 2.0
+        while g(x0 + right * d) - shift > _TAIL:
+            right *= 2.0
+        kink = -x0 / d
+        cuts = sorted({-left, 0.0, right} | ({kink} if -left < kink < right else set()))
+        ends = np.array(cuts)
+        width = np.diff(ends)[:, None]
+        u = (np.where(_TS_FROM_LEFT, ends[:-1, None], ends[1:, None])
+             + width * _TS_OFFSET).ravel()
+        w = (width * _TS_WEIGHT).ravel() * np.exp(g(x0 + u * d) - shift)
+        # centered u-moments keep every sum O(1); the raw second moment at
+        # x0 ~ h/eps would lose the variance to cancellation
+        z = float(np.sum(w))
         if not (z > 0 and math.isfinite(z)):
             raise ValueError(f"tilted normalizer diverges at h={h}")
-        u1, _ = integrate.quad(lambda u: u * w(u), -np.inf, np.inf, limit=200)
-        u2, _ = integrate.quad(lambda u: u * u * w(u), -np.inf, np.inf, limit=200)
-        u1, u2 = u1 / z, u2 / z
-        return math.log(z * d) + shift, x0 + d * u1, d * d * (u2 - u1 * u1)
+        u1 = float(np.dot(w, u)) / z
+        var = float(np.dot(w, np.square(u - u1))) / z
+        return math.log(z * d) + shift, x0 + d * u1, d * d * var
 
     logz0, _, _ = _moments(0.0)
 
+    # value, d1 and d2 at one tilt share one cached evaluation; float() keys
+    # numpy scalars and Python floats alike
     def value(h: float) -> float:
-        logz, _, _ = _moments(h)
+        logz, _, _ = _moments(float(h))
         return logz - logz0
 
     def d1(h: float) -> float:
-        _, mean, _ = _moments(h)
+        _, mean, _ = _moments(float(h))
         return mean
 
     def d2(h: float) -> float:
-        _, _, var = _moments(h)
+        _, _, var = _moments(float(h))
         return var
 
     # largest finite tilt by doubling then bisection, with a 1% margin; the
@@ -128,6 +200,9 @@ def _quad_log_mgf(pot: Potential, eps: float) -> LogMgf:
         if hi > 1e8:
             return LogMgf(value=value, d1=d1, d2=d2, h_max=math.inf)
     lo = hi / 2.0
+    # below h = 1 (exponential tails with eps*kappa < 1) the bracket moves down
+    while not finite(lo):
+        lo, hi = lo / 2.0, lo
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         if finite(mid):
@@ -161,8 +236,8 @@ def limit_log_mgf(pot: Potential, h: float | None = None) -> LogMgf | float:
     """Scaling limit of the step log-MGF under sigma_N-rescaled tilts.
 
     The limit is independent of the macroscopic length, so it is evaluated at
-    unit length with N = 1e3/1e4/1e5 and a Cauchy check below 1e-6.  Returns
-    the LogMgf object, or its value when h is given.
+    unit length with N = 1e5, after a Cauchy check below 1e-6 against N = 1e4.
+    Returns the LogMgf object, or its value when h is given.
     """
     if isinstance(pot, GaussianPotential):
         lim = LogMgf(
@@ -174,14 +249,14 @@ def limit_log_mgf(pot: Potential, h: float | None = None) -> LogMgf | float:
         return lim.value(h) if h is not None else lim
 
     ladders = []
-    for n in (1000, 10_000, 100_000):
+    for n in (10_000, 100_000):
         params = ModelParams(n_sites=n, epsilon=1.0 / n, macro_length=1.0)
         mgf = _quad_log_mgf(pot, params.epsilon)
         # quadrature of the zero-tilt second moment gives sigma_N
         sigma = math.sqrt(mgf.d2(0.0))
         ladders.append((mgf, sigma))
 
-    (m3, s3), (m4, s4), (m5, s5) = ladders
+    (m4, s4), (m5, s5) = ladders
     probe = min(1.0, 0.5 * m5.h_max * s5) if math.isfinite(m5.h_max) else 1.0
     v4, v5 = m4.value(probe / s4), m5.value(probe / s5)
     if abs(v5 - v4) > 1e-6 * max(1.0, abs(v5)):
@@ -201,16 +276,14 @@ def limit_log_mgf(pot: Potential, h: float | None = None) -> LogMgf | float:
 def l_infinity(u: float, v: float, mgf: LogMgf) -> float:
     """Integral over [0,1] of L(u + (1-x) v) dx."""
     args = u + (1.0 - _X01) * v
-    if np.any(np.abs(args) >= mgf.h_max):
-        raise ValueError("tilt profile leaves the log-MGF domain")
+    mgf.check(args)
     return float(np.dot(_W01, [mgf.value(a) for a in args]))
 
 
 def _tilt_residual(u, v, mgf, c, xi_left, xi_right, slope):
     y = _X01
     args = u + y * v
-    if np.any(np.abs(args) >= mgf.h_max):
-        raise ValueError("tilt profile leaves the log-MGF domain")
+    mgf.check(args)
     d1 = np.array([mgf.d1(a) for a in args])
     r1 = float(np.dot(_W01, d1)) + (xi_right + xi_left) / c
     r2 = float(np.dot(_W01, y * d1)) + (xi_left - slope) / c

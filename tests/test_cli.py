@@ -51,6 +51,17 @@ def test_domain_error_exit_code(tmp_path, capsys):
     assert "gaussian potential only" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["tilts", "profile"])
+def test_table_potential_rejected_by_ldp_commands(tmp_path, capsys, command):
+    grid = np.linspace(-50.0, 50.0, 2001)
+    cfg = _write_config(tmp_path, {"potential": {
+        "kind": "table", "grid": grid.tolist(), "values": (0.5 * grid**2).tolist()}})
+    assert main([command, "--xi-left", "1.0", "--config", cfg,
+                 "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "table" in err and "use potential kind 'gaussian' or 'power'" in err
+
+
 def test_qmatrix_frozen_output(tmp_path):
     assert main(["qmatrix", "--times", "0.5", "--out", str(tmp_path)]) == 0
     path = tmp_path / "qmatrix.csv"

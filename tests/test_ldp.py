@@ -1,12 +1,17 @@
 """Tilted step integrals, boundary tilt equations, sharp asymptotics, profile."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy import integrate, optimize
 
 from semiflex.ldp import (
+    LogMgf,
     l_infinity,
     ld_rate,
     limit_log_mgf,
@@ -17,7 +22,12 @@ from semiflex.ldp import (
     solve_tilts,
     step_log_mgf,
 )
-from semiflex.model import GaussianPotential, ModelParams, PowerLawPotential
+from semiflex.model import (
+    GaussianPotential,
+    ModelParams,
+    PowerLawPotential,
+    TabulatedPotential,
+)
 
 GAUSS_MGF = limit_log_mgf(GaussianPotential(1.0))
 
@@ -56,10 +66,11 @@ def test_quadrature_route_matches_gaussian():
 
 def test_step_mgf_finite_domain():
     # exponential tails: exp(-eps|x| + hx) integrates only for |h| < eps
-    params = ModelParams(n_sites=4, epsilon=1.0, macro_length=4.0)
-    mgf = step_log_mgf(PowerLawPotential(kappa=1.0, alpha=1.0), params)
-    assert 0.9 <= mgf.h_max <= 1.0
-    assert math.isfinite(mgf.value(0.9 * mgf.h_max))
+    for n, eps in ((4, 1.0), (100_000, 1e-5)):
+        params = ModelParams(n_sites=n, epsilon=eps, macro_length=n * eps)
+        mgf = step_log_mgf(PowerLawPotential(kappa=1.0, alpha=1.0), params)
+        assert 0.9 * eps <= mgf.h_max <= eps
+        assert math.isfinite(mgf.value(0.9 * mgf.h_max))
 
 
 def test_l_infinity_gaussian_frozen_values():
@@ -180,3 +191,124 @@ def test_macro_boundary_scaling():
     assert bc.xi_left == pytest.approx(0.3)
     assert bc.xi_right == pytest.approx(-0.15)
     assert bc.endpoint == pytest.approx(0.01 * 10.0 * 101)
+
+
+def test_log_mgf_domain_check_takes_arrays():
+    mgf = LogMgf(value=abs, d1=abs, d2=abs, h_max=1.0)
+    mgf.check(0.5)
+    mgf.check(np.array([-0.99, 0.0, 0.99]))
+    for bad in (1.0, np.array([0.2, -1.5])):
+        with pytest.raises(ValueError, match="leaves the log-MGF domain"):
+            mgf.check(bad)
+    with pytest.raises(ValueError, match="leaves the log-MGF domain"):
+        l_infinity(0.5, 1.0, mgf)
+
+
+def test_table_potential_rejected_up_front():
+    params = ModelParams(n_sites=10, epsilon=0.1, macro_length=1.0)
+    grid = np.linspace(-5.0, 5.0, 11)
+    pot = TabulatedPotential(grid, 0.5 * grid**2)
+    for build in (lambda: step_log_mgf(pot, params), lambda: limit_log_mgf(pot)):
+        with pytest.raises(ValueError, match="'gaussian' or 'power'"):
+            build()
+
+
+# ---------------------------------------------------------------------------
+# The tilted-moment kernel against the three adaptive quad calls it replaced.
+
+def _reference_moments(pot, eps, h):
+    """(log Z, mean, variance) of exp(-eps*Phi(x) + h x) by adaptive quad in
+    the peak-centred, width-scaled variable u = (x - x0) / d."""
+
+    def g(x):
+        return -eps * float(pot(x)) + h * x
+
+    b = 1.0
+    g0 = g(0.0)
+    while g(b) >= g0 or g(-b) >= g0:
+        b *= 2.0
+    peak = optimize.minimize_scalar(lambda x: -g(x), bounds=(-b, b), method="bounded")
+    x0, shift = (0.0, g0) if g0 >= g(float(peak.x)) else (float(peak.x), g(float(peak.x)))
+    d = 1.0
+    while min(g(x0 + d), g(x0 - d)) - shift < -10.0 and d > 1e-12:
+        d *= 0.5
+    while max(g(x0 + d), g(x0 - d)) - shift > -0.1 and d < 2.0**60:
+        d *= 2.0
+
+    def w(u):
+        return math.exp(min(g(x0 + u * d) - shift, 700.0))
+
+    z, _ = integrate.quad(w, -np.inf, np.inf, limit=200)
+    u1, _ = integrate.quad(lambda u: u * w(u), -np.inf, np.inf, limit=200)
+    u2, _ = integrate.quad(lambda u: u * u * w(u), -np.inf, np.inf, limit=200)
+    u1, u2 = u1 / z, u2 / z
+    return math.log(z * d) + shift, x0 + d * u1, d * d * (u2 - u1 * u1)
+
+
+@functools.cache
+def _power_step_mgf(alpha, eps, kappa=1.0):
+    n = max(2, round(1.0 / eps))
+    params = ModelParams(n_sites=n, epsilon=eps, macro_length=n * eps)
+    return step_log_mgf(PowerLawPotential(kappa=kappa, alpha=alpha), params)
+
+
+def _tilt(mgf, frac):
+    """frac in [-1, 1] of 0.9 h_max, or of 30 over the untilted standard
+    deviation if that is smaller.  h_max is finite but irrelevant for
+    alpha = 1.5 at eps = 1e-5, where the tilted peak would sit beyond 1e17
+    and no float64 rule resolves the exponent there."""
+    return frac * min(0.9 * mgf.h_max, 30.0 / math.sqrt(mgf.d2(0.0)))
+
+
+# quad's default epsrel is 1.49e-8: the kernel must match it at that level
+@pytest.mark.parametrize("eps", [1.0, 1e-5])
+@pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0, 4.0])
+@settings(max_examples=25, deadline=None)
+@given(frac=st.floats(-1.0, 1.0))
+def test_moment_kernel_matches_adaptive_quad(alpha, eps, frac):
+    mgf = _power_step_mgf(alpha, eps)
+    pot = PowerLawPotential(kappa=1.0, alpha=alpha)
+    h = _tilt(mgf, frac)
+    logz, mean, var = _reference_moments(pot, eps, h)
+    logz0, _, _ = _reference_moments(pot, eps, 0.0)
+    # log Z to 1e-8 absolute is Z to 1e-8 relative, at h and at 0
+    assert mgf.value(h) == pytest.approx(logz - logz0, rel=1e-8, abs=2e-8)
+    assert mgf.d1(h) == pytest.approx(mean, rel=0, abs=1e-8 * (abs(mean) + math.sqrt(var)))
+    assert mgf.d2(h) == pytest.approx(var, rel=1e-8)
+
+
+@pytest.mark.parametrize("eps", [1.0, 0.1, 1e-5])
+@pytest.mark.parametrize("kappa", [0.5, 2.0])
+@settings(max_examples=25, deadline=None)
+@given(frac=st.floats(-1.0, 1.0))
+def test_moment_kernel_alpha2_is_gaussian(kappa, eps, frac):
+    # kappa |x|^2 is the Gaussian potential with stiffness 2 kappa
+    mgf = _power_step_mgf(2.0, eps, kappa)
+    s2 = 1.0 / (2.0 * kappa * eps)
+    h = _tilt(mgf, frac)
+    assert mgf.value(h) == pytest.approx(0.5 * s2 * h * h, rel=1e-12, abs=1e-12)
+    assert mgf.d1(h) == pytest.approx(s2 * h, rel=0, abs=1e-12 * (abs(s2 * h) + math.sqrt(s2)))
+    assert mgf.d2(h) == pytest.approx(s2, rel=1e-12)
+
+
+def test_moments_share_one_potential_evaluation(monkeypatch):
+    # a fresh LogMgf, so no other test has filled its cache
+    params = ModelParams(n_sites=100_000, epsilon=1e-5, macro_length=1.0)
+    mgf = step_log_mgf(PowerLawPotential(kappa=1.0, alpha=4.0), params)
+    calls = []
+    power_call = PowerLawPotential.__call__
+
+    def counting(self, x):
+        calls.append(np.size(x))
+        return power_call(self, x)
+
+    monkeypatch.setattr(PowerLawPotential, "__call__", counting)
+    h = 0.37 / math.sqrt(mgf.d2(0.0))
+    mgf.value(h)
+    # one vectorized call on the whole node set; the rest is the scalar
+    # peak, width and window search
+    assert sum(n > 1 for n in calls) == 1
+    n_value = len(calls)
+    mgf.d1(h)
+    mgf.d2(np.float64(h))
+    assert len(calls) == n_value
