@@ -22,15 +22,11 @@ from .model import (
     PowerLawPotential,
     TabulatedPotential,
     ThetaPath,
-    config_from_csv,
-    config_to_csv,
     continuum_energy_check,
     discretize_profile,
     from_increments,
     gradient,
     hamiltonian,
-    increments_from_csv,
-    increments_to_csv,
     laplacian,
     map_boundary,
     partial_sums,
@@ -88,7 +84,6 @@ from .confinement import (
     confinement_sweep,
     exponent_fit,
     free_energy,
-    gradient_cut_delta,
     mc_survival,
     path_sum,
     power_iteration,

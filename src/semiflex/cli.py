@@ -505,10 +505,9 @@ def _oracle_report(n_max: int, seed: int, workers: int) -> tuple[list[dict], boo
             radius = 1.0
             event = lambda hh: np.max(np.abs(hh[:, 1:n + 1]), axis=1) <= radius
             res = oracle.enumerate_configs(spec, event=event)
+            s2 = sampling.build_increment_dist(pot, params, truncation=1.0).sigma2
             op = confinement.build_transfer(
-                params, pot,
-                confinement.TubeSpec(rho=(radius + 0.5) /
-                                     math.sqrt(_support_sigma2(pot, 1.0) * n)),
+                params, pot, confinement.TubeSpec(rho=(radius + 0.5) / math.sqrt(s2 * n)),
                 support=support)
             p_dp = confinement.survival_probability(op, n)
             rel = abs(p_dp - res.probability) / res.probability
@@ -520,8 +519,8 @@ def _oracle_report(n_max: int, seed: int, workers: int) -> tuple[list[dict], boo
                          height_mode="discrete")
     pot = pots["gaussian"]
     spec = oracle.EnumerationSpec(params, pot, support)
-    s2 = _support_sigma2(pot, 1.0)
-    var_x, cov_xy, var_y = gaussian.xy_moments(n, n, s2)
+    dist = sampling.build_increment_dist(pot, params, truncation=1.0)
+    var_x, cov_xy, var_y = gaussian.xy_moments(n, n, dist.sigma2)
     ex2 = oracle.enumerate_configs(
         spec, statistic=lambda hh: _stat_x(hh, n) ** 2).conditional_mean
     exy = oracle.enumerate_configs(
@@ -533,7 +532,6 @@ def _oracle_report(n_max: int, seed: int, workers: int) -> tuple[list[dict], boo
     record(f"moment_var_y_n{n}", abs(ey2 - var_y) / var_y, 1e-12)
 
     # free sampler against enumeration, mean and variance of the far endpoint
-    dist = sampling.build_increment_dist(pot, params, truncation=1.0)
     settings = sampling.ChainSettings(seed=seed, n_samples=20_000)
     samples = sampling.sample_free(params, dist, 0.0, settings, workers=workers)
     end = samples[:, n + 1]
@@ -569,12 +567,6 @@ def _oracle_report(n_max: int, seed: int, workers: int) -> tuple[list[dict], boo
     record("functional_density_normalization", abs(total - 1.0), 1e-6)
 
     return checks, all(c["passed"] for c in checks)
-
-
-def _support_sigma2(pot, eps: float) -> float:
-    vals = np.array([-1.0, 0.0, 1.0])
-    w = np.exp(-eps * np.array([float(pot(v / eps)) for v in vals]))
-    return float(np.sum(w * vals ** 2) / np.sum(w))
 
 
 def _stat_x(heights: np.ndarray, n: int) -> np.ndarray:

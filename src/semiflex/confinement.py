@@ -43,7 +43,6 @@ __all__ = [
     "reachable_fraction",
     "mc_survival",
     "confinement_sweep",
-    "gradient_cut_delta",
     "exponent_fit",
 ]
 
@@ -467,25 +466,6 @@ def confinement_sweep(
         return [_sweep_point(j) for j in jobs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_sweep_point, jobs))
-
-
-def gradient_cut_delta(
-    params: ModelParams,
-    pot: Potential,
-    tube: TubeSpec,
-    *,
-    factor: float = 1.5,
-    support: Sequence[float] | None = None,
-    mesh: float | None = None,
-    tol: float = 1e-10,
-) -> float:
-    """Relative eigenvalue change when the gradient cut widens by factor."""
-    base = build_transfer(params, pot, tube, support=support, mesh=mesh)
-    wide_tube = TubeSpec(tube.rho, factor * base.grad_cut)
-    wide = build_transfer(params, pot, wide_tube, support=support, mesh=mesh)
-    lam_b = power_iteration(base, tol=tol).lam_norm
-    lam_w = power_iteration(wide, tol=tol).lam_norm
-    return abs(lam_w - lam_b) / lam_w
 
 
 class FitResult(NamedTuple):

@@ -37,7 +37,7 @@ from .model import (
     GaussianPotential,
     ModelParams,
     Potential,
-    TabulatedPotential,
+    PowerLawPotential,
 )
 
 __all__ = [
@@ -105,11 +105,13 @@ class LogMgf:
 
 
 def _quad_log_mgf(pot: Potential, eps: float) -> LogMgf:
-    """Quadrature route: tilted integrals of exp(-eps*Phi(x) + h x)."""
-    if isinstance(pot, TabulatedPotential):
+    """Quadrature route: tilted integrals of exp(-eps*Phi(x) + h x) for
+    Phi = kappa |x|^alpha."""
+    if not isinstance(pot, PowerLawPotential):
         raise ValueError(
-            "the log-MGF needs a potential defined on the whole line, but a table "
-            "potential stops at its grid ends; use potential kind 'gaussian' or 'power'")
+            "the log-MGF needs a power law defined on the whole line (a table potential "
+            f"stops at its grid ends), got {type(pot).__name__}; use potential kind "
+            "'gaussian' or 'power'")
 
     def _exponent(h: float):
         def g(x):
@@ -184,32 +186,10 @@ def _quad_log_mgf(pot: Potential, eps: float) -> LogMgf:
         _, _, var = _moments(float(h))
         return var
 
-    # largest finite tilt by doubling then bisection, with a 1% margin; the
-    # decay bracket alone decides finiteness, so the probe never integrates
-    # at extreme tilts where the exponent difference loses all precision
-    def finite(h: float) -> bool:
-        try:
-            _exponent(h)
-        except (ValueError, OverflowError):
-            return False
-        return True
-
-    hi = 1.0
-    while finite(hi):
-        hi *= 2.0
-        if hi > 1e8:
-            return LogMgf(value=value, d1=d1, d2=d2, h_max=math.inf)
-    lo = hi / 2.0
-    # below h = 1 (exponential tails with eps*kappa < 1) the bracket moves down
-    while not finite(lo):
-        lo, hi = lo / 2.0, lo
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if finite(mid):
-            lo = mid
-        else:
-            hi = mid
-    return LogMgf(value=value, d1=d1, d2=d2, h_max=0.99 * lo)
+    # exp(-eps kappa |x|^alpha + h x) is integrable for every h when alpha > 1
+    # and for |h| < eps kappa when alpha = 1; 1% margin on the finite bound
+    h_max = math.inf if pot.alpha > 1 else 0.99 * eps * pot.kappa
+    return LogMgf(value=value, d1=d1, d2=d2, h_max=h_max)
 
 
 def step_log_mgf(pot: Potential, params: ModelParams) -> LogMgf:

@@ -13,7 +13,6 @@ increment coordinates eta_j = lap_j / eps and their partial sums.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
@@ -25,10 +24,12 @@ __all__ = [
     "GaussianPotential",
     "PowerLawPotential",
     "TabulatedPotential",
+    "Potential",
     "PolymerConfig",
     "BoundaryConditions",
     "IncrementPath",
     "ContinuumProfile",
+    "PartialSums",
     "ThetaPath",
     "EnergyCheckRow",
     "gradient",
@@ -41,10 +42,6 @@ __all__ = [
     "theta_path",
     "discretize_profile",
     "continuum_energy_check",
-    "config_to_csv",
-    "config_from_csv",
-    "increments_to_csv",
-    "increments_from_csv",
 ]
 
 _MODES = ("continuous", "discrete")
@@ -221,6 +218,41 @@ class ContinuumProfile:
     d2f: Callable[[np.ndarray], np.ndarray] | None = None
 
 
+# ---------------------------------------------------------------------------
+# change-of-variables kernels: heights <-> increments <-> walk/area, along the
+# last axis, so one row and a matrix of sample rows go through the same code.
+# The public wrappers below add the checks; the samplers call these directly.
+
+def _laps(phi: np.ndarray) -> np.ndarray:
+    """Second differences phi_{j+1} - 2 phi_j + phi_{j-1} along the last axis."""
+    return phi[..., 2:] - 2.0 * phi[..., 1:-1] + phi[..., :-2]
+
+
+def _heights(xi1: float, etas: np.ndarray, eps: float) -> np.ndarray:
+    """Heights (phi_0, ..., phi_{N+1}) from increments along the last axis,
+    phi_0 = 0: gradients xi_{j+1} = xi_j + eps*eta_j first, then heights by
+    summation."""
+    lead, n = etas.shape[:-1], etas.shape[-1]
+    xi = np.empty(lead + (n + 1,))
+    xi[..., 0] = xi1
+    np.cumsum(eps * etas, axis=-1, out=xi[..., 1:])
+    xi[..., 1:] += xi1
+    phi = np.empty(lead + (n + 2,))
+    phi[..., 0] = 0.0
+    np.cumsum(xi, axis=-1, out=phi[..., 1:])
+    return phi
+
+
+def _walk_area(etas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Walk X_k and area Y_k (k = 1..N) of increments along the last axis."""
+    n = etas.shape[-1]
+    x = np.cumsum(etas, axis=-1)
+    j = np.arange(1, n + 1)
+    # Y_k = ((k+1) X_k - sum_{j<=k} j eta_j) / (N+1)
+    y = ((j + 1) * x - np.cumsum(j * etas, axis=-1)) / (n + 1)
+    return x, y
+
+
 def gradient(config: PolymerConfig) -> np.ndarray:
     """Forward differences (grad phi_1, ..., grad phi_{N+1})."""
     return np.diff(config.heights)
@@ -231,7 +263,7 @@ def laplacian(config: PolymerConfig) -> np.ndarray:
     phi = config.heights
     if phi.size < 3:
         raise ValueError("laplacian needs at least 3 heights")
-    return phi[2:] - 2.0 * phi[1:-1] + phi[:-2]
+    return _laps(phi)
 
 
 def hamiltonian(config: PolymerConfig, params: ModelParams, pot: Potential) -> float:
@@ -264,15 +296,7 @@ def from_increments(path: IncrementPath, params: ModelParams) -> PolymerConfig:
         raise ValueError(
             f"path has {path.n_sites} increments, params expect {params.n_sites}"
         )
-    # gradients first: xi_{j+1} = xi_j + eps*eta_j, then heights by summation
-    xi = np.empty(params.n_sites + 1)
-    xi[0] = path.xi1
-    np.cumsum(params.epsilon * path.etas, out=xi[1:])
-    xi[1:] += path.xi1
-    phi = np.empty(params.n_heights)
-    phi[0] = 0.0
-    np.cumsum(xi, out=phi[1:])
-    return PolymerConfig(phi)
+    return PolymerConfig(_heights(path.xi1, path.etas, params.epsilon))
 
 
 class PartialSums(NamedTuple):
@@ -282,13 +306,7 @@ class PartialSums(NamedTuple):
 
 def partial_sums(path: IncrementPath) -> PartialSums:
     """Walk and area coordinates of the increments, by their definitions."""
-    eta = path.etas
-    n = eta.size
-    x = np.cumsum(eta)
-    j = np.arange(1, n + 1)
-    # Y_k = ((k+1) X_k - sum_{j<=k} j eta_j) / (N+1)
-    y = ((j + 1) * x - np.cumsum(j * eta)) / (n + 1)
-    return PartialSums(x=x, y=y)
+    return PartialSums(*_walk_area(path.etas))
 
 
 def map_boundary(bc: BoundaryConditions, params: ModelParams) -> tuple[float, float]:
@@ -383,44 +401,3 @@ def continuum_energy_check(
                                    error=abs(energy - integral)))
     return rows
 
-
-# ---------------------------------------------------------------------------
-# serialization
-
-def config_to_csv(config: PolymerConfig, path) -> None:
-    """One `phi` column, one height per row."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["phi"])
-        for v in config.heights:
-            writer.writerow([f"{v:.17g}"])
-
-
-def config_from_csv(path) -> PolymerConfig:
-    with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
-    if not rows or rows[0] != ["phi"]:
-        raise ValueError(f"{path}: expected a single 'phi' header column")
-    return PolymerConfig([float(r[0]) for r in rows[1:]])
-
-
-def increments_to_csv(path_obj: IncrementPath, path) -> None:
-    """Columns index,eta with a leading metadata row carrying xi1."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "eta"])
-        writer.writerow(["xi1", f"{path_obj.xi1:.17g}"])
-        for j, v in enumerate(path_obj.etas, start=1):
-            writer.writerow([j, f"{v:.17g}"])
-
-
-def increments_from_csv(path) -> IncrementPath:
-    with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
-    if not rows or rows[0] != ["index", "eta"]:
-        raise ValueError(f"{path}: expected 'index,eta' header")
-    if len(rows) < 2 or rows[1][0] != "xi1":
-        raise ValueError(f"{path}: expected a leading xi1 metadata row")
-    xi1 = float(rows[1][1])
-    etas = [float(r[1]) for r in rows[2:]]
-    return IncrementPath(xi1=xi1, etas=etas)

@@ -55,7 +55,12 @@ class EnumerationResult(NamedTuple):
 
 
 def _heights_from_laps(laps: np.ndarray, spec: EnumerationSpec) -> np.ndarray:
-    """Vectorized reconstruction: rows of (phi_0..phi_{N+1}) from lap tuples."""
+    """Vectorized reconstruction: rows of (phi_0..phi_{N+1}) from lap tuples.
+
+    Deliberately not `model._heights`: the oracle checks the samplers, which
+    rebuild heights through that kernel, so it keeps its own two cumsums as
+    an independent reference.
+    """
     eps = spec.params.epsilon
     m, n = laps.shape
     xi = np.empty((m, n + 1))

@@ -33,6 +33,10 @@ from .model import (
     ModelParams,
     Potential,
     TabulatedPotential,
+    _heights,
+    _laps,
+    _walk_area,
+    map_boundary,
 )
 
 __all__ = [
@@ -189,29 +193,9 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
 
 
-def _heights_from_etas(xi1: float, etas: np.ndarray, eps: float) -> np.ndarray:
-    """Rows of (phi_0..phi_{N+1}) from rows of increments."""
-    m, n = etas.shape
-    xi = np.empty((m, n + 1))
-    xi[:, 0] = xi1
-    np.cumsum(eps * etas, axis=1, out=xi[:, 1:])
-    xi[:, 1:] += xi1
-    phi = np.empty((m, n + 2))
-    phi[:, 0] = 0.0
-    np.cumsum(xi, axis=1, out=phi[:, 1:])
-    return phi
-
-
-def _iid_blocks(n_samples: int) -> list[tuple[int, int]]:
-    blocks = []
-    start = 0
-    b = 0
-    while start < n_samples:
-        count = min(_IID_BLOCK, n_samples - start)
-        blocks.append((b, count))
-        start += count
-        b += 1
-    return blocks
+def _blocks(total: int, size: int) -> list[tuple[int, int]]:
+    """(block index, count) pairs covering `total` items in blocks of `size`."""
+    return [(b, min(size, total - start)) for b, start in enumerate(range(0, total, size))]
 
 
 def _run_blocks(fn, blocks, workers: int) -> list[np.ndarray]:
@@ -229,7 +213,7 @@ def _apply_block(job):
 def _free_block(params, dist, xi1, seed, block, count):
     rng = _block_rng(seed, block)
     etas = dist.sample(rng, (count, params.n_sites))
-    return _heights_from_etas(xi1, etas, params.epsilon)
+    return _heights(xi1, etas, params.epsilon)
 
 
 def sample_free(
@@ -243,28 +227,26 @@ def sample_free(
     if params.height_mode == "discrete" and xi1 != round(xi1):
         raise ValueError("discrete mode needs an integer first gradient")
     fn = partial(_free_block, params, dist, xi1, settings.seed)
-    parts = _run_blocks(fn, _iid_blocks(settings.n_samples), workers)
+    parts = _run_blocks(fn, _blocks(settings.n_samples, _IID_BLOCK), workers)
     return np.concatenate(parts, axis=0)
 
 
-def _bridge_targets(params: ModelParams, bc: BoundaryConditions):
-    from .model import map_boundary
-
-    tx, ty = map_boundary(bc, params)
+def _gaussian_bridge_rows(rng, params: ModelParams, bc: BoundaryConditions, sigma: float,
+                          count: int) -> np.ndarray:
+    """`count` exact Gaussian bridge rows: i.i.d. N(0, sigma^2) increments
+    projected onto the two boundary constraints (X_N, Y_N) = map_boundary."""
     n = params.n_sites
     a = np.vstack([np.ones(n), (n + 1 - np.arange(1, n + 1)) / (n + 1)])
-    gram = a @ a.T
-    proj = np.linalg.solve(gram, a)  # (2, N): rows of (A A^T)^-1 A
-    return a, proj, np.array([tx, ty])
+    proj = np.linalg.solve(a @ a.T, a)  # (2, N): rows of (A A^T)^-1 A
+    target = np.array(map_boundary(bc, params))
+    etas = rng.normal(0.0, sigma, (count, n))
+    defect = etas @ a.T - target  # (count, 2)
+    etas -= defect @ proj
+    return _heights(bc.xi_left, etas, params.epsilon)
 
 
 def _gaussian_bridge_block(params, bc, sigma, seed, block, count):
-    rng = _block_rng(seed, block)
-    a, proj, target = _bridge_targets(params, bc)
-    etas = rng.normal(0.0, sigma, (count, params.n_sites))
-    defect = etas @ a.T - target  # (count, 2)
-    etas -= defect @ proj
-    return _heights_from_etas(bc.xi_left, etas, params.epsilon)
+    return _gaussian_bridge_rows(_block_rng(seed, block), params, bc, sigma, count)
 
 
 def sample_gaussian_bridge(
@@ -283,7 +265,7 @@ def sample_gaussian_bridge(
         raise ValueError("exact bridge sampling needs continuous heights")
     sigma = math.sqrt(1.0 / (params.epsilon * pot.kappa))
     fn = partial(_gaussian_bridge_block, params, bc, sigma, settings.seed)
-    parts = _run_blocks(fn, _iid_blocks(settings.n_samples), workers)
+    parts = _run_blocks(fn, _blocks(settings.n_samples, _IID_BLOCK), workers)
     return np.concatenate(parts, axis=0)
 
 
@@ -312,18 +294,14 @@ def _mcmc_block(params, pot, bc, settings, truncation, step_width, n_per_chain, 
     # equilibrium start when exact sampling is available, clamped cubic otherwise
     if not discrete and isinstance(pot, GaussianPotential):
         sigma = math.sqrt(1.0 / (eps * pot.kappa))
-        a, proj, target = _bridge_targets(params, bc)
-        etas = rng.normal(0.0, sigma, (n_chains, n))
-        etas -= (etas @ a.T - target) @ proj
-        phi = _heights_from_etas(bc.xi_left, etas, eps)
+        phi = _gaussian_bridge_rows(rng, params, bc, sigma, n_chains)
     else:
         phi = np.tile(_clamped_cubic_init(params, bc), (n_chains, 1))
 
     lap_bound = None
     if truncation is not None:
         lap_bound = truncation * eps + 1e-9  # |lap| <= M * eps
-        laps0 = phi[:, 2:] - 2.0 * phi[:, 1:-1] + phi[:, :-2]
-        if np.any(np.abs(laps0) > lap_bound):
+        if np.any(np.abs(_laps(phi)) > lap_bound):
             raise ValueError("initial configuration violates the truncation cut")
 
     width = step_width if step_width is not None else math.sqrt(eps / _kappa_scale(pot))
@@ -335,32 +313,43 @@ def _mcmc_block(params, pot, bc, settings, truncation, step_width, n_per_chain, 
     def lap(idx):
         return phi[rows, idx + 1] - 2.0 * phi[rows, idx] + phi[rows, idx - 1]
 
+    def step():
+        # one proposal per chain: a +-1 flip on the lattice, else N(0, width^2)
+        if discrete:
+            return (rng.integers(0, 2, n_chains) * 2 - 1).astype(float)
+        return rng.normal(0.0, width, n_chains)
+
+    def metropolis(old, new):
+        """Per-chain accept mask for moving the bending terms `old` to `new`."""
+        if lap_bound is not None:
+            # cut mask first: a tabulated potential is undefined past the cut
+            ok = np.abs(new[0]) <= lap_bound
+            for v in new[1:]:
+                ok &= np.abs(v) <= lap_bound
+            new = [np.where(ok, v, 0.0) for v in new]
+        # new terms summed left to right, then old ones subtracted: another
+        # order rounds differently and changes the chains
+        total = pot(new[0] / eps)
+        for v in new[1:]:
+            total += pot(v / eps)
+        for v in old:
+            total -= pot(v / eps)
+        accept = np.log(rng.random(n_chains)) < -(eps * total)
+        if lap_bound is not None:
+            accept &= ok
+        return accept
+
     collected = []
     acc_count, acc_tries = 0, 0
     n_collected = 0
     for sweep in range(1, sweeps + 1):
         tuning = sweep <= settings.burn_in
         for j in sites:
-            if discrete:
-                delta = (rng.integers(0, 2, n_chains) * 2 - 1).astype(float)
-            else:
-                delta = rng.normal(0.0, width, n_chains)
+            delta = step()
             l1 = phi[:, j] - 2.0 * phi[:, j - 1] + phi[:, j - 2]
             l2 = phi[:, j + 1] - 2.0 * phi[:, j] + phi[:, j - 1]
             l3 = phi[:, j + 2] - 2.0 * phi[:, j + 1] + phi[:, j]
-            n1, n2, n3 = l1 + delta, l2 - 2.0 * delta, l3 + delta
-            # cut mask first: a tabulated potential is undefined past the cut
-            if lap_bound is not None:
-                ok = (np.abs(n1) <= lap_bound) & (np.abs(n2) <= lap_bound) \
-                    & (np.abs(n3) <= lap_bound)
-                n1, n2, n3 = (np.where(ok, v, 0.0) for v in (n1, n2, n3))
-            d_energy = eps * (
-                pot(n1 / eps) + pot(n2 / eps) + pot(n3 / eps)
-                - pot(l1 / eps) - pot(l2 / eps) - pot(l3 / eps)
-            )
-            accept = np.log(rng.random(n_chains)) < -d_energy
-            if lap_bound is not None:
-                accept &= ok
+            accept = metropolis((l1, l2, l3), (l1 + delta, l2 - 2.0 * delta, l3 + delta))
             phi[accept, j] += delta[accept]
             if tuning and not discrete:
                 acc_count += int(accept.sum())
@@ -374,23 +363,10 @@ def _mcmc_block(params, pot, bc, settings, truncation, step_width, n_per_chain, 
         for _ in range(len(sites) if n >= 4 else 0):
             lo = rng.integers(2, n - 1, n_chains)
             hi = rng.integers(lo + 1, n)
-            if discrete:
-                delta = (rng.integers(0, 2, n_chains) * 2 - 1).astype(float)
-            else:
-                delta = rng.normal(0.0, width, n_chains)
+            delta = step()
             l1, l2, l3, l4 = lap(lo - 1), lap(lo), lap(hi), lap(hi + 1)
-            n1, n2, n3, n4 = l1 + delta, l2 - delta, l3 - delta, l4 + delta
-            if lap_bound is not None:
-                ok = (np.abs(n1) <= lap_bound) & (np.abs(n2) <= lap_bound) \
-                    & (np.abs(n3) <= lap_bound) & (np.abs(n4) <= lap_bound)
-                n1, n2, n3, n4 = (np.where(ok, v, 0.0) for v in (n1, n2, n3, n4))
-            d_energy = eps * (
-                pot(n1 / eps) + pot(n2 / eps) + pot(n3 / eps) + pot(n4 / eps)
-                - pot(l1 / eps) - pot(l2 / eps) - pot(l3 / eps) - pot(l4 / eps)
-            )
-            accept = np.log(rng.random(n_chains)) < -d_energy
-            if lap_bound is not None:
-                accept &= ok
+            accept = metropolis((l1, l2, l3, l4),
+                                (l1 + delta, l2 - delta, l3 - delta, l4 + delta))
             in_block = (cols >= lo[:, None]) & (cols <= hi[:, None])
             phi += np.where(in_block & accept[:, None], delta[:, None], 0.0)
         if tuning and not discrete and sweep % 32 == 0 and acc_tries:
@@ -454,15 +430,9 @@ def sample_bridge_mcmc(
         n_per_chain = min(n_per_chain, budget)
         n_per_chain = max(n_per_chain, math.ceil(settings.n_samples / n_chains))
 
-    blocks = []
-    start, b = 0, 0
-    while start < n_chains:
-        blocks.append((b, min(_CHAIN_BLOCK, n_chains - start)))
-        start += blocks[-1][1]
-        b += 1
     fn = partial(_mcmc_block, params, pot, bc, settings, truncation, step_width,
                  n_per_chain, settings.seed)
-    parts = _run_blocks(fn, blocks, workers)
+    parts = _run_blocks(fn, _blocks(n_chains, _CHAIN_BLOCK), workers)
     return np.concatenate(parts, axis=0)[: settings.n_samples]
 
 
@@ -485,11 +455,7 @@ def estimate_theta_stats(samples: np.ndarray, times, sigma: float, epsilon: floa
         raise ValueError("times must lie in [0, 1]")
     m, width = samples.shape
     n = width - 2
-    laps = samples[:, 2:] - 2.0 * samples[:, 1:-1] + samples[:, :-2]
-    etas = laps / epsilon
-    x = np.cumsum(etas, axis=1)
-    j = np.arange(1, n + 1)
-    y = ((j + 1) * x - np.cumsum(j * etas, axis=1)) / (n + 1)
+    _, y = _walk_area(_laps(samples) / epsilon)
     theta = np.concatenate([np.zeros((m, 1)), y / (sigma * math.sqrt(n))], axis=1)
 
     # linear interpolation of each row at t*N
@@ -503,11 +469,13 @@ def estimate_theta_stats(samples: np.ndarray, times, sigma: float, epsilon: floa
     u = vals - mean
     cov = (u.T @ u) / (m - 1)
 
-    # leave-one-out covariance: C_(i) = [(m-1) C - m u_i u_i^T/(m-1)] / (m-2)
-    prod = u[:, :, None] * u[:, None, :]  # (m, k, k)
-    loo = ((m - 1) * cov - prod * (m / (m - 1))) / (m - 2)
-    loo_mean = loo.mean(axis=0)
-    cov_se = np.sqrt((m - 1) / m * np.sum((loo - loo_mean) ** 2, axis=0))
+    # leave-one-out covariance C_(i) = [(m-1) C - m u_i u_i^T/(m-1)] / (m-2)
+    # deviates from its mean by -m/((m-1)(m-2)) (u_i u_i^T - P), P = (m-1) C/m,
+    # so the jackknife sum of squares needs only the fourth-moment sums u^2' u^2
+    p = (m - 1) * cov / m
+    u2 = np.square(u)
+    spread = np.maximum(u2.T @ u2 - m * np.square(p), 0.0)
+    cov_se = m / ((m - 1) * (m - 2)) * np.sqrt((m - 1) / m * spread)
     return ThetaStats(times=times, mean=mean, mean_se=mean_se, cov=cov, cov_se=cov_se)
 
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from semiflex.confinement import (
@@ -74,6 +76,18 @@ def test_power_iteration_matches_dense_spectrum():
         lam_dense = float(np.max(np.linalg.eigvals(op.dense()).real))
         assert res.lam_raw == pytest.approx(lam_dense, rel=1e-9)
         assert res.lam_norm == pytest.approx(lam_dense / op.z1, rel=1e-9)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(2, 8), kappa=st.floats(0.1, 3.0), rho=st.floats(0.3, 2.0),
+       support=st.sets(st.integers(-3, 3), min_size=2), seed=st.integers(0, 2**32))
+def test_matvec_agrees_with_dense(n, kappa, rho, support, seed):
+    op = build_transfer(_discrete_params(n), GaussianPotential(kappa), TubeSpec(rho),
+                        support=sorted(support))
+    v = np.random.default_rng(seed).normal(size=(2 * op.n_h + 1, 2 * op.n_g + 1))
+    # each output sums at most seven products w * v with weights w <= 1
+    assert_allclose(op.matvec(v).ravel(), op.dense() @ v.ravel(), rtol=0,
+                    atol=1e-13 * np.max(np.abs(v)))
 
 
 def test_free_energy_positive_and_decreasing():

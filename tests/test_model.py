@@ -1,9 +1,12 @@
-"""Core model: difference operators, energy, change of variables, serialization."""
+"""Core model: difference operators, energy, change of variables."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 from semiflex.model import (
@@ -15,15 +18,14 @@ from semiflex.model import (
     PolymerConfig,
     PowerLawPotential,
     TabulatedPotential,
-    config_from_csv,
-    config_to_csv,
+    _heights,
+    _laps,
+    _walk_area,
     continuum_energy_check,
     discretize_profile,
     from_increments,
     gradient,
     hamiltonian,
-    increments_from_csv,
-    increments_to_csv,
     laplacian,
     map_boundary,
     partial_sums,
@@ -201,17 +203,47 @@ def test_continuum_energy_rejects_bad_scaling():
         continuum_energy_check(profile, GaussianPotential(1.0), [0.1])
 
 
-def test_config_csv_roundtrip(tmp_path):
-    config = PolymerConfig([0.0, 0.125, -1.75, 3.0e-17, 2.0])
-    target = tmp_path / "config.csv"
-    config_to_csv(config, target)
-    assert_allclose(config_from_csv(target).heights, config.heights, rtol=0, atol=0)
+# ---------------------------------------------------------------------------
+# property tests: the batched change-of-variables kernels the samplers use
+# against the checked public maps, and the exact round trip between them
+
+_EPS = st.sampled_from([1.0, 0.25, 0.01])
+_ETA_ROWS = hnp.arrays(
+    np.float64,
+    hnp.array_shapes(min_dims=2, max_dims=2, min_side=2, max_side=24),
+    elements=st.floats(-1e3, 1e3),
+)
 
 
-def test_increments_csv_roundtrip(tmp_path):
-    path_obj = IncrementPath(xi1=0.5, etas=[1.0, -2.0, 0.25])
-    target = tmp_path / "etas.csv"
-    increments_to_csv(path_obj, target)
-    back = increments_from_csv(target)
-    assert back.xi1 == path_obj.xi1
-    assert_allclose(back.etas, path_obj.etas, rtol=0, atol=0)
+@settings(max_examples=50, deadline=None)
+@given(etas=_ETA_ROWS, xi1=st.floats(-10.0, 10.0), eps=_EPS)
+def test_batched_kernels_match_public_maps_bit_for_bit(etas, xi1, eps):
+    n = etas.shape[1]
+    params = ModelParams(n_sites=n, epsilon=eps, macro_length=n * eps)
+    phi = _heights(xi1, etas, eps)
+    laps = _laps(phi)
+    x, y = _walk_area(etas)
+    for i, row in enumerate(etas):
+        path = IncrementPath(xi1=xi1, etas=row)
+        config = from_increments(path, params)
+        sums = partial_sums(path)
+        assert np.array_equal(phi[i], config.heights)
+        assert np.array_equal(laps[i], laplacian(config))
+        assert np.array_equal(x[i], sums.x)
+        assert np.array_equal(y[i], sums.y)
+
+
+@settings(max_examples=50, deadline=None)
+@given(etas=_ETA_ROWS.map(lambda a: a[0]), xi1=st.floats(-10.0, 10.0), eps=_EPS)
+def test_increment_roundtrip_property(etas, xi1, eps):
+    n = etas.size
+    params = ModelParams(n_sites=n, epsilon=eps, macro_length=n * eps)
+    config = from_increments(IncrementPath(xi1=xi1, etas=etas), params)
+    back = to_increments(config, params)
+    # laps difference heights of size max |phi|: a few ulps of that, over eps
+    # (the worst of 20,000 random draws used 1/70 of these bounds)
+    scale = np.max(np.abs(config.heights))
+    assert back.xi1 == xi1
+    assert_allclose(back.etas, etas, rtol=0, atol=1e-14 * n * scale / eps)
+    again = from_increments(back, params)
+    assert_allclose(again.heights, config.heights, rtol=0, atol=1e-14 * n * n * scale)

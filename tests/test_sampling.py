@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from semiflex.gaussian import theta_cov, xy_moments
@@ -11,7 +13,10 @@ from semiflex.model import (
     BoundaryConditions,
     GaussianPotential,
     ModelParams,
+    PolymerConfig,
     TabulatedPotential,
+    theta_path,
+    to_increments,
 )
 from semiflex.oracle import EnumerationSpec, enumerate_configs
 from semiflex.sampling import (
@@ -57,6 +62,24 @@ def test_exact_bridge_pins_boundary():
     assert_allclose(s[:, 1], bc.xi_left, atol=0)
     assert_allclose(s[:, 20], bc.endpoint + bc.xi_right, atol=1e-10)
     assert_allclose(s[:, 21], bc.endpoint, atol=1e-10)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(2, 60), xi_left=st.floats(-5.0, 5.0), xi_right=st.floats(-5.0, 5.0),
+       endpoint=st.floats(-20.0, 20.0), seed=st.integers(0, 2**32))
+def test_exact_bridge_pins_random_boundary(n, xi_left, xi_right, endpoint, seed):
+    params = ModelParams(n_sites=n, epsilon=1.0 / n, macro_length=1.0)
+    bc = BoundaryConditions(xi_left=xi_left, xi_right=xi_right, endpoint=endpoint)
+    s = sample_gaussian_bridge(params, GaussianPotential(1.0), bc,
+                               ChainSettings(seed=seed, n_samples=16))
+    # rounding scales with the unconditioned draws (eta ~ sigma = sqrt(N),
+    # each adding eps * N of height) and with the pinned heights themselves;
+    # the worst of 1,500 random cases used 1/75 of this bound
+    tol = 1e-13 * n * (math.sqrt(n) + np.max(np.abs(s)))
+    assert np.all(s[:, 0] == 0.0)
+    assert np.all(s[:, 1] == xi_left)
+    assert_allclose(s[:, n], endpoint + xi_right, rtol=0, atol=tol)
+    assert_allclose(s[:, n + 1], endpoint, rtol=0, atol=tol)
 
 
 def test_exact_bridge_midpoint_variance():
@@ -199,6 +222,32 @@ def test_theta_stats_shapes_and_constant_input():
     assert_allclose(stats.mean, 0.0, atol=0)
     assert_allclose(stats.cov, 0.0, atol=0)
     assert_allclose(stats.mean_se, 0.0, atol=0)
+    assert_allclose(stats.cov_se, 0.0, atol=0)
+
+
+def _jackknife_cov_se_reference(vals):
+    """Jackknife standard error of the covariance from the full (m, k, k)
+    stack of leave-one-out covariances."""
+    m = vals.shape[0]
+    u = vals - vals.mean(axis=0)
+    cov = (u.T @ u) / (m - 1)
+    prod = u[:, :, None] * u[:, None, :]
+    loo = ((m - 1) * cov - prod * (m / (m - 1))) / (m - 2)
+    loo_mean = loo.mean(axis=0)
+    return np.sqrt((m - 1) / m * np.sum((loo - loo_mean) ** 2, axis=0))
+
+
+@pytest.mark.parametrize("m, k", [(5, 1), (5, 3), (6, 9), (40, 2), (500, 9)])
+def test_theta_cov_se_matches_leave_one_out_stack(m, k):
+    n, eps, sigma = 10, 0.1, 2.0
+    params = ModelParams(n_sites=n, epsilon=eps, macro_length=1.0)
+    rng = np.random.default_rng(m * 100 + k)
+    samples = np.concatenate([np.zeros((m, 1)), rng.normal(size=(m, n + 1))], axis=1)
+    times = np.arange(1, k + 1) / 10.0
+    stats = estimate_theta_stats(samples, times, sigma=sigma, epsilon=eps)
+    vals = np.array([theta_path(to_increments(PolymerConfig(row), params), sigma)(times)
+                     for row in samples]).reshape(m, k)
+    assert_allclose(stats.cov_se, _jackknife_cov_se_reference(vals), rtol=1e-12, atol=0)
 
 
 def test_samples_csv_roundtrip(tmp_path):
