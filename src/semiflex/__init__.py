@@ -85,9 +85,7 @@ from .confinement import (
     exponent_fit,
     free_energy,
     mc_survival,
-    path_sum,
     power_iteration,
-    reachable_fraction,
     survival_probability,
     tube_radius,
 )

@@ -24,7 +24,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .gaussian import sigma2_increment
-from .model import ModelParams, Potential, TabulatedPotential
+from .model import ModelParams, Potential, _lattice_law, _step_weights
 from .sampling import ChainSettings, IncrementDistribution, sample_free
 
 __all__ = [
@@ -38,16 +38,13 @@ __all__ = [
     "build_transfer",
     "power_iteration",
     "free_energy",
-    "path_sum",
     "survival_probability",
-    "reachable_fraction",
     "mc_survival",
     "confinement_sweep",
     "exponent_fit",
 ]
 
 _STATE_CAP = 4_000_000
-_TAP_CUTOFF = 1e-18
 _DENSE_CAP = 20_000
 
 
@@ -161,42 +158,6 @@ class TransferOperator:
         return mat
 
 
-def _tap_table(pot: Potential, eps: float, delta: float,
-               support: Sequence[float] | None) -> tuple[np.ndarray, np.ndarray]:
-    """Step weights exp(-eps*Phi(d*delta/eps)) on the mesh, trimmed at 1e-18."""
-    if support is not None:
-        offs = []
-        for value in support:
-            d = round(value / delta)
-            if abs(value - d * delta) > 1e-9 * max(delta, abs(value)):
-                raise ValueError(f"support value {value} is not on the grid")
-            offs.append(d)
-        if len(set(offs)) != len(offs):
-            raise ValueError("support values must be distinct")
-        offs = np.asarray(sorted(offs), dtype=np.int64)
-        wts = np.array([math.exp(-eps * float(pot(d * delta / eps))) for d in offs])
-        return offs, wts
-
-    d_hi = None
-    if isinstance(pot, TabulatedPotential):
-        d_hi = int(math.floor(min(-pot.grid[0], pot.grid[-1]) * eps / delta + 1e-12))
-    w0 = math.exp(-eps * float(pot(0.0)))
-    offs, wts = [0], [w0]
-    d = 1
-    while d_hi is None or d <= d_hi:
-        w_p = math.exp(-eps * float(pot(d * delta / eps)))
-        w_m = math.exp(-eps * float(pot(-d * delta / eps)))
-        if max(w_p, w_m) < _TAP_CUTOFF * w0 and d * delta > 3.0 * eps:
-            break
-        offs.extend([d, -d])
-        wts.extend([w_p, w_m])
-        if d > 10_000_000:
-            raise ValueError("step weight table did not decay; check the potential")
-        d += 1
-    order = np.argsort(offs)
-    return np.asarray(offs, dtype=np.int64)[order], np.asarray(wts)[order]
-
-
 def build_transfer(
     params: ModelParams,
     pot: Potential,
@@ -219,25 +180,17 @@ def build_transfer(
         if mesh is not None and mesh != 1.0:
             raise ValueError("discrete mode runs on the integer lattice; mesh must be left unset")
         delta = 1.0
+        offs, wts = _step_weights(pot, eps, delta, support)
+        sigma2 = _lattice_law(offs, wts, eps)[2]
     else:
         if support is not None:
             raise ValueError("explicit support applies to discrete mode only")
-
-    if support is not None:
-        w = np.array([math.exp(-eps * float(pot(v))) for v in np.asarray(support) / eps])
-        z = float(np.sum(w))
-        vals = np.asarray(support, dtype=float) / eps
-        mean = float(np.sum(w * vals)) / z
-        sigma2 = float(np.sum(w * (vals - mean) ** 2)) / z
-    else:
         sigma2 = sigma2_increment(pot, params)
-    sigma = math.sqrt(sigma2)
-
-    if not discrete:
-        step_std = eps * sigma
-        delta = float(mesh) if mesh is not None else step_std / 40.0
+        delta = float(mesh) if mesh is not None else eps * math.sqrt(sigma2) / 40.0
         if not (delta > 0 and math.isfinite(delta)):
             raise ValueError("mesh spacing must be positive and finite")
+        offs, wts = _step_weights(pot, eps, delta)
+    sigma = math.sqrt(sigma2)
 
     radius = tube_radius(tube, params, sigma2)
     if radius <= 0 and not discrete:
@@ -260,7 +213,6 @@ def build_transfer(
             "coarsen the mesh or tighten grad_cut"
         )
 
-    offs, wts = _tap_table(pot, eps, delta, support)
     z1 = float(math.fsum(wts))
     if not z1 > 0:
         raise ValueError("single-step normalizer is not positive")
@@ -335,53 +287,18 @@ def free_energy(
     return -math.log(res.lam_norm) / op.eps
 
 
-def path_sum(
-    op: TransferOperator,
-    n_sites: int,
-    *,
-    start_gradient: float = 0.0,
-    normalized: bool = True,
-) -> float:
-    """Weighted sum over in-tube paths of N-1 steps from (0, start_gradient).
+def survival_probability(op: TransferOperator, n_sites: int) -> float:
+    """P(sup_{1<=k<=N} |phi_k| <= R | phi_0 = phi_1 = 0) by exact path sum.
 
-    With phi_0 = phi_1 = 0 the chain starts at height 0, and the N-1 steps
-    land exactly on the constrained heights phi_2 .. phi_N.  normalized=True
-    divides each step by z1, giving the tube probability under the free
-    measure; normalized=False keeps the raw restricted partition sum.
+    The chain starts at height 0 with gradient 0, and its N-1 steps, each
+    divided by z1, land exactly on the constrained heights phi_2 .. phi_N.
     """
     if n_sites < 1:
         raise ValueError("n_sites must be at least 1")
-    v = op.start_vector(start_gradient)
+    v = op.start_vector()
     for _ in range(n_sites - 1):
         v = op.matvec(v) / op.z1
-    total = float(v.sum())
-    if normalized:
-        return total
-    return total * op.z1 ** (n_sites - 1)
-
-
-def survival_probability(op: TransferOperator, n_sites: int,
-                         *, start_gradient: float = 0.0) -> float:
-    """P(sup_{1<=k<=N} |phi_k| <= R | phi_0 = phi_1 = 0) by exact path sum."""
-    return path_sum(op, n_sites, start_gradient=start_gradient, normalized=True)
-
-
-def reachable_fraction(op: TransferOperator, max_steps: int | None = None) -> float:
-    """Fraction of grid states reachable from (0, 0) along positive-weight steps.
-
-    Border states whose every continuation exits the tube are retained on the
-    grid but are transient; they feed nothing back, so path sums and the
-    Perron eigenvalue live on the reachable core this reports.
-    """
-    mask = op.start_vector(0.0) > 0
-    cap = max_steps if max_steps is not None else op.n_states
-    for _ in range(cap):
-        nxt = op.matvec(mask.astype(float)) > 0
-        merged = mask | nxt
-        if merged.sum() == mask.sum():
-            break
-        mask = merged
-    return float(mask.sum()) / op.n_states
+    return float(v.sum())
 
 
 class MCSurvival(NamedTuple):
@@ -433,8 +350,7 @@ def _sweep_point(job) -> SweepRow:
     delta = 0.0
     if mesh_check:
         op2 = build_transfer(params, pot, tube, support=support, mesh=op.delta / 2.0)
-        f2 = -math.log(power_iteration(op2, tol=tol).lam_norm) / op2.eps
-        delta = abs(f2 - f)
+        delta = abs(free_energy(op2, tol=tol) - f)
     return SweepRow(rho, f, res.lam_norm, op.n_states, delta)
 
 

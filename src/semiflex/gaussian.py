@@ -17,7 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .model import GaussianPotential, ModelParams, Potential, TabulatedPotential
+from .model import (
+    GaussianPotential,
+    ModelParams,
+    Potential,
+    TabulatedPotential,
+    _lattice_law,
+    _step_weights,
+)
 
 __all__ = [
     "GridTimes",
@@ -68,8 +75,9 @@ def sigma2_increment(pot: Potential, params: ModelParams) -> float:
     """Variance of one increment under the step weight exp(-eps * Phi).
 
     Continuous Gaussian is closed form, 1/(eps*kappa).  Other continuous
-    potentials go through adaptive quadrature; discrete mode sums the lattice
-    weights over eta in eps^-1 * Z with a < 1e-12 tail bound.
+    potentials go through adaptive quadrature; discrete mode takes the
+    variance of the cut lattice law over eta in eps^-1 * Z, the one the
+    increment sampler and the transfer operator use.
     """
     eps = params.epsilon
     if params.height_mode == "continuous":
@@ -88,30 +96,9 @@ def sigma2_increment(pot: Potential, params: ModelParams) -> float:
         mean = m1 / z0
         return m2 / z0 - mean * mean
 
-    # discrete: eta = k/eps, k integer; symmetric weights, so the mean is 0
-    def term(k: int) -> float:
-        return math.exp(-eps * float(pot(k / eps)))
-
-    # a tabulated potential is only defined on its grid, so the lattice sum
-    # stops at the last representable increment
-    k_hi = None
-    if isinstance(pot, TabulatedPotential):
-        k_hi = int(math.floor(min(-pot.grid[0], pot.grid[-1]) * eps + 1e-12))
-
-    z, m2 = term(0), 0.0
-    k = 1
-    while k_hi is None or k <= k_hi:
-        t = term(k)
-        contrib = 2.0 * t
-        z += contrib
-        m2 += contrib * (k / eps) ** 2
-        # geometric-style tail bound once terms decay
-        if k > 8 and contrib * (k / eps) ** 2 < 1e-12 * max(m2, 1.0) and contrib < 1e-15 * z:
-            break
-        if k > 10_000_000:
-            raise ValueError("discrete increment variance did not converge")
-        k += 1
-    return m2 / z
+    # discrete: the lattice law eta in eps^-1 * Z that the sampler draws from
+    offsets, weights = _step_weights(pot, eps)
+    return _lattice_law(offsets, weights, eps)[2]
 
 
 def xy_moments(m: int, n_sites: int, sigma2: float) -> tuple[float, float, float]:
@@ -222,7 +209,7 @@ def matrix_to_csv(matrix: np.ndarray, labels: list[str], path,
     with open(path, "w", newline="") as fh:
         if comment is not None:
             fh.write(f"# {comment}\n")
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(labels)
         for row in matrix:
             writer.writerow([f"{v:.17g}" for v in row])

@@ -160,12 +160,17 @@ def _quad_log_mgf(pot: Potential, eps: float) -> LogMgf:
         width = np.diff(ends)[:, None]
         u = (np.where(_TS_FROM_LEFT, ends[:-1, None], ends[1:, None])
              + width * _TS_OFFSET).ravel()
-        w = (width * _TS_WEIGHT).ravel() * np.exp(g(x0 + u * d) - shift)
+        # once the peak exponent is so large that float64 cannot resolve
+        # O(1) changes of it, the shifted exponent is noise and may overflow
+        with np.errstate(over="ignore"):
+            w = (width * _TS_WEIGHT).ravel() * np.exp(g(x0 + u * d) - shift)
         # centered u-moments keep every sum O(1); the raw second moment at
         # x0 ~ h/eps would lose the variance to cancellation
         z = float(np.sum(w))
         if not (z > 0 and math.isfinite(z)):
-            raise ValueError(f"tilted normalizer diverges at h={h}")
+            raise ValueError(
+                f"the tilted exponent (peak {shift:.3g}) exceeds float64 precision at "
+                f"h={h}; the integral is finite but cannot be evaluated there")
         u1 = float(np.dot(w, u)) / z
         var = float(np.dot(w, np.square(u - u1))) / z
         return math.log(z * d) + shift, x0 + d * u1, d * d * var

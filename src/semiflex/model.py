@@ -148,6 +148,64 @@ class TabulatedPotential:
 Potential = Callable[[np.ndarray], np.ndarray]
 
 
+# ---------------------------------------------------------------------------
+# the lattice step law: one table and one cut rule for the increment sampler,
+# the lattice variance and the transfer-operator taps
+
+_STEP_CUTOFF = 1e-18
+_STEP_LIMIT = 10_000_000
+
+
+def _step_weights(pot: Potential, eps: float, delta: float = 1.0,
+                  support=None) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted integer offsets d and raw weights exp(-eps * Phi(d*delta/eps)) of
+    a height step d*delta.
+
+    support, when given, lists the allowed steps; each must sit on the grid of
+    spacing delta and appear once.  Otherwise d runs over |d| <= d_max, cut
+    before the first d at which both tails weigh less than 1e-18 of the weight
+    at d = 0, and never past the grid of a TabulatedPotential.
+    """
+    def weights(d):
+        return np.exp(-eps * np.asarray(pot(d * delta / eps), dtype=float))
+
+    if support is not None:
+        steps = np.asarray(support, dtype=float)
+        offsets = np.rint(steps / delta)
+        off_grid = np.abs(steps - offsets * delta) > 1e-9 * np.maximum(delta, np.abs(steps))
+        if np.any(off_grid):
+            raise ValueError(f"support value {steps[off_grid][0]} is not on the grid")
+        offsets = np.sort(offsets.astype(np.int64))
+        if np.any(np.diff(offsets) == 0):
+            raise ValueError("support values must be distinct")
+        return offsets, weights(offsets)
+
+    d_hi = _STEP_LIMIT
+    if isinstance(pot, TabulatedPotential):
+        # a table is only defined on its grid
+        d_hi = min(d_hi, int(math.floor(min(-pot.grid[0], pot.grid[-1]) * eps / delta + 1e-12)))
+    cut = _STEP_CUTOFF * weights(np.zeros(1))[0]
+    d_max = 0
+    while d_max < d_hi and weights(np.array([d_max + 1, -d_max - 1])).max() >= cut:
+        d_max += 1
+    if d_max == _STEP_LIMIT:
+        raise ValueError("step weights did not decay; check the potential")
+    offsets = np.arange(-d_max, d_max + 1)
+    return offsets, weights(offsets)
+
+
+def _lattice_law(offsets: np.ndarray, weights: np.ndarray,
+                 eps: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """Increments eta = d/eps of a lattice step law (delta = 1), their
+    probabilities and their variance."""
+    total = weights.sum()
+    if not total > 0:
+        raise ValueError("all lattice weights vanished")
+    eta = offsets / eps
+    probs = weights / total
+    return eta, probs, float(np.dot(probs, eta ** 2) - np.dot(probs, eta) ** 2)
+
+
 @dataclass(frozen=True)
 class PolymerConfig:
     """Heights (phi_0, ..., phi_{N+1}) as a float vector."""

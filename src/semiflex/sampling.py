@@ -35,6 +35,8 @@ from .model import (
     TabulatedPotential,
     _heights,
     _laps,
+    _lattice_law,
+    _step_weights,
     _walk_area,
     map_boundary,
 )
@@ -108,30 +110,16 @@ def build_increment_dist(
 
     if params.height_mode == "discrete":
         # support k/eps, |k| <= floor(truncation * eps); auto-truncate on decay
-        w0 = math.exp(-eps * float(pot(0.0)))
-        if truncation is None:
-            k_max, k = 0, 1
-            while k <= 10_000_000:
-                if math.exp(-eps * float(pot(k / eps))) < 1e-18 * w0:
-                    break
-                k_max = k
-                k += 1
-            else:
-                raise ValueError("discrete support truncation did not terminate")
-        else:
+        support = None
+        if truncation is not None:
             k_max = int(math.floor(truncation * eps + 1e-12))
-        ks = np.arange(-k_max, k_max + 1, dtype=float)
-        values = ks / eps
-        weights = np.exp(-eps * np.asarray(pot(values), dtype=float))
-        total = weights.sum()
-        if not (total > 0):
-            raise ValueError("all lattice weights vanished")
-        probs = weights / total
-        sigma2 = float(np.dot(probs, values ** 2) - np.dot(probs, values) ** 2)
+            support = np.arange(-k_max, k_max + 1)
+        ks, weights = _step_weights(pot, eps, support=support)
+        values, probs, sigma2 = _lattice_law(ks, weights, eps)
         if not (sigma2 > 0):
             raise ValueError("degenerate increment law: single-point support")
         return IncrementDistribution(
-            pot=pot, epsilon=eps, mode="discrete", truncation=float(k_max / eps),
+            pot=pot, epsilon=eps, mode="discrete", truncation=float(ks[-1] / eps),
             sigma2=sigma2, kind="discrete", values=values, probs=probs,
         )
 

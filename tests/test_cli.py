@@ -72,6 +72,17 @@ def test_qmatrix_frozen_output(tmp_path):
     assert_allclose(matrix, q_matrix([0.5]), atol=1e-16)
 
 
+def test_qmatrix_csv_uses_newline_endings(tmp_path):
+    assert main(["qmatrix", "--times", "0.25,0.5", "--out", str(tmp_path)]) == 0
+    path = tmp_path / "qmatrix.csv"
+    raw = path.read_bytes()
+    assert b"\r" not in raw
+    assert raw.count(b"\n") == 6  # comment, header, four rows
+    matrix, labels = matrix_from_csv(path)
+    assert labels == ["0", "0.25", "0.5", "1"]
+    assert_allclose(matrix, q_matrix([0.25, 0.5]), atol=1e-16)
+
+
 def test_config_hash_independent_of_output_dir(tmp_path):
     dirs = [tmp_path / "a", tmp_path / "b"]
     for d in dirs:
@@ -133,6 +144,17 @@ def test_sample_csv_output(tmp_path):
     samples = samples_from_csv(tmp_path / "sample.csv")
     assert samples.shape == (50, 12)
     assert _first_line(tmp_path / "sample.csv").startswith("# config=")
+
+
+def test_sample_discrete_table_without_truncation(tmp_path):
+    cfg = _write_config(tmp_path, {
+        "model": {"n_sites": 6, "epsilon": 1.0, "macro_length": 6.0,
+                  "height_mode": "discrete"},
+        "potential": {"kind": "table", "grid": [-1.0, 0.0, 1.0], "values": [0.0, 0.0, 0.0]}})
+    assert main(["sample", "--config", cfg, "--n", "40", "--out", str(tmp_path)]) == 0
+    samples = samples_from_csv(tmp_path / "sample.csv")
+    assert samples.shape == (40, 8)
+    assert set(np.diff(samples, n=2, axis=1).ravel()) <= {-1.0, 0.0, 1.0}
 
 
 def test_bridge_binary_output(tmp_path):

@@ -15,14 +15,17 @@ from semiflex.confinement import (
     exponent_fit,
     free_energy,
     mc_survival,
-    path_sum,
     power_iteration,
-    reachable_fraction,
     survival_probability,
     tube_radius,
 )
 from semiflex.gaussian import sigma2_increment
-from semiflex.model import GaussianPotential, ModelParams, TabulatedPotential
+from semiflex.model import (
+    GaussianPotential,
+    ModelParams,
+    PowerLawPotential,
+    TabulatedPotential,
+)
 from semiflex.oracle import EnumerationSpec, enumerate_configs
 from semiflex.sampling import ChainSettings, build_increment_dist
 
@@ -60,14 +63,6 @@ def test_survival_matches_enumeration():
                 assert lhs == pytest.approx(ref.probability, abs=1e-13)
 
 
-def test_path_sum_normalization():
-    params = _discrete_params(5)
-    op = build_transfer(params, ZERO_POT, TubeSpec(1.0), support=SUPPORT)
-    raw = path_sum(op, 5, normalized=False)
-    norm = path_sum(op, 5, normalized=True)
-    assert raw == pytest.approx(norm * op.z1 ** 4, rel=1e-12)
-
-
 def test_power_iteration_matches_dense_spectrum():
     params = _discrete_params(4)
     for pot in (ZERO_POT, GaussianPotential(1.0)):
@@ -88,6 +83,39 @@ def test_matvec_agrees_with_dense(n, kappa, rho, support, seed):
     # each output sums at most seven products w * v with weights w <= 1
     assert_allclose(op.matvec(v).ravel(), op.dense() @ v.ravel(), rtol=0,
                     atol=1e-13 * np.max(np.abs(v)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(eps=st.sampled_from([1.0, 0.5]),
+       pot=st.one_of(
+           st.builds(GaussianPotential, st.floats(0.2, 4.0)),
+           st.builds(PowerLawPotential, st.floats(0.2, 4.0), st.floats(1.0, 4.0))),
+       cut=st.one_of(st.none(), st.floats(1.0, 12.0)))
+def test_one_step_law_for_sampler_variance_and_taps(eps, pot, cut):
+    # the sampler's law, the lattice variance and the transfer taps come from
+    # one table: equal bit for bit, with and without a truncation
+    params = ModelParams(n_sites=4, epsilon=eps, macro_length=4.0 * eps,
+                         height_mode="discrete")
+    support = None
+    if cut is not None:
+        k_max = math.floor(cut)
+        support = np.arange(-k_max, k_max + 1)
+    dist = build_increment_dist(pot, params, truncation=None if cut is None else cut / eps)
+    op = build_transfer(params, pot, TubeSpec(1.0), support=support)
+    assert np.array_equal(dist.values * eps, op.tap_offsets)
+    assert np.array_equal(dist.probs, op.tap_weights / op.tap_weights.sum())
+    if cut is None:
+        assert sigma2_increment(pot, params) == dist.sigma2
+    else:
+        assert np.array_equal(op.tap_offsets, support)
+
+
+def test_support_must_be_on_the_grid_and_distinct():
+    params = _discrete_params(4)
+    with pytest.raises(ValueError, match="not on the grid"):
+        build_transfer(params, ZERO_POT, TubeSpec(1.0), support=(-1.0, 0.5, 1.0))
+    with pytest.raises(ValueError, match="distinct"):
+        build_transfer(params, ZERO_POT, TubeSpec(1.0), support=(-1.0, 0.0, 0.0, 1.0))
 
 
 def test_free_energy_positive_and_decreasing():
@@ -136,13 +164,6 @@ def test_mc_survival_consistent_with_path_sum():
     assert mc.n_samples == 60_000
     assert not mc.underflow
     assert abs(mc.estimate - exact) < 4.0 * mc.stderr
-
-
-def test_reachable_fraction_bounds():
-    params = _discrete_params(4)
-    op = build_transfer(params, ZERO_POT, TubeSpec(1.0), support=SUPPORT)
-    frac = reachable_fraction(op)
-    assert 0.0 < frac <= 1.0
 
 
 def test_start_vector_validation():

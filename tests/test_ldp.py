@@ -201,6 +201,16 @@ def test_power_law_domain_is_the_whole_line(alpha):
     assert step_log_mgf(PowerLawPotential(kappa=1.0, alpha=alpha), params).h_max == math.inf
 
 
+def test_tilt_beyond_float_range_names_precision(recwarn):
+    # h = 1e4 lies inside the domain and the integral is finite, but the peak
+    # exponent (about 1.5e21) leaves float64 no precision for O(1) changes
+    params = ModelParams(n_sites=100_000, epsilon=1e-5, macro_length=1.0)
+    mgf = step_log_mgf(PowerLawPotential(kappa=1.0, alpha=1.5), params)
+    with pytest.raises(ValueError, match="exceeds float64 precision at h=10000.0"):
+        mgf.value(1e4)
+    assert len(recwarn) == 0
+
+
 def test_log_mgf_domain_check_takes_arrays():
     mgf = LogMgf(value=abs, d1=abs, d2=abs, h_max=1.0)
     mgf.check(0.5)

@@ -52,6 +52,15 @@ def test_increment_dist_frozen_values():
     assert_allclose(sorted(dist.values), [-1.0, 0.0, 1.0])
 
 
+def test_discrete_table_law_stops_at_the_grid():
+    # without a truncation the lattice law ends at the table's last offset
+    dist = build_increment_dist(ZERO_POT, _discrete_params(4))
+    assert_allclose(dist.values, [-1.0, 0.0, 1.0], rtol=0, atol=0)
+    assert_allclose(dist.probs, [1.0 / 3.0] * 3, rtol=0, atol=0)
+    assert dist.sigma2 == 2.0 / 3.0
+    assert dist.truncation == 1.0
+
+
 def test_exact_bridge_pins_boundary():
     params = ModelParams(n_sites=20, epsilon=0.05, macro_length=1.0)
     bc = BoundaryConditions(xi_left=0.3, xi_right=-0.2, endpoint=1.5)
