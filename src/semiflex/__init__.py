@@ -38,8 +38,6 @@ from .gaussian import (
     GridTimes,
     conditional_gaussian,
     exact_boundary_density,
-    matrix_from_csv,
-    matrix_to_csv,
     q_matrix,
     sigma2_increment,
     theta_cov,

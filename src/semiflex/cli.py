@@ -10,8 +10,9 @@ sampler / tube plus output_dir; unknown keys anywhere are rejected.  Flags
 override config values.  Every text output starts with a comment line (or
 leading JSON fields) carrying a 12-hex-digit hash of the effective
 configuration and the seed, and repeated runs with the same configuration and
-seed are byte-identical regardless of --workers.  Exit codes: 0 success,
-1 domain or validation error (message on stderr), 2 usage error.
+seed are byte-identical regardless of --workers, which only MCMC chain blocks
+and confine sweep points use.  Exit codes: 0 success, 1 domain or validation
+error (message on stderr), 2 usage error.
 """
 
 from __future__ import annotations
@@ -168,11 +169,7 @@ def _stamp(h: str, seed: int) -> str:
 
 
 def _write_csv(path: Path, header: list[str], rows, comment: str) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# {comment}\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    sampling._write_table(path, header, rows, comment)
     print(f"wrote {path}")
 
 
@@ -269,8 +266,7 @@ def _run_sample(args) -> int:
     params, pot = _model(cfg), _potential(cfg)
     settings = _settings(cfg)
     dist = sampling.build_increment_dist(pot, params, truncation=args.truncation)
-    samples = sampling.sample_free(params, dist, args.xi1, settings,
-                                   workers=args.workers)
+    samples = sampling.sample_free(params, dist, args.xi1, settings)
     _write_samples(cfg, "sample", args.fmt, samples, h, settings.seed)
     return 0
 
@@ -294,8 +290,7 @@ def _run_bridge(args) -> int:
     params, pot = _model(cfg), _potential(cfg)
     bc, settings = _boundary(cfg), _settings(cfg)
     if args.method == "exact":
-        samples = sampling.sample_gaussian_bridge(params, pot, bc, settings,
-                                                  workers=args.workers)
+        samples = sampling.sample_gaussian_bridge(params, pot, bc, settings)
     else:
         samples = sampling.sample_bridge_mcmc(
             params, pot, bc, settings, workers=args.workers,
@@ -314,8 +309,7 @@ def _run_theta_stats(args) -> int:
     params, pot = _model(cfg), _potential(cfg)
     bc, settings = _boundary(cfg), _settings(cfg)
     if args.method == "exact":
-        samples = sampling.sample_gaussian_bridge(params, pot, bc, settings,
-                                                  workers=args.workers)
+        samples = sampling.sample_gaussian_bridge(params, pot, bc, settings)
     else:
         samples = sampling.sample_bridge_mcmc(params, pot, bc, settings,
                                               workers=args.workers)
@@ -339,10 +333,8 @@ def _run_qmatrix(args) -> int:
     h = _config_hash(cfg, cmd)
     q = gaussian.q_matrix(np.asarray(times))
     labels = ["0"] + [f"{t:.17g}" for t in times] + ["1"]
-    path = _out_path(cfg, "qmatrix.csv")
-    gaussian.matrix_to_csv(q, labels, path,
-                           comment=_stamp(h, cfg["sampler"]["seed"]))
-    print(f"wrote {path}")
+    _write_csv(_out_path(cfg, "qmatrix.csv"), labels, (row.tolist() for row in q),
+               _stamp(h, cfg["sampler"]["seed"]))
     return 0
 
 
@@ -443,18 +435,12 @@ def _run_exponent_fit(args) -> int:
     cmd = {"name": "exponent-fit",
            "data_sha": hashlib.sha256(raw).hexdigest()[:12]}
     h = _config_hash(cfg, cmd)
-    rows = [line.split(",") for line in raw.decode().splitlines()
-            if line and not line.startswith("#")]
-    if len(rows) < 2:
-        raise ValueError(f"{args.data}: no data rows")
-    header, body = rows[0], rows[1:]
-    try:
-        i_r, i_f = header.index("rho"), header.index("F")
-    except ValueError:
-        i_r, i_f = 0, 1
-    rhos = [float(r[i_r]) for r in body]
-    fs = [float(r[i_f]) for r in body]
-    fit = confinement.exponent_fit(rhos, fs)
+    header, values = sampling._read_table(args.data)
+    if "rho" not in header or "F" not in header:
+        raise ValueError(f"{args.data}: the header line must name the rho and F "
+                         f"columns, got {','.join(header)!r}")
+    fit = confinement.exponent_fit(values[:, header.index("rho")],
+                                   values[:, header.index("F")])
     _write_json(_out_path(cfg, "exponent_fit.json"),
                 {"config_hash": h, "seed": cfg["sampler"]["seed"],
                  "slope": fit.slope, "intercept": fit.intercept,
@@ -533,7 +519,7 @@ def _oracle_report(n_max: int, seed: int, workers: int) -> tuple[list[dict], boo
 
     # free sampler against enumeration, mean and variance of the far endpoint
     settings = sampling.ChainSettings(seed=seed, n_samples=20_000)
-    samples = sampling.sample_free(params, dist, 0.0, settings, workers=workers)
+    samples = sampling.sample_free(params, dist, 0.0, settings)
     end = samples[:, n + 1]
     e_end = oracle.enumerate_configs(
         spec, statistic=lambda hh: hh[:, n + 1]).conditional_mean
@@ -594,6 +580,12 @@ def _run_oracle_check(args) -> int:
 # ---------------------------------------------------------------------------
 # parser and dispatch
 
+def _positive_int(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="semiflex",
@@ -605,8 +597,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, help="RNG seed (unsigned 64-bit)")
-        p.add_argument("--workers", type=int, default=1,
-                       help="parallel worker bound (default 1)")
+        p.add_argument("--workers", type=_positive_int, default=1,
+                       help="processes for MCMC chain blocks and confine points")
         p.add_argument("--out", help="output directory")
 
     p = sub.add_parser("sample", help="free-measure sampler")

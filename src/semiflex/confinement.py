@@ -17,7 +17,6 @@ mode.  Gradients are truncated at min(2R, 8 * stationary gradient scale);
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -25,7 +24,7 @@ import numpy as np
 
 from .gaussian import sigma2_increment
 from .model import ModelParams, Potential, _lattice_law, _step_weights
-from .sampling import ChainSettings, IncrementDistribution, sample_free
+from .sampling import ChainSettings, IncrementDistribution, _pool_map, sample_free
 
 __all__ = [
     "TubeSpec",
@@ -314,8 +313,6 @@ def mc_survival(
     dist: IncrementDistribution,
     tube: TubeSpec,
     settings: ChainSettings,
-    *,
-    workers: int = 1,
 ) -> MCSurvival:
     """Fraction of free-measure samples (phi_0 = phi_1 = 0) staying in the tube.
 
@@ -323,7 +320,7 @@ def mc_survival(
     intended moderate N means the tube probability is below ~1/n_samples.
     """
     radius = tube_radius(tube, params, dist.sigma2)
-    samples = sample_free(params, dist, 0.0, settings, workers=workers)
+    samples = sample_free(params, dist, 0.0, settings)
     n = params.n_sites
     inside = np.max(np.abs(samples[:, 1:n + 1]), axis=1) <= radius
     n_in = int(inside.sum())
@@ -378,10 +375,7 @@ def confinement_sweep(
     if mesh_check is None:
         mesh_check = params.height_mode == "continuous"
     jobs = [(params, pot, r, grad_cut, mesh, support, tol, mesh_check) for r in rhos]
-    if workers <= 1 or len(jobs) == 1:
-        return [_sweep_point(j) for j in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_sweep_point, jobs))
+    return _pool_map(_sweep_point, jobs, workers)
 
 
 class FitResult(NamedTuple):

@@ -10,7 +10,6 @@ exact endpoint density of the Gaussian chain.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -36,8 +35,6 @@ __all__ = [
     "theta_cov",
     "conditional_gaussian",
     "exact_boundary_density",
-    "matrix_to_csv",
-    "matrix_from_csv",
 ]
 
 
@@ -195,31 +192,3 @@ def exact_boundary_density(n_sites: int, kappa: float, c: float,
             - 2.0 * (n + 2) * xi_left * xi_right)
     pref = kappa / (2.0 * math.pi * n * n) * math.sqrt(12.0 * (n + 1) / (n - 1))
     return pref * math.exp(-quad * n * kappa / (c * (n - 1)))
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-def matrix_to_csv(matrix: np.ndarray, labels: list[str], path,
-                  comment: str | None = None) -> None:
-    """Row-major CSV with a header row of labels."""
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or len(labels) != matrix.shape[0]:
-        raise ValueError("matrix must be square with one label per row/column")
-    with open(path, "w", newline="") as fh:
-        if comment is not None:
-            fh.write(f"# {comment}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(labels)
-        for row in matrix:
-            writer.writerow([f"{v:.17g}" for v in row])
-
-
-def matrix_from_csv(path) -> tuple[np.ndarray, list[str]]:
-    with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
-    labels = rows[0]
-    matrix = np.array([[float(v) for v in r] for r in rows[1:]])
-    if matrix.shape != (len(labels), len(labels)):
-        raise ValueError(f"{path}: matrix shape does not match header")
-    return matrix, labels

@@ -14,7 +14,7 @@ increment coordinates eta_j = lap_j / eps and their partial sums.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np

@@ -10,13 +10,14 @@ Three routes to samples:
 
 Reproducibility contract: work is split into fixed-size blocks (8192 samples
 for i.i.d. samplers, 64 chains for MCMC) and block i draws from
-SeedSequence(seed, spawn_key=(i,)).  Block layout depends only on the request,
-never on the worker count, and blocks are concatenated in index order, so a
-given (seed, settings) produces bit-identical output for any `workers`.
+SeedSequence(seed, spawn_key=(i,)).  Block layout depends only on the request
+and blocks are concatenated in index order, so a given (seed, settings) gives
+bit-identical output for any `workers` (taken only by `sample_bridge_mcmc`).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 from concurrent.futures import ProcessPoolExecutor
@@ -25,7 +26,6 @@ from functools import partial
 from typing import NamedTuple
 
 import numpy as np
-from scipy import integrate
 
 from .model import (
     BoundaryConditions,
@@ -186,22 +186,17 @@ def _blocks(total: int, size: int) -> list[tuple[int, int]]:
     return [(b, min(size, total - start)) for b, start in enumerate(range(0, total, size))]
 
 
-def _run_blocks(fn, blocks, workers: int) -> list[np.ndarray]:
-    if workers <= 1:
-        return [fn(b, c) for b, c in blocks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_apply_block, [(fn, b, c) for b, c in blocks]))
-
-
-def _apply_block(job):
-    fn, b, c = job
-    return fn(b, c)
-
-
-def _free_block(params, dist, xi1, seed, block, count):
-    rng = _block_rng(seed, block)
-    etas = dist.sample(rng, (count, params.n_sites))
-    return _heights(xi1, etas, params.epsilon)
+def _pool_map(fn, jobs, workers: int) -> list:
+    """[fn(job) for job in jobs] in job order, on min(workers, len(jobs))
+    processes; in-process when that is 1 or less.  Only worth it when each
+    job computes far longer than its result takes to pickle back."""
+    jobs = list(jobs)
+    procs = min(workers, len(jobs))
+    if procs <= 1:
+        return [fn(job) for job in jobs]
+    # default start method: spawn re-imports numpy and scipy (~0.8 s) per worker
+    with ProcessPoolExecutor(max_workers=procs) as pool:
+        return list(pool.map(fn, jobs))
 
 
 def sample_free(
@@ -209,13 +204,14 @@ def sample_free(
     dist: IncrementDistribution,
     xi1: float,
     settings: ChainSettings,
-    workers: int = 1,
 ) -> np.ndarray:
     """n_samples rows of free-measure configurations with grad phi_1 = xi1."""
     if params.height_mode == "discrete" and xi1 != round(xi1):
         raise ValueError("discrete mode needs an integer first gradient")
-    fn = partial(_free_block, params, dist, xi1, settings.seed)
-    parts = _run_blocks(fn, _blocks(settings.n_samples, _IID_BLOCK), workers)
+    parts = []
+    for b, c in _blocks(settings.n_samples, _IID_BLOCK):
+        etas = dist.sample(_block_rng(settings.seed, b), (c, params.n_sites))
+        parts.append(_heights(xi1, etas, params.epsilon))
     return np.concatenate(parts, axis=0)
 
 
@@ -233,16 +229,11 @@ def _gaussian_bridge_rows(rng, params: ModelParams, bc: BoundaryConditions, sigm
     return _heights(bc.xi_left, etas, params.epsilon)
 
 
-def _gaussian_bridge_block(params, bc, sigma, seed, block, count):
-    return _gaussian_bridge_rows(_block_rng(seed, block), params, bc, sigma, count)
-
-
 def sample_gaussian_bridge(
     params: ModelParams,
     pot: GaussianPotential,
     bc: BoundaryConditions,
     settings: ChainSettings,
-    workers: int = 1,
 ) -> np.ndarray:
     """Exact draws from the Gaussian chain conditioned on all four boundary
     constraints: project unconditioned increments onto the two linear
@@ -252,8 +243,8 @@ def sample_gaussian_bridge(
     if params.height_mode != "continuous":
         raise ValueError("exact bridge sampling needs continuous heights")
     sigma = math.sqrt(1.0 / (params.epsilon * pot.kappa))
-    fn = partial(_gaussian_bridge_block, params, bc, sigma, settings.seed)
-    parts = _run_blocks(fn, _blocks(settings.n_samples, _IID_BLOCK), workers)
+    parts = [_gaussian_bridge_rows(_block_rng(settings.seed, b), params, bc, sigma, c)
+             for b, c in _blocks(settings.n_samples, _IID_BLOCK)]
     return np.concatenate(parts, axis=0)
 
 
@@ -272,8 +263,8 @@ def _clamped_cubic_init(params: ModelParams, bc: BoundaryConditions) -> np.ndarr
     return phi
 
 
-def _mcmc_block(params, pot, bc, settings, truncation, step_width, n_per_chain, seed,
-                block, n_chains):
+def _mcmc_block(params, pot, bc, settings, truncation, step_width, n_per_chain, seed, job):
+    block, n_chains = job
     eps = params.epsilon
     n = params.n_sites
     rng = _block_rng(seed, block)
@@ -401,7 +392,8 @@ def sample_bridge_mcmc(
     start from the clamped cubic and rely on burn_in (no mixing guarantee at
     large N: single-site dynamics relax on the N^4 sweep scale).  `truncation`
     restricts every |lap| to <= truncation * eps, matching a lattice law cut
-    at |eta| <= truncation.
+    at |eta| <= truncation.  `workers` spreads the blocks of 64 chains over
+    processes; the output does not depend on it.
     """
     n = params.n_sites
     if params.height_mode == "discrete":
@@ -420,7 +412,7 @@ def sample_bridge_mcmc(
 
     fn = partial(_mcmc_block, params, pot, bc, settings, truncation, step_width,
                  n_per_chain, settings.seed)
-    parts = _run_blocks(fn, _blocks(n_chains, _CHAIN_BLOCK), workers)
+    parts = _pool_map(fn, _blocks(n_chains, _CHAIN_BLOCK), workers)
     return np.concatenate(parts, axis=0)[: settings.n_samples]
 
 
@@ -470,32 +462,46 @@ def estimate_theta_stats(samples: np.ndarray, times, sigma: float, epsilon: floa
 # ---------------------------------------------------------------------------
 # serialization
 
-def samples_to_csv(samples: np.ndarray, path, comment: str | None = None) -> None:
-    """One row per sample, columns phi_0..phi_{N+1}, 17 significant digits."""
-    samples = np.asarray(samples, dtype=float)
+def _write_table(path, header, rows, comment: str | None = None) -> None:
+    """The one CSV table format: an optional `# comment` line, the header, then
+    one line per row with every value as %.17g (floats round-trip exactly)."""
+    line = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", newline="") as fh:
         if comment:
             fh.write(f"# {comment}\n")
-        fh.write(",".join(f"phi_{i}" for i in range(samples.shape[1])) + "\n")
-        for row in samples:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(line % tuple(row))
+
+
+def _read_table(path) -> tuple[list[str], np.ndarray]:
+    """Read a `_write_table` file: skip `#` lines, take the first other line as
+    the header and the rest as a (rows, columns) float matrix."""
+    with open(path) as fh:
+        lines = (ln for ln in fh if ln.strip() and not ln.startswith("#"))
+        header = next(lines, "").strip().split(",")
+        first = next(lines, None)
+        if first is None:
+            raise ValueError(f"{path}: no data rows")
+        values = np.loadtxt(itertools.chain([first], lines), delimiter=",", ndmin=2)
+    if values.shape[1] != len(header):
+        raise ValueError(f"{path}: {values.shape[1]} columns, header has {len(header)}")
+    return header, values
+
+
+def samples_to_csv(samples: np.ndarray, path, comment: str | None = None) -> None:
+    """One row per sample, columns phi_0..phi_{N+1}, 17 significant digits."""
+    samples = np.asarray(samples, dtype=float)
+    header = [f"phi_{i}" for i in range(samples.shape[1])]
+    # Python floats one row at a time: a whole-matrix tolist() holds them all
+    _write_table(path, header, (row.tolist() for row in samples), comment)
 
 
 def samples_from_csv(path) -> np.ndarray:
-    rows = []
-    with open(path) as fh:
-        header = None
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if header is None:
-                header = line.split(",")
-                if not header[0].startswith("phi_"):
-                    raise ValueError(f"{path}: expected phi_* header columns")
-                continue
-            rows.append([float(v) for v in line.split(",")])
-    return np.asarray(rows, dtype=float)
+    header, values = _read_table(path)
+    if not header[0].startswith("phi_"):
+        raise ValueError(f"{path}: expected phi_* header columns")
+    return values
 
 
 def samples_to_frame(samples: np.ndarray, path) -> None:

@@ -8,9 +8,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from semiflex.cli import main
-from semiflex.gaussian import exact_boundary_density, matrix_from_csv, q_matrix
+from semiflex.gaussian import exact_boundary_density, q_matrix
 from semiflex.model import continuum_energy_check
-from semiflex.sampling import samples_from_csv, samples_from_frame
+from semiflex.sampling import _read_table, samples_from_csv, samples_from_frame
 
 
 def _write_config(tmp_path, payload, name="config.json"):
@@ -28,6 +28,15 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main([])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_is_a_usage_error(tmp_path, capsys, workers):
+    with pytest.raises(SystemExit) as err:
+        main(["sample", "--n", "10", "--workers", workers, "--out", str(tmp_path)])
+    assert err.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+    assert not (tmp_path / "sample.csv").exists()
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):
@@ -67,7 +76,7 @@ def test_qmatrix_frozen_output(tmp_path):
     path = tmp_path / "qmatrix.csv"
     stamp = _first_line(path)
     assert stamp.startswith("# config=") and "seed=0" in stamp
-    matrix, labels = matrix_from_csv(path)
+    labels, matrix = _read_table(path)
     assert labels == ["0", "0.5", "1"]
     assert_allclose(matrix, q_matrix([0.5]), atol=1e-16)
 
@@ -78,7 +87,7 @@ def test_qmatrix_csv_uses_newline_endings(tmp_path):
     raw = path.read_bytes()
     assert b"\r" not in raw
     assert raw.count(b"\n") == 6  # comment, header, four rows
-    matrix, labels = matrix_from_csv(path)
+    labels, matrix = _read_table(path)
     assert labels == ["0", "0.25", "0.5", "1"]
     assert_allclose(matrix, q_matrix([0.25, 0.5]), atol=1e-16)
 
@@ -178,6 +187,25 @@ def test_bridge_worker_byte_identity(tmp_path):
     assert blobs[0] == blobs[1]
 
 
+def test_mcmc_bridge_worker_byte_identity(tmp_path):
+    # 150 chains make three chain blocks spread over two processes; the output
+    # matches only if the blocks come back in block order
+    cfg = _write_config(tmp_path, {
+        "model": {"n_sites": 6, "epsilon": 1.0, "macro_length": 6.0,
+                  "height_mode": "discrete"},
+        "sampler": {"burn_in": 20, "n_chains": 150},
+    })
+    blobs = []
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}"
+        assert main(["bridge", "--config", cfg, "--method", "mcmc", "--n", "300",
+                     "--truncation", "1.0", "--seed", "8", "--workers", str(workers),
+                     "--out", str(out)]) == 0
+        blobs.append((out / "bridge.csv").read_bytes())
+    assert blobs[0] == blobs[1]
+    assert blobs[0].count(b"\n") == 302  # comment, header, 300 rows
+
+
 def test_bridge_mcmc_smoke(tmp_path):
     cfg = _write_config(tmp_path, {
         "model": {"n_sites": 6, "epsilon": 1.0, "macro_length": 6.0,
@@ -236,6 +264,18 @@ def test_exponent_fit_plain_columns(tmp_path):
     fit = json.loads((tmp_path / "exponent_fit.json").read_text())
     assert fit["slope"] == pytest.approx(-2.0 / 3.0, abs=1e-10)
     assert fit["intercept"] == pytest.approx(math.log(2.0), abs=1e-10)
+
+
+def test_exponent_fit_needs_a_rho_and_f_header(tmp_path, capsys):
+    # without a header the first data row would be taken for one and dropped
+    rhos = np.geomspace(0.01, 1.0, 7)
+    fs = 2.0 * rhos ** (-2.0 / 3.0)
+    fs[0] *= 3.0
+    path = tmp_path / "bare.csv"
+    path.write_text("".join(f"{r:.17g},{f:.17g}\n" for r, f in zip(rhos, fs)))
+    assert main(["exponent-fit", "--data", str(path), "--out", str(tmp_path)]) == 1
+    assert "must name the rho and F columns" in capsys.readouterr().err
+    assert not (tmp_path / "exponent_fit.json").exists()
 
 
 def test_continuum_check_square(tmp_path):

@@ -11,8 +11,6 @@ from semiflex.gaussian import (
     GridTimes,
     conditional_gaussian,
     exact_boundary_density,
-    matrix_from_csv,
-    matrix_to_csv,
     q_matrix,
     sigma2_increment,
     theta_cov,
@@ -140,13 +138,3 @@ def test_exact_boundary_density_symmetry():
     assert a == pytest.approx(b, rel=1e-15)
     # and any nonzero slope pair is exponentially suppressed
     assert a < exact_boundary_density(6, 2.0, 1.5, 0.0, 0.0)
-
-
-def test_matrix_csv_roundtrip(tmp_path):
-    q = q_matrix([0.25, 0.75])
-    labels = ["w", "0.25", "0.75", "1"]
-    target = tmp_path / "q.csv"
-    matrix_to_csv(q, labels, target, comment="config=deadbeef")
-    back, back_labels = matrix_from_csv(target)
-    assert back_labels == labels
-    assert_allclose(back, q, rtol=0, atol=0)

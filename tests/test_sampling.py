@@ -101,15 +101,17 @@ def test_exact_bridge_midpoint_variance():
     assert abs(stats.mean[0]) < 4.0 * stats.mean_se[0] + 1e-4
 
 
-def test_exact_bridge_worker_determinism():
-    params = ModelParams(n_sites=30, epsilon=1.0 / 30.0, macro_length=1.0)
+def test_exact_bridge_block_layout():
+    # rows come in blocks of 8192, each from its own stream: a longer request
+    # extends a shorter one and its second block is not a replay of the first
+    params = ModelParams(n_sites=10, epsilon=0.1, macro_length=1.0)
     bc = BoundaryConditions(0.1, -0.05, 0.4)
-    runs = [
-        sample_gaussian_bridge(params, GaussianPotential(2.0), bc,
-                               ChainSettings(seed=77, n_samples=512), workers=w)
-        for w in (1, 4)
-    ]
-    assert np.array_equal(runs[0], runs[1])
+    one, two = (sample_gaussian_bridge(params, GaussianPotential(2.0), bc,
+                                       ChainSettings(seed=77, n_samples=m))
+                for m in (8192, 8292))
+    assert two.shape == (8292, 12)
+    assert np.array_equal(two[:8192], one)
+    assert not np.array_equal(two[8192:], one[:100])
 
 
 def test_free_walk_moments():
@@ -129,14 +131,14 @@ def test_free_walk_moments():
     assert np.mean(y * y) == pytest.approx(var_y, rel=0.03)
 
 
-def test_free_walk_worker_determinism():
+def test_free_walk_block_layout():
     params = _discrete_params(12)
     dist = build_increment_dist(ZERO_POT, params, truncation=1.0)
-    runs = [
-        sample_free(params, dist, 0.0, ChainSettings(seed=3, n_samples=1000), workers=w)
-        for w in (1, 3)
-    ]
-    assert np.array_equal(runs[0], runs[1])
+    one, two = (sample_free(params, dist, 0.0, ChainSettings(seed=3, n_samples=m))
+                for m in (8192, 8292))
+    assert two.shape == (8292, 14)
+    assert np.array_equal(two[:8192], one)
+    assert not np.array_equal(two[8192:], one[:100])
 
 
 def test_mcmc_visits_all_bridge_states():
@@ -212,13 +214,15 @@ def test_mcmc_rejects_infeasible_start():
 
 
 def test_mcmc_worker_determinism():
+    # 150 chains are three blocks of at most 64, so two workers share them
     params = _discrete_params(6)
-    settings = ChainSettings(seed=43, n_samples=600, burn_in=60, thin=1)
+    settings = ChainSettings(seed=43, n_samples=600, burn_in=60, thin=1, n_chains=150)
     runs = [
         sample_bridge_mcmc(params, GaussianPotential(1.0), ZERO_BC, settings,
                            workers=w, truncation=1.0)
-        for w in (1, 4)
+        for w in (1, 2)
     ]
+    assert runs[0].shape == (600, 8)
     assert np.array_equal(runs[0], runs[1])
 
 
@@ -269,6 +273,17 @@ def test_samples_csv_roundtrip(tmp_path):
     assert first.startswith("# config=")
     back = samples_from_csv(target)
     assert_allclose(back, samples, rtol=0, atol=0)
+
+
+def test_read_table_needs_data_rows_that_fit_the_header(tmp_path):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("# config=0011aabbccdd seed=7\nphi_0,phi_1\n")
+    with pytest.raises(ValueError, match="no data rows"):
+        samples_from_csv(empty)
+    ragged = tmp_path / "ragged.csv"
+    ragged.write_text("phi_0,phi_1\n1,2,3\n")
+    with pytest.raises(ValueError, match="3 columns, header has 2"):
+        samples_from_csv(ragged)
 
 
 def test_samples_frame_roundtrip(tmp_path):
