@@ -12,6 +12,15 @@ Heights and gradients live on a shared uniform grid: the integer lattice in
 discrete mode, a mesh of spacing eps*sigma/40 (configurable) in continuous
 mode.  Gradients are truncated at min(2R, 8 * stationary gradient scale);
 |xi| <= 2R is implied by two in-tube heights, so the 2R cut is exact.
+
+One step is a convolution along the gradient axis and a shear that moves
+gradient column c by c - n_g height rows.  `TransferOperator.matvec` does both
+in one direct `scipy.ndimage.convolve1d` call, with no Python loop over taps
+or columns; `dense()` builds the same matrix tap by tap and stays the
+reference it is tested against.  Direct, not FFT, convolution: the kernels
+have tens of taps, where the direct sum is faster, and it keeps nonnegative
+vectors nonnegative.  scipy.ndimage is imported on first use, so importing
+the package stays cheap.
 """
 
 from __future__ import annotations
@@ -97,6 +106,14 @@ class TransferOperator:
         self.radius = float(radius)
         self.grad_cut = float(grad_cut)
         self.grad_scale = float(grad_scale)
+        # convolve1d centres a kernel near its middle and rejects an origin
+        # beyond half its width; spanning offsets min(lo, 0)..max(hi, 0) keeps
+        # the origin legal for one-sided supports such as {1, 3}
+        lo = min(int(self.tap_offsets.min()), 0)
+        hi = max(int(self.tap_offsets.max()), 0)
+        self._kernel = np.zeros(hi - lo + 1)
+        self._kernel[self.tap_offsets - lo] = self.tap_weights
+        self._origin = -(self._kernel.size // 2) - lo
 
     @property
     def n_states(self) -> int:
@@ -109,24 +126,29 @@ class TransferOperator:
         return self.delta * np.arange(-self.n_g, self.n_g + 1)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        """One raw (unnormalized) step: out[h', g'] = sum_g w(g'-g) v[h'-g', g']."""
+        """One raw (unnormalized) step: out[h', g'] = sum_g w(g'-g) v[h'-g', g'].
+
+        One direct convolution along the gradient axis writes through a
+        sheared view of a zero buffer padded by n_g rows above and below:
+        row h of column c lands in row h + c - n_g, so the interior is the
+        result and whatever lands in the padding has left the grid.  Output
+        entries whose source row lies off the grid are never written and
+        stay exactly zero.  The direct sum beats FFT convolution at the tens
+        of taps this operator has, and never turns a nonnegative v negative.
+        The result is a view into that padded buffer.
+        """
+        from scipy.ndimage import convolve1d
+
         nr, nc = 2 * self.n_h + 1, 2 * self.n_g + 1
         if v.shape != (nr, nc):
             raise ValueError(f"state vector must have shape {(nr, nc)}")
-        # convolution along the gradient axis, fixed tap order
-        u = np.zeros_like(v)
-        for t, w in zip(self.tap_offsets, self.tap_weights):
-            lo, hi = max(0, t), min(nc, nc + t)
-            if lo < hi:
-                u[:, lo:hi] += w * v[:, lo - t:hi - t]
-        # shear: landing height row shifts by the new gradient
-        out = np.zeros_like(v)
-        for c in range(nc):
-            m = c - self.n_g
-            lo, hi = max(0, m), min(nr, nr + m)
-            if lo < hi:
-                out[lo:hi, c] = u[lo - m:hi - m, c]
-        return out
+        buf = np.zeros((nr + 2 * self.n_g) * nc)
+        item = buf.itemsize
+        sheared = np.lib.stride_tricks.as_strided(
+            buf, shape=(nr, nc), strides=(nc * item, (nc + 1) * item))
+        convolve1d(v, self._kernel, axis=1, output=sheared, mode="constant",
+                   origin=self._origin)
+        return buf[self.n_g * nc:(self.n_g + nr) * nc].reshape(nr, nc)
 
     def start_vector(self, gradient: float = 0.0) -> np.ndarray:
         """Unit mass at (h=0, g=gradient); the gradient must sit on the grid."""
@@ -157,6 +179,53 @@ class TransferOperator:
         return mat
 
 
+def _step_grid(params: ModelParams, pot: Potential, support, mesh):
+    """Grid spacing, tap offsets and weights, and the increment variance."""
+    eps = params.epsilon
+    if params.height_mode == "discrete":
+        if mesh is not None and mesh != 1.0:
+            raise ValueError("discrete mode runs on the integer lattice; mesh must be left unset")
+        offs, wts = _step_weights(pot, eps, 1.0, support)
+        return 1.0, offs, wts, _lattice_law(offs, wts, eps)[2]
+    if support is not None:
+        raise ValueError("explicit support applies to discrete mode only")
+    sigma2 = sigma2_increment(pot, params)
+    delta = float(mesh) if mesh is not None else eps * math.sqrt(sigma2) / 40.0
+    if not (delta > 0 and math.isfinite(delta)):
+        raise ValueError("mesh spacing must be positive and finite")
+    offs, wts = _step_weights(pot, eps, delta)
+    return delta, offs, wts, sigma2
+
+
+def _tube_grid(params: ModelParams, tube: TubeSpec, sigma2: float, delta: float):
+    """Radius, gradient cut and scale, and the half-extents n_h, n_g."""
+    eps = params.epsilon
+    radius = tube_radius(tube, params, sigma2)
+    if radius <= 0 and params.height_mode != "discrete":
+        raise ValueError("tube radius vanished; increase rho")
+
+    # stationary gradient scale from the block length D = rho^(2/3) c^(1/3) / eps
+    block = max(1.0, tube.rho ** (2.0 / 3.0) * params.macro_length ** (1.0 / 3.0) / eps)
+    grad_scale = eps * math.sqrt(sigma2) * math.sqrt(block)
+    if tube.grad_cut is not None:
+        grad_cut = tube.grad_cut
+    else:
+        grad_cut = min(2.0 * radius, 8.0 * grad_scale) if radius > 0 else 8.0 * grad_scale
+
+    n_h = int(math.floor(radius / delta + 1e-9))
+    n_g = int(math.floor(grad_cut / delta + 1e-9))
+    return radius, grad_cut, grad_scale, n_h, n_g
+
+
+def _check_states(n_h: int, n_g: int, cap: int, where: str) -> None:
+    n_states = (2 * n_h + 1) * (2 * n_g + 1)
+    if n_states > cap:
+        raise ValueError(
+            f"{where}: operator needs {n_states} states, above the cap {cap}; "
+            "coarsen the mesh (--mesh) or tighten grad_cut (--grad-cut)"
+        )
+
+
 def build_transfer(
     params: ModelParams,
     pot: Potential,
@@ -173,49 +242,14 @@ def build_transfer(
     grid spacing; the default puts 40 points per standard deviation of the
     single-step gradient change.
     """
-    eps = params.epsilon
-    discrete = params.height_mode == "discrete"
-    if discrete:
-        if mesh is not None and mesh != 1.0:
-            raise ValueError("discrete mode runs on the integer lattice; mesh must be left unset")
-        delta = 1.0
-        offs, wts = _step_weights(pot, eps, delta, support)
-        sigma2 = _lattice_law(offs, wts, eps)[2]
-    else:
-        if support is not None:
-            raise ValueError("explicit support applies to discrete mode only")
-        sigma2 = sigma2_increment(pot, params)
-        delta = float(mesh) if mesh is not None else eps * math.sqrt(sigma2) / 40.0
-        if not (delta > 0 and math.isfinite(delta)):
-            raise ValueError("mesh spacing must be positive and finite")
-        offs, wts = _step_weights(pot, eps, delta)
-    sigma = math.sqrt(sigma2)
-
-    radius = tube_radius(tube, params, sigma2)
-    if radius <= 0 and not discrete:
-        raise ValueError("tube radius vanished; increase rho")
-
-    # stationary gradient scale from the block length D = rho^(2/3) c^(1/3) / eps
-    block = max(1.0, tube.rho ** (2.0 / 3.0) * params.macro_length ** (1.0 / 3.0) / eps)
-    grad_scale = eps * sigma * math.sqrt(block)
-    if tube.grad_cut is not None:
-        grad_cut = tube.grad_cut
-    else:
-        grad_cut = min(2.0 * radius, 8.0 * grad_scale) if radius > 0 else 8.0 * grad_scale
-
-    n_h = int(math.floor(radius / delta + 1e-9))
-    n_g = int(math.floor(grad_cut / delta + 1e-9))
-    n_states = (2 * n_h + 1) * (2 * n_g + 1)
-    if n_states > state_cap:
-        raise ValueError(
-            f"operator needs {n_states} states, above the cap {state_cap}; "
-            "coarsen the mesh or tighten grad_cut"
-        )
+    delta, offs, wts, sigma2 = _step_grid(params, pot, support, mesh)
+    radius, grad_cut, grad_scale, n_h, n_g = _tube_grid(params, tube, sigma2, delta)
+    _check_states(n_h, n_g, state_cap, f"rho={tube.rho:g}, mesh {delta:.4g}")
 
     z1 = float(math.fsum(wts))
     if not z1 > 0:
         raise ValueError("single-step normalizer is not positive")
-    return TransferOperator(eps, params.height_mode, delta, n_h, n_g,
+    return TransferOperator(params.epsilon, params.height_mode, delta, n_h, n_g,
                             offs, wts, z1, radius, grad_cut, grad_scale)
 
 
@@ -366,14 +400,23 @@ def confinement_sweep(
     """Free energy across tube widths; rho points are independent jobs.
 
     mesh_check (default: on in continuous mode) recomputes each point at half
-    the mesh and reports |delta F|.  Results are in input order and identical
-    for any worker count.
+    the mesh and reports |delta F|.  Every operator, half-mesh ones included,
+    is sized against the state cap before the first point is solved.
+    Results are in input order and identical for any worker count.
     """
     rhos = [float(r) for r in rhos]
     if not rhos:
         raise ValueError("need at least one rho")
     if mesh_check is None:
         mesh_check = params.height_mode == "continuous"
+    if mesh_check and params.height_mode == "discrete":
+        raise ValueError("mesh_check needs continuous mode; the lattice has no mesh to halve")
+    delta, _, _, sigma2 = _step_grid(params, pot, support, mesh)
+    grids = [(delta, "")] + ([(delta / 2.0, "half-mesh check at ")] if mesh_check else [])
+    for r in rhos:
+        for d, label in grids:
+            n_h, n_g = _tube_grid(params, TubeSpec(r, grad_cut), sigma2, d)[3:]
+            _check_states(n_h, n_g, _STATE_CAP, f"rho={r:g}, {label}mesh {d:.4g}")
     jobs = [(params, pot, r, grad_cut, mesh, support, tol, mesh_check) for r in rhos]
     return _pool_map(_sweep_point, jobs, workers)
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import struct
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -187,11 +188,11 @@ def _blocks(total: int, size: int) -> list[tuple[int, int]]:
 
 
 def _pool_map(fn, jobs, workers: int) -> list:
-    """[fn(job) for job in jobs] in job order, on min(workers, len(jobs))
-    processes; in-process when that is 1 or less.  Only worth it when each
-    job computes far longer than its result takes to pickle back."""
+    """[fn(job) for job in jobs] in job order, on min(workers, len(jobs),
+    cpu count) processes; in-process when that is 1 or less.  Only worth it
+    when each job computes far longer than its result takes to pickle back."""
     jobs = list(jobs)
-    procs = min(workers, len(jobs))
+    procs = min(workers, len(jobs), os.cpu_count() or 1)
     if procs <= 1:
         return [fn(job) for job in jobs]
     # default start method: spawn re-imports numpy and scipy (~0.8 s) per worker

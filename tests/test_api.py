@@ -6,7 +6,10 @@ imports a name it never uses."""
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -46,3 +49,16 @@ def test_no_unused_module_imports(name):
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     unused = sorted(n for n in imported - used if (name, n) not in KEPT_IMPORTS)
     assert unused == []
+
+
+def test_cli_import_leaves_convolution_modules_unloaded():
+    # every command pays for what `import semiflex.cli` loads; the transfer
+    # operator imports scipy.ndimage when it first runs
+    src = str(Path(semiflex.__path__[0]).parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = ("import sys, semiflex.cli; "
+            "print(sorted(m for m in ('scipy.ndimage', 'scipy.signal') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.strip() == "[]"

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from semiflex import confinement
 from semiflex.cli import main
 from semiflex.gaussian import exact_boundary_density, q_matrix
 from semiflex.model import continuum_energy_check
@@ -253,6 +254,20 @@ def test_confine_outputs_and_exponent_fit(tmp_path):
     refit = json.loads((tmp_path / "exponent_fit.json").read_text())
     assert refit["slope"] == pytest.approx(fit["slope"], abs=1e-12)
     assert refit["r2"] == pytest.approx(fit["r2"], abs=1e-12)
+
+
+def test_confine_default_config_fails_before_solving(tmp_path, capsys, monkeypatch):
+    # the half-mesh operator of the first rho is over the state cap; the sweep
+    # must say so up front instead of after a long power iteration
+    calls = []
+    monkeypatch.setattr(confinement, "power_iteration", lambda *a, **k: calls.append(a))
+    assert main(["confine", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "rho=0.02, half-mesh check" in err
+    assert "11123475 states, above the cap 4000000" in err
+    assert "--mesh" in err
+    assert calls == []
+    assert not (tmp_path / "confine.csv").exists()
 
 
 def test_exponent_fit_plain_columns(tmp_path):

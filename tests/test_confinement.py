@@ -73,16 +73,48 @@ def test_power_iteration_matches_dense_spectrum():
         assert res.lam_norm == pytest.approx(lam_dense / op.z1, rel=1e-9)
 
 
-@settings(max_examples=30, deadline=None)
-@given(n=st.integers(2, 8), kappa=st.floats(0.1, 3.0), rho=st.floats(0.3, 2.0),
-       support=st.sets(st.integers(-3, 3), min_size=2), seed=st.integers(0, 2**32))
-def test_matvec_agrees_with_dense(n, kappa, rho, support, seed):
-    op = build_transfer(_discrete_params(n), GaussianPotential(kappa), TubeSpec(rho),
-                        support=sorted(support))
+LATTICE_OPS = st.fixed_dictionaries({
+    "params": st.integers(2, 8).map(_discrete_params),
+    "pot": st.floats(0.1, 3.0).map(GaussianPotential),
+    "tube": st.floats(0.3, 2.0).map(TubeSpec),
+    "support": st.sets(st.integers(-3, 3), min_size=2).map(sorted)})
+# 11 to 37 taps on at most 61 x 31 states; a small grad_cut leaves fewer
+# gradient columns than taps
+CONT_PARAMS = ModelParams(n_sites=25, epsilon=0.04, macro_length=1.0)
+CONTINUOUS_OPS = st.fixed_dictionaries({
+    "params": st.just(CONT_PARAMS),
+    "pot": st.floats(1.0, 2.0).map(GaussianPotential),
+    "tube": st.builds(TubeSpec, st.floats(0.03, 0.12), st.floats(0.1, 1.5)),
+    "mesh": st.floats(0.1, 0.25)})
+
+
+def _lattice_op(support):
+    return {"params": _discrete_params(4), "pot": GaussianPotential(1.0),
+            "tube": TubeSpec(1.3), "support": support}
+
+
+@settings(max_examples=60, deadline=None)
+@given(build=LATTICE_OPS | CONTINUOUS_OPS, seed=st.integers(0, 2**32))
+# one-sided supports: the kernel must span offset 0 for a legal convolve1d origin
+@example(build=_lattice_op([1, 3]), seed=0)
+@example(build=_lattice_op([-3, -2]), seed=0)
+# 37 taps over 3 gradient columns
+@example(build={"params": CONT_PARAMS, "pot": GaussianPotential(1.0),
+                "tube": TubeSpec(0.1, 0.1), "mesh": 0.1}, seed=0)
+def test_matvec_agrees_with_dense(build, seed):
+    op = build_transfer(build["params"], build["pot"], build["tube"],
+                        support=build.get("support"), mesh=build.get("mesh"))
     v = np.random.default_rng(seed).normal(size=(2 * op.n_h + 1, 2 * op.n_g + 1))
-    # each output sums at most seven products w * v with weights w <= 1
+    # each output sums at most 37 products w * v with weights w <= 1
     assert_allclose(op.matvec(v).ravel(), op.dense() @ v.ravel(), rtol=0,
                     atol=1e-13 * np.max(np.abs(v)))
+    # a nonnegative vector stays nonnegative, and a state whose source row
+    # the shear puts off the grid gets exactly nothing
+    out = op.matvec(np.abs(v))
+    rows = np.arange(2 * op.n_h + 1)[:, None] - (np.arange(2 * op.n_g + 1) - op.n_g)
+    off_grid = (rows < 0) | (rows > 2 * op.n_h)
+    assert np.all(out >= 0)
+    assert np.all(out[off_grid] == 0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -155,6 +187,12 @@ def test_sweep_worker_invariance():
     rows2 = confinement_sweep(params, GaussianPotential(1.0), rhos, workers=3)
     for a, b in zip(rows1, rows2):
         assert a == b
+
+
+def test_sweep_mesh_check_needs_continuous_mode():
+    with pytest.raises(ValueError, match="continuous mode"):
+        confinement_sweep(_discrete_params(300), GaussianPotential(1.0), [1.0],
+                          mesh_check=True)
 
 
 def test_mc_survival_consistent_with_path_sum():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from semiflex import sampling
 from semiflex.gaussian import theta_cov, xy_moments
 from semiflex.model import (
     BoundaryConditions,
@@ -224,6 +225,32 @@ def test_mcmc_worker_determinism():
     ]
     assert runs[0].shape == (600, 8)
     assert np.array_equal(runs[0], runs[1])
+
+
+def test_pool_never_exceeds_cpu_count(monkeypatch):
+    # a fake pool records its size and maps in-process, so no process starts
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(sampling.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(sampling, "ProcessPoolExecutor", FakePool)
+    jobs = list(range(200))
+    assert sampling._pool_map(abs, jobs, 200) == jobs
+    assert sampling._pool_map(abs, jobs[:1], 200) == jobs[:1]
+    assert sampling._pool_map(abs, jobs, 1) == jobs
+    assert sizes == [2]
 
 
 def test_theta_stats_shapes_and_constant_input():
