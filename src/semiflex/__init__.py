@@ -1,12 +1,12 @@
 """Discrete semiflexible polymer toolkit.
 
-A chain of N+2 heights carries the bending energy
-eps * sum_j Phi(laplacian(phi)_j / eps).  The package provides exact and MCMC
-samplers for the free and boundary-pinned ensembles, closed-form Gaussian
-covariance analytics for the rescaled bridge, tilt equations and sharp
-asymptotics for boundary large deviations, a transfer-operator solver for
-tube-confinement free energies, and a brute-force enumeration oracle that
-validates all of it at desk scale.
+A chain of N+2 heights phi carries the bending energy
+eps * sum_j Phi(lap_j / eps), with lap_j the second difference of phi at
+site j.  The package provides exact and MCMC samplers for the free and
+boundary-pinned ensembles, closed-form Gaussian covariance analytics for the
+rescaled bridge, tilt equations and sharp asymptotics for boundary large
+deviations, a transfer-operator solver for tube-confinement free energies,
+and a brute-force enumeration oracle that validates all of it at desk scale.
 """
 
 from .model import (
@@ -14,24 +14,13 @@ from .model import (
     ContinuumProfile,
     EnergyCheckRow,
     GaussianPotential,
-    IncrementPath,
     ModelParams,
-    PartialSums,
-    PolymerConfig,
     Potential,
     PowerLawPotential,
     TabulatedPotential,
-    ThetaPath,
     continuum_energy_check,
-    discretize_profile,
-    from_increments,
-    gradient,
     hamiltonian,
-    laplacian,
     map_boundary,
-    partial_sums,
-    theta_path,
-    to_increments,
 )
 from .gaussian import (
     ConditionedSpec,

@@ -43,7 +43,7 @@ _SCHEMA = {
     "model": {"n_sites", "epsilon", "macro_length", "height_mode"},
     "potential": {"kind", "kappa", "alpha", "grid", "values"},
     "boundary": {"xi_left", "xi_right", "endpoint"},
-    "sampler": {"seed", "n_samples", "sweeps", "burn_in", "thin", "n_chains"},
+    "sampler": {"seed", "n_samples", "burn_in", "thin", "n_chains"},
     "tube": {"rho", "grad_cut"},
     "output_dir": None,
 }
@@ -53,8 +53,8 @@ _DEFAULTS = {
               "height_mode": "continuous"},
     "potential": {"kind": "gaussian", "kappa": 1.0},
     "boundary": {"xi_left": 0.0, "xi_right": 0.0, "endpoint": 0.0},
-    "sampler": {"seed": 0, "n_samples": 10_000, "sweeps": None, "burn_in": 0,
-                "thin": 1, "n_chains": None},
+    "sampler": {"seed": 0, "n_samples": 10_000, "burn_in": 0, "thin": 1,
+                "n_chains": None},
     "tube": {"rho": 0.1, "grad_cut": None},
     "output_dir": ".",
 }
@@ -149,7 +149,6 @@ def _settings(cfg: dict) -> sampling.ChainSettings:
     s = cfg["sampler"]
     return sampling.ChainSettings(
         seed=int(s["seed"]), n_samples=int(s["n_samples"]),
-        sweeps=None if s.get("sweeps") is None else int(s["sweeps"]),
         burn_in=int(s.get("burn_in", 0)), thin=int(s.get("thin", 1)),
         n_chains=None if s.get("n_chains") is None else int(s["n_chains"]),
     )

@@ -180,8 +180,13 @@ def exact_boundary_density(n_sites: int, kappa: float, c: float,
         kappa/(2 pi N^2) * sqrt(12(N+1)/(N-1))
           * exp{-[(2N+1)xiL^2 - 2(N+2) xiL xiR + (2N+1) xiR^2] * N kappa / (c (N-1))}
 
-    Stated for N > 1.  See the oracle module for the measured normalization
-    ratio against the mapped walk/area density.
+    Stated for N > 1.  Units: xi_left and xi_right are boundary slopes
+    standardized by the per-step gradient scale; the raw slopes of the height
+    chain are sqrt(N) times larger.  Measure: this is the local-probability
+    prefactor convention, not the density of the endpoint pair.  The mapped
+    walk/area density at the raw slopes (`oracle.mapped_boundary_density`)
+    equals this value times the constant N^2 / (c (N+1)), for every slope
+    pair.
     """
     n = n_sites
     if n <= 1:

@@ -1,14 +1,18 @@
-"""Discrete stiff-polymer model: height configurations, bending energy, and
-the exact change of variables to increment (random walk) coordinates.
+"""Discrete stiff-polymer model: parameters, potentials, boundary data, the
+bending energy, and the exact change of variables to increment (random walk)
+coordinates.
 
-A configuration is the vector of heights (phi_0, ..., phi_{N+1}).  The energy
-couples second differences,
+A configuration is a plain float array of heights (phi_0, ..., phi_{N+1}).
+The energy couples second differences,
 
-    H(phi) = eps * sum_{j=1}^{N} Phi(lap_j / eps),   lap_j = phi_{j+1} - 2 phi_j + phi_{j-1},
+    H_N(phi) = eps * sum_{j=1}^{N} Phi(lap_j / eps),   lap_j = phi_{j+1} - 2 phi_j + phi_{j-1},
 
 with N * eps pinned to the macroscopic length.  Everything downstream (exact
 bridge statistics, tilt equations, confinement) is written against the
-increment coordinates eta_j = lap_j / eps and their partial sums.
+increment coordinates eta_j = lap_j / eps and their walk X_k and area Y_k.
+The private kernels `_laps`, `_heights` and `_walk_area` do that change of
+variables along the last axis, for one row or a matrix of sample rows; every
+sampler calls them.  `hamiltonian` is H_N with its input checks.
 """
 
 from __future__ import annotations
@@ -25,22 +29,11 @@ __all__ = [
     "PowerLawPotential",
     "TabulatedPotential",
     "Potential",
-    "PolymerConfig",
     "BoundaryConditions",
-    "IncrementPath",
     "ContinuumProfile",
-    "PartialSums",
-    "ThetaPath",
     "EnergyCheckRow",
-    "gradient",
-    "laplacian",
     "hamiltonian",
-    "to_increments",
-    "from_increments",
-    "partial_sums",
     "map_boundary",
-    "theta_path",
-    "discretize_profile",
     "continuum_energy_check",
 ]
 
@@ -207,25 +200,6 @@ def _lattice_law(offsets: np.ndarray, weights: np.ndarray,
 
 
 @dataclass(frozen=True)
-class PolymerConfig:
-    """Heights (phi_0, ..., phi_{N+1}) as a float vector."""
-
-    heights: np.ndarray
-
-    def __init__(self, heights):
-        heights = np.asarray(heights, dtype=float)
-        if heights.ndim != 1 or heights.size < 2:
-            raise ValueError("heights must be a 1d vector of length >= 2")
-        if not np.all(np.isfinite(heights)):
-            raise ValueError("heights must be finite")
-        object.__setattr__(self, "heights", heights)
-
-    @property
-    def n_sites(self) -> int:
-        return self.heights.size - 2
-
-
-@dataclass(frozen=True)
 class BoundaryConditions:
     """Pinned ends: phi_0 = 0, grad phi_1 = xi_left, grad phi_{N+1} = -xi_right,
     phi_{N+1} = endpoint."""
@@ -244,27 +218,6 @@ class BoundaryConditions:
 
 
 @dataclass(frozen=True)
-class IncrementPath:
-    """First gradient xi1 and increments eta_1..eta_N."""
-
-    xi1: float
-    etas: np.ndarray
-
-    def __init__(self, xi1, etas):
-        etas = np.asarray(etas, dtype=float)
-        if etas.ndim != 1 or etas.size < 1:
-            raise ValueError("etas must be a 1d vector of length >= 1")
-        if not (np.all(np.isfinite(etas)) and math.isfinite(xi1)):
-            raise ValueError("increments must be finite")
-        object.__setattr__(self, "xi1", float(xi1))
-        object.__setattr__(self, "etas", etas)
-
-    @property
-    def n_sites(self) -> int:
-        return self.etas.size
-
-
-@dataclass(frozen=True)
 class ContinuumProfile:
     """Smooth profile f on [0, macro_length] with height scaling eps^-gamma and
     increment scaling eps^-delta.  d2f, when given, is the exact second derivative;
@@ -279,7 +232,6 @@ class ContinuumProfile:
 # ---------------------------------------------------------------------------
 # change-of-variables kernels: heights <-> increments <-> walk/area, along the
 # last axis, so one row and a matrix of sample rows go through the same code.
-# The public wrappers below add the checks; the samplers call these directly.
 
 def _laps(phi: np.ndarray) -> np.ndarray:
     """Second differences phi_{j+1} - 2 phi_j + phi_{j-1} along the last axis."""
@@ -311,60 +263,17 @@ def _walk_area(etas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def gradient(config: PolymerConfig) -> np.ndarray:
-    """Forward differences (grad phi_1, ..., grad phi_{N+1})."""
-    return np.diff(config.heights)
-
-
-def laplacian(config: PolymerConfig) -> np.ndarray:
-    """Second differences (lap phi_1, ..., lap phi_N)."""
-    phi = config.heights
-    if phi.size < 3:
-        raise ValueError("laplacian needs at least 3 heights")
-    return _laps(phi)
-
-
-def hamiltonian(config: PolymerConfig, params: ModelParams, pot: Potential) -> float:
-    """Bending energy eps * sum_j Phi(lap_j / eps)."""
-    if config.heights.size != params.n_heights:
-        raise ValueError(
-            f"config has {config.heights.size} heights, params expect {params.n_heights}"
-        )
-    if params.height_mode == "discrete" and not np.all(config.heights == np.round(config.heights)):
+def hamiltonian(phi, params: ModelParams, pot: Potential) -> float:
+    """Bending energy H_N(phi) = eps * sum_j Phi(lap_j / eps) of the heights
+    (phi_0, ..., phi_{N+1})."""
+    phi = np.asarray(phi, dtype=float)
+    if phi.shape != (params.n_heights,):
+        raise ValueError(f"phi has shape {phi.shape}, params expect ({params.n_heights},)")
+    if not np.all(np.isfinite(phi)):
+        raise ValueError("heights must be finite")
+    if params.height_mode == "discrete" and not np.all(phi == np.round(phi)):
         raise ValueError("discrete mode requires integer heights")
-    eta = laplacian(config) / params.epsilon
-    return float(params.epsilon * np.sum(pot(eta)))
-
-
-def to_increments(config: PolymerConfig, params: ModelParams) -> IncrementPath:
-    """Exact change of variables heights -> (xi1, eta)."""
-    phi = config.heights
-    if phi.size != params.n_heights:
-        raise ValueError(
-            f"config has {phi.size} heights, params expect {params.n_heights}"
-        )
-    if phi[0] != 0.0:
-        raise ValueError(f"phi_0 must be exactly 0, got {phi[0]}")
-    return IncrementPath(xi1=phi[1] - phi[0], etas=laplacian(config) / params.epsilon)
-
-
-def from_increments(path: IncrementPath, params: ModelParams) -> PolymerConfig:
-    """Inverse map: phi_k = k*xi1 + eps * sum_{j<k} (k-j) eta_j, phi_0 = 0."""
-    if path.n_sites != params.n_sites:
-        raise ValueError(
-            f"path has {path.n_sites} increments, params expect {params.n_sites}"
-        )
-    return PolymerConfig(_heights(path.xi1, path.etas, params.epsilon))
-
-
-class PartialSums(NamedTuple):
-    x: np.ndarray  # X_k = sum_{j<=k} eta_j, k = 1..N
-    y: np.ndarray  # Y_k = (N+1)^-1 sum_{j<=k} (k+1-j) eta_j, k = 1..N
-
-
-def partial_sums(path: IncrementPath) -> PartialSums:
-    """Walk and area coordinates of the increments, by their definitions."""
-    return PartialSums(*_walk_area(path.etas))
+    return float(params.epsilon * np.sum(pot(_laps(phi) / params.epsilon)))
 
 
 def map_boundary(bc: BoundaryConditions, params: ModelParams) -> tuple[float, float]:
@@ -374,42 +283,6 @@ def map_boundary(bc: BoundaryConditions, params: ModelParams) -> tuple[float, fl
     x = -(bc.xi_left + bc.xi_right) / eps
     y = (bc.endpoint / (params.n_sites + 1) - bc.xi_left) / eps
     return x, y
-
-
-class ThetaPath:
-    """Rescaled area path theta(m/N) = Y_m / (sigma sqrt(N)), linearly interpolated."""
-
-    def __init__(self, y: np.ndarray, sigma: float):
-        y = np.asarray(y, dtype=float)
-        if not (sigma > 0):
-            raise ValueError(f"sigma must be positive, got {sigma}")
-        n = y.size
-        self.grid = np.arange(n + 1) / n
-        self.values = np.concatenate(([0.0], y / (sigma * math.sqrt(n))))
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        if np.any(t < 0) or np.any(t > 1):
-            raise ValueError("theta path is defined on [0, 1]")
-        out = np.interp(t, self.grid, self.values)
-        return float(out) if out.ndim == 0 else out
-
-
-def theta_path(path: IncrementPath, sigma: float) -> ThetaPath:
-    return ThetaPath(partial_sums(path).y, sigma)
-
-
-def discretize_profile(profile: ContinuumProfile, params: ModelParams) -> PolymerConfig:
-    """Sample heights phi_k = eps^-gamma * f(k*eps) on the full grid k = 0..N+1."""
-    eps = params.epsilon
-    xs = np.arange(params.n_heights) * eps
-    try:
-        vals = np.asarray(profile.f(xs), dtype=float)
-    except Exception as exc:
-        raise ValueError(f"profile undefined on the grid [0, {xs[-1]}]: {exc}") from exc
-    if vals.shape != xs.shape or not np.all(np.isfinite(vals)):
-        raise ValueError("profile must evaluate to finite values on the grid")
-    return PolymerConfig(eps ** (-profile.gamma) * vals)
 
 
 class EnergyCheckRow(NamedTuple):
@@ -452,8 +325,15 @@ def continuum_energy_check(
     for eps in eps_list:
         n = int(round(macro_length / eps))
         params = ModelParams(n_sites=n, epsilon=eps, macro_length=macro_length)
-        config = discretize_profile(profile, params)
-        lap = laplacian(config)
+        # heights phi_k = eps^-gamma * f(k*eps) on the full grid k = 0..N+1
+        grid = np.arange(params.n_heights) * eps
+        try:
+            vals = np.asarray(profile.f(grid), dtype=float)
+        except Exception as exc:
+            raise ValueError(f"profile undefined on the grid [0, {grid[-1]}]: {exc}") from exc
+        if vals.shape != grid.shape or not np.all(np.isfinite(vals)):
+            raise ValueError("profile must evaluate to finite values on the grid")
+        lap = _laps(eps ** (-profile.gamma) * vals)
         energy = float(eps * np.sum(pot(eps ** (-profile.delta) * lap)))
         rows.append(EnergyCheckRow(eps=eps, lattice_energy=energy, integral=integral,
                                    error=abs(energy - integral)))

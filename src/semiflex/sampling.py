@@ -155,11 +155,10 @@ def build_increment_dist(
 
 @dataclass(frozen=True)
 class ChainSettings:
-    """seed + sample budget; sweeps/burn_in/thin only matter for MCMC."""
+    """seed + sample budget; burn_in/thin/n_chains only matter for MCMC."""
 
     seed: int
     n_samples: int
-    sweeps: int | None = None
     burn_in: int = 0
     thin: int = 1
     n_chains: int | None = None
@@ -169,8 +168,6 @@ class ChainSettings:
             raise ValueError("n_samples must be >= 1")
         if self.thin < 1 or self.burn_in < 0:
             raise ValueError("thin must be >= 1 and burn_in >= 0")
-        if self.sweeps is not None and self.sweeps < 1:
-            raise ValueError("sweeps must be >= 1 when given")
         if self.n_chains is not None and self.n_chains < 1:
             raise ValueError("n_chains must be >= 1 when given")
         if not 0 <= self.seed < 2 ** 64:
@@ -404,12 +401,6 @@ def sample_bridge_mcmc(
                 raise ValueError(f"discrete mode needs integer boundary data, {name}={v}")
     n_chains = settings.n_chains or min(_CHAIN_BLOCK, settings.n_samples)
     n_per_chain = math.ceil(settings.n_samples / n_chains)
-    if settings.sweeps is not None:
-        budget = settings.sweeps // max(1, settings.thin)
-        if budget * n_chains < settings.n_samples:
-            raise ValueError("sweeps too small for the requested n_samples")
-        n_per_chain = min(n_per_chain, budget)
-        n_per_chain = max(n_per_chain, math.ceil(settings.n_samples / n_chains))
 
     fn = partial(_mcmc_block, params, pot, bc, settings, truncation, step_width,
                  n_per_chain, settings.seed)

@@ -220,8 +220,8 @@ def test_criterion_08_oracle_equivalence():
     for n in range(2, 7):
         params = ModelParams(n, 1.0, float(n), height_mode="discrete")
         for pot in pots:
-            settings = ChainSettings(seed=7, n_samples=480_000, sweeps=1_000_000,
-                                     burn_in=501, thin=2, n_chains=64)
+            settings = ChainSettings(seed=7, n_samples=480_000, burn_in=501, thin=2,
+                                     n_chains=64)
             samples = sample_bridge_mcmc(params, pot, bc, settings, truncation=1.0)
             if n == 2:
                 # every height is pinned by the boundary, nothing free to compare

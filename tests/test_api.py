@@ -1,11 +1,13 @@
 """Public surface: every `__all__` name exists, and the package re-exports
 only names that some module lists.  The benchmark tracer wraps each function
 named in a module's `__all__`, so a stale name breaks it as surely as a stale
-re-export breaks `import semiflex`.  Also stands in for a linter: no module
-imports a name it never uses."""
+re-export breaks `import semiflex`.  The demos and the benchmark import only
+names that exist, which no other fast test checks.  Also stands in for a
+linter: no module imports a name it never uses."""
 
 import ast
 import importlib
+import importlib.util
 import os
 import pkgutil
 import subprocess
@@ -17,6 +19,9 @@ import pytest
 import semiflex
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(semiflex.__path__))
+ROOT = Path(__file__).resolve().parents[1]
+OUTSIDE = sorted(str(p.relative_to(ROOT))
+                 for p in [*ROOT.glob("demos/*.py"), *ROOT.glob("perfbench/**/*.py")])
 
 # bound without a caller on purpose: the benchmark tracer counts the quad calls
 # made through `semiflex.ldp.integrate`
@@ -62,3 +67,46 @@ def test_cli_import_leaves_convolution_modules_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True).stdout
     assert out.strip() == "[]"
+
+
+def _module(path):
+    try:
+        return importlib.import_module(path)
+    except ImportError:
+        return None
+
+
+def _has(mod, name):
+    # a submodule counts before anything has imported it
+    return hasattr(mod, name) or (hasattr(mod, "__path__") and importlib.util.find_spec(
+        f"{mod.__name__}.{name}") is not None)
+
+
+@pytest.mark.parametrize("path", OUTSIDE)
+def test_outside_callers_use_existing_names(path):
+    # every name imported from semiflex or one of its modules, and every
+    # attribute read off a name bound to such a module, must exist
+    tree = ast.parse((ROOT / path).read_text())
+    refs, bound = [], {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 \
+                and (node.module or "").split(".")[0] == "semiflex":
+            for a in node.names:
+                refs.append((node.module, a.name))
+                bound[a.asname or a.name] = f"{node.module}.{a.name}"
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.split(".")[0] == "semiflex":
+                    refs.append((a.name, None))
+                    # `import semiflex.x` binds semiflex, `import semiflex.x as y` binds y
+                    bound[a.asname or "semiflex"] = a.name if a.asname else "semiflex"
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id in bound and _module(bound[node.value.id]):
+            refs.append((bound[node.value.id], node.attr))
+    missing = set()
+    for mod_path, name in refs:
+        mod = _module(mod_path)
+        if mod is None or (name and not _has(mod, name)):
+            missing.add(f"{mod_path}.{name}" if name else mod_path)
+    assert sorted(missing) == []

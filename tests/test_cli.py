@@ -47,6 +47,14 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+def test_removed_sweeps_key_rejected(tmp_path, capsys):
+    # sampler.sweeps never changed a run and is no longer a config key
+    cfg = _write_config(tmp_path, {"sampler": {"sweeps": 1000}})
+    assert main(["bridge", "--config", cfg, "--n", "10", "--out", str(tmp_path)]) == 1
+    assert "unknown config key sampler.sweeps" in capsys.readouterr().err
+    assert not (tmp_path / "bridge.csv").exists()
+
+
 def test_malformed_config_rejected(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

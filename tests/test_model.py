@@ -1,4 +1,4 @@
-"""Core model: difference operators, energy, change of variables."""
+"""Core model: energy, change-of-variables kernels, continuum check."""
 
 import math
 
@@ -13,64 +13,54 @@ from semiflex.model import (
     BoundaryConditions,
     ContinuumProfile,
     GaussianPotential,
-    IncrementPath,
     ModelParams,
-    PolymerConfig,
     PowerLawPotential,
     TabulatedPotential,
     _heights,
     _laps,
     _walk_area,
     continuum_energy_check,
-    discretize_profile,
-    from_increments,
-    gradient,
     hamiltonian,
-    laplacian,
     map_boundary,
-    partial_sums,
-    theta_path,
-    to_increments,
 )
-
-
-def test_gradient_frozen_values():
-    assert_allclose(gradient(PolymerConfig([0.0, 1.0, 3.0])), [1.0, 2.0])
-    assert_allclose(gradient(PolymerConfig([0.0, 1.0, 4.0, 9.0])), [1.0, 3.0, 5.0])
+from semiflex.sampling import estimate_theta_stats
 
 
 def test_laplacian_frozen_values():
-    assert_allclose(laplacian(PolymerConfig([0.0, 0.0, 1.0, 0.0, 0.0])), [1.0, -2.0, 1.0])
-    assert_allclose(laplacian(PolymerConfig([0.0, 1.0, 4.0, 9.0])), [2.0, 2.0])
-
-
-def test_laplacian_needs_three_heights():
-    with pytest.raises(ValueError):
-        laplacian(PolymerConfig([0.0, 1.0]))
+    assert_allclose(_laps(np.array([0.0, 0.0, 1.0, 0.0, 0.0])), [1.0, -2.0, 1.0])
+    assert_allclose(_laps(np.array([0.0, 1.0, 4.0, 9.0])), [2.0, 2.0])
 
 
 def test_hamiltonian_frozen_values():
-    config = PolymerConfig([0.0, 0.0, 1.0, 0.0, 0.0])
+    phi = np.array([0.0, 0.0, 1.0, 0.0, 0.0])
     pot = GaussianPotential(kappa=1.0)
     params = ModelParams(n_sites=3, epsilon=1.0, macro_length=3.0)
-    assert hamiltonian(config, params, pot) == pytest.approx(3.0, abs=1e-14)
+    assert hamiltonian(phi, params, pot) == pytest.approx(3.0, abs=1e-14)
     # halving eps doubles the energy of this fixed height vector
     params_half = ModelParams(n_sites=3, epsilon=0.5, macro_length=1.5)
-    assert hamiltonian(config, params_half, pot) == pytest.approx(6.0, abs=1e-14)
+    assert hamiltonian(phi, params_half, pot) == pytest.approx(6.0, abs=1e-14)
 
 
 def test_hamiltonian_rejects_wrong_length():
     params = ModelParams(n_sites=4, epsilon=1.0, macro_length=4.0)
     with pytest.raises(ValueError):
-        hamiltonian(PolymerConfig([0.0, 0.0, 0.0]), params, GaussianPotential(1.0))
+        hamiltonian(np.zeros(3), params, GaussianPotential(1.0))
+    with pytest.raises(ValueError):
+        hamiltonian(np.zeros((2, 6)), params, GaussianPotential(1.0))
+
+
+def test_hamiltonian_rejects_non_finite_heights():
+    params = ModelParams(n_sites=2, epsilon=1.0, macro_length=2.0)
+    with pytest.raises(ValueError):
+        hamiltonian([0.0, np.nan, 0.0, 0.0], params, GaussianPotential(1.0))
 
 
 def test_discrete_mode_requires_integer_heights():
     params = ModelParams(n_sites=2, epsilon=1.0, macro_length=2.0, height_mode="discrete")
     pot = GaussianPotential(1.0)
-    assert hamiltonian(PolymerConfig([0.0, 1.0, 0.0, 0.0]), params, pot) > 0
+    assert hamiltonian([0.0, 1.0, 0.0, 0.0], params, pot) > 0
     with pytest.raises(ValueError):
-        hamiltonian(PolymerConfig([0.0, 0.5, 0.0, 0.0]), params, pot)
+        hamiltonian([0.0, 0.5, 0.0, 0.0], params, pot)
 
 
 def test_params_validation():
@@ -84,45 +74,37 @@ def test_params_validation():
 
 
 def test_to_increments_frozen_values():
-    params = ModelParams(n_sites=2, epsilon=1.0, macro_length=2.0)
-    path = to_increments(PolymerConfig([0.0, 1.0, 2.0, 3.0]), params)
-    assert path.xi1 == 1.0
-    assert_allclose(path.etas, [0.0, 0.0])
-    path = to_increments(PolymerConfig([0.0, 1.0, 4.0, 7.0]), params)
-    assert path.xi1 == 1.0
-    assert_allclose(path.etas, [2.0, 0.0])
-
-
-def test_to_increments_requires_pinned_origin():
-    params = ModelParams(n_sites=2, epsilon=1.0, macro_length=2.0)
-    with pytest.raises(ValueError):
-        to_increments(PolymerConfig([1.0, 2.0, 3.0, 4.0]), params)
+    # xi1 = phi_1 - phi_0 and eta_j = lap_j / eps, here at eps = 0.5
+    phi = np.array([0.0, 1.0, 2.0, 3.0])
+    assert phi[1] - phi[0] == 1.0
+    assert_allclose(_laps(phi) / 0.5, [0.0, 0.0])
+    phi = np.array([0.0, 1.0, 4.0, 7.0])
+    assert_allclose(_laps(phi) / 0.5, [4.0, 0.0])
 
 
 def test_increment_roundtrip():
     rng = np.random.default_rng(3)
-    params = ModelParams(n_sites=12, epsilon=0.25, macro_length=3.0)
+    eps = 0.25
     phi = np.concatenate(([0.0], rng.normal(size=13)))
-    back = from_increments(to_increments(PolymerConfig(phi), params), params)
-    assert_allclose(back.heights, phi, atol=1e-12)
+    back = _heights(phi[1] - phi[0], _laps(phi) / eps, eps)
+    assert_allclose(back, phi, atol=1e-12)
 
 
 def test_from_increments_explicit_sum():
     # phi_k = k*xi1 + eps * sum_{j<k} (k - j) eta_j
-    params = ModelParams(n_sites=3, epsilon=0.5, macro_length=1.5)
-    path = IncrementPath(xi1=2.0, etas=[1.0, -1.0, 2.0])
-    phi = from_increments(path, params).heights
+    etas = [1.0, -1.0, 2.0]
+    phi = _heights(2.0, np.array(etas), 0.5)
     expect = [
-        k * 2.0 + 0.5 * sum((k - j) * e for j, e in enumerate([1.0, -1.0, 2.0], start=1) if j < k)
+        k * 2.0 + 0.5 * sum((k - j) * e for j, e in enumerate(etas, start=1) if j < k)
         for k in range(5)
     ]
     assert_allclose(phi, expect, atol=1e-14)
 
 
 def test_partial_sums_frozen_values():
-    sums = partial_sums(IncrementPath(xi1=0.0, etas=[1.0, -1.0, 2.0]))
-    assert_allclose(sums.x, [1.0, 0.0, 2.0])
-    assert_allclose(sums.y, [0.25, 0.25, 0.75])
+    x, y = _walk_area(np.array([1.0, -1.0, 2.0]))
+    assert_allclose(x, [1.0, 0.0, 2.0])
+    assert_allclose(y, [0.25, 0.25, 0.75])
 
 
 def test_map_boundary_frozen_values():
@@ -133,18 +115,25 @@ def test_map_boundary_frozen_values():
     assert_allclose(map_boundary(bc, params), (-2.0, 0.0), atol=1e-12)
 
 
+def _theta_rows(sigma):
+    """Four identical height rows with eta = (1, -1, 2) at eps = 1, so the
+    theta statistics are those of one path: Y = (0.25, 0.25, 0.75)."""
+    row = _heights(0.0, np.array([1.0, -1.0, 2.0]), 1.0)
+    return lambda times: estimate_theta_stats(np.tile(row, (4, 1)), times,
+                                              sigma=sigma, epsilon=1.0)
+
+
 def test_theta_path_frozen_value():
-    theta = theta_path(IncrementPath(xi1=0.0, etas=[1.0, -1.0, 2.0]), sigma=1.0)
-    assert theta(0.0) == 0.0
-    assert theta(2.0 / 3.0) == pytest.approx(0.25 / math.sqrt(3.0), abs=1e-14)
+    stats = _theta_rows(1.0)([0.0, 2.0 / 3.0])
+    assert stats.mean[0] == 0.0
+    assert stats.mean[1] == pytest.approx(0.25 / math.sqrt(3.0), abs=1e-14)
     with pytest.raises(ValueError):
-        theta(1.5)
+        _theta_rows(1.0)([1.5])
 
 
 def test_theta_path_interpolates_linearly():
-    theta = theta_path(IncrementPath(xi1=0.0, etas=[1.0, -1.0, 2.0]), sigma=2.0)
-    mid = 0.5 * (theta(1.0 / 3.0) + theta(2.0 / 3.0))
-    assert theta(0.5) == pytest.approx(mid, abs=1e-14)
+    mean = _theta_rows(2.0)([1.0 / 3.0, 0.5, 2.0 / 3.0]).mean
+    assert mean[1] == pytest.approx(0.5 * (mean[0] + mean[2]), abs=1e-14)
 
 
 def test_potential_shapes():
@@ -169,11 +158,13 @@ def test_tabulated_potential():
 
 
 def test_discretize_profile_scaling():
-    profile = ContinuumProfile(f=lambda x: x * x, gamma=1.0, delta=1.0)
-    params = ModelParams(n_sites=4, epsilon=0.25, macro_length=1.0)
-    config = discretize_profile(profile, params)
-    # phi_k = eps^-1 (k eps)^2 = k^2 eps
-    assert_allclose(config.heights, 0.25 * np.arange(6) ** 2, atol=1e-14)
+    # phi_k = eps^-gamma (k eps)^2 has lap_k = 2 eps^(2-gamma), so with
+    # delta = 2 - gamma every eta is 2 and H = N eps Phi(2) = 2 exactly
+    profile = ContinuumProfile(f=lambda x: x * x, gamma=0.5, delta=1.5,
+                               d2f=lambda x: 2.0 + 0.0 * x)
+    rows = continuum_energy_check(profile, GaussianPotential(1.0), [0.25, 0.125])
+    for row in rows:
+        assert row.lattice_energy == pytest.approx(2.0, abs=1e-12)
 
 
 def test_continuum_energy_quadratic_profile():
@@ -203,9 +194,19 @@ def test_continuum_energy_rejects_bad_scaling():
         continuum_energy_check(profile, GaussianPotential(1.0), [0.1])
 
 
+@pytest.mark.parametrize("f", [
+    lambda x: [math.sqrt(v - 0.5) for v in x],  # raises below x = 0.5
+    lambda x: np.where(x < 0.5, np.nan, x),  # non-finite below x = 0.5
+])
+def test_continuum_energy_rejects_profile_undefined_on_grid(f):
+    profile = ContinuumProfile(f=f, gamma=1.0, delta=1.0, d2f=lambda x: 0.0 * x)
+    with pytest.raises(ValueError, match="profile"):
+        continuum_energy_check(profile, GaussianPotential(1.0), [0.1])
+
+
 # ---------------------------------------------------------------------------
-# property tests: the batched change-of-variables kernels the samplers use
-# against the checked public maps, and the exact round trip between them
+# property tests: the batched change-of-variables kernels give the same bits on
+# a matrix as row by row, and invert each other up to rounding
 
 _EPS = st.sampled_from([1.0, 0.25, 0.01])
 _ETA_ROWS = hnp.arrays(
@@ -217,33 +218,30 @@ _ETA_ROWS = hnp.arrays(
 
 @settings(max_examples=50, deadline=None)
 @given(etas=_ETA_ROWS, xi1=st.floats(-10.0, 10.0), eps=_EPS)
-def test_batched_kernels_match_public_maps_bit_for_bit(etas, xi1, eps):
-    n = etas.shape[1]
-    params = ModelParams(n_sites=n, epsilon=eps, macro_length=n * eps)
+def test_batched_kernels_match_row_by_row_bit_for_bit(etas, xi1, eps):
     phi = _heights(xi1, etas, eps)
     laps = _laps(phi)
     x, y = _walk_area(etas)
     for i, row in enumerate(etas):
-        path = IncrementPath(xi1=xi1, etas=row)
-        config = from_increments(path, params)
-        sums = partial_sums(path)
-        assert np.array_equal(phi[i], config.heights)
-        assert np.array_equal(laps[i], laplacian(config))
-        assert np.array_equal(x[i], sums.x)
-        assert np.array_equal(y[i], sums.y)
+        phi_row = _heights(xi1, row, eps)
+        x_row, y_row = _walk_area(row)
+        assert np.array_equal(phi[i], phi_row)
+        assert np.array_equal(laps[i], _laps(phi_row))
+        assert np.array_equal(x[i], x_row)
+        assert np.array_equal(y[i], y_row)
 
 
 @settings(max_examples=50, deadline=None)
 @given(etas=_ETA_ROWS.map(lambda a: a[0]), xi1=st.floats(-10.0, 10.0), eps=_EPS)
 def test_increment_roundtrip_property(etas, xi1, eps):
     n = etas.size
-    params = ModelParams(n_sites=n, epsilon=eps, macro_length=n * eps)
-    config = from_increments(IncrementPath(xi1=xi1, etas=etas), params)
-    back = to_increments(config, params)
+    phi = _heights(xi1, etas, eps)
+    back = _laps(phi) / eps
     # laps difference heights of size max |phi|: a few ulps of that, over eps
-    # (the worst of 20,000 random draws used 1/70 of these bounds)
-    scale = np.max(np.abs(config.heights))
-    assert back.xi1 == xi1
-    assert_allclose(back.etas, etas, rtol=0, atol=1e-14 * n * scale / eps)
-    again = from_increments(back, params)
-    assert_allclose(again.heights, config.heights, rtol=0, atol=1e-14 * n * n * scale)
+    # (the worst of 20,000 random draws used 1/70 of these bounds); below the
+    # smallest normal float the ulp stops shrinking, so the scale does too
+    scale = max(np.max(np.abs(phi)), np.finfo(float).tiny)
+    assert phi[1] - phi[0] == xi1
+    assert_allclose(back, etas, rtol=0, atol=1e-14 * n * scale / eps)
+    again = _heights(phi[1] - phi[0], back, eps)
+    assert_allclose(again, phi, rtol=0, atol=1e-14 * n * n * scale)

@@ -14,10 +14,7 @@ from semiflex.model import (
     BoundaryConditions,
     GaussianPotential,
     ModelParams,
-    PolymerConfig,
     TabulatedPotential,
-    theta_path,
-    to_increments,
 )
 from semiflex.oracle import EnumerationSpec, enumerate_configs
 from semiflex.sampling import (
@@ -209,7 +206,7 @@ def test_mcmc_single_state_n3():
 def test_mcmc_rejects_infeasible_start():
     params = _discrete_params(8)
     bc = BoundaryConditions(0.0, 0.0, 50.0)
-    settings = ChainSettings(seed=2, n_samples=4, sweeps=10)
+    settings = ChainSettings(seed=2, n_samples=4)
     with pytest.raises(ValueError):
         sample_bridge_mcmc(params, ZERO_POT, bc, settings, truncation=1.0)
 
@@ -280,13 +277,19 @@ def _jackknife_cov_se_reference(vals):
 @pytest.mark.parametrize("m, k", [(5, 1), (5, 3), (6, 9), (40, 2), (500, 9)])
 def test_theta_cov_se_matches_leave_one_out_stack(m, k):
     n, eps, sigma = 10, 0.1, 2.0
-    params = ModelParams(n_sites=n, epsilon=eps, macro_length=1.0)
     rng = np.random.default_rng(m * 100 + k)
     samples = np.concatenate([np.zeros((m, 1)), rng.normal(size=(m, n + 1))], axis=1)
     times = np.arange(1, k + 1) / 10.0
     stats = estimate_theta_stats(samples, times, sigma=sigma, epsilon=eps)
-    vals = np.array([theta_path(to_increments(PolymerConfig(row), params), sigma)(times)
-                     for row in samples]).reshape(m, k)
+    # theta(t/N) = Y_t / (sigma sqrt(N)) with Y_t = (N+1)^-1 sum_{j<=t} (t+1-j) eta_j,
+    # linearly interpolated
+    grid = np.arange(n + 1) / n
+    vals = np.empty((m, k))
+    for i, row in enumerate(samples):
+        eta = (row[2:] - 2.0 * row[1:-1] + row[:-2]) / eps
+        y = [sum((t + 1 - j) * eta[j - 1] for j in range(1, t + 1)) / (n + 1)
+             for t in range(1, n + 1)]
+        vals[i] = np.interp(times, grid, np.concatenate(([0.0], y)) / (sigma * math.sqrt(n)))
     assert_allclose(stats.cov_se, _jackknife_cov_se_reference(vals), rtol=1e-12, atol=0)
 
 
