@@ -62,7 +62,6 @@ from .ldp import (
 )
 from .confinement import (
     FitResult,
-    MCSurvival,
     PowerResult,
     SweepRow,
     TransferOperator,
@@ -71,7 +70,6 @@ from .confinement import (
     confinement_sweep,
     exponent_fit,
     free_energy,
-    mc_survival,
     power_iteration,
     survival_probability,
     tube_radius,

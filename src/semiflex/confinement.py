@@ -33,13 +33,12 @@ import numpy as np
 
 from .gaussian import sigma2_increment
 from .model import ModelParams, Potential, _lattice_law, _step_weights
-from .sampling import ChainSettings, IncrementDistribution, _pool_map, sample_free
+from .sampling import _pool_map
 
 __all__ = [
     "TubeSpec",
     "TransferOperator",
     "PowerResult",
-    "MCSurvival",
     "SweepRow",
     "FitResult",
     "tube_radius",
@@ -47,7 +46,6 @@ __all__ = [
     "power_iteration",
     "free_energy",
     "survival_probability",
-    "mc_survival",
     "confinement_sweep",
     "exponent_fit",
 ]
@@ -93,10 +91,9 @@ class TransferOperator:
     landing outside the grid contributes nothing.
     """
 
-    def __init__(self, eps, mode, delta, n_h, n_g, tap_offsets, tap_weights,
+    def __init__(self, eps, delta, n_h, n_g, tap_offsets, tap_weights,
                  z1, radius, grad_cut, grad_scale):
         self.eps = float(eps)
-        self.mode = mode
         self.delta = float(delta)
         self.n_h = int(n_h)
         self.n_g = int(n_g)
@@ -249,8 +246,8 @@ def build_transfer(
     z1 = float(math.fsum(wts))
     if not z1 > 0:
         raise ValueError("single-step normalizer is not positive")
-    return TransferOperator(params.epsilon, params.height_mode, delta, n_h, n_g,
-                            offs, wts, z1, radius, grad_cut, grad_scale)
+    return TransferOperator(params.epsilon, delta, n_h, n_g, offs, wts, z1, radius,
+                            grad_cut, grad_scale)
 
 
 class PowerResult(NamedTuple):
@@ -308,19 +305,9 @@ def power_iteration(
     raise RuntimeError(f"power iteration did not converge in {max_iter} iterations")
 
 
-def free_energy(
-    op: TransferOperator,
-    params: ModelParams | None = None,
-    *,
-    tol: float = 1e-10,
-    max_iter: int = 100_000,
-    start: np.ndarray | None = None,
-) -> float:
+def free_energy(op: TransferOperator) -> float:
     """Confinement rate per unit macroscopic length, -(1/eps) log(lambda/z1)."""
-    if params is not None and params.epsilon != op.eps:
-        raise ValueError("params.epsilon does not match the operator")
-    res = power_iteration(op, tol=tol, max_iter=max_iter, start=start)
-    return -math.log(res.lam_norm) / op.eps
+    return -math.log(power_iteration(op).lam_norm) / op.eps
 
 
 def survival_probability(op: TransferOperator, n_sites: int) -> float:
@@ -337,36 +324,6 @@ def survival_probability(op: TransferOperator, n_sites: int) -> float:
     return float(v.sum())
 
 
-class MCSurvival(NamedTuple):
-    estimate: float
-    stderr: float
-    n_samples: int
-    n_inside: int
-    underflow: bool
-
-
-def mc_survival(
-    params: ModelParams,
-    dist: IncrementDistribution,
-    tube: TubeSpec,
-    settings: ChainSettings,
-) -> MCSurvival:
-    """Fraction of free-measure samples (phi_0 = phi_1 = 0) staying in the tube.
-
-    Binomial standard error; underflow flags a zero count, which at the
-    intended moderate N means the tube probability is below ~1/n_samples.
-    """
-    radius = tube_radius(tube, params, dist.sigma2)
-    samples = sample_free(params, dist, 0.0, settings)
-    n = params.n_sites
-    inside = np.max(np.abs(samples[:, 1:n + 1]), axis=1) <= radius
-    n_in = int(inside.sum())
-    m = samples.shape[0]
-    p = n_in / m
-    se = math.sqrt(p * (1.0 - p) / m)
-    return MCSurvival(p, se, m, n_in, n_in == 0)
-
-
 class SweepRow(NamedTuple):
     rho: float
     free_energy: float
@@ -376,15 +333,15 @@ class SweepRow(NamedTuple):
 
 
 def _sweep_point(job) -> SweepRow:
-    params, pot, rho, grad_cut, mesh, support, tol, mesh_check = job
+    params, pot, rho, grad_cut, mesh = job
     tube = TubeSpec(rho, grad_cut)
-    op = build_transfer(params, pot, tube, support=support, mesh=mesh)
-    res = power_iteration(op, tol=tol)
+    op = build_transfer(params, pot, tube, mesh=mesh)
+    res = power_iteration(op)
     f = -math.log(res.lam_norm) / op.eps
     delta = 0.0
-    if mesh_check:
-        op2 = build_transfer(params, pot, tube, support=support, mesh=op.delta / 2.0)
-        delta = abs(free_energy(op2, tol=tol) - f)
+    if params.height_mode == "continuous":
+        op2 = build_transfer(params, pot, tube, mesh=op.delta / 2.0)
+        delta = abs(free_energy(op2) - f)
     return SweepRow(rho, f, res.lam_norm, op.n_states, delta)
 
 
@@ -395,32 +352,28 @@ def confinement_sweep(
     *,
     grad_cut: float | None = None,
     mesh: float | None = None,
-    support: Sequence[float] | None = None,
-    tol: float = 1e-10,
-    mesh_check: bool | None = None,
     workers: int = 1,
 ) -> list[SweepRow]:
     """Free energy across tube widths; rho points are independent jobs.
 
-    mesh_check (default: on in continuous mode) recomputes each point at half
-    the mesh and reports |delta F|.  Every operator, half-mesh ones included,
+    In continuous mode each point is recomputed at half the mesh and
+    mesh_delta reports |delta F|; the lattice has no mesh to halve, so there
+    mesh_delta is 0.  Every operator, half-mesh ones included,
     is sized against the state cap before the first point is solved.
     Results are in input order and identical for any worker count.
     """
     rhos = [float(r) for r in rhos]
     if not rhos:
         raise ValueError("need at least one rho")
-    if mesh_check is None:
-        mesh_check = params.height_mode == "continuous"
-    if mesh_check and params.height_mode == "discrete":
-        raise ValueError("mesh_check needs continuous mode; the lattice has no mesh to halve")
-    delta, _, _, sigma2 = _step_grid(params, pot, support, mesh)
-    grids = [(delta, "")] + ([(delta / 2.0, "half-mesh check at ")] if mesh_check else [])
+    delta, _, _, sigma2 = _step_grid(params, pot, None, mesh)
+    grids = [(delta, "")]
+    if params.height_mode == "continuous":
+        grids.append((delta / 2.0, "half-mesh check at "))
     for r in rhos:
         for d, label in grids:
             n_h, n_g = _tube_grid(params, TubeSpec(r, grad_cut), sigma2, d)[3:]
             _check_states(n_h, n_g, _STATE_CAP, f"rho={r:g}, {label}mesh {d:.4g}")
-    jobs = [(params, pot, r, grad_cut, mesh, support, tol, mesh_check) for r in rhos]
+    jobs = [(params, pot, r, grad_cut, mesh) for r in rhos]
     return _pool_map(_sweep_point, jobs, workers)
 
 

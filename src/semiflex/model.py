@@ -213,20 +213,16 @@ class BoundaryConditions:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
 
-    def macro_slope(self, n_sites: int) -> float:
-        return self.endpoint / (n_sites + 1)
-
 
 @dataclass(frozen=True)
 class ContinuumProfile:
     """Smooth profile f on [0, macro_length] with height scaling eps^-gamma and
-    increment scaling eps^-delta.  d2f, when given, is the exact second derivative;
-    otherwise central differences are used where it is needed."""
+    increment scaling eps^-delta; d2f is its exact second derivative."""
 
     f: Callable[[np.ndarray], np.ndarray]
     gamma: float
     delta: float
-    d2f: Callable[[np.ndarray], np.ndarray] | None = None
+    d2f: Callable[[np.ndarray], np.ndarray]
 
 
 # ---------------------------------------------------------------------------
@@ -308,18 +304,11 @@ def continuum_energy_check(
         raise ValueError(
             f"scaling violation: gamma + delta must be 2, got {profile.gamma + profile.delta}"
         )
-    if profile.d2f is not None:
-        d2f = profile.d2f
-    else:
-        h = 1e-5 * macro_length
-
-        def d2f(x, _h=h):
-            return (profile.f(x + _h) - 2.0 * profile.f(x) + profile.f(x - _h)) / (_h * _h)
-
     # fixed-order Gauss-Legendre for the smooth curvature integral
     nodes, weights = np.polynomial.legendre.leggauss(64)
     xs = 0.5 * macro_length * (nodes + 1.0)
-    integral = float(0.5 * macro_length * np.dot(weights, pot(np.asarray(d2f(xs), dtype=float))))
+    curvature = np.asarray(profile.d2f(xs), dtype=float)
+    integral = float(0.5 * macro_length * np.dot(weights, pot(curvature)))
 
     rows = []
     for eps in eps_list:

@@ -5,8 +5,12 @@ Three routes to samples:
 * `sample_free`: i.i.d. increments, exact for any step law.
 * `sample_gaussian_bridge`: exact conditional sampling of the Gaussian chain
   given all four boundary constraints (projection of an unconditioned draw).
-* `sample_bridge_mcmc`: single-site Metropolis over the interior heights,
-  valid for any potential; the four constrained heights are never touched.
+* `sample_bridge_mcmc`: Metropolis over the laps (increments times eps),
+  valid for any potential.  Its one move adds delta * c to a few laps with
+  sum c = sum j c_j = 0: c = (1, -2, 1) moves one height, c = (1, -1, -1, 1)
+  shifts a block of heights, and neither can move the pinned walk and area,
+  so the four constrained heights stay fixed.  The default proposal width
+  is eps times the increment standard deviation.
 
 Reproducibility contract: work is split into fixed-size blocks (8192 samples
 for i.i.d. samplers, 64 chains for MCMC) and block i draws from
@@ -28,6 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .gaussian import sigma2_increment
 from .model import (
     BoundaryConditions,
     GaussianPotential,
@@ -71,9 +76,6 @@ class IncrementDistribution:
     grid).  sigma2 is the variance of this sampler's own law.
     """
 
-    pot: Potential
-    epsilon: float
-    mode: str
     truncation: float | None
     sigma2: float
     kind: str
@@ -105,9 +107,7 @@ def build_increment_dist(
         if truncation is not None:
             raise ValueError("truncation only applies to lattice or tabulated laws")
         return IncrementDistribution(
-            pot=pot, epsilon=eps, mode=params.height_mode, truncation=None,
-            sigma2=1.0 / (eps * pot.kappa), kind="gaussian",
-        )
+            truncation=None, sigma2=1.0 / (eps * pot.kappa), kind="gaussian")
 
     if params.height_mode == "discrete":
         # support k/eps, |k| <= floor(truncation * eps); auto-truncate on decay
@@ -120,9 +120,8 @@ def build_increment_dist(
         if not (sigma2 > 0):
             raise ValueError("degenerate increment law: single-point support")
         return IncrementDistribution(
-            pot=pot, epsilon=eps, mode="discrete", truncation=float(ks[-1] / eps),
-            sigma2=sigma2, kind="discrete", values=values, probs=probs,
-        )
+            truncation=float(ks[-1] / eps), sigma2=sigma2, kind="discrete",
+            values=values, probs=probs)
 
     # continuous, non-Gaussian: dense inverse-CDF table
     if isinstance(pot, TabulatedPotential):
@@ -148,9 +147,7 @@ def build_increment_dist(
     if not (sigma2 > 0):
         raise ValueError("degenerate increment law")
     return IncrementDistribution(
-        pot=pot, epsilon=eps, mode="continuous", truncation=bound,
-        sigma2=sigma2, kind="table", values=xs, probs=None, cdf=cdf / cdf[-1],
-    )
+        truncation=bound, sigma2=sigma2, kind="table", values=xs, cdf=cdf / cdf[-1])
 
 
 @dataclass(frozen=True)
@@ -261,11 +258,17 @@ def _clamped_cubic_init(params: ModelParams, bc: BoundaryConditions) -> np.ndarr
     return phi
 
 
-def _mcmc_block(params, pot, bc, settings, truncation, step_width, n_per_chain, seed, job):
+# lap changes of the two moves, each per unit delta; both sum to zero and have
+# zero first moment, so the walk X_N and area Y_N of the laps never move
+_FLIP = np.array([1.0, -2.0, 1.0])  # one height j: laps j-1, j, j+1
+_SHIFT = np.array([1.0, -1.0, -1.0, 1.0])  # heights lo..hi: laps lo-1, lo, hi, hi+1
+
+
+def _mcmc_block(params, pot, bc, settings, truncation, width, n_per_chain, job):
     block, n_chains = job
     eps = params.epsilon
     n = params.n_sites
-    rng = _block_rng(seed, block)
+    rng = _block_rng(settings.seed, block)
     discrete = params.height_mode == "discrete"
 
     # equilibrium start when exact sampling is available, clamped cubic otherwise
@@ -274,99 +277,78 @@ def _mcmc_block(params, pot, bc, settings, truncation, step_width, n_per_chain, 
         phi = _gaussian_bridge_rows(rng, params, bc, sigma, n_chains)
     else:
         phi = np.tile(_clamped_cubic_init(params, bc), (n_chains, 1))
+    # the chain state: laps[:, i] = eps * eta_{i+1}, the lap at height i+1
+    laps = _laps(phi)
 
     lap_bound = None
     if truncation is not None:
         lap_bound = truncation * eps + 1e-9  # |lap| <= M * eps
-        if np.any(np.abs(_laps(phi)) > lap_bound):
+        if np.any(np.abs(laps) > lap_bound):
             raise ValueError("initial configuration violates the truncation cut")
 
-    width = step_width if step_width is not None else math.sqrt(eps / _kappa_scale(pot))
-    sweeps = settings.burn_in + n_per_chain * settings.thin
-    sites = range(2, n)  # interior sites with all three touched bonds in range
-    rows = np.arange(n_chains)
-    cols = np.arange(n + 2)
+    rows = np.arange(n_chains)[:, None]
 
-    def lap(idx):
-        return phi[rows, idx + 1] - 2.0 * phi[rows, idx] + phi[rows, idx - 1]
-
-    def step():
-        # one proposal per chain: a +-1 flip on the lattice, else N(0, width^2)
+    def move(cols, coeffs):
+        """One Metropolis move per chain: laps[:, cols] += delta * coeffs,
+        delta a +-1 flip on the lattice, else N(0, width^2).  `cols` is one
+        column list for every chain or one row of columns per chain; returns
+        the per-chain accept mask."""
         if discrete:
-            return (rng.integers(0, 2, n_chains) * 2 - 1).astype(float)
-        return rng.normal(0.0, width, n_chains)
-
-    def metropolis(old, new):
-        """Per-chain accept mask for moving the bending terms `old` to `new`."""
+            delta = (rng.integers(0, 2, n_chains) * 2 - 1).astype(float)
+        else:
+            delta = rng.normal(0.0, width, n_chains)
+        old = laps[rows, cols]
+        new = trial = old + delta[:, None] * coeffs
+        ok = True
         if lap_bound is not None:
             # cut mask first: a tabulated potential is undefined past the cut
-            ok = np.abs(new[0]) <= lap_bound
-            for v in new[1:]:
-                ok &= np.abs(v) <= lap_bound
-            new = [np.where(ok, v, 0.0) for v in new]
+            ok = np.all(np.abs(new) <= lap_bound, axis=1)
+            trial = np.where(ok[:, None], new, 0.0)
+        terms = pot(np.concatenate((trial, old), axis=1) / eps)
         # new terms summed left to right, then old ones subtracted: another
         # order rounds differently and changes the chains
-        total = pot(new[0] / eps)
-        for v in new[1:]:
-            total += pot(v / eps)
-        for v in old:
-            total -= pot(v / eps)
-        accept = np.log(rng.random(n_chains)) < -(eps * total)
-        if lap_bound is not None:
-            accept &= ok
+        k = len(coeffs)
+        total = terms[:, 0].copy()
+        for c in range(1, k):
+            total += terms[:, c]
+        for c in range(k, 2 * k):
+            total -= terms[:, c]
+        accept = (np.log(rng.random(n_chains)) < -(eps * total)) & ok
+        laps[rows, cols] = np.where(accept[:, None], new, old)
         return accept
 
-    collected = []
+    sweeps = settings.burn_in + n_per_chain * settings.thin
+    snaps = np.empty((n_chains, n_per_chain, n))  # chain-major laps
     acc_count, acc_tries = 0, 0
-    n_collected = 0
     for sweep in range(1, sweeps + 1):
         tuning = sweep <= settings.burn_in
-        for j in sites:
-            delta = step()
-            l1 = phi[:, j] - 2.0 * phi[:, j - 1] + phi[:, j - 2]
-            l2 = phi[:, j + 1] - 2.0 * phi[:, j] + phi[:, j - 1]
-            l3 = phi[:, j + 2] - 2.0 * phi[:, j + 1] + phi[:, j]
-            accept = metropolis((l1, l2, l3), (l1 + delta, l2 - 2.0 * delta, l3 + delta))
-            phi[accept, j] += delta[accept]
+        # interior heights 2..N-1, whose three laps all lie in range
+        for j in range(2, n):
+            accept = move(np.arange(j - 2, j + 1), _FLIP)
             if tuning and not discrete:
                 acc_count += int(accept.sum())
                 acc_tries += n_chains
-        # contiguous block shifts: change laps (lo-1, lo, hi, hi+1) by
-        # (+d, -d, -d, +d).  Single-site flips alone are not irreducible under
-        # a hard lap cut (from a flat chain every +-1 flip makes a lap of 2),
-        # so these restore connectivity; the proposal is state-independent
-        # and symmetric in d, hence valid Metropolis either way.  They need
-        # two movable heights, so none exist below n = 4.
-        for _ in range(len(sites) if n >= 4 else 0):
+        # contiguous block shifts.  Single-site flips alone are not
+        # irreducible under a hard lap cut (from a flat chain every +-1 flip
+        # makes a lap of 2), so these restore connectivity; the proposal is
+        # state-independent and symmetric in delta, hence valid Metropolis
+        # either way.  They need two movable heights, so none exist below n = 4.
+        for _ in range(n - 2 if n >= 4 else 0):
             lo = rng.integers(2, n - 1, n_chains)
             hi = rng.integers(lo + 1, n)
-            delta = step()
-            l1, l2, l3, l4 = lap(lo - 1), lap(lo), lap(hi), lap(hi + 1)
-            accept = metropolis((l1, l2, l3, l4),
-                                (l1 + delta, l2 - delta, l3 - delta, l4 + delta))
-            in_block = (cols >= lo[:, None]) & (cols <= hi[:, None])
-            phi += np.where(in_block & accept[:, None], delta[:, None], 0.0)
+            move(np.column_stack((lo - 2, lo - 1, hi - 1, hi)), _SHIFT)
         if tuning and not discrete and sweep % 32 == 0 and acc_tries:
             rate = acc_count / acc_tries
             width *= math.exp(1.2 * (rate - 0.45))
             acc_count, acc_tries = 0, 0
-        if not tuning:
-            since = sweep - settings.burn_in
-            if since % settings.thin == 0 and n_collected < n_per_chain:
-                collected.append(phi.copy())
-                n_collected += 1
-    snaps = np.stack(collected, axis=0)  # (T, chains, N+2)
-    return np.transpose(snaps, (1, 0, 2)).reshape(-1, n + 2)  # chain-major
-
-
-def _kappa_scale(pot) -> float:
-    # curvature scale for the default proposal width
-    if isinstance(pot, GaussianPotential):
-        return pot.kappa
-    x = np.array([-1e-3, 0.0, 1e-3])
-    v = np.asarray(pot(x), dtype=float)
-    curv = (v[0] - 2 * v[1] + v[2]) / 1e-6
-    return max(curv, 1e-6)
+        since = sweep - settings.burn_in
+        if not tuning and since % settings.thin == 0:
+            snaps[:, since // settings.thin - 1] = laps
+    phi = _heights(bc.xi_left, snaps.reshape(-1, n), 1.0)
+    # the pinned far end, exactly rather than as a sum of laps
+    phi[:, n] = bc.endpoint + bc.xi_right
+    phi[:, n + 1] = bc.endpoint
+    return phi
 
 
 def sample_bridge_mcmc(
@@ -378,32 +360,42 @@ def sample_bridge_mcmc(
     truncation: float | None = None,
     step_width: float | None = None,
 ) -> np.ndarray:
-    """Metropolis over interior heights phi_2..phi_{N-1}, mixing single-site
-    flips (three bending terms touched) with contiguous block shifts (four).
-    Both leave the four boundary constraints intact; block shifts are what
-    keep the truncated lattice chain irreducible, since a single-site flip
-    out of a flat region always makes a lap of size 2.  Below N=4 the move
-    set degenerates gracefully: N=3 has one movable height, N=2 none (the
-    bridge is fully pinned and the sampler returns the pinned configuration).
+    """Metropolis bridge sampler for any potential.  The chain state is the
+    laps lap_j = eps * eta_j, j = 1..N, and every move adds delta * c to a
+    few of them, with coefficients c that satisfy sum c = 0 and
+    sum j c_j = 0, so the walk X_N and area Y_N (`map_boundary`), and with
+    them the four pinned heights, never move.  A sweep is one single-site
+    move per interior height j = 2..N-1 (c = (1, -2, 1) on laps j-1..j+1),
+    then N-2 shifts of a random block of heights lo..hi (c = (1, -1, -1, 1)
+    on laps lo-1, lo, hi, hi+1); each move costs O(1).  Block shifts keep
+    the truncated lattice chain irreducible, since a single-site flip out of
+    a flat region always makes a lap of size 2.  Below N=4 the move set
+    degenerates gracefully: N=3 has one movable height, N=2 none (the bridge
+    is fully pinned and the sampler returns the pinned configuration).
 
-    Gaussian continuous chains start at exact equilibrium draws; other models
-    start from the clamped cubic and rely on burn_in (no mixing guarantee at
-    large N: single-site dynamics relax on the N^4 sweep scale).  `truncation`
+    delta is a +-1 flip on the lattice and N(0, w^2) in continuous mode,
+    where w = `step_width` or, by default, eps times the increment standard
+    deviation (`gaussian.sigma2_increment`), the natural scale of one lap;
+    burn-in sweeps adapt w towards 45% single-site acceptance.  Gaussian
+    continuous chains start at exact equilibrium draws; other models start
+    from the clamped cubic and rely on burn_in (no mixing guarantee at large
+    N: single-site dynamics relax on the N^4 sweep scale).  `truncation`
     restricts every |lap| to <= truncation * eps, matching a lattice law cut
     at |eta| <= truncation.  `workers` spreads the blocks of 64 chains over
     processes; the output does not depend on it.
     """
-    n = params.n_sites
     if params.height_mode == "discrete":
         for name, v in (("xi_left", bc.xi_left), ("xi_right", bc.xi_right),
                         ("endpoint", bc.endpoint)):
             if v != round(v):
                 raise ValueError(f"discrete mode needs integer boundary data, {name}={v}")
+    elif step_width is None:
+        step_width = params.epsilon * math.sqrt(sigma2_increment(pot, params))
     n_chains = settings.n_chains or min(_CHAIN_BLOCK, settings.n_samples)
     n_per_chain = math.ceil(settings.n_samples / n_chains)
 
     fn = partial(_mcmc_block, params, pot, bc, settings, truncation, step_width,
-                 n_per_chain, settings.seed)
+                 n_per_chain)
     parts = _pool_map(fn, _blocks(n_chains, _CHAIN_BLOCK), workers)
     return np.concatenate(parts, axis=0)[: settings.n_samples]
 

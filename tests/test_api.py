@@ -2,12 +2,14 @@
 only names that some module lists.  The benchmark tracer wraps each function
 named in a module's `__all__`, so a stale name breaks it as surely as a stale
 re-export breaks `import semiflex`.  The demos and the benchmark import only
-names that exist, which no other fast test checks.  Also stands in for a
-linter: no module imports a name it never uses."""
+names that exist and pass only keywords their callees take, which no other
+fast test checks.  Also stands in for a linter: no module imports a name it
+never uses."""
 
 import ast
 import importlib
 import importlib.util
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -82,10 +84,38 @@ def _has(mod, name):
         f"{mod.__name__}.{name}") is not None)
 
 
+def _resolve(node, bound):
+    """The semiflex object a Name or Attribute chain refers to, else None."""
+    if isinstance(node, ast.Name):
+        path = bound.get(node.id)
+        return _module(path) or _attr(path) if path else None
+    if isinstance(node, ast.Attribute):
+        owner = _resolve(node.value, bound)
+        return getattr(owner, node.attr, None) if owner is not None else None
+    return None
+
+
+def _attr(path):
+    mod, _, name = path.rpartition(".")
+    return getattr(_module(mod), name, None) if mod else None
+
+
+def _unknown_keywords(call, bound):
+    fn = _resolve(call.func, bound)
+    if fn is None or not callable(fn):
+        return []
+    params = inspect.signature(fn).parameters
+    if any(p.kind is p.VAR_KEYWORD for p in params.values()):
+        return []
+    return [f"{fn.__qualname__}({k.arg}=)" for k in call.keywords
+            if k.arg is not None and k.arg not in params]
+
+
 @pytest.mark.parametrize("path", OUTSIDE)
 def test_outside_callers_use_existing_names(path):
     # every name imported from semiflex or one of its modules, and every
-    # attribute read off a name bound to such a module, must exist
+    # attribute read off a name bound to such a module, must exist; every
+    # keyword passed to a semiflex callable must be one of its parameters
     tree = ast.parse((ROOT / path).read_text())
     refs, bound = [], {}
     for node in ast.walk(tree):
@@ -110,3 +140,5 @@ def test_outside_callers_use_existing_names(path):
         if mod is None or (name and not _has(mod, name)):
             missing.add(f"{mod_path}.{name}" if name else mod_path)
     assert sorted(missing) == []
+    calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call)]
+    assert sorted(k for c in calls for k in _unknown_keywords(c, bound)) == []

@@ -14,7 +14,6 @@ from semiflex.confinement import (
     confinement_sweep,
     exponent_fit,
     free_energy,
-    mc_survival,
     power_iteration,
     survival_probability,
     tube_radius,
@@ -27,7 +26,7 @@ from semiflex.model import (
     TabulatedPotential,
 )
 from semiflex.oracle import EnumerationSpec, enumerate_configs
-from semiflex.sampling import ChainSettings, build_increment_dist
+from semiflex.sampling import ChainSettings, build_increment_dist, sample_free
 
 ZERO_POT = TabulatedPotential(np.array([-1.0, 0.0, 1.0]), np.zeros(3))
 SUPPORT = (-1.0, 0.0, 1.0)
@@ -161,14 +160,6 @@ def test_free_energy_positive_and_decreasing():
     assert fs[0] > fs[1] > fs[2]
 
 
-def test_free_energy_epsilon_mismatch():
-    params = _discrete_params(4)
-    op = build_transfer(params, ZERO_POT, TubeSpec(1.0), support=SUPPORT)
-    other = ModelParams(n_sites=4, epsilon=0.25, macro_length=1.0)
-    with pytest.raises(ValueError):
-        free_energy(op, other)
-
-
 def test_sweep_slope_near_minus_two_thirds():
     params = _discrete_params(2000)
     rhos = np.geomspace(0.3, 3.0, 6)
@@ -189,22 +180,20 @@ def test_sweep_worker_invariance():
         assert a == b
 
 
-def test_sweep_mesh_check_needs_continuous_mode():
-    with pytest.raises(ValueError, match="continuous mode"):
-        confinement_sweep(_discrete_params(300), GaussianPotential(1.0), [1.0],
-                          mesh_check=True)
-
-
 def test_mc_survival_consistent_with_path_sum():
+    # reference: the fraction of free-measure samples (phi_0 = phi_1 = 0)
+    # whose heights phi_1..phi_N stay in the tube, with a binomial error
     params = _discrete_params(6)
     dist = build_increment_dist(ZERO_POT, params, truncation=1.0)
     tube = TubeSpec(1.0)
     op = build_transfer(params, ZERO_POT, tube, support=SUPPORT)
     exact = survival_probability(op, 6)
-    mc = mc_survival(params, dist, tube, ChainSettings(seed=17, n_samples=60_000))
-    assert mc.n_samples == 60_000
-    assert not mc.underflow
-    assert abs(mc.estimate - exact) < 4.0 * mc.stderr
+    samples = sample_free(params, dist, 0.0, ChainSettings(seed=17, n_samples=60_000))
+    assert samples.shape == (60_000, 8)
+    radius = tube_radius(tube, params, dist.sigma2)
+    p = float(np.mean(np.max(np.abs(samples[:, 1:7]), axis=1) <= radius))
+    assert 0.0 < p < 1.0
+    assert abs(p - exact) < 4.0 * math.sqrt(p * (1.0 - p) / 60_000)
 
 
 def test_start_vector_validation():

@@ -189,7 +189,8 @@ def test_continuum_energy_cubic_halving():
 
 
 def test_continuum_energy_rejects_bad_scaling():
-    profile = ContinuumProfile(f=lambda x: x * x, gamma=1.0, delta=0.5)
+    profile = ContinuumProfile(f=lambda x: x * x, gamma=1.0, delta=0.5,
+                               d2f=lambda x: 2.0 + 0.0 * x)
     with pytest.raises(ValueError):
         continuum_energy_check(profile, GaussianPotential(1.0), [0.1])
 

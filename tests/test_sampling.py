@@ -14,7 +14,11 @@ from semiflex.model import (
     BoundaryConditions,
     GaussianPotential,
     ModelParams,
+    PowerLawPotential,
     TabulatedPotential,
+    _laps,
+    _walk_area,
+    map_boundary,
 )
 from semiflex.oracle import EnumerationSpec, enumerate_configs
 from semiflex.sampling import (
@@ -222,6 +226,72 @@ def test_mcmc_worker_determinism():
     ]
     assert runs[0].shape == (600, 8)
     assert np.array_equal(runs[0], runs[1])
+
+
+@st.composite
+def _mcmc_cases(draw):
+    """(params, pot, bc, truncation): lattice chains with and without a lap
+    cut, continuous Gaussian and power-law chains, on random boundaries."""
+    n = draw(st.integers(2, 9))
+    kind = draw(st.sampled_from(["lattice", "lattice_cut", "gaussian", "power"]))
+    if kind.startswith("lattice"):
+        eps = draw(st.sampled_from([1.0, 0.5]))
+        params = ModelParams(n_sites=n, epsilon=eps, macro_length=n * eps,
+                             height_mode="discrete")
+        xl, xr = (float(draw(st.integers(-3, 3))) for _ in range(2))
+        bc = BoundaryConditions(xl, xr, float(draw(st.integers(-12, 12))))
+        pot = draw(st.sampled_from([GaussianPotential(0.7), PowerLawPotential(1.0, 1.5)]))
+        truncation = None
+        if kind == "lattice_cut":
+            # the smallest cut the clamped-cubic start satisfies, so some laps sit on it
+            start = _laps(sampling._clamped_cubic_init(params, bc))
+            truncation = max(1.0, float(np.max(np.abs(start)))) / eps
+        return params, pot, bc, truncation
+    params = ModelParams(n_sites=n, epsilon=1.0 / n, macro_length=1.0)
+    xl, xr = (draw(st.floats(-2.0, 2.0)) for _ in range(2))
+    bc = BoundaryConditions(xl, xr, draw(st.floats(-5.0, 5.0)))
+    alpha = draw(st.sampled_from([1.5, 4.0]))
+    pot = GaussianPotential(1.0) if kind == "gaussian" else PowerLawPotential(1.0, alpha)
+    return params, pot, bc, None
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_mcmc_cases(), seed=st.integers(0, 2**32), burn_in=st.integers(0, 5),
+       thin=st.integers(1, 2))
+def test_mcmc_moves_keep_the_pinned_walk_and_area(case, seed, burn_in, thin):
+    # every move changes laps by delta * c with sum c = sum j c_j = 0, so the
+    # four pinned heights and the mapped boundary (X_N, Y_N) never move
+    params, pot, bc, truncation = case
+    n, eps = params.n_sites, params.epsilon
+    s = sample_bridge_mcmc(params, pot, bc, ChainSettings(seed, 24, burn_in, thin, 8),
+                           truncation=truncation)
+    assert s.shape == (24, n + 2)
+    assert np.all(s[:, 0] == 0.0)
+    assert np.all(s[:, 1] == bc.xi_left)
+    assert np.all(s[:, n] == bc.endpoint + bc.xi_right)
+    assert np.all(s[:, n + 1] == bc.endpoint)
+    x, y = _walk_area(_laps(s) / eps)
+    scale = n * max(1.0, float(np.max(np.abs(s)))) / eps
+    target = map_boundary(bc, params)
+    assert_allclose(x[:, -1], target[0], rtol=0, atol=1e-12 * scale)
+    assert_allclose(y[:, -1], target[1], rtol=0, atol=1e-12 * scale)
+    if params.height_mode == "discrete":
+        assert np.all(s == np.round(s))
+    if truncation is not None:
+        assert np.max(np.abs(_laps(s))) <= truncation * eps + 1e-9
+
+
+def test_mcmc_default_width_moves_steep_power_law_chains():
+    # alpha = 4 at eps = 0.01: laps have standard deviation ~0.018, and the
+    # default proposal width must be on that scale, so that without burn-in
+    # most interior heights already change from one sweep to the next
+    n = 100
+    params = ModelParams(n_sites=n, epsilon=0.01, macro_length=1.0)
+    settings = ChainSettings(seed=3, n_samples=16 * 4, burn_in=0, thin=1, n_chains=16)
+    s = sample_bridge_mcmc(params, PowerLawPotential(1.0, 4.0), ZERO_BC, settings)
+    chains = s.reshape(16, 4, n + 2)[:, :, 2:n]
+    moved = float(np.mean(chains[:, 1:] != chains[:, :-1]))
+    assert moved > 0.9
 
 
 def test_pool_never_exceeds_cpu_count(monkeypatch):
