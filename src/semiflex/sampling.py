@@ -9,8 +9,11 @@ Three routes to samples:
   valid for any potential.  Its one move adds delta * c to a few laps with
   sum c = sum j c_j = 0: c = (1, -2, 1) moves one height, c = (1, -1, -1, 1)
   shifts a block of heights, and neither can move the pinned walk and area,
-  so the four constrained heights stay fixed.  The default proposal width
-  is eps times the increment standard deviation.
+  so the four constrained heights stay fixed.  Moves on disjoint laps are
+  independent, since H_N is a sum over laps, so a sweep is a few batched
+  steps: three colour steps of site flips (heights j with one j mod 3), then
+  rounds of block shifts on disjoint laps, at least N-2 shifts per chain.
+  The default proposal width is eps times the increment standard deviation.
 
 Reproducibility contract: work is split into fixed-size blocks (8192 samples
 for i.i.d. samplers, 64 chains for MCMC) and block i draws from
@@ -264,6 +267,43 @@ _FLIP = np.array([1.0, -2.0, 1.0])  # one height j: laps j-1, j, j+1
 _SHIFT = np.array([1.0, -1.0, -1.0, 1.0])  # heights lo..hi: laps lo-1, lo, hi, hi+1
 
 
+def _block_layout(n: int) -> tuple[int, int]:
+    """(rounds, blocks per round) of one sweep's block shifts: the fewest
+    rounds that give every chain at least n-2 shifts.  A round of k blocks
+    takes 2k positions at least 2 apart in 1..n-1.  At most floor(n/2) fit,
+    and holding any two given ones costs at most one place, so with
+    k <= (n-2)/4 (or k = 1) every legal block lo..hi stays reachable.  None
+    exist below n = 4."""
+    if n < 4:
+        return 0, 0
+    rounds = math.ceil((n - 2) / max(1, (n - 2) // 4))
+    return rounds, math.ceil((n - 2) / rounds)
+
+
+def _block_rounds(rng, n: int, rounds: int, chains: int) -> tuple[np.ndarray, np.ndarray]:
+    """Block shifts for `rounds` rounds of `chains` chains, drawn in one RNG
+    call and independently of the chain state: (lo, hi), each of shape
+    (rounds, chains, k) with k from `_block_layout`.
+
+    Shifting heights lo..hi changes the lap pairs (q, q+1) at q = lo-1 and
+    q = hi.  A round takes a uniform random set of 2k positions in 1..n-1,
+    every two at least 2 apart, so that the lap pairs of one round are
+    disjoint, and pairs them up at random: position q_i = v_i + i for the
+    i-th smallest of 2k distinct values v in 0..n-2k-1."""
+    k = _block_layout(n)[1]
+    cells = n - 2 * k
+    rows = rounds * chains
+    # the first 2k entries of a random permutation: a random subset, in random order
+    chosen = np.argsort(rng.random((rows, cells)), axis=1)[:, : 2 * k]
+    flat = chosen + (np.arange(rows) * cells)[:, None]
+    member = np.zeros(rows * cells, dtype=np.int64)
+    member[flat] = 1
+    pos = chosen + member.reshape(rows, cells).cumsum(axis=1).ravel()[flat]
+    first, second = pos[:, 0::2], pos[:, 1::2]
+    shape = (rounds, chains, k)
+    return (np.minimum(first, second) + 1).reshape(shape), np.maximum(first, second).reshape(shape)
+
+
 def _mcmc_block(params, pot, bc, settings, truncation, width, n_per_chain, job):
     block, n_chains = job
     eps = params.epsilon
@@ -277,73 +317,95 @@ def _mcmc_block(params, pot, bc, settings, truncation, width, n_per_chain, job):
         phi = _gaussian_bridge_rows(rng, params, bc, sigma, n_chains)
     else:
         phi = np.tile(_clamped_cubic_init(params, bc), (n_chains, 1))
-    # the chain state: laps[:, i] = eps * eta_{i+1}, the lap at height i+1
-    laps = _laps(phi)
+    # the chain state, flat: laps[c * n + i] = eps * eta_{i+1} of chain c
+    laps = _laps(phi).ravel()
 
     lap_bound = None
     if truncation is not None:
         lap_bound = truncation * eps + 1e-9  # |lap| <= M * eps
-        if np.any(np.abs(laps) > lap_bound):
-            raise ValueError("initial configuration violates the truncation cut")
+    if isinstance(pot, TabulatedPotential):
+        # a table is only defined on its grid: the largest |lap| with |lap / eps| on it
+        edge = float(pot.grid[-1]) * eps
+        while edge / eps > pot.grid[-1]:
+            edge = math.nextafter(edge, 0.0)
+        lap_bound = edge if lap_bound is None else min(lap_bound, edge)
+    if lap_bound is not None and np.any(np.abs(laps) > lap_bound):
+        raise ValueError("initial configuration violates the truncation cut "
+                         "(or the tabulated potential's grid)")
 
-    rows = np.arange(n_chains)[:, None]
-
-    def move(cols, coeffs):
-        """One Metropolis move per chain: laps[:, cols] += delta * coeffs,
-        delta a +-1 flip on the lattice, else N(0, width^2).  `cols` is one
-        column list for every chain or one row of columns per chain; returns
-        the per-chain accept mask."""
-        if discrete:
-            delta = (rng.integers(0, 2, n_chains) * 2 - 1).astype(float)
-        else:
-            delta = rng.normal(0.0, width, n_chains)
-        old = laps[rows, cols]
-        new = trial = old + delta[:, None] * coeffs
+    def move(idx, coeffs, delta, threshold):
+        """k Metropolis moves per chain at once: laps[idx] += delta * coeffs.
+        idx (chains, k, m) holds flat lap indices, the k moves of a chain on
+        disjoint laps, so their order does not matter; delta and threshold
+        (chains, k) are the proposals and -log of the uniforms.  Returns the
+        accept mask."""
+        old = laps.take(idx)
+        new = trial = old + delta[..., None] * coeffs
         ok = True
         if lap_bound is not None:
             # cut mask first: a tabulated potential is undefined past the cut
-            ok = np.all(np.abs(new) <= lap_bound, axis=1)
-            trial = np.where(ok[:, None], new, 0.0)
-        terms = pot(np.concatenate((trial, old), axis=1) / eps)
+            ok = np.abs(new).max(axis=2) <= lap_bound
+            trial = np.where(ok[..., None], new, 0.0)
+        terms = pot(np.concatenate((trial, old), axis=2) / eps)
         # new terms summed left to right, then old ones subtracted: another
         # order rounds differently and changes the chains
-        k = len(coeffs)
-        total = terms[:, 0].copy()
-        for c in range(1, k):
-            total += terms[:, c]
-        for c in range(k, 2 * k):
-            total -= terms[:, c]
-        accept = (np.log(rng.random(n_chains)) < -(eps * total)) & ok
-        laps[rows, cols] = np.where(accept[:, None], new, old)
+        m = len(coeffs)
+        total = terms[..., 0] + terms[..., 1]
+        for c in range(2, m):
+            total += terms[..., c]
+        for c in range(m, 2 * m):
+            total -= terms[..., c]
+        accept = (eps * total < threshold) & ok
+        laps.put(idx, np.where(accept[..., None], new, old))
         return accept
+
+    starts = (np.arange(n_chains) * n)[:, None, None]
+    # site flips in three colour steps: heights j = 2..n-1 of one residue
+    # mod 3 touch disjoint laps j-1..j+1, so updating them at once is exactly
+    # a scan in colour order
+    colours = [np.arange(j, n, 3) for j in range(2, min(n, 5))]
+    flips = [starts + (h[:, None] + np.arange(-2, 1)) for h in colours]
+    bounds = np.cumsum([0] + [h.size for h in colours])
+    # contiguous block shifts, in rounds of blocks on disjoint laps.  Single-
+    # site flips alone are not irreducible under a hard lap cut (from a flat
+    # chain every +-1 flip makes a lap of 2), so these restore connectivity;
+    # the proposal is state-independent and symmetric in delta, hence valid
+    # Metropolis either way.
+    rounds, per_round = _block_layout(n)
+    n_moves = (n - 2) + rounds * per_round
+    block_shape = (n_chains, rounds, per_round)
 
     sweeps = settings.burn_in + n_per_chain * settings.thin
     snaps = np.empty((n_chains, n_per_chain, n))  # chain-major laps
     acc_count, acc_tries = 0, 0
     for sweep in range(1, sweeps + 1):
         tuning = sweep <= settings.burn_in
-        # interior heights 2..N-1, whose three laps all lie in range
-        for j in range(2, n):
-            accept = move(np.arange(j - 2, j + 1), _FLIP)
+        # one sweep's proposals and Metropolis thresholds -log(u) ~ Exp(1):
+        # the site flips' columns first, then the blocks'
+        if discrete:
+            delta = rng.integers(0, 2, (n_chains, n_moves)) * 2.0 - 1.0
+        else:
+            delta = rng.normal(0.0, width, (n_chains, n_moves))
+        threshold = rng.standard_exponential((n_chains, n_moves))
+        for idx, a, b in zip(flips, bounds[:-1], bounds[1:]):
+            accept = move(idx, _FLIP, delta[:, a:b], threshold[:, a:b])
             if tuning and not discrete:
                 acc_count += int(accept.sum())
-                acc_tries += n_chains
-        # contiguous block shifts.  Single-site flips alone are not
-        # irreducible under a hard lap cut (from a flat chain every +-1 flip
-        # makes a lap of 2), so these restore connectivity; the proposal is
-        # state-independent and symmetric in delta, hence valid Metropolis
-        # either way.  They need two movable heights, so none exist below n = 4.
-        for _ in range(n - 2 if n >= 4 else 0):
-            lo = rng.integers(2, n - 1, n_chains)
-            hi = rng.integers(lo + 1, n)
-            move(np.column_stack((lo - 2, lo - 1, hi - 1, hi)), _SHIFT)
+                acc_tries += accept.size
+        if rounds:
+            lo, hi = _block_rounds(rng, n, rounds, n_chains)
+            blocks = starts + np.stack((lo - 2, lo - 1, hi - 1, hi), axis=3)
+            block_delta = delta[:, n - 2:].reshape(block_shape)
+            block_threshold = threshold[:, n - 2:].reshape(block_shape)
+            for r in range(rounds):
+                move(blocks[r], _SHIFT, block_delta[:, r], block_threshold[:, r])
         if tuning and not discrete and sweep % 32 == 0 and acc_tries:
             rate = acc_count / acc_tries
             width *= math.exp(1.2 * (rate - 0.45))
             acc_count, acc_tries = 0, 0
         since = sweep - settings.burn_in
         if not tuning and since % settings.thin == 0:
-            snaps[:, since // settings.thin - 1] = laps
+            snaps[:, since // settings.thin - 1] = laps.reshape(n_chains, n)
     phi = _heights(bc.xi_left, snaps.reshape(-1, n), 1.0)
     # the pinned far end, exactly rather than as a sum of laps
     phi[:, n] = bc.endpoint + bc.xi_right
@@ -364,14 +426,20 @@ def sample_bridge_mcmc(
     laps lap_j = eps * eta_j, j = 1..N, and every move adds delta * c to a
     few of them, with coefficients c that satisfy sum c = 0 and
     sum j c_j = 0, so the walk X_N and area Y_N (`map_boundary`), and with
-    them the four pinned heights, never move.  A sweep is one single-site
-    move per interior height j = 2..N-1 (c = (1, -2, 1) on laps j-1..j+1),
-    then N-2 shifts of a random block of heights lo..hi (c = (1, -1, -1, 1)
-    on laps lo-1, lo, hi, hi+1); each move costs O(1).  Block shifts keep
-    the truncated lattice chain irreducible, since a single-site flip out of
-    a flat region always makes a lap of size 2.  Below N=4 the move set
-    degenerates gracefully: N=3 has one movable height, N=2 none (the bridge
-    is fully pinned and the sampler returns the pinned configuration).
+    them the four pinned heights, never move.  There are two moves: a site
+    flip of one interior height j = 2..N-1 (c = (1, -2, 1) on laps
+    j-1..j+1) and a shift of a block of heights lo..hi (c = (1, -1, -1, 1)
+    on laps lo-1, lo, hi, hi+1).  Since H_N is a sum over laps, moves on
+    disjoint laps can run at once, exactly as in a sequential scan.  A sweep
+    is three colour steps, each flipping every height j of one residue
+    j mod 3, then a few rounds of block shifts (`_block_rounds`): each round
+    gives every chain blocks on disjoint laps, drawn at random and
+    independently of the state, and the rounds give each chain at least N-2
+    shifts.  Block shifts keep the truncated lattice chain irreducible,
+    since a single-site flip out of a flat region always makes a lap of
+    size 2.  Below N=4 the move set degenerates gracefully: N=3 has one
+    movable height, N=2 none (the bridge is fully pinned and the sampler
+    returns the pinned configuration).
 
     delta is a +-1 flip on the lattice and N(0, w^2) in continuous mode,
     where w = `step_width` or, by default, eps times the increment standard
@@ -381,8 +449,9 @@ def sample_bridge_mcmc(
     from the clamped cubic and rely on burn_in (no mixing guarantee at large
     N: single-site dynamics relax on the N^4 sweep scale).  `truncation`
     restricts every |lap| to <= truncation * eps, matching a lattice law cut
-    at |eta| <= truncation.  `workers` spreads the blocks of 64 chains over
-    processes; the output does not depend on it.
+    at |eta| <= truncation; a `TabulatedPotential` also cuts every lap to
+    its grid, as `build_increment_dist` does.  `workers` spreads the blocks
+    of 64 chains over processes; the output does not depend on it.
     """
     if params.height_mode == "discrete":
         for name, v in (("xi_left", bc.xi_left), ("xi_right", bc.xi_right),

@@ -4,7 +4,8 @@ named in a module's `__all__`, so a stale name breaks it as surely as a stale
 re-export breaks `import semiflex`.  The demos and the benchmark import only
 names that exist and pass only keywords their callees take, which no other
 fast test checks.  Also stands in for a linter: no module imports a name it
-never uses."""
+never uses.  A failing property test must report its falsifying example
+under the repo's pytest config."""
 
 import ast
 import importlib
@@ -69,6 +70,24 @@ def test_cli_import_leaves_convolution_modules_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_failing_property_test_reports_its_example(tmp_path):
+    # on failure hypothesis imports libcst to print a patch; under the repo's
+    # warnings-as-errors config that import must not crash the pytest run
+    (tmp_path / "test_fails.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 0\n")
+    out = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(ROOT / "pyproject.toml"),
+         "--rootdir", str(tmp_path), "-p", "no:cacheprovider", "-q", "test_fails.py"],
+        cwd=tmp_path, capture_output=True, text=True)
+    report = out.stdout + out.stderr
+    assert out.returncode == 1, report
+    assert "Falsifying example" in report
+    assert "INTERNALERROR" not in report
 
 
 def _module(path):

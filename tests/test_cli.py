@@ -231,6 +231,24 @@ def test_bridge_mcmc_smoke(tmp_path):
     assert np.max(np.abs(laps)) <= 1.0
 
 
+def test_bridge_mcmc_table_potential_stays_on_its_grid(tmp_path):
+    # no --truncation: the lap cut defaults to the table's domain, so no
+    # proposal evaluates the potential off its grid
+    cfg = _write_config(tmp_path, {
+        "model": {"n_sites": 8, "epsilon": 1.0, "macro_length": 8.0,
+                  "height_mode": "discrete"},
+        "potential": {"kind": "table", "grid": [-3.0, -1.0, 0.0, 1.0, 3.0],
+                      "values": [2.0, 0.5, 0.0, 0.5, 2.0]},
+        "sampler": {"burn_in": 50},
+    })
+    assert main(["bridge", "--config", cfg, "--method", "mcmc", "--n", "200",
+                 "--out", str(tmp_path)]) == 0
+    samples = samples_from_csv(tmp_path / "bridge.csv")
+    laps = samples[:, 2:] - 2.0 * samples[:, 1:-1] + samples[:, :-2]
+    assert np.max(np.abs(laps)) <= 3.0
+    assert np.max(np.abs(laps)) > 1.0  # the cut is the grid's, not a tighter one
+
+
 def test_theta_stats_payload(tmp_path):
     cfg = _write_config(tmp_path, {"model": {"n_sites": 50, "epsilon": 0.02,
                                              "macro_length": 1.0}})

@@ -228,6 +228,62 @@ def test_mcmc_worker_determinism():
     assert np.array_equal(runs[0], runs[1])
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(4, 40), seed=st.integers(0, 2**32))
+def test_block_rounds_are_legal_disjoint_and_cover_every_block(n, seed):
+    rounds, per_round = sampling._block_layout(n)
+    assert rounds * per_round >= n - 2  # block shifts per chain and sweep
+    sweeps, chains = 30, 8
+    lo, hi = sampling._block_rounds(np.random.default_rng(seed), n, sweeps * rounds, chains)
+    assert lo.shape == hi.shape == (sweeps * rounds, chains, per_round)
+    assert np.all((2 <= lo) & (lo < hi) & (hi <= n - 1))
+    # a shift of heights lo..hi changes laps lo-1, lo, hi and hi+1; no lap
+    # may appear twice in one round of one chain
+    laps = np.sort(np.concatenate((lo - 1, lo, hi, hi + 1), axis=2), axis=2)
+    assert np.all(np.diff(laps, axis=2) > 0)
+    if n <= 7:
+        seen = set(zip(lo.ravel().tolist(), hi.ravel().tolist()))
+        assert seen == {(a, b) for a in range(2, n - 1) for b in range(a + 1, n)}
+
+
+def test_block_rounds_can_hold_every_legal_block():
+    # a round of k blocks is 2k positions at least 2 apart in 1..n-1; every
+    # block (lo, hi) has positions lo-1 and hi, and the round can hold it if
+    # a greedy left-to-right fill around those two reaches 2k positions
+    for n in range(4, 41):
+        k = sampling._block_layout(n)[1]
+        for q1 in range(1, n - 2):
+            for q2 in range(q1 + 2, n):
+                taken = [q1, q2]
+                for q in range(1, n):
+                    if all(abs(q - t) >= 2 for t in taken):
+                        taken.append(q)
+                assert len(taken) >= 2 * k, (n, q1, q2)
+
+
+def test_mcmc_continuous_gaussian_bridge_keeps_the_exact_variance():
+    # continuous Gaussian chains start at exact equilibrium draws; any move
+    # that breaks detailed balance drifts the per-site variance away from the
+    # exact bridge's over these sweeps
+    n, chains, draws = 10, 64, 150
+    params = ModelParams(n_sites=n, epsilon=1.0, macro_length=float(n))
+    pot = GaussianPotential(1.0)
+    bc = BoundaryConditions(0.5, -0.3, 2.0)
+    s = sample_bridge_mcmc(params, pot, bc, ChainSettings(seed=17, n_samples=chains * draws,
+                                                          burn_in=300, thin=4, n_chains=chains))
+    exact = sample_gaussian_bridge(params, pot, bc, ChainSettings(seed=18, n_samples=100_000))
+    free = slice(2, n)
+    mean = exact[:, free].mean(axis=0)
+    dev2 = (exact[:, free] - mean) ** 2
+    var_exact, se_exact = dev2.mean(axis=0), dev2.std(axis=0) / math.sqrt(len(dev2))
+    # chains are independent; draws within one are not
+    per_chain = ((s[:, free] - mean) ** 2).reshape(chains, draws, n - 2).mean(axis=1)
+    var_mcmc = per_chain.mean(axis=0)
+    se_mcmc = per_chain.std(axis=0, ddof=1) / math.sqrt(chains)
+    z = np.abs(var_mcmc - var_exact) / np.hypot(se_mcmc, se_exact)
+    assert float(z.max()) <= 4.0
+
+
 @st.composite
 def _mcmc_cases(draw):
     """(params, pot, bc, truncation): lattice chains with and without a lap
