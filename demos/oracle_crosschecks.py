@@ -7,12 +7,9 @@ the exact boundary density from three independent directions.
 
 import math
 
-import numpy as np
-
-from semiflex.confinement import TubeSpec, build_transfer, survival_probability
 from semiflex.gaussian import exact_boundary_density
 from semiflex.model import BoundaryConditions, GaussianPotential, ModelParams
-from semiflex.oracle import EnumerationSpec, enumerate_configs, mapped_boundary_density
+from semiflex.oracle import bridge_marginal_check, mapped_boundary_density, path_sum_check
 from semiflex.sampling import ChainSettings, sample_bridge_mcmc
 
 SUPPORT = (-1.0, 0.0, 1.0)
@@ -20,17 +17,11 @@ SUPPORT = (-1.0, 0.0, 1.0)
 
 def survival_check():
     print("transfer path sum vs enumeration, P(|phi_k| <= R for all k)")
-    pot = GaussianPotential(1.0)
     for n in (4, 5, 6):
         params = ModelParams(n, 1.0, float(n), height_mode="discrete")
-        op = build_transfer(params, pot, TubeSpec(1.3), support=SUPPORT)
-        spec = EnumerationSpec(params, pot, SUPPORT)
-        radius = op.radius
-        res = enumerate_configs(
-            spec, event=lambda h: np.max(np.abs(h[:, 1:n + 1]), axis=1) <= radius)
-        ps = survival_probability(op, n)
-        print(f"  N={n}: path sum {ps:.12f}, enumeration {res.probability:.12f}, "
-              f"diff {abs(ps - res.probability):.1e}")
+        ps, exact = path_sum_check(params, GaussianPotential(1.0), SUPPORT, 1.3)
+        print(f"  N={n}: path sum {ps:.12f}, enumeration {exact:.12f}, "
+              f"diff {abs(ps - exact):.1e}")
 
 
 def marginal_check():
@@ -41,16 +32,12 @@ def marginal_check():
                              n_chains=32)
     samples = sample_bridge_mcmc(params, pot, BoundaryConditions(0.0, 0.0, 0.0),
                                  settings, truncation=1.0)
-    spec = EnumerationSpec(params, pot, SUPPORT)
-    event = lambda h: (h[:, n] == 0.0) & (h[:, n + 1] == 0.0)
+    sites, values = (2, 3, 4), (-1.0, 0.0, 1.0)
+    check = bridge_marginal_check(samples, params, pot, SUPPORT, sites, values)
     print(f"MCMC site marginals vs enumeration, N={n}, zero bridge")
-    for j in (2, 3, 4):
-        for v in (-1.0, 0.0, 1.0):
-            res = enumerate_configs(
-                spec, event=event, statistic=lambda h: (h[:, j] == v).astype(float))
-            p_hat = float(np.mean(samples[:, j] == v))
-            print(f"  P(phi_{j} = {v:+.0f}): mcmc {p_hat:.4f}, "
-                  f"exact {res.conditional_mean:.4f}")
+    for j, sampled, exact in zip(sites, check.sampled, check.exact):
+        for v, p_hat, p in zip(values, sampled, exact):
+            print(f"  P(phi_{j} = {v:+.0f}): mcmc {p_hat:.4f}, exact {p:.4f}")
 
 
 def density_check():

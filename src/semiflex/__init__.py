@@ -77,9 +77,13 @@ from .confinement import (
 from .oracle import (
     EnumerationResult,
     EnumerationSpec,
+    MarginalCheck,
+    bridge_marginal_check,
+    cross_check_sweep,
     enumerate_configs,
     gaussian_functional_density,
     mapped_boundary_density,
+    path_sum_check,
 )
 
 __version__ = "0.1.0"

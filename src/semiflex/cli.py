@@ -48,6 +48,9 @@ _SCHEMA = {
     "output_dir": None,
 }
 
+_POTENTIAL_KEYS = {"gaussian": {"kappa"}, "power": {"kappa", "alpha"},
+                   "table": {"grid", "values"}}
+
 _DEFAULTS = {
     "model": {"n_sites": 100, "epsilon": 0.01, "macro_length": 1.0,
               "height_mode": "continuous"},
@@ -92,8 +95,12 @@ def _merge_config(args) -> dict:
                 cfg[key].update(sub)
             else:
                 cfg[key] = sub
-    if getattr(args, "seed", None) is not None:
-        cfg["sampler"]["seed"] = args.seed
+    # flags that override one config value, for the commands that define them
+    for flag, section, key in (("seed", "sampler", "seed"), ("n", "sampler", "n_samples"),
+                               ("burn_in", "sampler", "burn_in"), ("thin", "sampler", "thin"),
+                               ("grad_cut", "tube", "grad_cut")):
+        if getattr(args, flag, None) is not None:
+            cfg[section][key] = getattr(args, flag)
     if getattr(args, "out", None) is not None:
         cfg["output_dir"] = args.out
     return cfg
@@ -116,26 +123,20 @@ def _model(cfg: dict) -> ModelParams:
 def _potential(cfg: dict):
     p = dict(cfg["potential"])
     kind = p.pop("kind", "gaussian")
+    if kind not in _POTENTIAL_KEYS:
+        raise ValueError(f"unknown potential kind {kind!r}")
+    extras = set(p) - _POTENTIAL_KEYS[kind]
+    if extras:
+        raise ValueError(f"{kind} potential does not take {sorted(extras)}")
     if kind == "gaussian":
-        extras = set(p) - {"kappa"}
-        if extras:
-            raise ValueError(f"gaussian potential does not take {sorted(extras)}")
         return GaussianPotential(kappa=float(p.get("kappa", 1.0)))
     if kind == "power":
-        extras = set(p) - {"kappa", "alpha"}
-        if extras:
-            raise ValueError(f"power potential does not take {sorted(extras)}")
         return PowerLawPotential(kappa=float(p.get("kappa", 1.0)),
                                  alpha=float(p.get("alpha", 2.0)))
-    if kind == "table":
-        if "grid" not in p or "values" not in p:
-            raise ValueError("table potential needs grid and values")
-        extras = set(p) - {"grid", "values"}
-        if extras:
-            raise ValueError(f"table potential does not take {sorted(extras)}")
-        return TabulatedPotential(np.asarray(p["grid"], dtype=float),
-                                  np.asarray(p["values"], dtype=float))
-    raise ValueError(f"unknown potential kind {kind!r}")
+    if "grid" not in p or "values" not in p:
+        raise ValueError("table potential needs grid and values")
+    return TabulatedPotential(np.asarray(p["grid"], dtype=float),
+                              np.asarray(p["values"], dtype=float))
 
 
 def _boundary(cfg: dict) -> BoundaryConditions:
@@ -257,8 +258,6 @@ def _write_samples(cfg: dict, name: str, fmt: str, samples: np.ndarray,
 
 def _run_sample(args) -> int:
     cfg = _merge_config(args)
-    if args.n is not None:
-        cfg["sampler"]["n_samples"] = args.n
     cmd = {"name": "sample", "xi1": args.xi1, "fmt": args.fmt,
            "truncation": args.truncation}
     h = _config_hash(cfg, cmd)
@@ -272,17 +271,9 @@ def _run_sample(args) -> int:
 
 def _run_bridge(args) -> int:
     cfg = _merge_config(args)
-    if args.n is not None:
-        cfg["sampler"]["n_samples"] = args.n
-    for flag, key in (("xi_left", "xi_left"), ("xi_right", "xi_right"),
-                      ("endpoint", "endpoint")):
-        val = getattr(args, flag)
-        if val is not None:
-            cfg["boundary"][key] = val
-    if args.burn_in is not None:
-        cfg["sampler"]["burn_in"] = args.burn_in
-    if args.thin is not None:
-        cfg["sampler"]["thin"] = args.thin
+    for key in ("xi_left", "xi_right", "endpoint"):
+        if getattr(args, key) is not None:
+            cfg["boundary"][key] = getattr(args, key)
     cmd = {"name": "bridge", "method": args.method, "fmt": args.fmt,
            "truncation": args.truncation, "width": args.width}
     h = _config_hash(cfg, cmd)
@@ -300,8 +291,6 @@ def _run_bridge(args) -> int:
 
 def _run_theta_stats(args) -> int:
     cfg = _merge_config(args)
-    if args.n is not None:
-        cfg["sampler"]["n_samples"] = args.n
     times = _parse_floats(args.times)
     cmd = {"name": "theta-stats", "times": times, "method": args.method}
     h = _config_hash(cfg, cmd)
@@ -400,13 +389,16 @@ def _run_profile(args) -> int:
 
 def _run_confine(args) -> int:
     cfg = _merge_config(args)
-    if args.grad_cut is not None:
-        cfg["tube"]["grad_cut"] = args.grad_cut
     cmd = {"name": "confine", "rho_min": args.rho_min, "rho_max": args.rho_max,
            "rho_steps": args.rho_steps, "mesh": args.mesh}
     h = _config_hash(cfg, cmd)
     params, pot = _model(cfg), _potential(cfg)
-    rhos = np.geomspace(args.rho_min, args.rho_max, args.rho_steps)
+    try:
+        rhos = np.geomspace(args.rho_min, args.rho_max, args.rho_steps)
+        confinement._check_fit_rhos(rhos)
+    except ValueError as exc:
+        raise ValueError(f"{exc}; the exponent fit needs --rho-steps >= 5 and "
+                         "0 < --rho-min <= --rho-max / 10") from None
     rows = confinement.confinement_sweep(
         params, pot, rhos, grad_cut=cfg["tube"]["grad_cut"], mesh=args.mesh,
         workers=args.workers)
@@ -467,109 +459,13 @@ def _run_continuum_check(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# desk-scale oracle sweep
-
-def _oracle_report(n_max: int, seed: int, workers: int) -> tuple[list[dict], bool]:
-    checks: list[dict] = []
-
-    def record(name: str, measured: float, bound: float) -> None:
-        checks.append({"name": name, "measured": measured, "bound": bound,
-                       "passed": bool(measured <= bound)})
-
-    support = (-1.0, 0.0, 1.0)
-    zero_grid = np.linspace(-2.0, 2.0, 5)
-    pots = {"gaussian": GaussianPotential(kappa=1.0),
-            "zero": TabulatedPotential(zero_grid, np.zeros(5))}
-
-    for n in range(3, n_max + 1):
-        params = ModelParams(n_sites=n, epsilon=1.0, macro_length=float(n),
-                             height_mode="discrete")
-        for pname, pot in pots.items():
-            spec = oracle.EnumerationSpec(params, pot, support)
-            radius = 1.0
-            event = lambda hh: np.max(np.abs(hh[:, 1:n + 1]), axis=1) <= radius
-            res = oracle.enumerate_configs(spec, event=event)
-            s2 = sampling.build_increment_dist(pot, params, truncation=1.0).sigma2
-            op = confinement.build_transfer(
-                params, pot, confinement.TubeSpec(rho=(radius + 0.5) / math.sqrt(s2 * n)),
-                support=support)
-            p_dp = confinement.survival_probability(op, n)
-            rel = abs(p_dp - res.probability) / res.probability
-            record(f"transfer_vs_enumeration_{pname}_n{n}", rel, 1e-12)
-
-    # iid partial-sum identities: Var X_N, Cov(X,Y), Var Y_N from enumeration
-    n = n_max
-    params = ModelParams(n_sites=n, epsilon=1.0, macro_length=float(n),
-                         height_mode="discrete")
-    pot = pots["gaussian"]
-    spec = oracle.EnumerationSpec(params, pot, support)
-    dist = sampling.build_increment_dist(pot, params, truncation=1.0)
-    var_x, cov_xy, var_y = gaussian.xy_moments(n, n, dist.sigma2)
-    ex2 = oracle.enumerate_configs(
-        spec, statistic=lambda hh: _stat_x(hh, n) ** 2).conditional_mean
-    exy = oracle.enumerate_configs(
-        spec, statistic=lambda hh: _stat_x(hh, n) * _stat_y(hh, n)).conditional_mean
-    ey2 = oracle.enumerate_configs(
-        spec, statistic=lambda hh: _stat_y(hh, n) ** 2).conditional_mean
-    record(f"moment_var_x_n{n}", abs(ex2 - var_x) / var_x, 1e-12)
-    record(f"moment_cov_xy_n{n}", abs(exy - cov_xy) / cov_xy, 1e-12)
-    record(f"moment_var_y_n{n}", abs(ey2 - var_y) / var_y, 1e-12)
-
-    # free sampler against enumeration, mean and variance of the far endpoint
-    settings = sampling.ChainSettings(seed=seed, n_samples=20_000)
-    samples = sampling.sample_free(params, dist, 0.0, settings)
-    end = samples[:, n + 1]
-    e_end = oracle.enumerate_configs(
-        spec, statistic=lambda hh: hh[:, n + 1]).conditional_mean
-    v_end = oracle.enumerate_configs(
-        spec, statistic=lambda hh: hh[:, n + 1] ** 2).conditional_mean - e_end ** 2
-    se = math.sqrt(v_end / len(end))
-    record(f"free_sampler_mean_n{n}", abs(float(end.mean()) - e_end), 5.0 * se)
-    record(f"free_sampler_var_n{n}",
-           abs(float(end.var(ddof=1)) - v_end) / v_end, 0.05)
-
-    # bridge MCMC marginal against conditioned enumeration
-    bc = BoundaryConditions(0.0, 0.0, 0.0)
-    bridge_event = lambda hh: (hh[:, n + 1] == 0.0) & (hh[:, n] == 0.0)
-    p_mid = oracle.enumerate_configs(
-        spec, event=bridge_event,
-        statistic=lambda hh: (hh[:, (n + 1) // 2] == 0.0).astype(float),
-    ).conditional_mean
-    mc_settings = sampling.ChainSettings(seed=seed, n_samples=4000,
-                                         burn_in=500, thin=2)
-    mc = sampling.sample_bridge_mcmc(params, pot, bc, mc_settings,
-                                     workers=workers, truncation=1.0)
-    p_hat = float(np.mean(mc[:, (n + 1) // 2] == 0.0))
-    record(f"mcmc_bridge_marginal_n{n}", abs(p_hat - p_mid), 0.03)
-
-    # bivariate endpoint density integrates to one
-    s2g = 1.0
-    grid = np.linspace(-40.0, 40.0, 401)
-    xx, yy = np.meshgrid(grid, grid, indexing="ij")
-    dens = oracle.gaussian_functional_density(8, s2g, xx, yy)
-    total = float(np.trapezoid(np.trapezoid(dens, grid, axis=1), grid))
-    record("functional_density_normalization", abs(total - 1.0), 1e-6)
-
-    return checks, all(c["passed"] for c in checks)
-
-
-def _stat_x(heights: np.ndarray, n: int) -> np.ndarray:
-    # X_N = (xi_{N+1} - xi_1)/eps at eps = 1 with xi_1 = 0
-    return heights[:, n + 1] - heights[:, n]
-
-
-def _stat_y(heights: np.ndarray, n: int) -> np.ndarray:
-    # Y_N = phi_{N+1}/(eps (N+1)) at eps = 1 with xi_1 = 0
-    return heights[:, n + 1] / (n + 1)
-
-
 def _run_oracle_check(args) -> int:
     cfg = _merge_config(args)
     cmd = {"name": "oracle-check", "n_max": args.n_max}
     h = _config_hash(cfg, cmd)
     seed = int(cfg["sampler"]["seed"])
-    checks, passed = _oracle_report(args.n_max, seed, args.workers)
+    checks = oracle.cross_check_sweep(args.n_max, seed, args.workers)
+    passed = all(c["passed"] for c in checks)
     payload = {"config_hash": h, "seed": seed, "n_max": args.n_max,
                "all_passed": passed, "checks": checks}
     _write_json(_out_path(cfg, "oracle_check.json"), payload)
@@ -593,23 +489,23 @@ def build_parser() -> argparse.ArgumentParser:
                     "confinement.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, helptext, func):
+        p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, help="RNG seed (unsigned 64-bit)")
         p.add_argument("--workers", type=_positive_int, default=1,
                        help="processes for MCMC chain blocks and confine points")
         p.add_argument("--out", help="output directory")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("sample", help="free-measure sampler")
-    common(p)
+    p = command("sample", "free-measure sampler", _run_sample)
     p.add_argument("--n", type=int, help="number of samples")
     p.add_argument("--xi1", type=float, default=0.0, help="first gradient")
     p.add_argument("--truncation", type=float, help="increment truncation")
     p.add_argument("--fmt", choices=("csv", "bin"), default="csv")
-    p.set_defaults(func=_run_sample)
 
-    p = sub.add_parser("bridge", help="boundary-pinned sampler")
-    common(p)
+    p = command("bridge", "boundary-pinned sampler", _run_bridge)
     p.add_argument("--n", type=int, help="number of samples")
     p.add_argument("--method", choices=("exact", "mcmc"), default="exact")
     p.add_argument("--xi-left", dest="xi_left", type=float)
@@ -620,69 +516,50 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truncation", type=float)
     p.add_argument("--width", type=float, help="MCMC proposal width")
     p.add_argument("--fmt", choices=("csv", "bin"), default="csv")
-    p.set_defaults(func=_run_bridge)
 
-    p = sub.add_parser("theta-stats", help="rescaled bridge statistics")
-    common(p)
+    p = command("theta-stats", "rescaled bridge statistics", _run_theta_stats)
     p.add_argument("--n", type=int, help="number of samples")
     p.add_argument("--times", default="0.25,0.5,0.75",
                    help="comma-separated grid in (0,1)")
     p.add_argument("--method", choices=("exact", "mcmc"), default="exact")
-    p.set_defaults(func=_run_theta_stats)
 
-    p = sub.add_parser("qmatrix", help="limit covariance matrix on a grid")
-    common(p)
+    p = command("qmatrix", "limit covariance matrix on a grid", _run_qmatrix)
     p.add_argument("--times", required=True,
                    help="comma-separated grid in (0,1)")
-    p.set_defaults(func=_run_qmatrix)
 
-    p = sub.add_parser("exact-gauss", help="exact Gaussian endpoint density")
-    common(p)
+    p = command("exact-gauss", "exact Gaussian endpoint density", _run_exact_gauss)
     p.add_argument("--xi-left", dest="xi_left", type=float, default=0.0)
     p.add_argument("--xi-right", dest="xi_right", type=float, default=0.0)
-    p.set_defaults(func=_run_exact_gauss)
 
-    p = sub.add_parser("tilts", help="solve the boundary tilt equations")
-    common(p)
+    p = command("tilts", "solve the boundary tilt equations", _run_tilts)
     p.add_argument("--xi-left", dest="xi_left", type=float, default=0.0)
     p.add_argument("--xi-right", dest="xi_right", type=float, default=0.0)
     p.add_argument("--slope", type=float, default=0.0)
-    p.set_defaults(func=_run_tilts)
 
-    p = sub.add_parser("profile", help="conditioned mean profile")
-    common(p)
+    p = command("profile", "conditioned mean profile", _run_profile)
     p.add_argument("--xi-left", dest="xi_left", type=float, default=0.0)
     p.add_argument("--xi-right", dest="xi_right", type=float, default=0.0)
     p.add_argument("--slope", type=float, default=0.0)
     p.add_argument("--points", type=int, default=101)
-    p.set_defaults(func=_run_profile)
 
-    p = sub.add_parser("confine", help="tube free-energy sweep")
-    common(p)
+    p = command("confine", "tube free-energy sweep", _run_confine)
     p.add_argument("--rho-min", dest="rho_min", type=float, default=0.02)
     p.add_argument("--rho-max", dest="rho_max", type=float, default=0.2)
     p.add_argument("--rho-steps", dest="rho_steps", type=int, default=8)
     p.add_argument("--grad-cut", dest="grad_cut", type=float)
     p.add_argument("--mesh", type=float)
     p.add_argument("--svg", action="store_true", help="emit a log-log plot")
-    p.set_defaults(func=_run_confine)
 
-    p = sub.add_parser("exponent-fit", help="fit log F against log rho")
-    common(p)
+    p = command("exponent-fit", "fit log F against log rho", _run_exponent_fit)
     p.add_argument("--data", required=True, help="CSV with rho and F columns")
-    p.set_defaults(func=_run_exponent_fit)
 
-    p = sub.add_parser("oracle-check", help="desk-scale validation sweep")
-    common(p)
+    p = command("oracle-check", "desk-scale validation sweep", _run_oracle_check)
     p.add_argument("--n-max", dest="n_max", type=int, default=6)
-    p.set_defaults(func=_run_oracle_check)
 
-    p = sub.add_parser("continuum-check", help="lattice energy vs integral")
-    common(p)
+    p = command("continuum-check", "lattice energy vs integral", _run_continuum_check)
     p.add_argument("--shape", choices=("square", "cubic"), default="square")
     p.add_argument("--eps", default="0.1,0.05,0.025,0.0125",
                    help="comma-separated lattice spacings")
-    p.set_defaults(func=_run_continuum_check)
 
     return parser
 

@@ -383,6 +383,16 @@ class FitResult(NamedTuple):
     r_squared: float
 
 
+def _check_fit_rhos(r: np.ndarray) -> None:
+    """The fit's demands on its rho points, checkable before a sweep is solved."""
+    if r.size < 5:
+        raise ValueError("need at least 5 points for the exponent fit")
+    if not np.all(r > 0):
+        raise ValueError("exponent fit needs positive rho values")
+    if r.max() / r.min() < 10.0 * (1.0 - 1e-12):
+        raise ValueError("rho values must span at least one decade")
+
+
 def exponent_fit(rhos: Sequence[float], fs: Sequence[float]) -> FitResult:
     """Least-squares slope of log F against log rho.
 
@@ -393,12 +403,9 @@ def exponent_fit(rhos: Sequence[float], fs: Sequence[float]) -> FitResult:
     f = np.asarray(fs, dtype=float)
     if r.shape != f.shape or r.ndim != 1:
         raise ValueError("rhos and fs must be 1d and the same length")
-    if r.size < 5:
-        raise ValueError("need at least 5 points for the exponent fit")
-    if not (np.all(r > 0) and np.all(f > 0)):
-        raise ValueError("exponent fit needs positive rho and F values")
-    if r.max() / r.min() < 10.0 * (1.0 - 1e-12):
-        raise ValueError("rho values must span at least one decade")
+    _check_fit_rhos(r)
+    if not np.all(f > 0):
+        raise ValueError("exponent fit needs positive F values")
     x, y = np.log(r), np.log(f)
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)

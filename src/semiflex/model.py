@@ -149,6 +149,19 @@ _STEP_CUTOFF = 1e-18
 _STEP_LIMIT = 10_000_000
 
 
+def _table_edge(pot: TabulatedPotential, eps: float) -> float:
+    """Largest x >= 0 whose argument x / eps lies on the table's grid: a step
+    or lap x is weighed at Phi(x / eps), and as x / eps rounds monotonically,
+    |x| <= edge holds exactly when x / eps is on the grid."""
+    g = min(-float(pot.grid[0]), float(pot.grid[-1]))
+    x = g * eps
+    while x / eps > g:
+        x = math.nextafter(x, 0.0)
+    while math.nextafter(x, math.inf) / eps <= g:
+        x = math.nextafter(x, math.inf)
+    return x
+
+
 def _step_weights(pot: Potential, eps: float, delta: float = 1.0,
                   support=None) -> tuple[np.ndarray, np.ndarray]:
     """Sorted integer offsets d and raw weights exp(-eps * Phi(d*delta/eps)) of
@@ -175,8 +188,11 @@ def _step_weights(pot: Potential, eps: float, delta: float = 1.0,
 
     d_hi = _STEP_LIMIT
     if isinstance(pot, TabulatedPotential):
-        # a table is only defined on its grid
-        d_hi = min(d_hi, int(math.floor(min(-pot.grid[0], pot.grid[-1]) * eps / delta + 1e-12)))
+        # keep d only while its argument d*delta/eps is on the table's grid
+        edge = _table_edge(pot, eps)
+        d_hi = int(math.floor(min(-pot.grid[0], pot.grid[-1]) * eps / delta + 1e-12))
+        while d_hi * delta > edge:
+            d_hi -= 1
     cut = _STEP_CUTOFF * weights(np.zeros(1))[0]
     d_max = 0
     while d_max < d_hi and weights(np.array([d_max + 1, -d_max - 1])).max() >= cut:

@@ -1,9 +1,14 @@
-"""Brute-force reference implementations at desk scale.
+"""Brute-force references at desk scale, and the one place where the fast
+paths are checked against them.
 
-Everything here is deliberately independent of the fast paths: partition sums
-by exhaustive enumeration over increment tuples with compensated summation,
-and the bivariate normal endpoint density evaluated straight from the exact
-walk/area covariance.  Production modules are validated against these.
+The reference is deliberately independent of the fast paths:
+`enumerate_configs` (with `_heights_from_laps`) sums over every increment
+tuple with compensated summation, using only `model`'s parameters and
+potentials, and `gaussian_functional_density` / `mapped_boundary_density`
+evaluate the endpoint density straight from the walk/area covariance.
+`path_sum_check`, `bridge_marginal_check` and the `oracle-check` sweep
+`cross_check_sweep` run a fast path and the reference on the same event;
+only they call into `confinement` and `sampling`.
 """
 
 from __future__ import annotations
@@ -11,18 +16,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .model import ModelParams, Potential
+from . import confinement, gaussian, sampling
+from .model import (BoundaryConditions, GaussianPotential, ModelParams, Potential,
+                    TabulatedPotential)
 
 __all__ = [
     "EnumerationSpec",
     "EnumerationResult",
+    "MarginalCheck",
     "enumerate_configs",
     "gaussian_functional_density",
     "mapped_boundary_density",
+    "path_sum_check",
+    "bridge_marginal_check",
+    "cross_check_sweep",
 ]
 
 _MAX_TUPLES = 100_000_000
@@ -51,7 +62,8 @@ class EnumerationSpec:
 class EnumerationResult(NamedTuple):
     z: float                  # restricted-to-support partition sum
     probability: float        # weight fraction on the event (1.0 if no event)
-    conditional_mean: float   # E[statistic | event] (nan if no statistic or empty event)
+    # E[statistic | event] (nan if no statistic or empty event), k of them for k columns
+    conditional_mean: float | np.ndarray
 
 
 def _heights_from_laps(laps: np.ndarray, spec: EnumerationSpec) -> np.ndarray:
@@ -61,7 +73,6 @@ def _heights_from_laps(laps: np.ndarray, spec: EnumerationSpec) -> np.ndarray:
     rebuild heights through that kernel, so it keeps its own two cumsums as
     an independent reference.
     """
-    eps = spec.params.epsilon
     m, n = laps.shape
     xi = np.empty((m, n + 1))
     xi[:, 0] = spec.xi1
@@ -80,9 +91,11 @@ def enumerate_configs(
 ) -> EnumerationResult:
     """Exact sums over every increment tuple.
 
-    `event` and `statistic` receive a (chunk, N+2) height matrix and must return
-    a boolean / float vector per row.  Sums are accumulated with math.fsum so
-    the result does not depend on chunking.
+    `event` and `statistic` receive a (chunk, N+2) height matrix.  `event`
+    returns a boolean per row; `statistic` a float per row, or a (rows, k)
+    matrix for k statistics from one pass, each column summed exactly as a
+    scalar statistic would be.  Sums are accumulated with math.fsum so the
+    result does not depend on chunking.
     """
     n = spec.params.n_sites
     eps = spec.params.epsilon
@@ -90,6 +103,7 @@ def enumerate_configs(
     k = support.size
 
     z_parts, ev_parts, st_parts = [], [], []
+    vector = False
     # enumerate lap tuples in lexicographic chunks
     total = k ** n
     n_outer = max(1, math.ceil(total / _CHUNK))
@@ -116,15 +130,18 @@ def enumerate_configs(
                 mask = slice(None)
             if statistic is not None:
                 vals = np.asarray(statistic(phi), dtype=float)
-                st_parts.append(math.fsum((weights[mask] * vals[mask]).tolist()))
+                vector = vals.ndim == 2
+                kept = vals[mask] if vector else vals[mask][:, None]
+                st_parts.append([math.fsum(col) for col in
+                                 (weights[mask][:, None] * kept).T.tolist()])
 
     z = math.fsum(z_parts)
     if z <= 0:
         raise ValueError("partition sum vanished; weights degenerate")
     ev = math.fsum(ev_parts) if ev_parts else z
-    st = math.fsum(st_parts) if st_parts else math.nan
     prob = ev / z
-    cond_mean = st / ev if (st_parts and ev > 0) else math.nan
+    means = [math.fsum(col) / ev if ev > 0 else math.nan for col in zip(*st_parts)]
+    cond_mean = np.array(means) if vector else (means[0] if means else math.nan)
     return EnumerationResult(z=z, probability=prob, conditional_mean=cond_mean)
 
 
@@ -177,3 +194,111 @@ def mapped_boundary_density(n_sites: int, kappa: float, c: float,
     y = -xi_left / eps
     dens = gaussian_functional_density(n, sigma2, x, y)
     return dens / (eps * eps * (n + 1))
+
+
+# ---------------------------------------------------------------------------
+# the fast paths against the reference
+
+def path_sum_check(params: ModelParams, pot: Potential, support: Sequence[float],
+                   rho: float) -> tuple[float, float]:
+    """P(|phi_k| <= R for k = 1..N) on the lattice law restricted to
+    `support`, as (transfer-operator path sum, enumeration), for a tube of
+    width rho; enumeration takes R from the operator's radius."""
+    n = params.n_sites
+    op = confinement.build_transfer(params, pot, confinement.TubeSpec(rho), support=support)
+    res = enumerate_configs(EnumerationSpec(params, pot, tuple(support)),
+                            event=lambda h: np.max(np.abs(h[:, 1:n + 1]), axis=1) <= op.radius)
+    return confinement.survival_probability(op, n), res.probability
+
+
+class MarginalCheck(NamedTuple):
+    sampled: np.ndarray     # (sites, values) frequencies of phi_j = v
+    exact: np.ndarray       # the same P(phi_j = v | zero bridge) by enumeration
+    error: np.ndarray       # |sampled - exact|
+
+
+def bridge_marginal_check(samples: np.ndarray, params: ModelParams, pot: Potential,
+                          support: Sequence[float], sites: Sequence[int],
+                          values: Sequence[float]) -> MarginalCheck:
+    """Site marginals of zero-bridge samples (heights rows, phi_N = phi_{N+1}
+    = 0) against the enumerated law conditioned on that bridge, for every
+    site j in `sites` and value v in `values`, from one enumeration."""
+    n = params.n_sites
+    sites, values = list(sites), np.asarray(values, dtype=float)
+    res = enumerate_configs(
+        EnumerationSpec(params, pot, tuple(support)),
+        event=lambda h: (h[:, n] == 0.0) & (h[:, n + 1] == 0.0),
+        statistic=lambda h: (h[:, sites, None] == values).reshape(len(h), -1).astype(float))
+    exact = res.conditional_mean.reshape(len(sites), values.size)
+    sampled = (samples[:, sites, None] == values).mean(axis=0)
+    return MarginalCheck(sampled, exact, np.abs(sampled - exact))
+
+
+def cross_check_sweep(n_max: int, seed: int, workers: int = 1) -> list[dict]:
+    """Every fast path against the reference at N <= n_max (3..8), on
+    increments in {-1, 0, 1}: transfer path sums, the walk/area moments, the
+    free sampler's endpoint, one bridge MCMC marginal, and the endpoint
+    density's normalization.  Returns one {name, measured, bound, passed}
+    record per check."""
+    if not 3 <= n_max <= 8:
+        raise ValueError(f"n_max must lie in 3..8, got {n_max}")
+    checks: list[dict] = []
+
+    def record(name: str, measured: float, bound: float) -> None:
+        checks.append({"name": name, "measured": measured, "bound": bound,
+                       "passed": bool(measured <= bound)})
+
+    support = (-1.0, 0.0, 1.0)
+    pots = {"gaussian": GaussianPotential(kappa=1.0),
+            "zero": TabulatedPotential(np.linspace(-2.0, 2.0, 5), np.zeros(5))}
+
+    for n in range(3, n_max + 1):
+        params = ModelParams(n, 1.0, float(n), height_mode="discrete")
+        for pname, pot in pots.items():
+            # a tube of radius 1 on the lattice
+            s2 = sampling.build_increment_dist(pot, params, truncation=1.0).sigma2
+            path_sum, exact = path_sum_check(params, pot, support, 1.5 / math.sqrt(s2 * n))
+            record(f"transfer_vs_enumeration_{pname}_n{n}",
+                   abs(path_sum - exact) / exact, 1e-12)
+
+    # iid partial-sum identities: Var X_N, Cov(X,Y), Var Y_N from enumeration,
+    # with X_N = (xi_{N+1} - xi_1)/eps and Y_N = phi_{N+1}/(eps (N+1)) at eps = 1
+    # and xi_1 = 0; then the free sampler's far endpoint, mean and variance
+    n = n_max
+    params = ModelParams(n, 1.0, float(n), height_mode="discrete")
+    pot = pots["gaussian"]
+    dist = sampling.build_increment_dist(pot, params, truncation=1.0)
+    var_x, cov_xy, var_y = gaussian.xy_moments(n, n, dist.sigma2)
+
+    def moments(hh):
+        x, y = hh[:, n + 1] - hh[:, n], hh[:, n + 1] / (n + 1)
+        end = hh[:, n + 1]
+        return np.stack((x ** 2, x * y, y ** 2, end, end ** 2), axis=1)
+
+    ex2, exy, ey2, e_end, e_end2 = enumerate_configs(
+        EnumerationSpec(params, pot, support), statistic=moments).conditional_mean.tolist()
+    record(f"moment_var_x_n{n}", abs(ex2 - var_x) / var_x, 1e-12)
+    record(f"moment_cov_xy_n{n}", abs(exy - cov_xy) / cov_xy, 1e-12)
+    record(f"moment_var_y_n{n}", abs(ey2 - var_y) / var_y, 1e-12)
+
+    settings = sampling.ChainSettings(seed=seed, n_samples=20_000)
+    end = sampling.sample_free(params, dist, 0.0, settings)[:, n + 1]
+    v_end = e_end2 - e_end ** 2
+    record(f"free_sampler_mean_n{n}", abs(float(end.mean()) - e_end),
+           5.0 * math.sqrt(v_end / len(end)))
+    record(f"free_sampler_var_n{n}", abs(float(end.var(ddof=1)) - v_end) / v_end, 0.05)
+
+    # bridge MCMC marginal against conditioned enumeration
+    mc_settings = sampling.ChainSettings(seed=seed, n_samples=4000, burn_in=500, thin=2)
+    mc = sampling.sample_bridge_mcmc(params, pot, BoundaryConditions(0.0, 0.0, 0.0),
+                                     mc_settings, workers=workers, truncation=1.0)
+    check = bridge_marginal_check(mc, params, pot, support, [(n + 1) // 2], [0.0])
+    record(f"mcmc_bridge_marginal_n{n}", float(check.error[0, 0]), 0.03)
+
+    # bivariate endpoint density integrates to one
+    grid = np.linspace(-40.0, 40.0, 401)
+    xx, yy = np.meshgrid(grid, grid, indexing="ij")
+    dens = gaussian_functional_density(8, 1.0, xx, yy)
+    total = float(np.trapezoid(np.trapezoid(dens, grid, axis=1), grid))
+    record("functional_density_normalization", abs(total - 1.0), 1e-6)
+    return checks

@@ -46,6 +46,7 @@ from .model import (
     _laps,
     _lattice_law,
     _step_weights,
+    _table_edge,
     _walk_area,
     map_boundary,
 )
@@ -323,12 +324,8 @@ def _mcmc_block(params, pot, bc, settings, truncation, width, n_per_chain, job):
     lap_bound = None
     if truncation is not None:
         lap_bound = truncation * eps + 1e-9  # |lap| <= M * eps
-    if isinstance(pot, TabulatedPotential):
-        # a table is only defined on its grid: the largest |lap| with |lap / eps| on it
-        edge = float(pot.grid[-1]) * eps
-        while edge / eps > pot.grid[-1]:
-            edge = math.nextafter(edge, 0.0)
-        lap_bound = edge if lap_bound is None else min(lap_bound, edge)
+    if isinstance(pot, TabulatedPotential):  # a table is only defined on its grid
+        lap_bound = min(lap_bound or math.inf, _table_edge(pot, eps))
     if lap_bound is not None and np.any(np.abs(laps) > lap_bound):
         raise ValueError("initial configuration violates the truncation cut "
                          "(or the tabulated potential's grid)")

@@ -14,13 +14,7 @@ import time
 import numpy as np
 
 from semiflex.cli import main
-from semiflex.confinement import (
-    TubeSpec,
-    build_transfer,
-    confinement_sweep,
-    exponent_fit,
-    survival_probability,
-)
+from semiflex.confinement import confinement_sweep, exponent_fit
 from semiflex.gaussian import exact_boundary_density, sigma2_increment, theta_cov
 from semiflex.ldp import (
     limit_log_mgf,
@@ -38,7 +32,11 @@ from semiflex.model import (
     TabulatedPotential,
     continuum_energy_check,
 )
-from semiflex.oracle import EnumerationSpec, enumerate_configs, mapped_boundary_density
+from semiflex.oracle import (
+    bridge_marginal_check,
+    mapped_boundary_density,
+    path_sum_check,
+)
 from semiflex.sampling import (
     ChainSettings,
     build_increment_dist,
@@ -201,25 +199,14 @@ def test_criterion_08_oracle_equivalence():
     support = (-1.0, 0.0, 1.0)
     pots = (GaussianPotential(1.0),
             TabulatedPotential(np.array(support), np.zeros(3)))
-    worst_path = 0.0
-    for n in range(2, 7):
-        params = ModelParams(n, 1.0, float(n), height_mode="discrete")
-        for pot in pots:
-            spec = EnumerationSpec(params, pot, support)
-            for rho in (0.7, 1.3):
-                op = build_transfer(params, pot, TubeSpec(rho), support=support)
-                radius = op.radius
-                res = enumerate_configs(
-                    spec,
-                    event=lambda h: np.max(np.abs(h[:, 1:n + 1]), axis=1) <= radius)
-                worst_path = max(worst_path,
-                                 abs(survival_probability(op, n) - res.probability))
-
     bc = BoundaryConditions(0.0, 0.0, 0.0)
-    worst_marg = 0.0
+    worst_path = worst_marg = 0.0
     for n in range(2, 7):
         params = ModelParams(n, 1.0, float(n), height_mode="discrete")
         for pot in pots:
+            for rho in (0.7, 1.3):
+                path_sum, enumerated = path_sum_check(params, pot, support, rho)
+                worst_path = max(worst_path, abs(path_sum - enumerated))
             settings = ChainSettings(seed=7, n_samples=480_000, burn_in=501, thin=2,
                                      n_chains=64)
             samples = sample_bridge_mcmc(params, pot, bc, settings, truncation=1.0)
@@ -227,15 +214,9 @@ def test_criterion_08_oracle_equivalence():
                 # every height is pinned by the boundary, nothing free to compare
                 assert np.all(samples == 0.0)
                 continue
-            spec = EnumerationSpec(params, pot, support)
-            event = lambda h: (h[:, n] == 0.0) & (h[:, n + 1] == 0.0)
-            for j in range(2, n):
-                for v in range(-3, 4):
-                    res = enumerate_configs(
-                        spec, event=event,
-                        statistic=lambda h: (h[:, j] == float(v)).astype(float))
-                    p_hat = float(np.mean(samples[:, j] == float(v)))
-                    worst_marg = max(worst_marg, abs(p_hat - res.conditional_mean))
+            check = bridge_marginal_check(samples, params, pot, support,
+                                          range(2, n), range(-3, 4))
+            worst_marg = max(worst_marg, float(check.error.max()))
     ok = worst_path <= 1e-12 and worst_marg <= 0.01
     _report(8, ok, f"transfer path sum vs enumeration off by {worst_path:.1e} "
                    f"(limit 1e-12); worst MCMC marginal error {worst_marg:.4f} "

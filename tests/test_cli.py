@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from semiflex import confinement
+from semiflex import confinement, oracle
 from semiflex.cli import main
 from semiflex.gaussian import exact_boundary_density, q_matrix
 from semiflex.model import continuum_energy_check
@@ -296,6 +296,23 @@ def test_confine_default_config_fails_before_solving(tmp_path, capsys, monkeypat
     assert not (tmp_path / "confine.csv").exists()
 
 
+@pytest.mark.parametrize("flags, reason", [
+    (["--rho-min", "0.05", "--rho-max", "0.1"], "span at least one decade"),
+    (["--rho-steps", "4"], "at least 5 points"),
+])
+def test_confine_unfittable_sweep_fails_before_solving(tmp_path, capsys, monkeypatch,
+                                                       flags, reason):
+    # the exponent fit would refuse these rho points, so no operator is sized
+    calls = []
+    monkeypatch.setattr(confinement, "confinement_sweep", lambda *a, **k: calls.append(a))
+    assert main(["confine", *flags, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert reason in err
+    assert all(flag in err for flag in ("--rho-steps", "--rho-min", "--rho-max"))
+    assert calls == []
+    assert not (tmp_path / "confine.csv").exists()
+
+
 def test_exponent_fit_plain_columns(tmp_path):
     rhos = np.geomspace(0.1, 1.0, 6)
     path = tmp_path / "data.csv"
@@ -337,8 +354,26 @@ def test_oracle_check_passes(tmp_path):
     data = json.loads((tmp_path / "oracle_check.json").read_text())
     assert data["all_passed"] is True
     assert data["n_max"] == 4
-    assert len(data["checks"]) >= 10
+    assert [check["name"] for check in data["checks"]] == [
+        "transfer_vs_enumeration_gaussian_n3", "transfer_vs_enumeration_zero_n3",
+        "transfer_vs_enumeration_gaussian_n4", "transfer_vs_enumeration_zero_n4",
+        "moment_var_x_n4", "moment_cov_xy_n4", "moment_var_y_n4",
+        "free_sampler_mean_n4", "free_sampler_var_n4", "mcmc_bridge_marginal_n4",
+        "functional_density_normalization",
+    ]
     for check in data["checks"]:
         assert {"name", "measured", "bound", "passed"} <= set(check)
         assert check["passed"] is True
         assert check["measured"] <= check["bound"]
+
+
+@pytest.mark.parametrize("n_max", ["2", "9"])
+def test_oracle_check_rejects_n_max_outside_its_range(tmp_path, capsys, monkeypatch, n_max):
+    # below 3 nothing is left to check, above 8 enumeration is capped: both
+    # fail before any check runs
+    calls = []
+    monkeypatch.setattr(oracle, "enumerate_configs", lambda *a, **k: calls.append(a))
+    assert main(["oracle-check", "--n-max", n_max, "--out", str(tmp_path)]) == 1
+    assert "3..8" in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "oracle_check.json").exists()

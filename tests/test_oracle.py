@@ -79,16 +79,25 @@ def test_enumeration_against_plain_loop():
 
 
 def test_enumeration_chunking_invariance(monkeypatch):
-    # tiny chunks force the outer/inner split; sums must not move
+    # tiny chunks force the outer/inner split; sums must not move.  A (rows, k)
+    # statistic gives, from one pass, what k scalar calls give, bit for bit
     spec = EnumerationSpec(_params(5), GaussianPotential(1.0), support=(-1.0, 0.0, 1.0))
     event = lambda phi: np.abs(phi[:, 3]) <= 1.0
-    stat = lambda phi: phi[:, 2] ** 2
-    base = enumerate_configs(spec, event=event, statistic=stat)
+    stats = [lambda phi: phi[:, 2] ** 2, lambda phi: phi[:, 4] / 3.0,
+             lambda phi: (phi[:, 5] == 1.0).astype(float)]
+    both = lambda phi: np.stack([f(phi) for f in stats], axis=1)
+
+    def run():
+        scalar = [enumerate_configs(spec, event=event, statistic=f) for f in stats]
+        return scalar, enumerate_configs(spec, event=event, statistic=both)
+
+    base, base_vec = run()
     monkeypatch.setattr(oracle_mod, "_CHUNK", 7)
-    small = enumerate_configs(spec, event=event, statistic=stat)
-    assert small.z == base.z
-    assert small.probability == base.probability
-    assert small.conditional_mean == base.conditional_mean
+    small, small_vec = run()
+    assert small == base
+    for vec in (base_vec, small_vec):
+        assert (vec.z, vec.probability) == (base[0].z, base[0].probability)
+        assert vec.conditional_mean.tolist() == [r.conditional_mean for r in base]
 
 
 def test_enumeration_xi1_offset():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from semiflex import sampling
+from semiflex.confinement import TubeSpec, build_transfer
 from semiflex.gaussian import theta_cov, xy_moments
 from semiflex.model import (
     BoundaryConditions,
@@ -61,6 +62,21 @@ def test_discrete_table_law_stops_at_the_grid():
     assert_allclose(dist.probs, [1.0 / 3.0] * 3, rtol=0, atol=0)
     assert dist.sigma2 == 2.0 / 3.0
     assert dist.truncation == 1.0
+
+
+def test_table_cut_keeps_only_offsets_evaluated_on_the_grid():
+    # 30 * 0.7 rounds to 21.0, but 21 / 0.7 = 30.000000000000004 lies past the
+    # grid, so the lattice law, the transfer taps and the MCMC lap cut all
+    # stop at 20
+    pot = TabulatedPotential(np.array([-30.0, 0.0, 30.0]), np.array([1.0, 0.0, 1.0]))
+    params = ModelParams(n_sites=10, epsilon=0.7, macro_length=7.0, height_mode="discrete")
+    dist = build_increment_dist(pot, params)
+    assert dist.truncation == 20 / 0.7
+    op = build_transfer(params, pot, TubeSpec(1.0))
+    assert op.tap_offsets.tolist() == list(range(-20, 21))
+    settings = ChainSettings(seed=1, n_samples=64, burn_in=20, n_chains=8)
+    laps = _laps(sample_bridge_mcmc(params, pot, ZERO_BC, settings))
+    assert np.abs(laps).max() <= 20.0
 
 
 def test_exact_bridge_pins_boundary():
