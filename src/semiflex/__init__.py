@@ -53,7 +53,6 @@ from .ldp import (
     l_infinity,
     ld_rate,
     limit_log_mgf,
-    log_mgf,
     macro_boundary,
     mean_profile,
     sharp_ld_probability,

@@ -44,7 +44,7 @@ _SCHEMA = {
     "potential": {"kind", "kappa", "alpha", "grid", "values"},
     "boundary": {"xi_left", "xi_right", "endpoint"},
     "sampler": {"seed", "n_samples", "burn_in", "thin", "n_chains"},
-    "tube": {"rho", "grad_cut"},
+    "tube": {"grad_cut"},
     "output_dir": None,
 }
 
@@ -58,7 +58,7 @@ _DEFAULTS = {
     "boundary": {"xi_left": 0.0, "xi_right": 0.0, "endpoint": 0.0},
     "sampler": {"seed": 0, "n_samples": 10_000, "burn_in": 0, "thin": 1,
                 "n_chains": None},
-    "tube": {"rho": 0.1, "grad_cut": None},
+    "tube": {"grad_cut": None},
     "output_dir": ".",
 }
 

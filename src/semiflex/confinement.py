@@ -230,7 +230,6 @@ def build_transfer(
     *,
     support: Sequence[float] | None = None,
     mesh: float | None = None,
-    state_cap: int = _STATE_CAP,
 ) -> TransferOperator:
     """Assemble the tube-restricted transfer operator.
 
@@ -241,7 +240,7 @@ def build_transfer(
     """
     delta, offs, wts, sigma2 = _step_grid(params, pot, support, mesh)
     radius, grad_cut, grad_scale, n_h, n_g = _tube_grid(params, tube, sigma2, delta)
-    _check_states(n_h, n_g, state_cap, f"rho={tube.rho:g}, mesh {delta:.4g}")
+    _check_states(n_h, n_g, _STATE_CAP, f"rho={tube.rho:g}, mesh {delta:.4g}")
 
     z1 = float(math.fsum(wts))
     if not z1 > 0:

@@ -80,14 +80,16 @@ def sigma2_increment(pot: Potential, params: ModelParams) -> float:
     if params.height_mode == "continuous":
         if isinstance(pot, GaussianPotential):
             return 1.0 / (eps * pot.kappa)
+        lo, hi, opts = -np.inf, np.inf, {"limit": 200}
         if isinstance(pot, TabulatedPotential):
+            # the interpolated table kinks at every interior node: break
+            # there, and leave quad 200 subintervals beyond those it is given
             lo, hi = pot.grid[0], pot.grid[-1]
-        else:
-            lo, hi = -np.inf, np.inf
+            opts = {"points": pot.grid[1:-1], "limit": 200 + pot.grid.size}
         w = lambda x: math.exp(-eps * float(pot(x)))
-        z0, z0_err = integrate.quad(w, lo, hi, limit=200)
-        m1, _ = integrate.quad(lambda x: x * w(x), lo, hi, limit=200)
-        m2, m2_err = integrate.quad(lambda x: x * x * w(x), lo, hi, limit=200)
+        z0, z0_err = integrate.quad(w, lo, hi, **opts)
+        m1, _ = integrate.quad(lambda x: x * w(x), lo, hi, **opts)
+        m2, m2_err = integrate.quad(lambda x: x * x * w(x), lo, hi, **opts)
         if not (z0 > 0) or not math.isfinite(m2) or m2_err > 1e-8 * max(m2, 1.0):
             raise ValueError("increment weight is not normalizable with finite variance")
         mean = m1 / z0

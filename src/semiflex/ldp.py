@@ -6,18 +6,22 @@ All integrals over the tilt profile u + (1-x) v use a fixed 64-node
 Gauss-Legendre rule; the integrands are smooth whenever the tilts stay inside
 the domain of the limiting log-MGF.
 
-Supported potentials: the Gaussian has closed forms; the power law
-kappa |x|^alpha (alpha >= 1) goes through one tilted-moment kernel.  At each
-tilt h the kernel finds the peak and width of exp(-eps Phi(x) + h x) by a
-scalar search, cuts the window where the exponent has fallen by 60, and
-evaluates the integrand once, as one array, on a tanh-sinh rule whose pieces
-end at the window ends, the peak and the kink of |x|^alpha at x = 0.  log Z,
-the mean and the variance come from those same nodes and are cached per tilt,
-so value, d1 and d2 at one tilt cost one evaluation.  The tests hold the
-kernel to adaptive quadrature within 1e-8 relative for alpha in {1, 1.5, 2, 4}
-and to the Gaussian closed forms within 1e-12 at alpha = 2.  A table
-potential is rejected: it is undefined beyond its grid, where the tilted
-tails reach.
+Supported potentials: the Gaussian and the power law kappa |x|^alpha with
+alpha >= 1, each one unit law rescaled.  x = eps^(-1/alpha) y turns
+exp(-eps kappa |x|^alpha) into exp(-kappa |y|^alpha), so the step at eps is
+eps^(-1/alpha) times the step at eps = 1, and the limit log-MGF under
+sigma_N-rescaled tilts is that unit law at unit variance, exactly, for every
+N.  The Gaussian (alpha = 2) has the standard normal in closed form; the
+power law goes through one tilted-moment kernel.  At each tilt h the kernel
+finds the peak and width of exp(-eps Phi(x) + h x) by a scalar search, cuts
+the window where the exponent has fallen by 60, and evaluates the integrand
+once, as one array, on a tanh-sinh rule whose pieces end at the window ends,
+the peak and the kink of |x|^alpha at x = 0.  log Z, the mean and the
+variance come from those same nodes and are cached per tilt, so value, d1
+and d2 at one tilt cost one evaluation.  The tests hold the kernel to
+adaptive quadrature within 1e-8 relative for alpha in {1, 1.5, 2, 4} and to
+the Gaussian closed forms within 1e-12 at alpha = 2.  A table potential is
+rejected: it is undefined beyond its grid, where the tilted tails reach.
 """
 
 from __future__ import annotations
@@ -44,7 +48,6 @@ __all__ = [
     "LogMgf",
     "TiltSolution",
     "step_log_mgf",
-    "log_mgf",
     "limit_log_mgf",
     "l_infinity",
     "solve_tilts",
@@ -197,65 +200,41 @@ def _quad_log_mgf(pot: Potential, eps: float) -> LogMgf:
     return LogMgf(value=value, d1=d1, d2=d2, h_max=h_max)
 
 
+def _scaled(mgf: LogMgf, s: float) -> LogMgf:
+    """Log-MGF of s X from that of X: L(s h), s L'(s h), s^2 L''(s h), |h| < h_max / s."""
+    return LogMgf(value=lambda h: mgf.value(s * h), d1=lambda h: s * mgf.d1(s * h),
+                  d2=lambda h: s * s * mgf.d2(s * h), h_max=mgf.h_max / s)
+
+
+# the Gaussian potential's unit law: the standard normal
+_STANDARD = LogMgf(value=lambda h: 0.5 * h * h, d1=lambda h: h, d2=lambda h: 1.0,
+                   h_max=math.inf)
+
+
 def step_log_mgf(pot: Potential, params: ModelParams) -> LogMgf:
     """Single-increment log-MGF under weight exp(-eps * Phi)."""
     eps = params.epsilon
     if params.height_mode != "continuous":
         raise ValueError("log-MGF machinery is defined for continuous heights")
     if isinstance(pot, GaussianPotential):
-        s2 = 1.0 / (eps * pot.kappa)
-        return LogMgf(
-            value=lambda h: 0.5 * s2 * h * h,
-            d1=lambda h: s2 * h,
-            d2=lambda h, _s2=s2: _s2,
-            h_max=math.inf,
-        )
+        return _scaled(_STANDARD, 1.0 / math.sqrt(eps * pot.kappa))
+    # the kernel runs at eps itself, so its errors name the caller's tilt
     return _quad_log_mgf(pot, eps)
 
 
-def log_mgf(pot: Potential, params: ModelParams, h: float) -> float:
-    return step_log_mgf(pot, params).value(h)
-
-
-def limit_log_mgf(pot: Potential, h: float | None = None) -> LogMgf | float:
+def limit_log_mgf(pot: Potential) -> LogMgf:
     """Scaling limit of the step log-MGF under sigma_N-rescaled tilts.
 
-    The limit is independent of the macroscopic length, so it is evaluated at
-    unit length with N = 1e5, after a Cauchy check below 1e-6 against N = 1e4.
-    Returns the LogMgf object, or its value when h is given.
+    Substituting x = eps^(-1/alpha) y turns exp(-eps kappa |x|^alpha) into
+    exp(-kappa |y|^alpha): a power-law step is eps^(-1/alpha) Y for one fixed
+    law Y, and sigma_N is eps^(-1/alpha) sd(Y).  The log-MGF of the step over
+    sigma_N is thus that of Y / sd(Y) at every N, so the limit is exact: the
+    unit law (eps = 1) at unit variance; for the Gaussian, the standard normal.
     """
     if isinstance(pot, GaussianPotential):
-        lim = LogMgf(
-            value=lambda x: 0.5 * x * x,
-            d1=lambda x: x,
-            d2=lambda x: 1.0,
-            h_max=math.inf,
-        )
-        return lim.value(h) if h is not None else lim
-
-    ladders = []
-    for n in (10_000, 100_000):
-        params = ModelParams(n_sites=n, epsilon=1.0 / n, macro_length=1.0)
-        mgf = _quad_log_mgf(pot, params.epsilon)
-        # quadrature of the zero-tilt second moment gives sigma_N
-        sigma = math.sqrt(mgf.d2(0.0))
-        ladders.append((mgf, sigma))
-
-    (m4, s4), (m5, s5) = ladders
-    probe = min(1.0, 0.5 * m5.h_max * s5) if math.isfinite(m5.h_max) else 1.0
-    v4, v5 = m4.value(probe / s4), m5.value(probe / s5)
-    if abs(v5 - v4) > 1e-6 * max(1.0, abs(v5)):
-        raise ValueError(
-            f"rescaled log-MGF has not converged: |{v5} - {v4}| at h={probe}"
-        )
-    h_max = m5.h_max * s5  # rescaled domain bound
-    lim = LogMgf(
-        value=lambda x: m5.value(x / s5),
-        d1=lambda x: m5.d1(x / s5) / s5,
-        d2=lambda x: m5.d2(x / s5) / (s5 * s5),
-        h_max=h_max,
-    )
-    return lim.value(h) if h is not None else lim
+        return _STANDARD
+    unit = _quad_log_mgf(pot, 1.0)
+    return _scaled(unit, 1.0 / math.sqrt(unit.d2(0.0)))
 
 
 def l_infinity(u: float, v: float, mgf: LogMgf) -> float:

@@ -55,6 +55,15 @@ def test_removed_sweeps_key_rejected(tmp_path, capsys):
     assert not (tmp_path / "bridge.csv").exists()
 
 
+def test_removed_tube_rho_key_rejected(tmp_path, capsys):
+    # confine takes its rhos from --rho-min/--rho-max/--rho-steps; tube.rho
+    # was read by nothing and is no longer a config key
+    cfg = _write_config(tmp_path, {"tube": {"rho": 0.1}})
+    assert main(["confine", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert "unknown config key tube.rho" in capsys.readouterr().err
+    assert not (tmp_path / "confine.csv").exists()
+
+
 def test_malformed_config_rejected(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -247,6 +256,21 @@ def test_bridge_mcmc_table_potential_stays_on_its_grid(tmp_path):
     laps = samples[:, 2:] - 2.0 * samples[:, 1:-1] + samples[:, :-2]
     assert np.max(np.abs(laps)) <= 3.0
     assert np.max(np.abs(laps)) > 1.0  # the cut is the grid's, not a tighter one
+
+
+def test_bridge_mcmc_continuous_table_default_width(tmp_path):
+    # no --width: the proposal scale comes from the table's increment
+    # variance, which quadrature has to integrate across the grid's kinks
+    grid = [-3.0, -1.0, 0.0, 1.0, 3.0]
+    cfg = _write_config(tmp_path, {
+        "model": {"n_sites": 8, "epsilon": 0.05, "macro_length": 0.4},
+        "potential": {"kind": "table", "grid": grid,
+                      "values": [0.5 * x * x for x in grid]},
+        "sampler": {"burn_in": 50},
+    })
+    assert main(["bridge", "--config", cfg, "--method", "mcmc", "--n", "100",
+                 "--out", str(tmp_path)]) == 0
+    assert samples_from_csv(tmp_path / "bridge.csv").shape == (100, 10)
 
 
 def test_theta_stats_payload(tmp_path):

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from semiflex import confinement
 from semiflex.confinement import (
     TubeSpec,
     build_transfer,
@@ -205,15 +206,16 @@ def test_start_vector_validation():
         op.start_vector(1e6)  # beyond the gradient cut
 
 
-def test_build_transfer_mode_guards():
+def test_build_transfer_mode_guards(monkeypatch):
     disc = _discrete_params(4)
     with pytest.raises(ValueError):
         build_transfer(disc, ZERO_POT, TubeSpec(1.0), support=SUPPORT, mesh=0.1)
     cont = ModelParams(n_sites=4, epsilon=0.25, macro_length=1.0)
     with pytest.raises(ValueError):
         build_transfer(cont, GaussianPotential(1.0), TubeSpec(1.0), support=SUPPORT)
-    with pytest.raises(ValueError):
-        build_transfer(disc, ZERO_POT, TubeSpec(1.0), support=SUPPORT, state_cap=2)
+    monkeypatch.setattr(confinement, "_STATE_CAP", 2)
+    with pytest.raises(ValueError, match="above the cap 2"):
+        build_transfer(disc, ZERO_POT, TubeSpec(1.0), support=SUPPORT)
 
 
 def test_continuous_transfer_mesh_refinement():

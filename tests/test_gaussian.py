@@ -34,6 +34,32 @@ def test_sigma2_quadrature_matches_closed_form():
     assert quad == pytest.approx(exact, rel=1e-9)
 
 
+def _cellwise_sigma2(pot, eps):
+    """Variance under exp(-eps * Phi) on the table's domain by 20-node
+    Gauss-Legendre in every grid cell, where the interpolant is linear."""
+    nodes, weights = np.polynomial.legendre.leggauss(20)
+    lo, hi = pot.grid[:-1, None], pot.grid[1:, None]
+    x = 0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes
+    w = 0.5 * (hi - lo) * weights * np.exp(-eps * pot(x))
+    mean = np.sum(w * x) / np.sum(w)
+    return float(np.sum(w * (x - mean) ** 2) / np.sum(w))
+
+
+@pytest.mark.parametrize("grid, eps", [
+    (np.linspace(-5.0, 5.0, 41), 0.1),
+    (np.linspace(-5.0, 5.0, 41), 0.05),
+    (np.linspace(-5.0, 5.0, 41), 1.0),
+    (np.array([-3.0, -1.0, 0.0, 1.0, 3.0]), 0.05),
+])
+def test_sigma2_continuous_table_integrates_cell_by_cell(grid, eps):
+    # the interpolated table kinks at every node; quad across the whole range
+    # misjudges its error there unless it is told where the nodes are
+    pot = TabulatedPotential(grid, 0.5 * grid**2)
+    params = ModelParams(n_sites=10, epsilon=eps, macro_length=10 * eps)
+    assert sigma2_increment(pot, params) == pytest.approx(_cellwise_sigma2(pot, eps),
+                                                          rel=1e-10)
+
+
 def test_sigma2_discrete_flat_support():
     # zero potential on {-1, 0, 1}: uniform increments, variance 2/3
     params = ModelParams(n_sites=4, epsilon=1.0, macro_length=4.0, height_mode="discrete")

@@ -15,7 +15,6 @@ from semiflex.ldp import (
     l_infinity,
     ld_rate,
     limit_log_mgf,
-    log_mgf,
     macro_boundary,
     mean_profile,
     sharp_ld_probability,
@@ -52,16 +51,15 @@ def test_limit_log_mgf_gaussian_is_standard():
         assert GAUSS_MGF.value(h) == pytest.approx(0.5 * h * h, abs=1e-12)
         assert GAUSS_MGF.d1(h) == pytest.approx(h, abs=1e-12)
         assert GAUSS_MGF.d2(h) == pytest.approx(1.0, abs=1e-12)
-    assert limit_log_mgf(GaussianPotential(5.0), 3.0) == pytest.approx(4.5)
 
 
 def test_quadrature_route_matches_gaussian():
     # alpha = 2 power law is the Gaussian weight evaluated numerically
     mgf = limit_log_mgf(PowerLawPotential(kappa=0.5, alpha=2.0))
     for h in (0.0, 0.5, 2.0, 10.0, 30.0):
-        assert mgf.value(h) == pytest.approx(0.5 * h * h, rel=2e-6, abs=2e-6)
-        assert mgf.d1(h) == pytest.approx(h, rel=2e-6, abs=2e-6)
-        assert mgf.d2(h) == pytest.approx(1.0, rel=2e-6)
+        assert mgf.value(h) == pytest.approx(0.5 * h * h, rel=1e-12, abs=1e-12)
+        assert mgf.d1(h) == pytest.approx(h, rel=1e-12, abs=1e-12)
+        assert mgf.d2(h) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_step_mgf_finite_domain():
@@ -111,12 +109,6 @@ def test_duality_residuals_random():
         xl, xr, a = rng.uniform(-1.0, 1.0, size=3)
         sol = solve_tilts(xl, xr, a, 1.0, GAUSS_MGF)
         assert np.max(np.abs(sol.residual)) < 1e-9
-
-
-def test_log_mgf_per_step():
-    params = ModelParams(n_sites=10, epsilon=0.1, macro_length=1.0)
-    assert log_mgf(GaussianPotential(1.0), params, 0.5) == pytest.approx(
-        0.5 * 10.0 * 0.25, abs=1e-12)
 
 
 def test_ld_rate_frozen_value():
@@ -322,6 +314,21 @@ def test_moment_kernel_alpha2_is_gaussian(kappa, eps, frac):
     assert mgf.value(h) == pytest.approx(0.5 * s2 * h * h, rel=1e-12, abs=1e-12)
     assert mgf.d1(h) == pytest.approx(s2 * h, rel=0, abs=1e-12 * (abs(s2 * h) + math.sqrt(s2)))
     assert mgf.d2(h) == pytest.approx(s2, rel=1e-12)
+
+
+@pytest.mark.parametrize("eps", [1e-4, 1e-5])
+@pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0, 4.0])
+def test_limit_is_every_step_law_at_unit_variance(alpha, eps):
+    # a power-law step at eps is eps^(-1/alpha) times the eps = 1 step, so the
+    # step log-MGF at tilt x / sigma_N is the limit at x, for every N
+    lim = limit_log_mgf(PowerLawPotential(kappa=1.0, alpha=alpha))
+    step = _power_step_mgf(alpha, eps)
+    sd = math.sqrt(step.d2(0.0))
+    for frac in np.linspace(-1.0, 1.0, 21):
+        x = _tilt(lim, frac)
+        assert lim.value(x) == pytest.approx(step.value(x / sd), rel=1e-12, abs=1e-15)
+        assert lim.d1(x) == pytest.approx(step.d1(x / sd) / sd, rel=1e-12, abs=1e-12)
+        assert lim.d2(x) == pytest.approx(step.d2(x / sd) / (sd * sd), rel=1e-12)
 
 
 def test_moments_share_one_potential_evaluation(monkeypatch):
