@@ -540,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xi-left", dest="xi_left", type=float, default=0.0)
     p.add_argument("--xi-right", dest="xi_right", type=float, default=0.0)
     p.add_argument("--slope", type=float, default=0.0)
-    p.add_argument("--points", type=int, default=101)
+    p.add_argument("--points", type=_positive_int, default=101)
 
     p = command("confine", "tube free-energy sweep", _run_confine)
     p.add_argument("--rho-min", dest="rho_min", type=float, default=0.02)

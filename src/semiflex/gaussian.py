@@ -195,6 +195,9 @@ def exact_boundary_density(n_sites: int, kappa: float, c: float,
         raise ValueError(f"n_sites must be > 1, got {n}")
     if not (kappa > 0 and c > 0):
         raise ValueError("kappa and c must be positive")
+    for name, value in dict(xi_left=xi_left, xi_right=xi_right).items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     quad = ((2 * n + 1) * (xi_left ** 2 + xi_right ** 2)
             - 2.0 * (n + 2) * xi_left * xi_right)
     pref = kappa / (2.0 * math.pi * n * n) * math.sqrt(12.0 * (n + 1) / (n - 1))

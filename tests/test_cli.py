@@ -40,6 +40,23 @@ def test_workers_below_one_is_a_usage_error(tmp_path, capsys, workers):
     assert not (tmp_path / "sample.csv").exists()
 
 
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_profile_points_below_one_is_a_usage_error(tmp_path, capsys, points):
+    with pytest.raises(SystemExit) as err:
+        main(["profile", "--points", points, "--out", str(tmp_path)])
+    assert err.value.code == 2
+    assert "--points" in capsys.readouterr().err
+    assert not (tmp_path / "profile.csv").exists()
+
+
+@pytest.mark.parametrize("command, output", [("profile", "profile.csv"),
+                                             ("exact-gauss", "exact_gauss.json")])
+def test_non_finite_boundary_data_rejected(tmp_path, capsys, command, output):
+    assert main([command, "--xi-left", "nan", "--out", str(tmp_path)]) == 1
+    assert "xi_left must be finite, got nan" in capsys.readouterr().err
+    assert not (tmp_path / output).exists()
+
+
 def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg = _write_config(tmp_path, {"model": {"n_sights": 4}})
     assert main(["qmatrix", "--times", "0.5", "--config", cfg,

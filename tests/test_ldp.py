@@ -159,6 +159,70 @@ def test_mean_profile_numerical_mgf():
     assert_allclose(prof, _cubic(ts, 1.0, 0.0, 0.0), atol=1e-5)
 
 
+@pytest.mark.parametrize("alpha", [1.0, 1.5, 4.0])
+@pytest.mark.parametrize("triple", [(0.2, -0.1, 0.15), (-0.25, 0.05, -0.2),
+                                    (0.1, 0.25, 0.05)])
+def test_mean_profile_matches_adaptive_quad(alpha, triple):
+    # the profile integrates the Legendre interpolant of L' on the solver's
+    # nodes; the reference integrates L' itself, adaptively, on the same tilts
+    mgf = limit_log_mgf(PowerLawPotential(kappa=1.0, alpha=alpha))
+    xl, xr, a = triple
+    sol = solve_tilts(xl, xr, a, 1.0, mgf)
+    assert max(abs(sol.u_star), abs(sol.u_star + sol.v_star)) < 10.0
+    ts = np.linspace(0.0, 1.0, 11)
+
+    def reference(t):
+        def integrand(x):
+            return (t - x) * mgf.d1(sol.u_star + (1.0 - x) * sol.v_star)
+
+        return t * xl + integrate.quad(integrand, 0.0, t, epsabs=1e-14, epsrel=1e-13,
+                                       limit=200)[0]
+
+    prof = mean_profile(ts, xl, xr, a, 1.0, mgf, sol)
+    assert_allclose(prof, [reference(t) for t in ts], rtol=0, atol=1e-12)
+
+
+def _count_power_calls(monkeypatch):
+    """From here on, record the argument size of every PowerLawPotential call."""
+    calls = []
+    power_call = PowerLawPotential.__call__
+
+    def counting(self, x):
+        calls.append(np.size(x))
+        return power_call(self, x)
+
+    monkeypatch.setattr(PowerLawPotential, "__call__", counting)
+    return calls
+
+
+def test_rate_and_profile_reuse_the_solver_evaluations(monkeypatch):
+    # a fresh LogMgf: the rate and the profile read the log-MGF only at the
+    # tilts of the solver's last Newton step, which its cache still holds
+    mgf = limit_log_mgf(PowerLawPotential(kappa=1.0, alpha=4.0))
+    xl, xr, a = 0.3, -0.2, 0.1
+    sol = solve_tilts(xl, xr, a, 1.0, mgf)
+    calls = _count_power_calls(monkeypatch)
+    ld_rate(xl, xr, a, 1.0, mgf, sol)
+    assert sum(n > 1 for n in calls) == 0
+    mean_profile(np.linspace(0.0, 1.0, 101), xl, xr, a, 1.0, mgf, sol)
+    assert sum(n > 1 for n in calls) == 0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["xi_left", "xi_right", "slope"])
+def test_tilt_solver_rejects_non_finite_boundary_data(name, bad):
+    data = dict(xi_left=0.3, xi_right=0.1, slope=0.0, c=1.0)
+    data[name] = bad
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        solve_tilts(mgf=GAUSS_MGF, **data)
+
+
+def test_mean_profile_rejects_nan_times():
+    # t < 0 and t > 1 are both False at NaN
+    with pytest.raises(ValueError, match=r"profile times must lie in \[0, 1\]"):
+        mean_profile([math.nan, 0.5], 0.3, 0.1, 0.0, 1.0, GAUSS_MGF)
+
+
 def test_quartic_tilts_satisfy_constraints():
     # independent verification through the value function: differentiate
     # l_infinity numerically at the solution and compare with the targets
@@ -286,7 +350,7 @@ def _tilt(mgf, frac):
 
 # quad's default epsrel is 1.49e-8: the kernel must match it at that level
 @pytest.mark.parametrize("eps", [1.0, 1e-5])
-@pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0, 4.0])
+@pytest.mark.parametrize("alpha", [1.0, 1.25, 1.5, 2.0, 4.0])
 @settings(max_examples=25, deadline=None)
 @given(frac=st.floats(-1.0, 1.0))
 @example(frac=0.03)  # the alpha = 1.5, eps = 1 case an unsplit reference got wrong
@@ -335,18 +399,11 @@ def test_moments_share_one_potential_evaluation(monkeypatch):
     # a fresh LogMgf, so no other test has filled its cache
     params = ModelParams(n_sites=100_000, epsilon=1e-5, macro_length=1.0)
     mgf = step_log_mgf(PowerLawPotential(kappa=1.0, alpha=4.0), params)
-    calls = []
-    power_call = PowerLawPotential.__call__
-
-    def counting(self, x):
-        calls.append(np.size(x))
-        return power_call(self, x)
-
-    monkeypatch.setattr(PowerLawPotential, "__call__", counting)
+    calls = _count_power_calls(monkeypatch)
     h = 0.37 / math.sqrt(mgf.d2(0.0))
     mgf.value(h)
     # one vectorized call on the whole node set; the rest is the scalar
-    # peak, width and window search
+    # width and window search
     assert sum(n > 1 for n in calls) == 1
     n_value = len(calls)
     mgf.d1(h)
