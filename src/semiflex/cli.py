@@ -404,8 +404,9 @@ def _run_confine(args) -> int:
         workers=args.workers)
     seed = cfg["sampler"]["seed"]
     _write_csv(_out_path(cfg, "confine.csv"),
-               ["rho", "F", "lambda_max", "states", "mesh_delta"],
-               [(r.rho, r.free_energy, r.lam_norm, r.n_states, r.mesh_delta)
+               ["rho", "F", "lambda_max", "states", "mesh_delta", "F_scaled"],
+               [(r.rho, r.free_energy, r.lam_norm, r.n_states, r.mesh_delta,
+                 r.free_energy * r.rho ** (2.0 / 3.0) * params.macro_length ** (1.0 / 3.0))
                 for r in rows],
                _stamp(h, seed))
     fit = confinement.exponent_fit([r.rho for r in rows],

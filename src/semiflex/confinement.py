@@ -14,13 +14,13 @@ mode.  Gradients are truncated at min(2R, 8 * stationary gradient scale);
 |xi| <= 2R is implied by two in-tube heights, so the 2R cut is exact.
 
 One step is a convolution along the gradient axis and a shear that moves
-gradient column c by c - n_g height rows.  `TransferOperator.matvec` does both
-in one direct `scipy.ndimage.convolve1d` call, with no Python loop over taps
-or columns; `dense()` builds the same matrix tap by tap and stays the
-reference it is tested against.  Direct, not FFT, convolution: the kernels
-have tens of taps, where the direct sum is faster, and it keeps nonnegative
-vectors nonnegative.  scipy.ndimage is imported on first use, so importing
-the package stays cheap.
+gradient column c by c - n_g height rows.  `TransferOperator.matvec` does the
+convolution as BLAS matrix products against one banded Toeplitz tile, built
+once per operator, and writes the products through a sheared view of the
+output, with no Python loop over taps; `dense()` builds the same matrix tap
+by tap and stays the reference it is tested against.  Direct, not FFT,
+convolution: the kernels have tens of taps, where the direct sum is faster,
+and it keeps nonnegative vectors nonnegative.
 """
 
 from __future__ import annotations
@@ -52,6 +52,11 @@ __all__ = [
 
 _STATE_CAP = 4_000_000
 _DENSE_CAP = 20_000
+# matvec row chunks: OpenBLAS 0.3.31 (numpy 2.4's) ran a GEMM of m*n*k
+# multiply-adds on one thread below about 1e6 on a 2-core x86-64 VM; above,
+# its second thread doubled the CPU time of 23-45-tap matvecs and saved
+# little wall time.  64-row chunks stay efficient GEMMs for wider kernels.
+_SERIAL_GEMM = 2 ** 19
 
 
 @dataclass(frozen=True)
@@ -103,14 +108,25 @@ class TransferOperator:
         self.radius = float(radius)
         self.grad_cut = float(grad_cut)
         self.grad_scale = float(grad_scale)
-        # convolve1d centres a kernel near its middle and rejects an origin
-        # beyond half its width; spanning offsets min(lo, 0)..max(hi, 0) keeps
-        # the origin legal for one-sided supports such as {1, 3}
-        lo = min(int(self.tap_offsets.min()), 0)
-        hi = max(int(self.tap_offsets.max()), 0)
-        self._kernel = np.zeros(hi - lo + 1)
-        self._kernel[self.tap_offsets - lo] = self.tap_weights
-        self._origin = -(self._kernel.size // 2) - lo
+        # T[c, c2] = w(c2 - c) is banded Toeplitz: every run of `width` output
+        # columns reads `width + span - 1` input columns through the same tile,
+        # and the blocks at the edges read a slice of it
+        lo, hi = int(self.tap_offsets.min()), int(self.tap_offsets.max())
+        span, nc = hi - lo + 1, 2 * self.n_g + 1
+        width = min(nc, span)
+        tile = np.zeros((width + span - 1, width))
+        cols = np.arange(width)
+        for t, w in zip(self.tap_offsets, self.tap_weights):
+            tile[cols + hi - t, cols] = w
+        self._blocks = []
+        for a in range(0, nc, width):
+            b = min(a + width, nc)
+            c0, c1 = max(0, a - hi), min(nc, b - lo)
+            if c1 > c0:
+                i0 = c0 - (a - hi)
+                self._blocks.append((slice(a, b), slice(c0, c1),
+                                     tile[i0:i0 + c1 - c0, :b - a]))
+        self._rows = max(64, _SERIAL_GEMM // tile.size)
 
     @property
     def n_states(self) -> int:
@@ -125,26 +141,33 @@ class TransferOperator:
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """One raw (unnormalized) step: out[h', g'] = sum_g w(g'-g) v[h'-g', g'].
 
-        One direct convolution along the gradient axis writes through a
-        sheared view of a zero buffer padded by n_g rows above and below:
-        row h of column c lands in row h + c - n_g, so the interior is the
-        result and whatever lands in the padding has left the grid.  Output
-        entries whose source row lies off the grid are never written and
-        stay exactly zero.  The direct sum beats FFT convolution at the tens
-        of taps this operator has, and never turns a nonnegative v negative.
-        The result is a view into that padded buffer.
-        """
-        from scipy.ndimage import convolve1d
+        The convolution along the gradient axis is v @ T with the banded
+        Toeplitz T[c, c2] = w(c2 - c), done as BLAS products of column blocks
+        of v against one cached tile of T, at most `span` columns wide, where
+        span is the kernel's width in grid steps (the tap count, on a
+        contiguous support).  Each product is written through a sheared view of a zero
+        buffer padded by n_g rows above and below: row h of column c lands
+        in row h + c - n_g, so the interior is the result and whatever lands
+        in the padding has left the grid.  Output entries whose source row
+        lies off the grid are never written and stay exactly zero, and sums
+        of nonnegative products never turn a nonnegative v negative.
 
+        Cost: at most nr*nc*(2*span - 1) multiply-adds, under twice the direct
+        sum when the taps fill the span, and a cached tile of (2*span - 1)*span
+        floats.  Rows go in chunks of at least 64 that keep one product
+        under 2^19 multiply-adds where they can, which OpenBLAS runs on one
+        thread.  The result is a view into the padded buffer.
+        """
         nr, nc = 2 * self.n_h + 1, 2 * self.n_g + 1
         if v.shape != (nr, nc):
             raise ValueError(f"state vector must have shape {(nr, nc)}")
         buf = np.zeros((nr + 2 * self.n_g) * nc)
         item = buf.itemsize
-        sheared = np.lib.stride_tricks.as_strided(
-            buf, shape=(nr, nc), strides=(nc * item, (nc + 1) * item))
-        convolve1d(v, self._kernel, axis=1, output=sheared, mode="constant",
-                   origin=self._origin)
+        sheared = np.ndarray((nr, nc), buffer=buf, strides=(nc * item, (nc + 1) * item))
+        for r in range(0, nr, self._rows):
+            rows = slice(r, r + self._rows)
+            for out, src, tile in self._blocks:
+                sheared[rows, out] = v[rows, src] @ tile
         return buf[self.n_g * nc:(self.n_g + nr) * nc].reshape(nr, nc)
 
     def start_vector(self, gradient: float = 0.0) -> np.ndarray:
@@ -293,7 +316,8 @@ def power_iteration(
         s = float(w.sum())
         if not (s > 0 and math.isfinite(s)):
             raise RuntimeError("power iteration lost all mass; operator is degenerate")
-        v = w / s
+        w /= s  # in place: a fresh array per step would raise the peak memory
+        v = w
         if lam_prev is not None and abs(s - lam_prev) <= tol * abs(s):
             hits += 1
             if hits >= 3:
@@ -331,6 +355,31 @@ class SweepRow(NamedTuple):
     mesh_delta: float
 
 
+def _prolong(v: np.ndarray, coarse: TransferOperator, fine: TransferOperator) -> np.ndarray:
+    """Bilinear interpolation of a coarse-grid state vector onto a finer grid.
+
+    Fine states past the coarse grid's edge take the edge value.  A fine grid
+    of spacing coarse.delta / k holds every coarse state, so a nonnegative v
+    with positive mass prolongs to one.
+    """
+    def axis(n, x):
+        pos = np.clip(x / coarse.delta + n, 0, 2 * n)
+        i0 = np.minimum(np.floor(pos).astype(np.intp), max(2 * n - 1, 0))
+        return i0, np.minimum(i0 + 1, 2 * n), pos - i0
+
+    # in-place sums: fine-grid temporaries would set a sweep's peak memory
+    i0, i1, t = axis(coarse.n_h, fine.heights())
+    rows = v[i0] * (1 - t)[:, None]
+    rows += v[i1] * t[:, None]
+    j0, j1, s = axis(coarse.n_g, fine.gradients())
+    out = rows[:, j0]
+    out *= 1 - s
+    right = rows[:, j1]
+    right *= s
+    out += right
+    return out
+
+
 def _sweep_point(job) -> SweepRow:
     params, pot, rho, grad_cut, mesh = job
     tube = TubeSpec(rho, grad_cut)
@@ -339,8 +388,10 @@ def _sweep_point(job) -> SweepRow:
     f = -math.log(res.lam_norm) / op.eps
     delta = 0.0
     if params.height_mode == "continuous":
-        op2 = build_transfer(params, pot, tube, mesh=op.delta / 2.0)
-        delta = abs(free_energy(op2) - f)
+        # the half-mesh check starts from this point's own eigenvector
+        fine = build_transfer(params, pot, tube, mesh=op.delta / 2.0)
+        lam = power_iteration(fine, start=_prolong(res.eigvec, op, fine)).lam_norm
+        delta = abs(-math.log(lam) / fine.eps - f)
     return SweepRow(rho, f, res.lam_norm, op.n_states, delta)
 
 
@@ -355,8 +406,9 @@ def confinement_sweep(
 ) -> list[SweepRow]:
     """Free energy across tube widths; rho points are independent jobs.
 
-    In continuous mode each point is recomputed at half the mesh and
-    mesh_delta reports |delta F|; the lattice has no mesh to halve, so there
+    In continuous mode each point is recomputed at half the mesh, starting
+    from its own eigenvector prolonged to the finer grid, and mesh_delta
+    reports |delta F|; the lattice has no mesh to halve, so there
     mesh_delta is 0.  Every operator, half-mesh ones included,
     is sized against the state cap before the first point is solved.
     Results are in input order and identical for any worker count.

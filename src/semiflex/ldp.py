@@ -104,9 +104,11 @@ class LogMgf:
     h_max: float
 
     def check(self, h) -> None:
-        """Raise ValueError unless every tilt in h (a float or an array) lies
-        inside the domain |h| < h_max."""
+        """Raise ValueError unless every tilt in h (a float or an array) is
+        finite and lies inside the domain |h| < h_max."""
         worst = float(np.max(np.abs(h)))
+        if not math.isfinite(worst):
+            raise ValueError(f"tilt {worst} is not finite")
         if worst >= self.h_max:
             raise ValueError(f"tilt {worst} leaves the log-MGF domain (|h| < {self.h_max})")
 

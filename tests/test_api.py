@@ -60,8 +60,8 @@ def test_no_unused_module_imports(name):
 
 
 def test_cli_import_leaves_convolution_modules_unloaded():
-    # every command pays for what `import semiflex.cli` loads; the transfer
-    # operator imports scipy.ndimage when it first runs
+    # every command pays for what `import semiflex.cli` loads; no command
+    # needs scipy's convolution modules (the transfer operator is BLAS GEMM)
     src = str(Path(semiflex.__path__[0]).parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}

@@ -323,6 +323,22 @@ def test_confine_outputs_and_exponent_fit(tmp_path):
     assert refit["r2"] == pytest.approx(fit["r2"], abs=1e-12)
 
 
+def test_confine_scaled_free_energy_column(tmp_path):
+    # F_scaled = F rho^(2/3) c^(1/3) tends to 2^(-2/3) A = 0.69522 as the
+    # tube widens (A = 1.1036, Burkhardt 1997); here R runs from 8 to 86
+    cfg = _write_config(tmp_path, {
+        "model": {"n_sites": 300, "epsilon": 1.0, "macro_length": 300.0,
+                  "height_mode": "discrete"},
+    })
+    assert main(["confine", "--config", cfg, "--rho-min", "0.5", "--rho-max",
+                 "5.0", "--rho-steps", "5", "--out", str(tmp_path)]) == 0
+    header, values = _read_table(tmp_path / "confine.csv")
+    assert header == ["rho", "F", "lambda_max", "states", "mesh_delta", "F_scaled"]
+    rho, f, scaled = values[:, 0], values[:, 1], values[:, 5]
+    assert_allclose(scaled, f * rho ** (2.0 / 3.0) * 300.0 ** (1.0 / 3.0), rtol=1e-15)
+    assert_allclose(scaled, 0.69522, rtol=0.01)
+
+
 def test_confine_default_config_fails_before_solving(tmp_path, capsys, monkeypatch):
     # the half-mesh operator of the first rho is over the state cap; the sweep
     # must say so up front instead of after a long power iteration

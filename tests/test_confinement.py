@@ -95,17 +95,23 @@ def _lattice_op(support):
 
 @settings(max_examples=60, deadline=None)
 @given(build=LATTICE_OPS | CONTINUOUS_OPS, seed=st.integers(0, 2**32))
-# one-sided supports: the kernel must span offset 0 for a legal convolve1d origin
+# one-sided supports: the edge blocks read clipped slices of the Toeplitz tile
 @example(build=_lattice_op([1, 3]), seed=0)
 @example(build=_lattice_op([-3, -2]), seed=0)
 # 37 taps over 3 gradient columns
 @example(build={"params": CONT_PARAMS, "pot": GaussianPotential(1.0),
                 "tube": TubeSpec(0.1, 0.1), "mesh": 0.1}, seed=0)
+# 37 taps over 121 gradient columns: four column blocks share one tile
+@example(build={"params": CONT_PARAMS, "pot": GaussianPotential(1.0),
+                "tube": TubeSpec(0.03, 6.0), "mesh": 0.1}, seed=0)
+# 183 taps over 31 gradient columns, 101 height rows in two row chunks
+@example(build={"params": CONT_PARAMS, "pot": GaussianPotential(1.0),
+                "tube": TubeSpec(0.04, 0.3), "mesh": 0.02}, seed=0)
 def test_matvec_agrees_with_dense(build, seed):
     op = build_transfer(build["params"], build["pot"], build["tube"],
                         support=build.get("support"), mesh=build.get("mesh"))
     v = np.random.default_rng(seed).normal(size=(2 * op.n_h + 1, 2 * op.n_g + 1))
-    # each output sums at most 37 products w * v with weights w <= 1
+    # each output sums at most 183 products w * v with weights w <= 1
     assert_allclose(op.matvec(v).ravel(), op.dense() @ v.ravel(), rtol=0,
                     atol=1e-13 * np.max(np.abs(v)))
     # a nonnegative vector stays nonnegative, and a state whose source row
@@ -179,6 +185,55 @@ def test_sweep_worker_invariance():
     rows2 = confinement_sweep(params, GaussianPotential(1.0), rhos, workers=3)
     for a, b in zip(rows1, rows2):
         assert a == b
+
+
+def test_continuous_sweep_worker_invariance():
+    # each rho job runs its own half-mesh check from its own eigenvector
+    rhos = [0.04, 0.08, 0.12]
+    rows1 = confinement_sweep(CONT_PARAMS, GaussianPotential(1.0), rhos, mesh=0.2, workers=1)
+    rows2 = confinement_sweep(CONT_PARAMS, GaussianPotential(1.0), rhos, mesh=0.2, workers=2)
+    assert all(r.mesh_delta > 0 for r in rows1)
+    assert rows1 == rows2
+
+
+def _half_mesh_pair(rho):
+    params = ModelParams(n_sites=100, epsilon=0.01, macro_length=1.0)
+    pot, tube = GaussianPotential(1.0), TubeSpec(rho)
+    return (params, pot, build_transfer(params, pot, tube, mesh=0.08),
+            build_transfer(params, pot, tube, mesh=0.04))
+
+
+def test_warm_started_half_mesh_solve_matches_cold():
+    _, _, coarse, fine = _half_mesh_pair(0.04)
+    start = confinement._prolong(power_iteration(coarse).eigvec, coarse, fine)
+    assert start.shape == (2 * fine.n_h + 1, 2 * fine.n_g + 1)
+    assert start.min() >= 0 and start.sum() > 0
+    warm = power_iteration(fine, start=start)
+    assert warm.lam_norm == pytest.approx(power_iteration(fine).lam_norm, rel=1e-8)
+    # a tube narrower than the coarse mesh step keeps one height row there
+    _, _, coarse, fine = _half_mesh_pair(0.0005)
+    assert (coarse.n_h, fine.n_h) == (0, 1)
+    start = confinement._prolong(power_iteration(coarse).eigvec, coarse, fine)
+    assert start.min() >= 0 and start.sum() > 0
+    assert power_iteration(fine, start=start).lam_norm == pytest.approx(
+        power_iteration(fine).lam_norm, rel=1e-8)
+
+
+def test_sweep_half_mesh_check_is_warm_started(monkeypatch):
+    # counts iterations, not time: the sweep's half-mesh solve must start from
+    # the prolonged coarse eigenvector, which saves 30% of a cold solve here
+    params, pot, _, fine = _half_mesh_pair(0.04)
+    solves = []
+
+    def recording(op, **kw):
+        res = power_iteration(op, **kw)
+        solves.append((op.delta, res.iterations))
+        return res
+
+    monkeypatch.setattr(confinement, "power_iteration", recording)
+    confinement_sweep(params, pot, [0.04], mesh=0.08)
+    assert [d for d, _ in solves] == [0.08, fine.delta]
+    assert solves[1][1] <= 0.8 * power_iteration(fine).iterations
 
 
 def test_mc_survival_consistent_with_path_sum():

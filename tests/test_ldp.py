@@ -278,6 +278,17 @@ def test_log_mgf_domain_check_takes_arrays():
         l_infinity(0.5, 1.0, mgf)
 
 
+@pytest.mark.parametrize("pot", [GaussianPotential(1.0), PowerLawPotential(1.0, 1.5)])
+def test_non_finite_tilts_rejected(pot):
+    # nan >= h_max is False, so a NaN tilt would pass a bare domain test
+    mgf = limit_log_mgf(pot)
+    for u, v in ((math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0)):
+        with pytest.raises(ValueError, match=r"tilt (inf|nan) is not finite"):
+            l_infinity(u, v, mgf)
+    with pytest.raises(ValueError, match="tilt nan is not finite"):
+        mgf.check(np.array([0.1, math.nan]))
+
+
 def test_table_potential_rejected_up_front():
     params = ModelParams(n_sites=10, epsilon=0.1, macro_length=1.0)
     grid = np.linspace(-5.0, 5.0, 11)
