@@ -275,7 +275,7 @@ def _run_bridge(args) -> int:
         if getattr(args, key) is not None:
             cfg["boundary"][key] = getattr(args, key)
     cmd = {"name": "bridge", "method": args.method, "fmt": args.fmt,
-           "truncation": args.truncation, "width": args.width}
+           "truncation": args.truncation}
     h = _config_hash(cfg, cmd)
     params, pot = _model(cfg), _potential(cfg)
     bc, settings = _boundary(cfg), _settings(cfg)
@@ -284,7 +284,7 @@ def _run_bridge(args) -> int:
     else:
         samples = sampling.sample_bridge_mcmc(
             params, pot, bc, settings, workers=args.workers,
-            truncation=args.truncation, step_width=args.width)
+            truncation=args.truncation)
     _write_samples(cfg, "bridge", args.fmt, samples, h, settings.seed)
     return 0
 
@@ -515,7 +515,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--burn-in", dest="burn_in", type=int)
     p.add_argument("--thin", type=int)
     p.add_argument("--truncation", type=float)
-    p.add_argument("--width", type=float, help="MCMC proposal width")
     p.add_argument("--fmt", choices=("csv", "bin"), default="csv")
 
     p = command("theta-stats", "rescaled bridge statistics", _run_theta_stats)

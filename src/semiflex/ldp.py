@@ -23,8 +23,9 @@ and the variance come from those nodes and are cached per tilt, so value, d1
 and d2 at one tilt cost one evaluation.  The tests hold the kernel to
 adaptive quadrature within 1e-8 relative for alpha in {1, 1.25, 1.5, 2, 4}
 and to the Gaussian closed forms within 1e-12 at alpha = 2.  A table
-potential is rejected: it is undefined beyond its grid, where the tilted
-tails reach.
+potential is rejected: it is a hard wall (+inf) past its grid, so its tilted
+law has neither the closed-form peak nor the one rescaled unit law that the
+kernel and the limit rely on.
 """
 
 from __future__ import annotations
@@ -118,8 +119,8 @@ def _quad_log_mgf(pot: Potential, eps: float) -> LogMgf:
     Phi = kappa |x|^alpha."""
     if not isinstance(pot, PowerLawPotential):
         raise ValueError(
-            "the log-MGF needs a power law defined on the whole line (a table potential "
-            f"stops at its grid ends), got {type(pot).__name__}; use potential kind "
+            "the log-MGF needs a power law finite on the whole line (a table potential "
+            f"is +inf past its grid ends), got {type(pot).__name__}; use potential kind "
             "'gaussian' or 'power'")
 
     @functools.lru_cache(maxsize=256)

@@ -11,8 +11,9 @@ with N * eps pinned to the macroscopic length.  Everything downstream (exact
 bridge statistics, tilt equations, confinement) is written against the
 increment coordinates eta_j = lap_j / eps and their walk X_k and area Y_k.
 The private kernels `_laps`, `_heights` and `_walk_area` do that change of
-variables along the last axis, for one row or a matrix of sample rows; every
-sampler calls them.  `hamiltonian` is H_N with its input checks.
+variables along the last axis, for one row or a matrix of sample rows; the
+samplers call `_laps` and `_heights`, and `_walk_area` is the tests' reference
+route.  `hamiltonian` is H_N with its input checks.
 """
 
 from __future__ import annotations
@@ -105,8 +106,9 @@ class PowerLawPotential:
 class TabulatedPotential:
     """Even potential given by linear interpolation of (grid, values) samples.
 
-    Evaluation outside [grid[0], grid[-1]] is an error: the tails are not
-    extrapolated, callers must choose a wide enough table.
+    It is +inf outside [grid[0], grid[-1]]: off its grid a table is a hard
+    wall, and a step there has weight exp(-eps * inf) = 0.  The tails are not
+    extrapolated; a table must be wide enough for the steps it should allow.
     """
 
     grid: np.ndarray
@@ -129,13 +131,7 @@ class TabulatedPotential:
         object.__setattr__(self, "values", values)
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        lo, hi = self.grid[0], self.grid[-1]
-        if np.any(x < lo) or np.any(x > hi):
-            raise ValueError(
-                f"tabulated potential evaluated outside [{lo}, {hi}]"
-            )
-        return np.interp(x, self.grid, self.values)
+        return np.interp(x, self.grid, self.values, left=np.inf, right=np.inf)
 
 
 Potential = Callable[[np.ndarray], np.ndarray]
@@ -149,19 +145,6 @@ _STEP_CUTOFF = 1e-18
 _STEP_LIMIT = 10_000_000
 
 
-def _table_edge(pot: TabulatedPotential, eps: float) -> float:
-    """Largest x >= 0 whose argument x / eps lies on the table's grid: a step
-    or lap x is weighed at Phi(x / eps), and as x / eps rounds monotonically,
-    |x| <= edge holds exactly when x / eps is on the grid."""
-    g = min(-float(pot.grid[0]), float(pot.grid[-1]))
-    x = g * eps
-    while x / eps > g:
-        x = math.nextafter(x, 0.0)
-    while math.nextafter(x, math.inf) / eps <= g:
-        x = math.nextafter(x, math.inf)
-    return x
-
-
 def _step_weights(pot: Potential, eps: float, delta: float = 1.0,
                   support=None) -> tuple[np.ndarray, np.ndarray]:
     """Sorted integer offsets d and raw weights exp(-eps * Phi(d*delta/eps)) of
@@ -170,7 +153,8 @@ def _step_weights(pot: Potential, eps: float, delta: float = 1.0,
     support, when given, lists the allowed steps; each must sit on the grid of
     spacing delta and appear once.  Otherwise d runs over |d| <= d_max, cut
     before the first d at which both tails weigh less than 1e-18 of the weight
-    at d = 0, and never past the grid of a TabulatedPotential.
+    at d = 0; a forbidden step (Phi = inf, as off a table's grid) weighs 0, so
+    the law stops at the last allowed one.
     """
     def weights(d):
         return np.exp(-eps * np.asarray(pot(d * delta / eps), dtype=float))
@@ -186,16 +170,9 @@ def _step_weights(pot: Potential, eps: float, delta: float = 1.0,
             raise ValueError("support values must be distinct")
         return offsets, weights(offsets)
 
-    d_hi = _STEP_LIMIT
-    if isinstance(pot, TabulatedPotential):
-        # keep d only while its argument d*delta/eps is on the table's grid
-        edge = _table_edge(pot, eps)
-        d_hi = int(math.floor(min(-pot.grid[0], pot.grid[-1]) * eps / delta + 1e-12))
-        while d_hi * delta > edge:
-            d_hi -= 1
     cut = _STEP_CUTOFF * weights(np.zeros(1))[0]
     d_max = 0
-    while d_max < d_hi and weights(np.array([d_max + 1, -d_max - 1])).max() >= cut:
+    while d_max < _STEP_LIMIT and weights(np.array([d_max + 1, -d_max - 1])).max() >= cut:
         d_max += 1
     if d_max == _STEP_LIMIT:
         raise ValueError("step weights did not decay; check the potential")
@@ -315,6 +292,7 @@ def continuum_energy_check(
     For each eps, computes H = eps * sum_j Phi(eps^-delta * lap_j) on the grid
     with N = round(macro_length/eps) sites, and the integral of Phi(f'') over
     [0, macro_length].  The two agree as eps -> 0 iff gamma + delta = 2.
+    Either one infinite (the profile off a table's grid) is an error.
     """
     if abs(profile.gamma + profile.delta - 2.0) > 1e-12:
         raise ValueError(
@@ -342,5 +320,9 @@ def continuum_energy_check(
         energy = float(eps * np.sum(pot(eps ** (-profile.delta) * lap)))
         rows.append(EnergyCheckRow(eps=eps, lattice_energy=energy, integral=integral,
                                    error=abs(energy - integral)))
+    if not all(math.isfinite(r.lattice_energy + r.integral) for r in rows):
+        raise ValueError("the profile leaves the domain where the potential is finite "
+                         "(a table potential ends at its grid): the lattice energy or "
+                         "the curvature integral is not finite")
     return rows
 

@@ -13,7 +13,7 @@ Three routes to samples:
   independent, since H_N is a sum over laps, so a sweep is a few batched
   steps: three colour steps of site flips (heights j with one j mod 3), then
   rounds of block shifts on disjoint laps, at least N-2 shifts per chain.
-  The default proposal width is eps times the increment standard deviation.
+  The proposal width starts at eps times the increment standard deviation.
 
 Reproducibility contract: work is split into fixed-size blocks (8192 samples
 for i.i.d. samplers, 64 chains for MCMC) and block i draws from
@@ -46,8 +46,6 @@ from .model import (
     _laps,
     _lattice_law,
     _step_weights,
-    _table_edge,
-    _walk_area,
     map_boundary,
 )
 
@@ -114,10 +112,10 @@ def build_increment_dist(
             truncation=None, sigma2=1.0 / (eps * pot.kappa), kind="gaussian")
 
     if params.height_mode == "discrete":
-        # support k/eps, |k| <= floor(truncation * eps); auto-truncate on decay
+        # support k/eps, |k| <= the largest allowed lap; auto-truncate on decay
         support = None
         if truncation is not None:
-            k_max = int(math.floor(truncation * eps + 1e-12))
+            k_max = int(_lap_bound(params, truncation))
             support = np.arange(-k_max, k_max + 1)
         ks, weights = _step_weights(pot, eps, support=support)
         values, probs, sigma2 = _lattice_law(ks, weights, eps)
@@ -152,6 +150,14 @@ def build_increment_dist(
         raise ValueError("degenerate increment law")
     return IncrementDistribution(
         truncation=bound, sigma2=sigma2, kind="table", values=xs, cdf=cdf / cdf[-1])
+
+
+def _lap_bound(params: ModelParams, truncation: float) -> float:
+    """Largest |lap| = eps |eta| that |eta| <= truncation allows, for the
+    lattice law and the Metropolis chain alike."""
+    if params.height_mode == "discrete":
+        return float(math.floor(truncation * params.epsilon + 1e-12))
+    return truncation * params.epsilon + 1e-9
 
 
 @dataclass(frozen=True)
@@ -321,12 +327,13 @@ def _mcmc_block(params, pot, bc, settings, truncation, width, n_per_chain, job):
     # the chain state, flat: laps[c * n + i] = eps * eta_{i+1} of chain c
     laps = _laps(phi).ravel()
 
-    lap_bound = None
-    if truncation is not None:
-        lap_bound = truncation * eps + 1e-9  # |lap| <= M * eps
-    if isinstance(pot, TabulatedPotential):  # a table is only defined on its grid
-        lap_bound = min(lap_bound or math.inf, _table_edge(pot, eps))
-    if lap_bound is not None and np.any(np.abs(laps) > lap_bound):
+    lap_max = None if truncation is None else _lap_bound(params, truncation)
+
+    def energy(x):  # Phi(x / eps) of laps x, +inf past the truncation
+        terms = pot(x / eps)
+        return terms if lap_max is None else np.where(np.abs(x) <= lap_max, terms, np.inf)
+
+    if not np.all(np.isfinite(energy(laps))):
         raise ValueError("initial configuration violates the truncation cut "
                          "(or the tabulated potential's grid)")
 
@@ -335,15 +342,10 @@ def _mcmc_block(params, pot, bc, settings, truncation, width, n_per_chain, job):
         idx (chains, k, m) holds flat lap indices, the k moves of a chain on
         disjoint laps, so their order does not matter; delta and threshold
         (chains, k) are the proposals and -log of the uniforms.  Returns the
-        accept mask."""
+        accept mask; a new lap of energy +inf makes the total +inf."""
         old = laps.take(idx)
-        new = trial = old + delta[..., None] * coeffs
-        ok = True
-        if lap_bound is not None:
-            # cut mask first: a tabulated potential is undefined past the cut
-            ok = np.abs(new).max(axis=2) <= lap_bound
-            trial = np.where(ok[..., None], new, 0.0)
-        terms = pot(np.concatenate((trial, old), axis=2) / eps)
+        new = old + delta[..., None] * coeffs
+        terms = energy(np.concatenate((new, old), axis=2))
         # new terms summed left to right, then old ones subtracted: another
         # order rounds differently and changes the chains
         m = len(coeffs)
@@ -352,7 +354,7 @@ def _mcmc_block(params, pot, bc, settings, truncation, width, n_per_chain, job):
             total += terms[..., c]
         for c in range(m, 2 * m):
             total -= terms[..., c]
-        accept = (eps * total < threshold) & ok
+        accept = eps * total < threshold
         laps.put(idx, np.where(accept[..., None], new, old))
         return accept
 
@@ -417,7 +419,6 @@ def sample_bridge_mcmc(
     settings: ChainSettings,
     workers: int = 1,
     truncation: float | None = None,
-    step_width: float | None = None,
 ) -> np.ndarray:
     """Metropolis bridge sampler for any potential.  The chain state is the
     laps lap_j = eps * eta_j, j = 1..N, and every move adds delta * c to a
@@ -439,31 +440,32 @@ def sample_bridge_mcmc(
     returns the pinned configuration).
 
     delta is a +-1 flip on the lattice and N(0, w^2) in continuous mode,
-    where w = `step_width` or, by default, eps times the increment standard
-    deviation (`gaussian.sigma2_increment`), the natural scale of one lap;
-    burn-in sweeps adapt w towards 45% single-site acceptance.  Gaussian
+    where w starts at eps times the increment standard deviation
+    (`gaussian.sigma2_increment`), the natural scale of one lap, and burn-in
+    sweeps adapt it towards 45% single-site acceptance.  Gaussian
     continuous chains start at exact equilibrium draws; other models start
     from the clamped cubic and rely on burn_in.  Sweeps (site flips plus
     block shifts) relax slowly: the midpoint height of a continuous Gaussian
     zero bridge at eps = 1/N has an integrated autocorrelation time of 141,
     856, 2042 and 4980 sweeps at N = 25, 50, 100 and 200, roughly N^1.7, so
-    burn_in and thin must grow with N.  `truncation` restricts every |lap|
-    to <= truncation * eps, matching a lattice law cut at |eta| <=
-    truncation; a `TabulatedPotential` also cuts every lap to its grid, as
-    `build_increment_dist` does.  `workers` spreads the blocks of 64 chains
-    over processes; the output does not depend on it.
+    burn_in and thin must grow with N.  `truncation` gives a lap past
+    `_lap_bound` (|eta| <= truncation, as in `build_increment_dist`) energy
+    +inf, where a `TabulatedPotential` off its grid already is: a move to
+    such a lap is rejected.  `workers` spreads the blocks of 64 chains over
+    processes; the output does not depend on it.
     """
+    width = None
     if params.height_mode == "discrete":
         for name, v in (("xi_left", bc.xi_left), ("xi_right", bc.xi_right),
                         ("endpoint", bc.endpoint)):
             if v != round(v):
                 raise ValueError(f"discrete mode needs integer boundary data, {name}={v}")
-    elif step_width is None:
-        step_width = params.epsilon * math.sqrt(sigma2_increment(pot, params))
+    else:
+        width = params.epsilon * math.sqrt(sigma2_increment(pot, params))
     n_chains = settings.n_chains or min(_CHAIN_BLOCK, settings.n_samples)
     n_per_chain = math.ceil(settings.n_samples / n_chains)
 
-    fn = partial(_mcmc_block, params, pot, bc, settings, truncation, step_width,
+    fn = partial(_mcmc_block, params, pot, bc, settings, truncation, width,
                  n_per_chain)
     parts = _pool_map(fn, _blocks(n_chains, _CHAIN_BLOCK), workers)
     return np.concatenate(parts, axis=0)[: settings.n_samples]
@@ -479,23 +481,26 @@ class ThetaStats(NamedTuple):
 
 def estimate_theta_stats(samples: np.ndarray, times, sigma: float, epsilon: float) -> ThetaStats:
     """Sample mean/covariance of the rescaled area path at the given times,
-    with jackknife standard errors (closed-form leave-one-out)."""
+    with jackknife standard errors (closed-form leave-one-out).  Each time
+    reads two height columns: eps (N+1) Y_k = phi_{k+1} - phi_0 - (k+1) xi_1."""
     samples = np.asarray(samples, dtype=float)
     times = np.asarray(times, dtype=float)
     if samples.ndim != 2 or samples.shape[0] < 4:
         raise ValueError("need a 2d sample matrix with at least 4 rows")
     if np.any(times < 0) or np.any(times > 1):
         raise ValueError("times must lie in [0, 1]")
-    m, width = samples.shape
-    n = width - 2
-    _, y = _walk_area(_laps(samples) / epsilon)
-    theta = np.concatenate([np.zeros((m, 1)), y / (sigma * math.sqrt(n))], axis=1)
+    m, n = samples.shape[0], samples.shape[1] - 2
+    phi0, xi1 = samples[:, :1], samples[:, 1:2] - samples[:, :1]
+    scale = epsilon * (n + 1) * sigma * math.sqrt(n)
+
+    def theta(k):  # theta_k = Y_k / (sigma sqrt(N)), k = 0..N
+        return (samples[:, k + 1] - phi0 - (k + 1) * xi1) / scale
 
     # linear interpolation of each row at t*N
     pos = times * n
     i0 = np.minimum(pos.astype(int), n - 1)
     frac = pos - i0
-    vals = theta[:, i0] * (1.0 - frac) + theta[:, i0 + 1] * frac  # (m, k)
+    vals = theta(i0) * (1.0 - frac) + theta(i0 + 1) * frac  # (m, k)
 
     mean = vals.mean(axis=0)
     mean_se = vals.std(axis=0, ddof=1) / math.sqrt(m)

@@ -15,6 +15,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -57,6 +58,40 @@ def test_no_unused_module_imports(name):
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     unused = sorted(n for n in imported - used if (name, n) not in KEPT_IMPORTS)
     assert unused == []
+
+
+def _names_read(node):
+    """Names, attributes and whole-string constants under node: every way
+    code here refers to a module-level name."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            yield n.value
+
+
+def test_no_orphaned_private_helpers():
+    # a module-level _name must be read somewhere besides its own definition
+    reads = Counter()
+    for d in ("src", "tests", "demos", "perfbench"):
+        for path in (ROOT / d).rglob("*.py"):
+            reads.update(_names_read(ast.parse(path.read_text())))
+    orphans = []
+    for name in MODULES:
+        for node in ast.parse(Path(semiflex.__path__[0], f"{name}.py").read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            own = Counter(_names_read(node))
+            orphans += [f"{name}.{d}" for d in defined
+                        if d.startswith("_") and not d.startswith("__") and reads[d] == own[d]]
+    assert orphans == []
 
 
 def test_cli_import_leaves_convolution_modules_unloaded():

@@ -393,6 +393,23 @@ def test_exponent_fit_needs_a_rho_and_f_header(tmp_path, capsys):
     assert not (tmp_path / "exponent_fit.json").exists()
 
 
+def test_continuum_check_refuses_a_profile_off_the_table(tmp_path, capsys):
+    # f'' = 2 lies past a table on [-1, 1], where the potential is +inf
+    cfg = _write_config(tmp_path, {"potential": {"kind": "table", "grid": [-1, 0, 1],
+                                                 "values": [0.5, 0, 0.5]}})
+    assert main(["continuum-check", "--config", cfg, "--shape", "square",
+                 "--out", str(tmp_path)]) == 1
+    assert "domain where the potential is finite" in capsys.readouterr().err
+    assert not (tmp_path / "continuum_check.csv").exists()
+
+
+def test_bridge_width_is_a_usage_error(tmp_path, capsys):
+    # the proposal width is eps times the increment sd, adapted in burn-in
+    with pytest.raises(SystemExit) as err:
+        main(["bridge", "--method", "mcmc", "--width", "0.1", "--out", str(tmp_path)])
+    assert err.value.code == 2
+
+
 def test_continuum_check_square(tmp_path):
     assert main(["continuum-check", "--shape", "square",
                  "--eps", "0.1,0.05", "--out", str(tmp_path)]) == 0

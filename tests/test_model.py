@@ -151,10 +151,16 @@ def test_tabulated_potential():
     pot = TabulatedPotential(grid, 0.5 * grid**2)
     assert pot(1.0) == pytest.approx(0.5)
     assert pot(0.5) == pytest.approx(0.25)  # linear between the nodes
-    with pytest.raises(ValueError):
-        pot(2.5)
+    assert pot(2.5) == np.inf  # off its grid a table is a hard wall
     with pytest.raises(ValueError):
         TabulatedPotential(np.array([-1.0, 0.0, 1.0]), np.array([0.0, 1.0, 2.0]))
+
+
+def test_hamiltonian_of_a_lap_off_the_table_is_infinite():
+    pot = TabulatedPotential(np.array([-1.0, 0.0, 1.0]), np.zeros(3))
+    params = ModelParams(n_sites=2, epsilon=1.0, macro_length=2.0, height_mode="discrete")
+    assert hamiltonian([0.0, 0.0, 1.0, 1.0], params, pot) == 0.0  # laps 1, -1
+    assert hamiltonian([0.0, 0.0, 2.0, 2.0], params, pot) == np.inf  # laps 2, -2
 
 
 def test_discretize_profile_scaling():

@@ -1,10 +1,11 @@
 """Samplers: exact Gaussian bridge, free walk, Metropolis bridge, serialization."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -18,6 +19,7 @@ from semiflex.model import (
     PowerLawPotential,
     TabulatedPotential,
     _laps,
+    _step_weights,
     _walk_area,
     map_boundary,
 )
@@ -66,8 +68,8 @@ def test_discrete_table_law_stops_at_the_grid():
 
 def test_table_cut_keeps_only_offsets_evaluated_on_the_grid():
     # 30 * 0.7 rounds to 21.0, but 21 / 0.7 = 30.000000000000004 lies past the
-    # grid, so the lattice law, the transfer taps and the MCMC lap cut all
-    # stop at 20
+    # grid, where Phi = inf, so the lattice law, the transfer taps and the
+    # MCMC chain all stop at 20
     pot = TabulatedPotential(np.array([-30.0, 0.0, 30.0]), np.array([1.0, 0.0, 1.0]))
     params = ModelParams(n_sites=10, epsilon=0.7, macro_length=7.0, height_mode="discrete")
     dist = build_increment_dist(pot, params)
@@ -77,6 +79,35 @@ def test_table_cut_keeps_only_offsets_evaluated_on_the_grid():
     settings = ChainSettings(seed=1, n_samples=64, burn_in=20, n_chains=8)
     laps = _laps(sample_bridge_mcmc(params, pot, ZERO_BC, settings))
     assert np.abs(laps).max() <= 20.0
+
+
+@settings(max_examples=30, deadline=None)
+@given(eps=st.floats(0.05, 2.0), g=st.floats(1.0, 60.0), height=st.floats(0.0, 10.0))
+@example(eps=0.7, g=30.0, height=1.0)  # 21 / 0.7 rounds just past the grid
+def test_a_step_off_the_table_weighs_zero_everywhere(eps, g, height):
+    # one rule: Phi = inf off the grid.  The lattice law ends at the last
+    # offset with finite Phi, and chains without a truncation never leave it
+    grid = np.array([-g, -0.5 * g, 0.0, 0.5 * g, g])
+    pot = TabulatedPotential(grid, height * (grid / g) ** 2)
+    offsets, _ = _step_weights(pot, eps)
+    d = offsets[-1]
+    assert np.isfinite(pot(d / eps))
+    assert np.isinf(pot((d + 1) / eps)) or math.exp(-eps * pot((d + 1) / eps)) < 1e-18
+    settings = ChainSettings(seed=4, n_samples=32, burn_in=10, n_chains=4)
+    for mode in ("discrete", "continuous"):
+        params = ModelParams(n_sites=6, epsilon=eps, macro_length=6 * eps, height_mode=mode)
+        laps = _laps(sample_bridge_mcmc(params, pot, ZERO_BC, settings))
+        assert np.all(np.isfinite(pot(laps / eps)))
+
+
+def test_lattice_truncation_is_one_cut_for_the_law_and_the_chain():
+    # 3 - 5e-10 allows laps up to 2 on the integer lattice, for the free
+    # sampler's law and the Metropolis chain alike
+    params, pot, truncation = _discrete_params(6), GaussianPotential(0.1), 3.0 - 5e-10
+    assert build_increment_dist(pot, params, truncation).values.max() == 2.0
+    settings = ChainSettings(seed=5, n_samples=400, burn_in=20, n_chains=8)
+    laps = _laps(sample_bridge_mcmc(params, pot, ZERO_BC, settings, truncation=truncation))
+    assert np.abs(laps).max() == 2.0
 
 
 def test_exact_bridge_pins_boundary():
@@ -402,6 +433,35 @@ def test_theta_stats_shapes_and_constant_input():
     assert_allclose(stats.cov, 0.0, atol=0)
     assert_allclose(stats.mean_se, 0.0, atol=0)
     assert_allclose(stats.cov_se, 0.0, atol=0)
+
+
+def test_theta_stats_match_the_walk_area_route():
+    # heights give the area path directly; the laps -> walk/area route is the reference
+    n, eps, sigma, times = 100, 0.01, 10.0, np.array([0.0, 0.1, 0.33, 0.5, 0.97, 1.0])
+    params = ModelParams(n_sites=n, epsilon=eps, macro_length=1.0)
+    bc = BoundaryConditions(xi_left=0.3, xi_right=-0.2, endpoint=1.5)
+    s = sample_gaussian_bridge(params, GaussianPotential(1.0), bc,
+                               ChainSettings(seed=8, n_samples=2000))
+    _, y = _walk_area(_laps(s) / eps)
+    theta = np.concatenate([np.zeros((len(s), 1)), y / (sigma * math.sqrt(n))], axis=1)
+    pos = times * n
+    i0 = np.minimum(pos.astype(int), n - 1)
+    vals = theta[:, i0] * (1.0 - (pos - i0)) + theta[:, i0 + 1] * (pos - i0)
+    stats = estimate_theta_stats(s, times, sigma, eps)
+    assert np.abs(vals.mean(axis=0)).max() > 0.1  # drifted
+    assert_allclose(stats.mean, vals.mean(axis=0), rtol=0, atol=1e-13)
+    assert_allclose(stats.cov, np.cov(vals.T), rtol=0, atol=1e-13)
+
+
+def test_theta_stats_never_copy_the_sample_matrix():
+    samples = np.random.default_rng(2).normal(size=(20_000, 102))
+    tracemalloc.start()
+    try:
+        estimate_theta_stats(samples, np.linspace(0.1, 0.9, 9), sigma=1.0, epsilon=0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < samples.nbytes / 2
 
 
 def _jackknife_cov_se_reference(vals):
