@@ -97,7 +97,7 @@ class TransferOperator:
     """
 
     def __init__(self, eps, delta, n_h, n_g, tap_offsets, tap_weights,
-                 z1, radius, grad_cut, grad_scale):
+                 z1, radius, grad_scale):
         self.eps = float(eps)
         self.delta = float(delta)
         self.n_h = int(n_h)
@@ -106,7 +106,6 @@ class TransferOperator:
         self.tap_weights = np.asarray(tap_weights, dtype=np.float64)
         self.z1 = float(z1)
         self.radius = float(radius)
-        self.grad_cut = float(grad_cut)
         self.grad_scale = float(grad_scale)
         # T[c, c2] = w(c2 - c) is banded Toeplitz: every run of `width` output
         # columns reads `width + span - 1` input columns through the same tile,
@@ -218,7 +217,7 @@ def _step_grid(params: ModelParams, pot: Potential, support, mesh):
 
 
 def _tube_grid(params: ModelParams, tube: TubeSpec, sigma2: float, delta: float):
-    """Radius, gradient cut and scale, and the half-extents n_h, n_g."""
+    """Radius, gradient scale, and the half-extents n_h, n_g."""
     eps = params.epsilon
     radius = tube_radius(tube, params, sigma2)
     if radius <= 0 and params.height_mode != "discrete":
@@ -234,7 +233,7 @@ def _tube_grid(params: ModelParams, tube: TubeSpec, sigma2: float, delta: float)
 
     n_h = int(math.floor(radius / delta + 1e-9))
     n_g = int(math.floor(grad_cut / delta + 1e-9))
-    return radius, grad_cut, grad_scale, n_h, n_g
+    return radius, grad_scale, n_h, n_g
 
 
 def _check_states(n_h: int, n_g: int, cap: int, where: str) -> None:
@@ -262,14 +261,14 @@ def build_transfer(
     single-step gradient change.
     """
     delta, offs, wts, sigma2 = _step_grid(params, pot, support, mesh)
-    radius, grad_cut, grad_scale, n_h, n_g = _tube_grid(params, tube, sigma2, delta)
+    radius, grad_scale, n_h, n_g = _tube_grid(params, tube, sigma2, delta)
     _check_states(n_h, n_g, _STATE_CAP, f"rho={tube.rho:g}, mesh {delta:.4g}")
 
     z1 = float(math.fsum(wts))
     if not z1 > 0:
         raise ValueError("single-step normalizer is not positive")
     return TransferOperator(params.epsilon, delta, n_h, n_g, offs, wts, z1, radius,
-                            grad_cut, grad_scale)
+                            grad_scale)
 
 
 class PowerResult(NamedTuple):
@@ -422,7 +421,7 @@ def confinement_sweep(
         grids.append((delta / 2.0, "half-mesh check at "))
     for r in rhos:
         for d, label in grids:
-            n_h, n_g = _tube_grid(params, TubeSpec(r, grad_cut), sigma2, d)[3:]
+            n_h, n_g = _tube_grid(params, TubeSpec(r, grad_cut), sigma2, d)[2:]
             _check_states(n_h, n_g, _STATE_CAP, f"rho={r:g}, {label}mesh {d:.4g}")
     jobs = [(params, pot, r, grad_cut, mesh) for r in rhos]
     return _pool_map(_sweep_point, jobs, workers)

@@ -14,13 +14,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .model import (
     GaussianPotential,
     ModelParams,
     Potential,
-    TabulatedPotential,
+    _continuous_law,
     _lattice_law,
     _step_weights,
 )
@@ -71,29 +70,16 @@ class ConditionedSpec:
 def sigma2_increment(pot: Potential, params: ModelParams) -> float:
     """Variance of one increment under the step weight exp(-eps * Phi).
 
-    Continuous Gaussian is closed form, 1/(eps*kappa).  Other continuous
-    potentials go through adaptive quadrature; discrete mode takes the
-    variance of the cut lattice law over eta in eps^-1 * Z, the one the
-    increment sampler and the transfer operator use.
+    Continuous Gaussian is closed form, 1/(eps*kappa).  A continuous power
+    law or table takes the variance of the continuous step law the increment
+    sampler draws from; discrete mode that of the cut lattice law over eta in
+    eps^-1 * Z, the one the increment sampler and the transfer operator use.
     """
     eps = params.epsilon
     if params.height_mode == "continuous":
         if isinstance(pot, GaussianPotential):
             return 1.0 / (eps * pot.kappa)
-        lo, hi, opts = -np.inf, np.inf, {"limit": 200}
-        if isinstance(pot, TabulatedPotential):
-            # the interpolated table kinks at every interior node: break
-            # there, and leave quad 200 subintervals beyond those it is given
-            lo, hi = pot.grid[0], pot.grid[-1]
-            opts = {"points": pot.grid[1:-1], "limit": 200 + pot.grid.size}
-        w = lambda x: math.exp(-eps * float(pot(x)))
-        z0, z0_err = integrate.quad(w, lo, hi, **opts)
-        m1, _ = integrate.quad(lambda x: x * w(x), lo, hi, **opts)
-        m2, m2_err = integrate.quad(lambda x: x * x * w(x), lo, hi, **opts)
-        if not (z0 > 0) or not math.isfinite(m2) or m2_err > 1e-8 * max(m2, 1.0):
-            raise ValueError("increment weight is not normalizable with finite variance")
-        mean = m1 / z0
-        return m2 / z0 - mean * mean
+        return _continuous_law(pot, eps)[1]
 
     # discrete: the lattice law eta in eps^-1 * Z that the sampler draws from
     offsets, weights = _step_weights(pot, eps)

@@ -17,8 +17,8 @@ each step and to the limit (see `limit_log_mgf`).  The power law goes through
 one tilted-moment kernel.  At each tilt h it takes the peak of
 exp(-eps Phi(x) + h x) in closed form, sizes the width and the window where
 the exponent has fallen by 60 by halving and doubling, and evaluates the
-integrand once, as one array, on a tanh-sinh rule whose pieces end at the
-window ends, the peak and the kink of |x|^alpha at x = 0.  log Z, the mean
+integrand once, as one array, on model's tanh-sinh rule, in pieces that end
+at the window ends, the peak and the kink of |x|^alpha at x = 0.  log Z, the mean
 and the variance come from those nodes and are cached per tilt, so value, d1
 and d2 at one tilt cost one evaluation.  The tests hold the kernel to
 adaptive quadrature within 1e-8 relative for alpha in {1, 1.25, 1.5, 2, 4}
@@ -47,6 +47,9 @@ from .model import (
     ModelParams,
     Potential,
     PowerLawPotential,
+    _TS_FROM_LEFT,
+    _TS_OFFSET,
+    _TS_WEIGHT,
 )
 
 __all__ = [
@@ -66,31 +69,9 @@ _GL_NODES, _GL_WEIGHTS = legendre.leggauss(64)
 _X01 = 0.5 * (_GL_NODES + 1.0)  # nodes mapped to [0, 1]
 _W01 = 0.5 * _GL_WEIGHTS
 
-
-def _tanh_sinh(step: float, t_max: float):
-    """Tanh-sinh rule on [0, 1]: x = 1 / (1 + exp(-pi sinh t)) at t = k*step.
-
-    The nodes crowd both ends doubly exponentially, so an end where the
-    integrand is only Hoelder continuous (|x|^alpha at x = 0) costs no
-    accuracy.  Each node is returned as a signed offset from its nearer end
-    (positive from 0, negative from 1), which keeps full precision there.
-    """
-    t = np.arange(-math.ceil(t_max / step), math.ceil(t_max / step) + 1) * step
-    s = np.pi * np.sinh(t)
-    left = 1.0 / (1.0 + np.exp(-s))  # distance from 0
-    right = 1.0 / (1.0 + np.exp(s))  # distance from 1
-    from_left = left < 0.5
-    weight = step * np.pi * np.cosh(t) * left * right
-    return from_left, np.where(from_left, left, -right), weight
-
-
-# step 1/32 and |t| <= 3.2: 207 nodes per piece, ends reached within 2e-17.
-# Against step 1/64 and |t| <= 3.6, no moment moved by more than 3e-13
-# relative for alpha in {1, 1.5, 2, 3, 4} at tilts up to 30 standard
-# deviations, at eps = 1 and 1e-5 (7e-11 at alpha = 1.25, growing with the
-# tilt from 1e-15 at 3 standard deviations)
-_TS_FROM_LEFT, _TS_OFFSET, _TS_WEIGHT = _tanh_sinh(1.0 / 32.0, 3.2)
-# the tilted density is cut where it has fallen by e^60 from its peak
+# the tanh-sinh rule (_TS_*) lives in model, which integrates the untilted
+# continuous step law with it too; the tilted density is cut where it has
+# fallen by e^60 from its peak
 _TAIL = -60.0
 
 

@@ -138,8 +138,8 @@ Potential = Callable[[np.ndarray], np.ndarray]
 
 
 # ---------------------------------------------------------------------------
-# the lattice step law: one table and one cut rule for the increment sampler,
-# the lattice variance and the transfer-operator taps
+# the step law, lattice and continuous: one law each for the increment
+# sampler, the increment variance and (lattice) the transfer-operator taps
 
 _STEP_CUTOFF = 1e-18
 _STEP_LIMIT = 10_000_000
@@ -190,6 +190,58 @@ def _lattice_law(offsets: np.ndarray, weights: np.ndarray,
     eta = offsets / eps
     probs = weights / total
     return eta, probs, float(np.dot(probs, eta ** 2) - np.dot(probs, eta) ** 2)
+
+
+def _tanh_sinh(step: float, t_max: float):
+    """Tanh-sinh rule on [0, 1]: x = 1 / (1 + exp(-pi sinh t)) at t = k*step.
+
+    The nodes crowd both ends doubly exponentially, so an end where the
+    integrand is only Hoelder continuous (|x|^alpha at x = 0) costs no
+    accuracy.  Each node is returned as a signed offset from its nearer end
+    (positive from 0, negative from 1), which keeps full precision there.
+    """
+    t = np.arange(-math.ceil(t_max / step), math.ceil(t_max / step) + 1) * step
+    s = np.pi * np.sinh(t)
+    left = 1.0 / (1.0 + np.exp(-s))  # distance from 0
+    right = 1.0 / (1.0 + np.exp(s))  # distance from 1
+    from_left = left < 0.5
+    weight = step * np.pi * np.cosh(t) * left * right
+    return from_left, np.where(from_left, left, -right), weight
+
+
+# step 1/32 and |t| <= 3.2: 207 nodes per piece, ends reached within 2e-17.
+# Against step 1/64 and |t| <= 3.6, no tilted moment of a power law moved by
+# more than 3e-13 relative for alpha in {1, 1.5, 2, 3, 4} at tilts up to 30
+# standard deviations, at eps = 1 and 1e-5 (7e-11 at alpha = 1.25, growing
+# with the tilt from 1e-15 at 3 standard deviations)
+_TS_FROM_LEFT, _TS_OFFSET, _TS_WEIGHT = _tanh_sinh(1.0 / 32.0, 3.2)
+
+
+def _continuous_law(pot: Potential, eps: float,
+                    truncation: float | None = None) -> tuple[float, float]:
+    """Support bound and variance of the continuous step law exp(-eps * Phi)
+    of a power law or a table: the grid end, or where the power law's weight
+    falls to _STEP_CUTOFF of its peak, cut at the truncation; and E x^2 on
+    [0, bound] (the law is even) by the tanh-sinh rule on each piece where Phi
+    is smooth, a table's cells or all of [0, bound] (the power law's kink)."""
+    if isinstance(pot, PowerLawPotential):
+        ends = np.array([0.0, (math.log(1.0 / _STEP_CUTOFF) / (eps * pot.kappa))
+                         ** (1.0 / pot.alpha)])
+    elif isinstance(pot, TabulatedPotential):
+        ends = np.append(0.0, pot.grid[pot.grid > 0])
+    else:
+        raise ValueError(f"no continuous step law for {type(pot).__name__}; use "
+                         "potential kind 'gaussian', 'power' or 'table'")
+    if truncation is not None:
+        if not truncation > 0:
+            raise ValueError(f"truncation must be positive, got {truncation}")
+        ends = np.unique(np.minimum(ends, truncation))
+    width = np.diff(ends)[:, None]
+    x = (np.where(_TS_FROM_LEFT, ends[:-1, None], ends[1:, None]) + width * _TS_OFFSET).ravel()
+    g = -eps * np.asarray(pot(x), dtype=float)
+    # shifted by the largest exponent, so no weight overflows
+    w = (width * _TS_WEIGHT).ravel() * np.exp(g - g.max())
+    return float(ends[-1]), float(np.dot(w, x * x) / np.sum(w))
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,7 @@ from .model import (
     GaussianPotential,
     ModelParams,
     Potential,
-    TabulatedPotential,
+    _continuous_law,
     _heights,
     _laps,
     _lattice_law,
@@ -78,7 +78,6 @@ class IncrementDistribution:
     grid).  sigma2 is the variance of this sampler's own law.
     """
 
-    truncation: float | None
     sigma2: float
     kind: str
     values: np.ndarray | None = None
@@ -100,16 +99,15 @@ def build_increment_dist(
 ) -> IncrementDistribution:
     """Construct the increment sampler for (pot, params).
 
-    `truncation` bounds |eta|; defaults to wherever the weight has decayed to
-    ~1e-18 of its peak (or the tabulated domain).  Discrete mode supports
-    eta in eps^-1 * Z.
+    `truncation` bounds |eta|.  Discrete mode supports eta in eps^-1 * Z; a
+    continuous power law or table is drawn by inverse CDF on the support that
+    `model._continuous_law` gives (its grid end or 1e-18 tail), with its sigma2.
     """
     eps = params.epsilon
     if params.height_mode == "continuous" and isinstance(pot, GaussianPotential):
         if truncation is not None:
             raise ValueError("truncation only applies to lattice or tabulated laws")
-        return IncrementDistribution(
-            truncation=None, sigma2=1.0 / (eps * pot.kappa), kind="gaussian")
+        return IncrementDistribution(sigma2=1.0 / (eps * pot.kappa), kind="gaussian")
 
     if params.height_mode == "discrete":
         # support k/eps, |k| <= the largest allowed lap; auto-truncate on decay
@@ -121,35 +119,16 @@ def build_increment_dist(
         values, probs, sigma2 = _lattice_law(ks, weights, eps)
         if not (sigma2 > 0):
             raise ValueError("degenerate increment law: single-point support")
-        return IncrementDistribution(
-            truncation=float(ks[-1] / eps), sigma2=sigma2, kind="discrete",
-            values=values, probs=probs)
+        return IncrementDistribution(sigma2=sigma2, kind="discrete", values=values, probs=probs)
 
-    # continuous, non-Gaussian: dense inverse-CDF table
-    if isinstance(pot, TabulatedPotential):
-        bound = min(float(pot.grid[-1]), truncation) if truncation else float(pot.grid[-1])
-    elif truncation is not None:
-        bound = float(truncation)
-    else:
-        w0 = float(pot(0.0))
-        bound = 1.0
-        while math.exp(-eps * (float(pot(bound)) - w0)) > 1e-18:
-            bound *= 2.0
-            if bound > 1e12:
-                raise ValueError("increment weight decays too slowly to truncate")
+    # continuous, non-Gaussian: dense inverse-CDF table on the law's support
+    bound, sigma2 = _continuous_law(pot, eps, truncation)
     xs = np.linspace(-bound, bound, 8193)
     w = np.exp(-eps * (np.asarray(pot(xs), dtype=float) - float(pot(0.0))))
     cdf = np.concatenate(([0.0], np.cumsum(0.5 * (w[1:] + w[:-1]) * np.diff(xs))))
     if not (cdf[-1] > 0):
         raise ValueError("increment weight not normalizable on the table")
-    probs_mid = 0.5 * (w[1:] + w[:-1]) * np.diff(xs) / cdf[-1]
-    mids = 0.5 * (xs[1:] + xs[:-1])
-    mean = float(np.dot(probs_mid, mids))
-    sigma2 = float(np.dot(probs_mid, mids ** 2) - mean * mean)
-    if not (sigma2 > 0):
-        raise ValueError("degenerate increment law")
-    return IncrementDistribution(
-        truncation=bound, sigma2=sigma2, kind="table", values=xs, cdf=cdf / cdf[-1])
+    return IncrementDistribution(sigma2=sigma2, kind="table", values=xs, cdf=cdf / cdf[-1])
 
 
 def _lap_bound(params: ModelParams, truncation: float) -> float:

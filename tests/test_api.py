@@ -60,6 +60,21 @@ def test_no_unused_module_imports(name):
     assert unused == []
 
 
+def test_no_module_imports_scipy():
+    # adaptive quadrature stays out of the package: the step laws and the
+    # tilted moments integrate on model's tanh-sinh rule.  The one scipy name
+    # bound is ldp's `integrate`, which only the benchmark tracer reads
+    found = set()
+    for name in MODULES:
+        for node in ast.walk(ast.parse(Path(semiflex.__path__[0], f"{name}.py").read_text())):
+            if isinstance(node, ast.Import):
+                found.update((name, a.asname or a.name) for a in node.names
+                             if a.name.split(".")[0] == "scipy")
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy":
+                found.update((name, a.asname or a.name) for a in node.names)
+    assert sorted(found - KEPT_IMPORTS) == []
+
+
 def _names_read(node):
     """Names, attributes and whole-string constants under node: every way
     code here refers to a module-level name."""

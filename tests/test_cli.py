@@ -277,7 +277,7 @@ def test_bridge_mcmc_table_potential_stays_on_its_grid(tmp_path):
 
 def test_bridge_mcmc_continuous_table_default_width(tmp_path):
     # no --width: the proposal scale comes from the table's increment
-    # variance, which quadrature has to integrate across the grid's kinks
+    # variance, integrated cell by cell between the grid's kinks
     grid = [-3.0, -1.0, 0.0, 1.0, 3.0]
     cfg = _write_config(tmp_path, {
         "model": {"n_sites": 8, "epsilon": 0.05, "macro_length": 0.4},
@@ -288,6 +288,22 @@ def test_bridge_mcmc_continuous_table_default_width(tmp_path):
     assert main(["bridge", "--config", cfg, "--method", "mcmc", "--n", "100",
                  "--out", str(tmp_path)]) == 0
     assert samples_from_csv(tmp_path / "bridge.csv").shape == (100, 10)
+
+
+@pytest.mark.parametrize("argv", [
+    ["bridge", "--method", "mcmc", "--n", "64"],
+    ["theta-stats", "--method", "mcmc", "--n", "64"],
+    ["confine", "--mesh", "0.5"],
+], ids=["bridge", "theta-stats", "confine"])
+def test_continuous_power_law_commands_read_the_step_variance(tmp_path, argv):
+    # kappa |x|^3 at eps = 1: every command that reads the increment variance
+    # (the proposal width, the theta scale, the tube radius) runs
+    cfg = _write_config(tmp_path, {
+        "model": {"n_sites": 10, "epsilon": 1.0, "macro_length": 10.0},
+        "potential": {"kind": "power", "kappa": 1.0, "alpha": 3.0},
+        "sampler": {"burn_in": 20},
+    })
+    assert main(argv + ["--config", cfg, "--out", str(tmp_path)]) == 0
 
 
 def test_theta_stats_payload(tmp_path):

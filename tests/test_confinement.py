@@ -132,7 +132,8 @@ def test_matvec_agrees_with_dense(build, seed):
 @example(eps=1.0, pot=GaussianPotential(1.0), cut=1.9999999999999982)
 def test_one_step_law_for_sampler_variance_and_taps(eps, pot, cut):
     # the sampler's law, the lattice variance and the transfer taps come from
-    # one table: equal bit for bit, with and without a truncation
+    # one table: equal bit for bit, with and without a truncation; the
+    # continuous sampler and variance read one law too
     params = ModelParams(n_sites=4, epsilon=eps, macro_length=4.0 * eps,
                          height_mode="discrete")
     support = None
@@ -147,6 +148,8 @@ def test_one_step_law_for_sampler_variance_and_taps(eps, pot, cut):
     assert np.array_equal(dist.probs, op.tap_weights / op.tap_weights.sum())
     if cut is None:
         assert sigma2_increment(pot, params) == dist.sigma2
+        params = ModelParams(n_sites=4, epsilon=eps, macro_length=4.0 * eps)
+        assert build_increment_dist(pot, params).sigma2 == sigma2_increment(pot, params)
     else:
         assert np.array_equal(op.tap_offsets, support)
 

@@ -27,7 +27,8 @@ def test_sigma2_gaussian_closed_form():
 
 
 def test_sigma2_quadrature_matches_closed_form():
-    # the power law with alpha = 2 is the same weight, but takes the quadrature path
+    # the power law with alpha = 2 is the same weight, but takes the continuous
+    # step-law path
     params = ModelParams(n_sites=50, epsilon=0.02, macro_length=1.0)
     exact = sigma2_increment(GaussianPotential(kappa=2.0), params)
     quad = sigma2_increment(PowerLawPotential(kappa=1.0, alpha=2.0), params)
@@ -58,6 +59,33 @@ def test_sigma2_continuous_table_integrates_cell_by_cell(grid, eps):
     params = ModelParams(n_sites=10, epsilon=eps, macro_length=10 * eps)
     assert sigma2_increment(pot, params) == pytest.approx(_cellwise_sigma2(pot, eps),
                                                           rel=1e-10)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.25, 1.5, 2.0, 2.5, 3.0, 4.0, 6.0, 8.0])
+def test_sigma2_power_law_matches_the_gamma_closed_form(alpha):
+    # E x^2 under exp(-eps kappa |x|^alpha) is
+    # Gamma(3/alpha) / Gamma(1/alpha) * (eps kappa)^(-2/alpha), for N = 10 .. 10^6
+    for kappa in (0.5, 1.0, 2.0):
+        for n in (10, 100, 1000, 10**4, 10**5, 10**6):
+            params = ModelParams(n_sites=n, epsilon=1.0 / n, macro_length=1.0)
+            exact = (math.gamma(3.0 / alpha) / math.gamma(1.0 / alpha)
+                     * (params.epsilon * kappa) ** (-2.0 / alpha))
+            got = sigma2_increment(PowerLawPotential(kappa=kappa, alpha=alpha), params)
+            assert got == pytest.approx(exact, rel=1e-12), (kappa, n)
+
+
+def test_sigma2_steep_table_cell():
+    # Phi = 1e4 |x| on [-1, 1] at eps = 1: a Laplace law of rate 1e4, cut where
+    # its weight is exp(-1e4), so its variance is 2 / 1e4^2
+    pot = TabulatedPotential(np.array([-1.0, 0.0, 1.0]), np.array([1e4, 0.0, 1e4]))
+    params = ModelParams(n_sites=2, epsilon=1.0, macro_length=2.0)
+    assert sigma2_increment(pot, params) == pytest.approx(2.0 / 1e8, rel=1e-12)
+
+
+def test_sigma2_continuous_needs_a_potential_kind():
+    params = ModelParams(n_sites=10, epsilon=0.1, macro_length=1.0)
+    with pytest.raises(ValueError, match="'gaussian', 'power' or 'table'"):
+        sigma2_increment(lambda x: np.abs(x), params)
 
 
 def test_sigma2_discrete_flat_support():

@@ -329,14 +329,22 @@ def _reference_moments(pot, eps, h):
     def w(u):
         return math.exp(min(g(x0 + u * d) - shift, 700.0))
 
-    # split at the kink of |x|^alpha (x = 0) wherever it carries weight: across
-    # it one infinite-range call misjudges its own error (the variance at
-    # alpha = 1.5, eps = 1, h = 1.047 came out 4.8e-8 relative off; split, it
-    # agrees with the kernel to 1e-15)
-    ends = (-np.inf, -x0 / d, np.inf) if g(0.0) - shift > -60.0 else (-np.inf, np.inf)
+    # finite windows that end where the exponent has fallen by 80, split at
+    # the peak (u = 0) and at the kink of |x|^alpha (x = 0), at tolerances
+    # well under the test's: on infinite ranges at quad's default tolerances
+    # one call misjudges its own error (the variance came out 4.8e-8 relative
+    # off at alpha = 1.5, eps = 1, h = 1.047 across the kink, and 6.8e-8 at
+    # alpha = 1.25, eps = 1, frac = 0.9032764615318141)
+    left = right = 1.0
+    while g(x0 - left * d) - shift > -80.0:
+        left *= 2.0
+    while g(x0 + right * d) - shift > -80.0:
+        right *= 2.0
+    ends = sorted({-left, 0.0, right} | ({-x0 / d} if -left < -x0 / d < right else set()))
 
     def quad(f):
-        return sum(integrate.quad(f, lo, hi, limit=200)[0] for lo, hi in zip(ends, ends[1:]))
+        return sum(integrate.quad(f, lo, hi, epsabs=1e-13, epsrel=1e-10, limit=200)[0]
+                   for lo, hi in zip(ends, ends[1:]))
 
     z = quad(w)
     u1 = quad(lambda u: u * w(u)) / z
@@ -365,6 +373,7 @@ def _tilt(mgf, frac):
 @settings(max_examples=25, deadline=None)
 @given(frac=st.floats(-1.0, 1.0))
 @example(frac=0.03)  # the alpha = 1.5, eps = 1 case an unsplit reference got wrong
+@example(frac=0.9032764615318141)  # alpha = 1.25, eps = 1: an infinite-range reference got wrong
 def test_moment_kernel_matches_adaptive_quad(alpha, eps, frac):
     mgf = _power_step_mgf(alpha, eps)
     pot = PowerLawPotential(kappa=1.0, alpha=alpha)

@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 
 from semiflex import sampling
 from semiflex.confinement import TubeSpec, build_transfer
-from semiflex.gaussian import theta_cov, xy_moments
+from semiflex.gaussian import sigma2_increment, theta_cov, xy_moments
 from semiflex.model import (
     BoundaryConditions,
     GaussianPotential,
@@ -63,7 +63,7 @@ def test_discrete_table_law_stops_at_the_grid():
     assert_allclose(dist.values, [-1.0, 0.0, 1.0], rtol=0, atol=0)
     assert_allclose(dist.probs, [1.0 / 3.0] * 3, rtol=0, atol=0)
     assert dist.sigma2 == 2.0 / 3.0
-    assert dist.truncation == 1.0
+    assert dist.values[-1] == 1.0
 
 
 def test_table_cut_keeps_only_offsets_evaluated_on_the_grid():
@@ -73,7 +73,7 @@ def test_table_cut_keeps_only_offsets_evaluated_on_the_grid():
     pot = TabulatedPotential(np.array([-30.0, 0.0, 30.0]), np.array([1.0, 0.0, 1.0]))
     params = ModelParams(n_sites=10, epsilon=0.7, macro_length=7.0, height_mode="discrete")
     dist = build_increment_dist(pot, params)
-    assert dist.truncation == 20 / 0.7
+    assert dist.values[-1] == 20 / 0.7
     op = build_transfer(params, pot, TubeSpec(1.0))
     assert op.tap_offsets.tolist() == list(range(-20, 21))
     settings = ChainSettings(seed=1, n_samples=64, burn_in=20, n_chains=8)
@@ -175,6 +175,31 @@ def test_free_walk_moments():
     x = (s[:, n + 1] - s[:, n]) / eps
     y = s[:, n + 1] / ((n + 1) * eps)
     var_x, cov_xy, var_y = xy_moments(n, n, dist.sigma2)
+    assert np.mean(x * x) == pytest.approx(var_x, rel=0.03)
+    assert np.mean(x * y) == pytest.approx(cov_xy, rel=0.03)
+    assert np.mean(y * y) == pytest.approx(var_y, rel=0.03)
+
+
+_TABLE_GRID = np.linspace(-40.0, 40.0, 81)
+
+
+@pytest.mark.parametrize("pot", [
+    PowerLawPotential(1.0, 1.5),
+    PowerLawPotential(1.0, 4.0),
+    TabulatedPotential(_TABLE_GRID, 0.5 * _TABLE_GRID**2),
+], ids=["power-1.5", "power-4", "table"])
+def test_free_walk_moments_of_continuous_laws(pot):
+    # the inverse-CDF sampler draws the law whose variance sigma2_increment
+    # reports, and carries that same variance bit for bit
+    n = 50
+    params = ModelParams(n_sites=n, epsilon=0.02, macro_length=1.0)
+    dist = build_increment_dist(pot, params)
+    assert dist.sigma2 == sigma2_increment(pot, params)
+    s = sample_free(params, dist, 0.0, ChainSettings(seed=9, n_samples=40_000))
+    eps = params.epsilon
+    x = (s[:, n + 1] - s[:, n]) / eps
+    y = s[:, n + 1] / ((n + 1) * eps)
+    var_x, cov_xy, var_y = xy_moments(n, n, sigma2_increment(pot, params))
     assert np.mean(x * x) == pytest.approx(var_x, rel=0.03)
     assert np.mean(x * y) == pytest.approx(cov_xy, rel=0.03)
     assert np.mean(y * y) == pytest.approx(var_y, rel=0.03)
