@@ -296,12 +296,13 @@ def _run_theta_stats(args) -> int:
     h = _config_hash(cfg, cmd)
     params, pot = _model(cfg), _potential(cfg)
     bc, settings = _boundary(cfg), _settings(cfg)
+    # before sampling, so a law without a variance fails at once
+    sigma = math.sqrt(gaussian.sigma2_increment(pot, params))
     if args.method == "exact":
         samples = sampling.sample_gaussian_bridge(params, pot, bc, settings)
     else:
         samples = sampling.sample_bridge_mcmc(params, pot, bc, settings,
                                               workers=args.workers)
-    sigma = math.sqrt(gaussian.sigma2_increment(pot, params))
     stats = sampling.estimate_theta_stats(samples, times, sigma, params.epsilon)
     payload = {
         "config_hash": h, "seed": settings.seed,

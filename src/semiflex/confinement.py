@@ -92,8 +92,9 @@ class TransferOperator:
 
     The state value array has shape (2*n_h + 1, 2*n_g + 1); row i is height
     delta*(i - n_h), column c is gradient delta*(c - n_g).  A step moves
-    (h, g) -> (h + g', g') with raw weight exp(-eps * Phi((g' - g)/eps));
-    landing outside the grid contributes nothing.
+    (h, g) -> (h + g', g') with weight exp(-eps * Phi((g' - g)/eps)), scaled
+    so that the largest tap weighs 1; landing outside the grid contributes
+    nothing.
     """
 
     def __init__(self, eps, delta, n_h, n_g, tap_offsets, tap_weights,
@@ -264,11 +265,8 @@ def build_transfer(
     radius, grad_scale, n_h, n_g = _tube_grid(params, tube, sigma2, delta)
     _check_states(n_h, n_g, _STATE_CAP, f"rho={tube.rho:g}, mesh {delta:.4g}")
 
-    z1 = float(math.fsum(wts))
-    if not z1 > 0:
-        raise ValueError("single-step normalizer is not positive")
-    return TransferOperator(params.epsilon, delta, n_h, n_g, offs, wts, z1, radius,
-                            grad_scale)
+    return TransferOperator(params.epsilon, delta, n_h, n_g, offs, wts, math.fsum(wts),
+                            radius, grad_scale)
 
 
 class PowerResult(NamedTuple):

@@ -145,20 +145,37 @@ _STEP_CUTOFF = 1e-18
 _STEP_LIMIT = 10_000_000
 
 
+def _step_bound(pot: Potential, eps: float, truncation: float | None = None) -> float:
+    """Where the step law exp(-eps * Phi) ends: the largest |x| at which it
+    weighs at least _STEP_CUTOFF of its peak, cut at the truncation.  Closed
+    form for the Gaussian and the power law; for a table, the grid node just
+    past its last node with Phi <= min Phi + ln(1/_STEP_CUTOFF)/eps, or the
+    grid end."""
+    depth = math.log(1.0 / _STEP_CUTOFF)
+    if isinstance(pot, GaussianPotential):
+        bound = math.sqrt(2.0 * depth / (eps * pot.kappa))
+    elif isinstance(pot, PowerLawPotential):
+        bound = (depth / (eps * pot.kappa)) ** (1.0 / pot.alpha)
+    elif isinstance(pot, TabulatedPotential):
+        last = np.flatnonzero(pot.values <= pot.values.min() + depth / eps)[-1]
+        bound = float(pot.grid[min(last + 1, pot.grid.size - 1)])
+    else:
+        raise ValueError(f"no step law bound for {type(pot).__name__}; use "
+                         "potential kind 'gaussian', 'power' or 'table'")
+    return bound if truncation is None else min(bound, truncation)
+
+
 def _step_weights(pot: Potential, eps: float, delta: float = 1.0,
                   support=None) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted integer offsets d and raw weights exp(-eps * Phi(d*delta/eps)) of
-    a height step d*delta.
+    """Sorted integer offsets d and weights exp(-eps * Phi(d*delta/eps)) of a
+    height step d*delta, divided by their largest, so the peak weighs 1.
 
     support, when given, lists the allowed steps; each must sit on the grid of
-    spacing delta and appear once.  Otherwise d runs over |d| <= d_max, cut
-    before the first d at which both tails weigh less than 1e-18 of the weight
-    at d = 0; a forbidden step (Phi = inf, as off a table's grid) weighs 0, so
-    the law stops at the last allowed one.
+    spacing delta and appear once.  Otherwise d runs over |d| <= d_max, the
+    largest |d| within `_step_bound` whose weight is at least _STEP_CUTOFF;
+    weights inside d_max are kept whatever their size (a table's barrier),
+    and a forbidden step (Phi = inf, as off a table's grid) weighs 0.
     """
-    def weights(d):
-        return np.exp(-eps * np.asarray(pot(d * delta / eps), dtype=float))
-
     if support is not None:
         steps = np.asarray(support, dtype=float)
         offsets = np.rint(steps / delta)
@@ -168,28 +185,33 @@ def _step_weights(pot: Potential, eps: float, delta: float = 1.0,
         offsets = np.sort(offsets.astype(np.int64))
         if np.any(np.diff(offsets) == 0):
             raise ValueError("support values must be distinct")
-        return offsets, weights(offsets)
-
-    cut = _STEP_CUTOFF * weights(np.zeros(1))[0]
-    d_max = 0
-    while d_max < _STEP_LIMIT and weights(np.array([d_max + 1, -d_max - 1])).max() >= cut:
-        d_max += 1
-    if d_max == _STEP_LIMIT:
-        raise ValueError("step weights did not decay; check the potential")
-    offsets = np.arange(-d_max, d_max + 1)
-    return offsets, weights(offsets)
+    else:
+        reach = _step_bound(pot, eps) * eps / delta
+        if not reach < _STEP_LIMIT:
+            raise ValueError(f"the step law spans {reach:.4g} grid steps each side, above "
+                             f"{_STEP_LIMIT}: coarsen the mesh or stiffen the potential")
+        d_max = math.floor(reach) + 1
+        offsets = np.arange(-d_max, d_max + 1)
+    g = -eps * np.asarray(pot(offsets * delta / eps), dtype=float)
+    if not g.max() > -math.inf:
+        raise ValueError("all lattice weights vanished: every step is forbidden")
+    weights = np.exp(g - g.max())
+    if support is None:
+        keep = np.abs(offsets) <= np.abs(offsets[weights >= _STEP_CUTOFF]).max()
+        offsets, weights = offsets[keep], weights[keep]
+    return offsets, weights
 
 
 def _lattice_law(offsets: np.ndarray, weights: np.ndarray,
                  eps: float) -> tuple[np.ndarray, np.ndarray, float]:
     """Increments eta = d/eps of a lattice step law (delta = 1), their
-    probabilities and their variance."""
-    total = weights.sum()
-    if not total > 0:
-        raise ValueError("all lattice weights vanished")
+    probabilities and their variance, which must be positive."""
     eta = offsets / eps
-    probs = weights / total
-    return eta, probs, float(np.dot(probs, eta ** 2) - np.dot(probs, eta) ** 2)
+    probs = weights / weights.sum()
+    sigma2 = float(np.dot(probs, eta ** 2) - np.dot(probs, eta) ** 2)
+    if not sigma2 > 0:
+        raise ValueError("degenerate increment law: single-point support")
+    return eta, probs, sigma2
 
 
 def _tanh_sinh(step: float, t_max: float):
@@ -219,29 +241,21 @@ _TS_FROM_LEFT, _TS_OFFSET, _TS_WEIGHT = _tanh_sinh(1.0 / 32.0, 3.2)
 
 def _continuous_law(pot: Potential, eps: float,
                     truncation: float | None = None) -> tuple[float, float]:
-    """Support bound and variance of the continuous step law exp(-eps * Phi)
-    of a power law or a table: the grid end, or where the power law's weight
-    falls to _STEP_CUTOFF of its peak, cut at the truncation; and E x^2 on
-    [0, bound] (the law is even) by the tanh-sinh rule on each piece where Phi
-    is smooth, a table's cells or all of [0, bound] (the power law's kink)."""
-    if isinstance(pot, PowerLawPotential):
-        ends = np.array([0.0, (math.log(1.0 / _STEP_CUTOFF) / (eps * pot.kappa))
-                         ** (1.0 / pot.alpha)])
-    elif isinstance(pot, TabulatedPotential):
-        ends = np.append(0.0, pot.grid[pot.grid > 0])
-    else:
-        raise ValueError(f"no continuous step law for {type(pot).__name__}; use "
-                         "potential kind 'gaussian', 'power' or 'table'")
-    if truncation is not None:
-        if not truncation > 0:
-            raise ValueError(f"truncation must be positive, got {truncation}")
-        ends = np.unique(np.minimum(ends, truncation))
+    """Support bound and variance of the continuous step law exp(-eps * Phi):
+    the bound is `_step_bound`'s, and the variance E x^2 on [0, bound] (the
+    law is even) comes from the tanh-sinh rule on each piece where Phi is
+    smooth, a table's cells below the bound or all of [0, bound] (the power
+    law's kink)."""
+    bound = _step_bound(pot, eps, truncation)
+    ends = np.array([0.0, bound])
+    if isinstance(pot, TabulatedPotential):
+        ends = np.insert(ends, 1, pot.grid[(pot.grid > 0) & (pot.grid < bound)])
     width = np.diff(ends)[:, None]
     x = (np.where(_TS_FROM_LEFT, ends[:-1, None], ends[1:, None]) + width * _TS_OFFSET).ravel()
     g = -eps * np.asarray(pot(x), dtype=float)
     # shifted by the largest exponent, so no weight overflows
     w = (width * _TS_WEIGHT).ravel() * np.exp(g - g.max())
-    return float(ends[-1]), float(np.dot(w, x * x) / np.sum(w))
+    return bound, float(np.dot(w, x * x) / np.sum(w))
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,10 @@ Three routes to samples:
   rounds of block shifts on disjoint laps, at least N-2 shifts per chain.
   The proposal width starts at eps times the increment standard deviation.
 
+The step laws come from `model`: where each one ends, its weights scaled so
+that its peak weighs 1, its variance, and the refusal of a law that sits on
+one point.  This module only draws from them and checks the truncation.
+
 Reproducibility contract: work is split into fixed-size blocks (8192 samples
 for i.i.d. samplers, 64 chains for MCMC) and block i draws from
 SeedSequence(seed, spawn_key=(i,)).  Block layout depends only on the request
@@ -99,36 +103,42 @@ def build_increment_dist(
 ) -> IncrementDistribution:
     """Construct the increment sampler for (pot, params).
 
-    `truncation` bounds |eta|.  Discrete mode supports eta in eps^-1 * Z; a
-    continuous power law or table is drawn by inverse CDF on the support that
-    `model._continuous_law` gives (its grid end or 1e-18 tail), with its sigma2.
+    `truncation` bounds |eta|.  Discrete mode draws eta in eps^-1 * Z from
+    `model._step_weights`' lattice law; a continuous power law or table is
+    drawn by inverse CDF on [-bound, bound] from `model._continuous_law`,
+    with its sigma2.  `model` decides where each law ends.
     """
+    _check_truncation(truncation)
     eps = params.epsilon
     if params.height_mode == "continuous" and isinstance(pot, GaussianPotential):
         if truncation is not None:
-            raise ValueError("truncation only applies to lattice or tabulated laws")
+            raise ValueError("the continuous Gaussian increment is drawn exactly "
+                             "and takes no truncation")
         return IncrementDistribution(sigma2=1.0 / (eps * pot.kappa), kind="gaussian")
 
     if params.height_mode == "discrete":
-        # support k/eps, |k| <= the largest allowed lap; auto-truncate on decay
+        # support k/eps, |k| <= the largest allowed lap; else the law's own end
         support = None
         if truncation is not None:
             k_max = int(_lap_bound(params, truncation))
             support = np.arange(-k_max, k_max + 1)
         ks, weights = _step_weights(pot, eps, support=support)
         values, probs, sigma2 = _lattice_law(ks, weights, eps)
-        if not (sigma2 > 0):
-            raise ValueError("degenerate increment law: single-point support")
         return IncrementDistribution(sigma2=sigma2, kind="discrete", values=values, probs=probs)
 
-    # continuous, non-Gaussian: dense inverse-CDF table on the law's support
+    # continuous, non-Gaussian: dense inverse-CDF table on the law's support,
+    # shifted by the largest exponent as in _continuous_law, so none overflows
     bound, sigma2 = _continuous_law(pot, eps, truncation)
     xs = np.linspace(-bound, bound, 8193)
-    w = np.exp(-eps * (np.asarray(pot(xs), dtype=float) - float(pot(0.0))))
+    g = -eps * np.asarray(pot(xs), dtype=float)
+    w = np.exp(g - g.max())
     cdf = np.concatenate(([0.0], np.cumsum(0.5 * (w[1:] + w[:-1]) * np.diff(xs))))
-    if not (cdf[-1] > 0):
-        raise ValueError("increment weight not normalizable on the table")
     return IncrementDistribution(sigma2=sigma2, kind="table", values=xs, cdf=cdf / cdf[-1])
+
+
+def _check_truncation(truncation: float | None) -> None:
+    if truncation is not None and not 0 < truncation < math.inf:
+        raise ValueError(f"truncation must be positive and finite, got {truncation}")
 
 
 def _lap_bound(params: ModelParams, truncation: float) -> float:
@@ -433,6 +443,7 @@ def sample_bridge_mcmc(
     such a lap is rejected.  `workers` spreads the blocks of 64 chains over
     processes; the output does not depend on it.
     """
+    _check_truncation(truncation)
     width = None
     if params.height_mode == "discrete":
         for name, v in (("xi_left", bc.xi_left), ("xi_right", bc.xi_right),
@@ -462,6 +473,9 @@ def estimate_theta_stats(samples: np.ndarray, times, sigma: float, epsilon: floa
     """Sample mean/covariance of the rescaled area path at the given times,
     with jackknife standard errors (closed-form leave-one-out).  Each time
     reads two height columns: eps (N+1) Y_k = phi_{k+1} - phi_0 - (k+1) xi_1."""
+    for name, value in (("sigma", sigma), ("epsilon", epsilon)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     samples = np.asarray(samples, dtype=float)
     times = np.asarray(times, dtype=float)
     if samples.ndim != 2 or samples.shape[0] < 4:

@@ -386,6 +386,38 @@ def test_confine_unfittable_sweep_fails_before_solving(tmp_path, capsys, monkeyp
     assert not (tmp_path / "confine.csv").exists()
 
 
+@pytest.mark.parametrize("command", [["confine"], ["theta-stats", "--method", "mcmc"]],
+                         ids=["confine", "theta-stats"])
+def test_degenerate_lattice_law_fails_before_writing(tmp_path, capsys, command):
+    # the default config on the lattice: at eps = 0.01 a unit lap weighs
+    # exp(-50) of the zero lap, below the 1e-18 cut, so the law is one point
+    cfg = _write_config(tmp_path, {"model": {"height_mode": "discrete"}})
+    out = tmp_path / "out"
+    assert main([*command, "--config", cfg, "--out", str(out)]) == 1
+    assert "degenerate increment law" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("truncation", ["-1", "0", "nan", "inf"])
+@pytest.mark.parametrize("command", [["sample"], ["bridge", "--method", "mcmc"]],
+                         ids=["sample", "bridge-mcmc"])
+@pytest.mark.parametrize("model, potential", [
+    ({"n_sites": 6, "epsilon": 1.0, "macro_length": 6.0, "height_mode": "discrete"},
+     {"kind": "gaussian", "kappa": 1.0}),
+    ({"n_sites": 6, "epsilon": 1.0, "macro_length": 6.0},
+     {"kind": "power", "kappa": 1.0, "alpha": 1.5}),
+], ids=["lattice-gaussian", "continuous-power"])
+def test_truncation_outside_its_range_is_one_error_line(tmp_path, capsys, truncation,
+                                                        command, model, potential):
+    cfg = _write_config(tmp_path, {"model": model, "potential": potential})
+    out = tmp_path / "out"
+    assert main([*command, "--n", "8", "--truncation", truncation, "--config", cfg,
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: truncation must be positive and finite, got {float(truncation)}"]
+    assert not out.exists()
+
+
 def test_exponent_fit_plain_columns(tmp_path):
     rhos = np.geomspace(0.1, 1.0, 6)
     path = tmp_path / "data.csv"

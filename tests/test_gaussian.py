@@ -88,6 +88,13 @@ def test_sigma2_continuous_needs_a_potential_kind():
         sigma2_increment(lambda x: np.abs(x), params)
 
 
+def test_sigma2_discrete_needs_a_potential_kind():
+    # the lattice law ends where `_step_bound` says, which knows the three kinds
+    params = ModelParams(n_sites=10, epsilon=0.1, macro_length=1.0, height_mode="discrete")
+    with pytest.raises(ValueError, match="'gaussian', 'power' or 'table'"):
+        sigma2_increment(lambda x: np.abs(x), params)
+
+
 def test_sigma2_discrete_flat_support():
     # zero potential on {-1, 0, 1}: uniform increments, variance 2/3
     params = ModelParams(n_sites=4, epsilon=1.0, macro_length=4.0, height_mode="discrete")

@@ -16,13 +16,17 @@ from semiflex.model import (
     ModelParams,
     PowerLawPotential,
     TabulatedPotential,
+    _continuous_law,
     _heights,
     _laps,
+    _step_bound,
+    _step_weights,
     _walk_area,
     continuum_energy_check,
     hamiltonian,
     map_boundary,
 )
+from semiflex.gaussian import sigma2_increment
 from semiflex.sampling import estimate_theta_stats
 
 
@@ -252,3 +256,97 @@ def test_increment_roundtrip_property(etas, xi1, eps):
     assert_allclose(back, etas, rtol=0, atol=1e-14 * n * scale / eps)
     again = _heights(phi[1] - phi[0], back, eps)
     assert_allclose(again, phi, rtol=0, atol=1e-14 * n * n * scale)
+
+
+# ---------------------------------------------------------------------------
+# where a step law ends: one rule, `_step_bound`, for every law
+
+_RULE_POTS = [GaussianPotential(0.5), GaussianPotential(1.0), GaussianPotential(4.0),
+              PowerLawPotential(1.0, 1.0), PowerLawPotential(1.0, 1.5),
+              PowerLawPotential(1.0, 2.0), PowerLawPotential(1.0, 4.0)]
+
+
+def _scan(pot, eps, delta):
+    """The outward scan, as an independent reference: d grows from 0 until
+    both d+1 and -(d+1) weigh less than 1e-18 of the weight at d = 0."""
+    def weight(d):
+        return np.exp(-eps * np.asarray(pot(np.asarray(d) * delta / eps), dtype=float))
+
+    cut = 1e-18 * weight(np.zeros(1))[0]
+    d = 0
+    while weight(np.array([d + 1, -d - 1])).max() >= cut:
+        d += 1
+    offsets = np.arange(-d, d + 1)
+    return offsets, weight(offsets)
+
+
+@pytest.mark.parametrize("pot", _RULE_POTS, ids=repr)
+@pytest.mark.parametrize("eps", [1.0, 0.01])
+@pytest.mark.parametrize("mesh", [False, True], ids=["lattice", "mesh"])
+def test_step_weights_match_an_outward_scan_bit_for_bit(pot, eps, mesh):
+    # Phi(0) = 0 is the peak of these laws, so the scan's raw weights are
+    # already peak-scaled; the closed-form bound must keep exactly its offsets
+    delta = 1.0
+    if mesh:
+        delta = eps * math.sqrt(sigma2_increment(pot, ModelParams(2, eps, 2.0 * eps))) / 40.0
+    offsets, weights = _step_weights(pot, eps, delta)
+    ref_offsets, ref_weights = _scan(pot, eps, delta)
+    assert np.array_equal(offsets, ref_offsets)
+    assert np.array_equal(weights, ref_weights)
+
+
+@pytest.mark.parametrize("pot", [
+    GaussianPotential(1.0),
+    PowerLawPotential(1.0, 1.5),
+    TabulatedPotential(np.linspace(-40.0, 40.0, 81), 0.5 * np.linspace(-40.0, 40.0, 81) ** 2),
+], ids=["gaussian", "power", "table"])
+def test_step_weights_make_one_potential_call(monkeypatch, pot):
+    calls = []
+    own_call = type(pot).__call__
+
+    def counting(self, x):
+        calls.append(np.size(x))
+        return own_call(self, x)
+
+    monkeypatch.setattr(type(pot), "__call__", counting)
+    offsets, weights = _step_weights(pot, 0.5, 0.1)
+    assert len(calls) == 1
+    assert weights.max() == 1.0
+
+
+def test_step_bound_closed_forms():
+    depth = math.log(1e18)
+    assert _step_bound(GaussianPotential(2.0), 0.5) == pytest.approx(math.sqrt(depth / 0.5))
+    assert _step_bound(PowerLawPotential(2.0, 4.0), 0.5) == pytest.approx(depth ** 0.25)
+    assert _step_bound(PowerLawPotential(2.0, 4.0), 0.5, truncation=1.5) == 1.5
+    # a table ends at the node just past its last node within depth/eps of
+    # its minimum (here 1e4 above it from |x| = 3 on), else at the grid end
+    grid = np.arange(-6.0, 7.0)
+    steep = TabulatedPotential(grid, np.where(np.abs(grid) >= 3, 1e4, 0.0) + 7.0)
+    assert _step_bound(steep, 1.0) == 3.0
+    assert _step_bound(steep, 1e-4) == 6.0
+    with pytest.raises(ValueError, match="'gaussian', 'power' or 'table'"):
+        _step_bound(lambda x: np.abs(x), 1.0)
+
+
+def test_step_weights_check_their_size_before_allocating():
+    with pytest.raises(ValueError, match="coarsen the mesh"):
+        _step_weights(GaussianPotential(1e-20), 1.0)
+
+
+def test_step_weights_refuse_a_support_of_forbidden_steps():
+    pot = TabulatedPotential(np.array([-0.5, 0.0, 0.5]), np.zeros(3))
+    with pytest.raises(ValueError, match="every step is forbidden"):
+        _step_weights(pot, 1.0, support=[-1.0, 1.0])
+
+
+def test_barrier_table_keeps_its_wells():
+    # Phi = 5000 at |x| = 100 and 0 at 200 and 300: at eps = 0.01 the barrier
+    # weighs exp(-50) of the wells, inside the law, so the law runs to 300
+    grid = np.arange(-300.0, 301.0, 100.0)
+    pot = TabulatedPotential(grid, np.array([0.0, 0.0, 5000.0, 0.0, 5000.0, 0.0, 0.0]))
+    offsets, weights = _step_weights(pot, 0.01)
+    assert offsets.tolist() == [-3, -2, -1, 0, 1, 2, 3]
+    assert weights[3] == 1.0
+    assert weights[2] == pytest.approx(math.exp(-50.0), rel=1e-15)
+    assert _continuous_law(pot, 0.01)[0] == 300.0

@@ -1,6 +1,7 @@
 """Samplers: exact Gaussian bridge, free walk, Metropolis bridge, serialization."""
 
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -18,6 +19,7 @@ from semiflex.model import (
     ModelParams,
     PowerLawPotential,
     TabulatedPotential,
+    _continuous_law,
     _laps,
     _step_weights,
     _walk_area,
@@ -108,6 +110,61 @@ def test_lattice_truncation_is_one_cut_for_the_law_and_the_chain():
     settings = ChainSettings(seed=5, n_samples=400, burn_in=20, n_chains=8)
     laps = _laps(sample_bridge_mcmc(params, pot, ZERO_BC, settings, truncation=truncation))
     assert np.abs(laps).max() == 2.0
+
+
+def test_table_far_above_its_minimum_at_zero_is_degenerate_at_once():
+    # Phi(0) = 1e5 over a minimum of 0 at the grid ends: on the lattice at
+    # eps = 0.01 every step but 0 leaves the grid, so the law is one point
+    pot = TabulatedPotential(np.array([-2.0, 0.0, 2.0]), np.array([0.0, 1e5, 0.0]))
+    params = ModelParams(n_sites=100, epsilon=0.01, macro_length=1.0, height_mode="discrete")
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="degenerate increment law"):
+        build_increment_dist(pot, params)
+    with pytest.raises(ValueError, match="degenerate increment law"):
+        sigma2_increment(pot, params)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_continuous_table_far_above_its_minimum_at_zero_draws_its_law():
+    # the same table in continuous mode: its weight peaks at the grid ends,
+    # exp(1000) times the weight at 0, and the inverse CDF must not overflow
+    pot = TabulatedPotential(np.array([-2.0, 0.0, 2.0]), np.array([0.0, 1e5, 0.0]))
+    params = ModelParams(n_sites=100, epsilon=0.01, macro_length=1.0)
+    dist = build_increment_dist(pot, params)
+    draws = dist.sample(np.random.default_rng(3), 200_000)
+    assert np.all(np.isfinite(draws))
+    assert draws.var() == pytest.approx(dist.sigma2, rel=0.01)
+
+
+def test_barrier_table_transfer_taps_reach_the_continuous_bound():
+    grid = np.arange(-300.0, 301.0, 100.0)
+    pot = TabulatedPotential(grid, np.array([0.0, 0.0, 5000.0, 0.0, 5000.0, 0.0, 0.0]))
+    params = ModelParams(n_sites=100, epsilon=0.01, macro_length=1.0)
+    op = build_transfer(params, pot, TubeSpec(0.001))  # default mesh, a narrow tube
+    step = op.delta / params.epsilon  # one mesh step in eta
+    reach = op.tap_offsets.max() * step
+    assert _continuous_law(pot, params.epsilon)[0] - step <= reach <= 300.0
+    discrete = ModelParams(n_sites=100, epsilon=0.01, macro_length=1.0, height_mode="discrete")
+    assert build_increment_dist(pot, discrete).values.tolist() == [-300.0, -200.0, -100.0,
+                                                                   0.0, 100.0, 200.0, 300.0]
+
+
+def test_table_wider_than_its_law_is_drawn_on_the_law():
+    # Phi = x^2/2 on +-1e4 at eps = 1: the law ends near |x| = 9, and the
+    # inverse CDF must resolve it rather than spread over the whole grid
+    grid = np.linspace(-1e4, 1e4, 20001)
+    pot = TabulatedPotential(grid, 0.5 * grid**2)
+    params = ModelParams(n_sites=10, epsilon=1.0, macro_length=10.0)
+    dist = build_increment_dist(pot, params)
+    assert dist.values[-1] == 10.0
+    draws = dist.sample(np.random.default_rng(4), 400_000)
+    assert draws.var() == pytest.approx(dist.sigma2, rel=0.01)
+
+
+def test_exact_gaussian_draw_takes_no_truncation():
+    params = ModelParams(n_sites=10, epsilon=0.1, macro_length=1.0)
+    with pytest.raises(ValueError, match="Gaussian increment is drawn exactly"):
+        build_increment_dist(GaussianPotential(1.0), params, truncation=3.0)
 
 
 def test_exact_bridge_pins_boundary():
@@ -458,6 +515,13 @@ def test_theta_stats_shapes_and_constant_input():
     assert_allclose(stats.cov, 0.0, atol=0)
     assert_allclose(stats.mean_se, 0.0, atol=0)
     assert_allclose(stats.cov_se, 0.0, atol=0)
+
+
+@pytest.mark.parametrize("sigma, epsilon", [(0.0, 0.1), (-1.0, 0.1), (math.nan, 0.1),
+                                            (math.inf, 0.1), (1.0, 0.0), (1.0, math.inf)])
+def test_theta_stats_need_a_positive_finite_scale(sigma, epsilon):
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        estimate_theta_stats(np.zeros((10, 12)), [0.5], sigma=sigma, epsilon=epsilon)
 
 
 def test_theta_stats_match_the_walk_area_route():
