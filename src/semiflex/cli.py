@@ -39,15 +39,6 @@ from .model import (
 
 __all__ = ["main", "build_parser"]
 
-_SCHEMA = {
-    "model": {"n_sites", "epsilon", "macro_length", "height_mode"},
-    "potential": {"kind", "kappa", "alpha", "grid", "values"},
-    "boundary": {"xi_left", "xi_right", "endpoint"},
-    "sampler": {"seed", "n_samples", "burn_in", "thin", "n_chains"},
-    "tube": {"grad_cut"},
-    "output_dir": None,
-}
-
 _POTENTIAL_KEYS = {"gaussian": {"kappa"}, "power": {"kappa", "alpha"},
                    "table": {"grid", "values"}}
 
@@ -61,6 +52,11 @@ _DEFAULTS = {
     "tube": {"grad_cut": None},
     "output_dir": ".",
 }
+
+# the keys each section accepts: those of its defaults, and for the potential
+# its kind plus every kind's own keys; None marks a plain value
+_SCHEMA = {k: set(v) if isinstance(v, dict) else None for k, v in _DEFAULTS.items()}
+_SCHEMA["potential"] = {"kind"}.union(*_POTENTIAL_KEYS.values())
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +118,7 @@ def _model(cfg: dict) -> ModelParams:
 
 def _potential(cfg: dict):
     p = dict(cfg["potential"])
-    kind = p.pop("kind", "gaussian")
+    kind = p.pop("kind")
     if kind not in _POTENTIAL_KEYS:
         raise ValueError(f"unknown potential kind {kind!r}")
     extras = set(p) - _POTENTIAL_KEYS[kind]
@@ -150,8 +146,8 @@ def _settings(cfg: dict) -> sampling.ChainSettings:
     s = cfg["sampler"]
     return sampling.ChainSettings(
         seed=int(s["seed"]), n_samples=int(s["n_samples"]),
-        burn_in=int(s.get("burn_in", 0)), thin=int(s.get("thin", 1)),
-        n_chains=None if s.get("n_chains") is None else int(s["n_chains"]),
+        burn_in=int(s["burn_in"]), thin=int(s["thin"]),
+        n_chains=None if s["n_chains"] is None else int(s["n_chains"]),
     )
 
 

@@ -52,6 +52,7 @@ __all__ = [
 
 _STATE_CAP = 4_000_000
 _DENSE_CAP = 20_000
+_POWER_MAX_ITER = 100_000
 # matvec row chunks: OpenBLAS 0.3.31 (numpy 2.4's) ran a GEMM of m*n*k
 # multiply-adds on one thread below about 1e6 on a 2-core x86-64 VM; above,
 # its second thread doubled the CPU time of 23-45-tap matvecs and saved
@@ -289,15 +290,14 @@ def power_iteration(
     op: TransferOperator,
     *,
     tol: float = 1e-10,
-    max_iter: int = 100_000,
     start: np.ndarray | None = None,
 ) -> PowerResult:
     """Dominant eigenvalue of the restricted kernel by power iteration.
 
     Stops once three consecutive steps each move the eigenvalue estimate by
-    at most tol relative to it.  That bounds the step size, not the error:
-    when convergence is slow the result can still sit more than tol from the
-    eigenvalue.  On slowly converging continuous operators, runs at tol=1e-10
+    at most tol relative to it, and raises after _POWER_MAX_ITER steps.
+    That bounds the step size, not the error: when convergence is slow the
+    result can still sit more than tol from the eigenvalue.  On slowly converging continuous operators, runs at tol=1e-10
     from two different start vectors stopped up to 9e-10 apart, relative.
     Transient border states carry no weight in the limit, so any start vector
     with mass on the communicating core gives the same answer.
@@ -308,7 +308,7 @@ def power_iteration(
     v = v / v.sum()
     lam_prev = None
     hits = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _POWER_MAX_ITER + 1):
         w = op.matvec(v)
         s = float(w.sum())
         if not (s > 0 and math.isfinite(s)):
@@ -322,7 +322,7 @@ def power_iteration(
         else:
             hits = 0
         lam_prev = s
-    raise RuntimeError(f"power iteration did not converge in {max_iter} iterations")
+    raise RuntimeError(f"power iteration did not converge in {_POWER_MAX_ITER} iterations")
 
 
 def free_energy(op: TransferOperator) -> float:

@@ -5,7 +5,8 @@ has explicit second moments; conditioned on the endpoint pair (X_N, Y_N) the
 rescaled area path converges to a Gaussian process on [0, 1] whose mean and
 covariance are polynomials in t.  This module evaluates those limits and the
 finite-dimensional covariance matrix (the integrated-walk kernel), plus the
-exact endpoint density of the Gaussian chain.
+exact endpoint density of the Gaussian chain.  sigma^2 itself is read from
+the step law that `sampling.build_increment_dist` assembles.
 """
 
 from __future__ import annotations
@@ -15,14 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    GaussianPotential,
-    ModelParams,
-    Potential,
-    _continuous_law,
-    _lattice_law,
-    _step_weights,
-)
+from .model import ModelParams, Potential
+from .sampling import build_increment_dist
 
 __all__ = [
     "GridTimes",
@@ -68,22 +63,10 @@ class ConditionedSpec:
 
 
 def sigma2_increment(pot: Potential, params: ModelParams) -> float:
-    """Variance of one increment under the step weight exp(-eps * Phi).
-
-    Continuous Gaussian is closed form, 1/(eps*kappa).  A continuous power
-    law or table takes the variance of the continuous step law the increment
-    sampler draws from; discrete mode that of the cut lattice law over eta in
-    eps^-1 * Z, the one the increment sampler and the transfer operator use.
-    """
-    eps = params.epsilon
-    if params.height_mode == "continuous":
-        if isinstance(pot, GaussianPotential):
-            return 1.0 / (eps * pot.kappa)
-        return _continuous_law(pot, eps)[1]
-
-    # discrete: the lattice law eta in eps^-1 * Z that the sampler draws from
-    offsets, weights = _step_weights(pot, eps)
-    return _lattice_law(offsets, weights, eps)[2]
+    """Variance of one increment under the step weight exp(-eps * Phi): the
+    sigma2 of the untruncated law `sampling.build_increment_dist` draws from,
+    so the scaling limit, the tube radius and the samplers share one law."""
+    return build_increment_dist(pot, params).sigma2
 
 
 def xy_moments(m: int, n_sites: int, sigma2: float) -> tuple[float, float, float]:

@@ -68,6 +68,8 @@ __all__ = [
 _GL_NODES, _GL_WEIGHTS = legendre.leggauss(64)
 _X01 = 0.5 * (_GL_NODES + 1.0)  # nodes mapped to [0, 1]
 _W01 = 0.5 * _GL_WEIGHTS
+_TILT_TOL = 1e-10
+_TILT_MAX_ITER = 100
 
 # the tanh-sinh rule (_TS_*) lives in model, which integrates the untilted
 # continuous step law with it too; the tilted density is cut where it has
@@ -241,13 +243,14 @@ class TiltSolution:
 
 
 def solve_tilts(xi_left: float, xi_right: float, slope: float, c: float,
-                mgf: LogMgf, tol: float = 1e-10, max_iter: int = 100) -> TiltSolution:
+                mgf: LogMgf) -> TiltSolution:
     """Damped Newton for the two tilt equations
 
         int_0^1 L'(u + y v) dy        = -(xi_right + xi_left)/c
         int_0^1 y L'(u + y v) dy      = -(xi_left - slope)/c
 
-    i.e. grad l_infinity(u, v) equals the boundary data vector.
+    i.e. grad l_infinity(u, v) equals the boundary data vector, to residual
+    _TILT_TOL within _TILT_MAX_ITER Newton steps.
     """
     if not (c > 0):
         raise ValueError("c must be positive")
@@ -256,8 +259,8 @@ def solve_tilts(xi_left: float, xi_right: float, slope: float, c: float,
             raise ValueError(f"{name} must be finite, got {value}")
     u = v = 0.0
     res, jac = _tilt_residual(u, v, mgf, c, xi_left, xi_right, slope)
-    for _ in range(max_iter):
-        if np.max(np.abs(res)) < tol:
+    for _ in range(_TILT_MAX_ITER):
+        if np.max(np.abs(res)) < _TILT_TOL:
             return TiltSolution(u_star=u, v_star=v, residual=res, hessian=jac)
         step = np.linalg.solve(jac, res)
         lam = 1.0
@@ -277,7 +280,8 @@ def solve_tilts(xi_left: float, xi_right: float, slope: float, c: float,
         else:
             raise ValueError("tilt solver line search stalled; boundary data "
                              "likely outside the admissible range")
-    raise ValueError(f"tilt solver did not reach residual {tol}: |r| = {np.max(np.abs(res))}")
+    raise ValueError(f"tilt solver did not reach residual {_TILT_TOL}: "
+                     f"|r| = {np.max(np.abs(res))}")
 
 
 def ld_rate(xi_left: float, xi_right: float, slope: float, c: float,

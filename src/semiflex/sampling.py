@@ -15,9 +15,12 @@ Three routes to samples:
   rounds of block shifts on disjoint laps, at least N-2 shifts per chain.
   The proposal width starts at eps times the increment standard deviation.
 
-The step laws come from `model`: where each one ends, its weights scaled so
-that its peak weighs 1, its variance, and the refusal of a law that sits on
-one point.  This module only draws from them and checks the truncation.
+`build_increment_dist` is the one place that maps (potential, height mode,
+truncation) to a step law: the free sampler, both exact Gaussian routes, the
+chain's proposal width and `gaussian.sigma2_increment` all read it.  The
+parts come from `model`: where each law ends, its weights scaled so that its
+peak weighs 1, its variance, and the refusal of a law that sits on one point.
+This module assembles them, draws from them and checks the truncation.
 
 Reproducibility contract: work is split into fixed-size blocks (8192 samples
 for i.i.d. samplers, 64 chains for MCMC) and block i draws from
@@ -39,7 +42,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gaussian import sigma2_increment
 from .model import (
     BoundaryConditions,
     GaussianPotential,
@@ -101,12 +103,15 @@ class IncrementDistribution:
 def build_increment_dist(
     pot: Potential, params: ModelParams, truncation: float | None = None
 ) -> IncrementDistribution:
-    """Construct the increment sampler for (pot, params).
+    """The step law of (pot, params), cut at |eta| <= `truncation` if given:
+    the only code that chooses a law, so every sampler and every variance
+    (`gaussian.sigma2_increment`) reads the same one.
 
-    `truncation` bounds |eta|.  Discrete mode draws eta in eps^-1 * Z from
-    `model._step_weights`' lattice law; a continuous power law or table is
-    drawn by inverse CDF on [-bound, bound] from `model._continuous_law`,
-    with its sigma2.  `model` decides where each law ends.
+    The continuous Gaussian is drawn exactly with variance 1/(eps*kappa).
+    Discrete mode draws eta in eps^-1 * Z from `model._step_weights`' lattice
+    law; a continuous power law or table is drawn by inverse CDF on
+    [-bound, bound] from `model._continuous_law`, with its sigma2.  `model`
+    decides where each law ends.
     """
     _check_truncation(truncation)
     eps = params.epsilon
@@ -209,15 +214,16 @@ def sample_free(
     return np.concatenate(parts, axis=0)
 
 
-def _gaussian_bridge_rows(rng, params: ModelParams, bc: BoundaryConditions, sigma: float,
-                          count: int) -> np.ndarray:
-    """`count` exact Gaussian bridge rows: i.i.d. N(0, sigma^2) increments
-    projected onto the two boundary constraints (X_N, Y_N) = map_boundary."""
+def _gaussian_bridge_rows(rng, params: ModelParams, bc: BoundaryConditions,
+                          dist: IncrementDistribution, count: int) -> np.ndarray:
+    """`count` exact Gaussian bridge rows: i.i.d. increments of the Gaussian
+    law `dist` projected onto the two boundary constraints (X_N, Y_N) =
+    map_boundary."""
     n = params.n_sites
     a = np.vstack([np.ones(n), (n + 1 - np.arange(1, n + 1)) / (n + 1)])
     proj = np.linalg.solve(a @ a.T, a)  # (2, N): rows of (A A^T)^-1 A
     target = np.array(map_boundary(bc, params))
-    etas = rng.normal(0.0, sigma, (count, n))
+    etas = dist.sample(rng, (count, n))
     defect = etas @ a.T - target  # (count, 2)
     etas -= defect @ proj
     return _heights(bc.xi_left, etas, params.epsilon)
@@ -236,8 +242,8 @@ def sample_gaussian_bridge(
         raise ValueError("exact bridge sampling needs the Gaussian potential")
     if params.height_mode != "continuous":
         raise ValueError("exact bridge sampling needs continuous heights")
-    sigma = math.sqrt(1.0 / (params.epsilon * pot.kappa))
-    parts = [_gaussian_bridge_rows(_block_rng(settings.seed, b), params, bc, sigma, c)
+    dist = build_increment_dist(pot, params)
+    parts = [_gaussian_bridge_rows(_block_rng(settings.seed, b), params, bc, dist, c)
              for b, c in _blocks(settings.n_samples, _IID_BLOCK)]
     return np.concatenate(parts, axis=0)
 
@@ -300,17 +306,17 @@ def _block_rounds(rng, n: int, rounds: int, chains: int) -> tuple[np.ndarray, np
     return (np.minimum(first, second) + 1).reshape(shape), np.maximum(first, second).reshape(shape)
 
 
-def _mcmc_block(params, pot, bc, settings, truncation, width, n_per_chain, job):
+def _mcmc_block(params, pot, bc, settings, truncation, dist, n_per_chain, job):
     block, n_chains = job
     eps = params.epsilon
     n = params.n_sites
     rng = _block_rng(settings.seed, block)
     discrete = params.height_mode == "discrete"
+    width = None if discrete else eps * math.sqrt(dist.sigma2)
 
     # equilibrium start when exact sampling is available, clamped cubic otherwise
-    if not discrete and isinstance(pot, GaussianPotential):
-        sigma = math.sqrt(1.0 / (eps * pot.kappa))
-        phi = _gaussian_bridge_rows(rng, params, bc, sigma, n_chains)
+    if not discrete and dist.kind == "gaussian":
+        phi = _gaussian_bridge_rows(rng, params, bc, dist, n_chains)
     else:
         phi = np.tile(_clamped_cubic_init(params, bc), (n_chains, 1))
     # the chain state, flat: laps[c * n + i] = eps * eta_{i+1} of chain c
@@ -429,8 +435,8 @@ def sample_bridge_mcmc(
     returns the pinned configuration).
 
     delta is a +-1 flip on the lattice and N(0, w^2) in continuous mode,
-    where w starts at eps times the increment standard deviation
-    (`gaussian.sigma2_increment`), the natural scale of one lap, and burn-in
+    where w starts at eps times the standard deviation of the untruncated
+    `build_increment_dist` law, the natural scale of one lap, and burn-in
     sweeps adapt it towards 45% single-site acceptance.  Gaussian
     continuous chains start at exact equilibrium draws; other models start
     from the clamped cubic and rely on burn_in.  Sweeps (site flips plus
@@ -444,18 +450,18 @@ def sample_bridge_mcmc(
     processes; the output does not depend on it.
     """
     _check_truncation(truncation)
-    width = None
+    dist = None
     if params.height_mode == "discrete":
         for name, v in (("xi_left", bc.xi_left), ("xi_right", bc.xi_right),
                         ("endpoint", bc.endpoint)):
             if v != round(v):
                 raise ValueError(f"discrete mode needs integer boundary data, {name}={v}")
     else:
-        width = params.epsilon * math.sqrt(sigma2_increment(pot, params))
+        dist = build_increment_dist(pot, params)
     n_chains = settings.n_chains or min(_CHAIN_BLOCK, settings.n_samples)
     n_per_chain = math.ceil(settings.n_samples / n_chains)
 
-    fn = partial(_mcmc_block, params, pot, bc, settings, truncation, width,
+    fn = partial(_mcmc_block, params, pot, bc, settings, truncation, dist,
                  n_per_chain)
     parts = _pool_map(fn, _blocks(n_chains, _CHAIN_BLOCK), workers)
     return np.concatenate(parts, axis=0)[: settings.n_samples]

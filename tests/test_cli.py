@@ -166,6 +166,17 @@ def test_tilts_frozen_solution(tmp_path):
     assert data["residual"] < 1e-10
 
 
+def test_tilts_outside_the_admissible_range_fail_cleanly(tmp_path, capsys):
+    cfg = _write_config(tmp_path, {"potential": {"kind": "power", "kappa": 1.0,
+                                                 "alpha": 1.0}})
+    assert main(["tilts", "--config", cfg, "--xi-left", "3",
+                 "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: tilt solver line search stalled; boundary data likely outside "
+        "the admissible range"]
+    assert not (tmp_path / "tilts.json").exists()
+
+
 def test_profile_matches_cubic(tmp_path):
     assert main(["profile", "--xi-left", "1.0", "--points", "5",
                  "--out", str(tmp_path)]) == 0

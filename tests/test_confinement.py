@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 
 from semiflex import confinement
 from semiflex.confinement import (
+    TransferOperator,
     TubeSpec,
     build_transfer,
     confinement_sweep,
@@ -71,6 +72,24 @@ def test_power_iteration_matches_dense_spectrum():
         lam_dense = float(np.max(np.linalg.eigvals(op.dense()).real))
         assert res.lam_raw == pytest.approx(lam_dense, rel=1e-9)
         assert res.lam_norm == pytest.approx(lam_dense / op.z1, rel=1e-9)
+
+
+def test_power_iteration_reports_lost_mass():
+    # one tap of weight 0 maps every vector to zero in the first step
+    op = TransferOperator(1.0, 1.0, 1, 1, [0], [0.0], 1.0, 1.0, 1.0)
+    with pytest.raises(RuntimeError) as err:
+        power_iteration(op)
+    assert str(err.value) == "power iteration lost all mass; operator is degenerate"
+
+
+def test_power_iteration_reports_no_convergence(monkeypatch):
+    # this operator needs about 200 steps; allow 3
+    op = build_transfer(ModelParams(100, 0.01, 1.0), GaussianPotential(1.0), TubeSpec(0.1),
+                        mesh=0.05)
+    monkeypatch.setattr(confinement, "_POWER_MAX_ITER", 3)
+    with pytest.raises(RuntimeError) as err:
+        power_iteration(op)
+    assert str(err.value) == "power iteration did not converge in 3 iterations"
 
 
 LATTICE_OPS = st.fixed_dictionaries({

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import integrate, optimize
 
+from semiflex import ldp
 from semiflex.ldp import (
     LogMgf,
     l_infinity,
@@ -215,6 +216,27 @@ def test_tilt_solver_rejects_non_finite_boundary_data(name, bad):
     data[name] = bad
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         solve_tilts(mgf=GAUSS_MGF, **data)
+
+
+def test_tilt_solver_reports_a_stalled_line_search():
+    # the alpha = 1 log-MGF has a bounded domain, and the data (3, 0, 0)
+    # needs tilts beyond it, so no damped step lowers the residual
+    mgf = limit_log_mgf(PowerLawPotential(kappa=1.0, alpha=1.0))
+    with pytest.raises(ValueError) as err:
+        solve_tilts(3.0, 0.0, 0.0, 1.0, mgf)
+    assert str(err.value) == ("tilt solver line search stalled; boundary data "
+                              "likely outside the admissible range")
+
+
+def test_tilt_solver_reports_no_convergence(monkeypatch):
+    # one Newton step from zero tilt does not solve the quartic's equations
+    monkeypatch.setattr(ldp, "_TILT_MAX_ITER", 1)
+    mgf = limit_log_mgf(PowerLawPotential(kappa=1.0, alpha=4.0))
+    with pytest.raises(ValueError) as err:
+        solve_tilts(1.0, 0.0, 0.0, 1.0, mgf)
+    head, _, residual = str(err.value).partition(": |r| = ")
+    assert head == "tilt solver did not reach residual 1e-10"
+    assert float(residual) > 1e-10
 
 
 def test_mean_profile_rejects_nan_times():
