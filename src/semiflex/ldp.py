@@ -37,9 +37,6 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial import legendre
-# `integrate` has no caller here but stays bound: perfbench/spans.py counts
-# the quad calls made through `semiflex.ldp.integrate`
-from scipy import integrate  # noqa: F401
 
 from .model import (
     BoundaryConditions,
@@ -71,6 +68,18 @@ _W01 = 0.5 * _GL_WEIGHTS
 _TILT_TOL = 1e-10
 _TILT_MAX_ITER = 100
 
+
+def __getattr__(name):
+    # nothing here calls scipy, but the benchmark tracer counts the quad calls
+    # made through `semiflex.ldp.integrate`; bind it on first read only, so
+    # importing the package loads numpy and the standard library alone
+    if name == "integrate":
+        from scipy import integrate
+        globals()[name] = integrate
+        return integrate
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 # the tanh-sinh rule (_TS_*) lives in model, which integrates the untilted
 # continuous step law with it too; the tilted density is cut where it has
 # fallen by e^60 from its peak
@@ -97,9 +106,9 @@ class LogMgf:
             raise ValueError(f"tilt {worst} leaves the log-MGF domain (|h| < {self.h_max})")
 
 
-def _quad_log_mgf(pot: Potential, eps: float) -> LogMgf:
-    """Quadrature route: tilted integrals of exp(-eps*Phi(x) + h x) for
-    Phi = kappa |x|^alpha."""
+def _tilted_log_mgf(pot: Potential, eps: float) -> LogMgf:
+    """Tilted integrals of exp(-eps*Phi(x) + h x) for Phi = kappa |x|^alpha,
+    on the tanh-sinh rule."""
     if not isinstance(pot, PowerLawPotential):
         raise ValueError(
             "the log-MGF needs a power law finite on the whole line (a table potential "
@@ -190,7 +199,7 @@ def step_log_mgf(pot: Potential, params: ModelParams) -> LogMgf:
     if isinstance(pot, GaussianPotential):
         return _scaled(_STANDARD, 1.0 / math.sqrt(eps * pot.kappa))
     # the kernel runs at eps itself, so its errors name the caller's tilt
-    return _quad_log_mgf(pot, eps)
+    return _tilted_log_mgf(pot, eps)
 
 
 def limit_log_mgf(pot: Potential) -> LogMgf:
@@ -204,7 +213,7 @@ def limit_log_mgf(pot: Potential) -> LogMgf:
     """
     if isinstance(pot, GaussianPotential):
         return _STANDARD
-    unit = _quad_log_mgf(pot, 1.0)
+    unit = _tilted_log_mgf(pot, 1.0)
     return _scaled(unit, 1.0 / math.sqrt(unit.d2(0.0)))
 
 
@@ -261,7 +270,7 @@ def solve_tilts(xi_left: float, xi_right: float, slope: float, c: float,
     res, jac = _tilt_residual(u, v, mgf, c, xi_left, xi_right, slope)
     for _ in range(_TILT_MAX_ITER):
         if np.max(np.abs(res)) < _TILT_TOL:
-            return TiltSolution(u_star=u, v_star=v, residual=res, hessian=jac)
+            break
         step = np.linalg.solve(jac, res)
         lam = 1.0
         while lam > 1e-8:
@@ -280,8 +289,11 @@ def solve_tilts(xi_left: float, xi_right: float, slope: float, c: float,
         else:
             raise ValueError("tilt solver line search stalled; boundary data "
                              "likely outside the admissible range")
-    raise ValueError(f"tilt solver did not reach residual {_TILT_TOL}: "
-                     f"|r| = {np.max(np.abs(res))}")
+    # the state the last step reached counts too
+    if not np.max(np.abs(res)) < _TILT_TOL:
+        raise ValueError(f"tilt solver did not reach residual {_TILT_TOL}: "
+                         f"|r| = {np.max(np.abs(res))}")
+    return TiltSolution(u_star=u, v_star=v, residual=res, hessian=jac)
 
 
 def ld_rate(xi_left: float, xi_right: float, slope: float, c: float,

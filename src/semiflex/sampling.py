@@ -35,7 +35,6 @@ import itertools
 import math
 import os
 import struct
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
@@ -193,7 +192,11 @@ def _pool_map(fn, jobs, workers: int) -> list:
     procs = min(workers, len(jobs), os.cpu_count() or 1)
     if procs <= 1:
         return [fn(job) for job in jobs]
-    # default start method: spawn re-imports numpy and scipy (~0.8 s) per worker
+    # imported here so that in-process runs never load multiprocessing; under
+    # the spawn start method each worker re-imports numpy only (~0.2 s), and
+    # on Linux the default start method is fork
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=procs) as pool:
         return list(pool.map(fn, jobs))
 
@@ -314,8 +317,9 @@ def _mcmc_block(params, pot, bc, settings, truncation, dist, n_per_chain, job):
     discrete = params.height_mode == "discrete"
     width = None if discrete else eps * math.sqrt(dist.sigma2)
 
-    # equilibrium start when exact sampling is available, clamped cubic otherwise
-    if not discrete and dist.kind == "gaussian":
+    # equilibrium start when exact sampling is available (an untruncated
+    # Gaussian; an exact draw can break a cut), clamped cubic otherwise
+    if not discrete and dist.kind == "gaussian" and truncation is None:
         phi = _gaussian_bridge_rows(rng, params, bc, dist, n_chains)
     else:
         phi = np.tile(_clamped_cubic_init(params, bc), (n_chains, 1))
@@ -437,13 +441,14 @@ def sample_bridge_mcmc(
     delta is a +-1 flip on the lattice and N(0, w^2) in continuous mode,
     where w starts at eps times the standard deviation of the untruncated
     `build_increment_dist` law, the natural scale of one lap, and burn-in
-    sweeps adapt it towards 45% single-site acceptance.  Gaussian
-    continuous chains start at exact equilibrium draws; other models start
-    from the clamped cubic and rely on burn_in.  Sweeps (site flips plus
-    block shifts) relax slowly: the midpoint height of a continuous Gaussian
-    zero bridge at eps = 1/N has an integrated autocorrelation time of 141,
-    856, 2042 and 4980 sweeps at N = 25, 50, 100 and 200, roughly N^1.7, so
-    burn_in and thin must grow with N.  `truncation` gives a lap past
+    sweeps adapt it towards 45% single-site acceptance.  Untruncated
+    Gaussian continuous chains start at exact equilibrium draws; other
+    models, truncated Gaussians included, start from the clamped cubic and
+    rely on burn_in.  Sweeps (site flips plus block shifts) relax slowly:
+    the midpoint height of a continuous Gaussian zero bridge at eps = 1/N
+    has an integrated autocorrelation time of 141, 856, 2042 and 4980
+    sweeps at N = 25, 50, 100 and 200, roughly N^1.7, so burn_in and thin
+    must grow with N.  `truncation` gives a lap past
     `_lap_bound` (|eta| <= truncation, as in `build_increment_dist`) energy
     +inf, where a `TabulatedPotential` off its grid already is: a move to
     such a lap is rejected.  `workers` spreads the blocks of 64 chains over

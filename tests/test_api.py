@@ -19,16 +19,19 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from scipy import integrate
 
 import semiflex
+from semiflex import ldp
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(semiflex.__path__))
 ROOT = Path(__file__).resolve().parents[1]
 OUTSIDE = sorted(str(p.relative_to(ROOT))
                  for p in [*ROOT.glob("demos/*.py"), *ROOT.glob("perfbench/**/*.py")])
 
-# bound without a caller on purpose: the benchmark tracer counts the quad calls
-# made through `semiflex.ldp.integrate`
+# imported without a caller on purpose: the benchmark tracer counts the quad
+# calls made through `semiflex.ldp.integrate`, which ldp's module `__getattr__`
+# imports on first read
 KEPT_IMPORTS = {("ldp", "integrate")}
 
 
@@ -62,8 +65,8 @@ def test_no_unused_module_imports(name):
 
 def test_no_module_imports_scipy():
     # adaptive quadrature stays out of the package: the step laws and the
-    # tilted moments integrate on model's tanh-sinh rule.  The one scipy name
-    # bound is ldp's `integrate`, which only the benchmark tracer reads
+    # tilted moments integrate on model's tanh-sinh rule.  The one scipy
+    # import is ldp's lazy `integrate`, which only the benchmark tracer reads
     found = set()
     for name in MODULES:
         for node in ast.walk(ast.parse(Path(semiflex.__path__[0], f"{name}.py").read_text())):
@@ -111,15 +114,27 @@ def test_no_orphaned_private_helpers():
 
 def test_cli_import_leaves_convolution_modules_unloaded():
     # every command pays for what `import semiflex.cli` loads; no command
-    # needs scipy's convolution modules (the transfer operator is BLAS GEMM)
+    # needs scipy (the convolution modules included: the transfer operator is
+    # BLAS GEMM), and only a run on several workers needs multiprocessing
     src = str(Path(semiflex.__path__[0]).parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    code = ("import sys, semiflex.cli; "
-            "print(sorted(m for m in ('scipy.ndimage', 'scipy.signal') if m in sys.modules))")
+    code = ("import sys, semiflex.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('scipy', 'multiprocessing')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_ldp_binds_integrate_on_first_read():
+    # the benchmark tracer wraps `semiflex.ldp.integrate.quad`
+    assert ldp.integrate.quad is integrate.quad
+    assert vars(ldp)["integrate"] is integrate
+
+
+def test_ldp_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        ldp.no_such_name  # noqa: B018
 
 
 def test_failing_property_test_reports_its_example(tmp_path):

@@ -268,6 +268,22 @@ def test_bridge_mcmc_smoke(tmp_path):
     assert np.max(np.abs(laps)) <= 1.0
 
 
+def test_bridge_mcmc_truncated_gaussian_starts_inside_the_cut(tmp_path):
+    # an exact Gaussian draw has laps past a cut of 3 increment sds, so a
+    # truncated Gaussian chain starts from the clamped cubic instead
+    cfg = _write_config(tmp_path, {
+        "model": {"n_sites": 20, "epsilon": 0.05, "macro_length": 1.0},
+        "potential": {"kind": "gaussian"},
+        "sampler": {"burn_in": 50},
+    })
+    assert main(["bridge", "--config", cfg, "--method", "mcmc", "--n", "100",
+                 "--truncation", "3", "--out", str(tmp_path)]) == 0
+    samples = samples_from_csv(tmp_path / "bridge.csv")
+    assert samples.shape == (100, 22)
+    laps = samples[:, 2:] - 2.0 * samples[:, 1:-1] + samples[:, :-2]
+    assert np.max(np.abs(laps)) <= 3 * 0.05 + 1e-9
+
+
 def test_bridge_mcmc_table_potential_stays_on_its_grid(tmp_path):
     # no --truncation: the lap cut defaults to the table's domain, so no
     # proposal evaluates the potential off its grid

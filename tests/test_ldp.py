@@ -239,6 +239,16 @@ def test_tilt_solver_reports_no_convergence(monkeypatch):
     assert float(residual) > 1e-10
 
 
+def test_tilt_solver_accepts_its_last_step(monkeypatch):
+    # the Gaussian equations are linear, so one Newton step solves them; the
+    # residual the last step reaches is tested before the solver gives up
+    monkeypatch.setattr(ldp, "_TILT_MAX_ITER", 1)
+    sol = solve_tilts(1.0, 0.0, 0.0, 1.0, GAUSS_MGF)
+    assert np.max(np.abs(sol.residual)) < 1e-10
+    assert sol.u_star == pytest.approx(2.0, abs=1e-9)
+    assert sol.v_star == pytest.approx(-6.0, abs=1e-9)
+
+
 def test_mean_profile_rejects_nan_times():
     # t < 0 and t > 1 are both False at NaN
     with pytest.raises(ValueError, match=r"profile times must lie in \[0, 1\]"):

@@ -497,7 +497,8 @@ def test_pool_never_exceeds_cpu_count(monkeypatch):
             return map(fn, jobs)
 
     monkeypatch.setattr(sampling.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(sampling, "ProcessPoolExecutor", FakePool)
+    # _pool_map imports the executor when it needs one, so patch it at its source
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
     jobs = list(range(200))
     assert sampling._pool_map(abs, jobs, 200) == jobs
     assert sampling._pool_map(abs, jobs[:1], 200) == jobs[:1]
