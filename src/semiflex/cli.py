@@ -391,6 +391,8 @@ def _run_confine(args) -> int:
     h = _config_hash(cfg, cmd)
     params, pot = _model(cfg), _potential(cfg)
     try:
+        if not all(0 < r < math.inf for r in (args.rho_min, args.rho_max)):
+            raise ValueError("rho values must be positive and finite")
         rhos = np.geomspace(args.rho_min, args.rho_max, args.rho_steps)
         confinement._check_fit_rhos(rhos)
     except ValueError as exc:

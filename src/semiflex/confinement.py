@@ -31,9 +31,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .gaussian import sigma2_increment
-from .model import ModelParams, Potential, _lattice_law, _step_weights
-from .sampling import _pool_map
+from .model import ModelParams, Potential, _step_weights
+from .sampling import _pool_map, build_increment_dist
 
 __all__ = [
     "TubeSpec",
@@ -53,6 +52,7 @@ __all__ = [
 _STATE_CAP = 4_000_000
 _DENSE_CAP = 20_000
 _POWER_MAX_ITER = 100_000
+_POWER_TOL = 1e-10
 # matvec row chunks: OpenBLAS 0.3.31 (numpy 2.4's) ran a GEMM of m*n*k
 # multiply-adds on one thread below about 1e6 on a 2-core x86-64 VM; above,
 # its second thread doubled the CPU time of 23-45-tap matvecs and saved
@@ -93,20 +93,23 @@ class TransferOperator:
 
     The state value array has shape (2*n_h + 1, 2*n_g + 1); row i is height
     delta*(i - n_h), column c is gradient delta*(c - n_g).  A step moves
-    (h, g) -> (h + g', g') with weight exp(-eps * Phi((g' - g)/eps)), scaled
-    so that the largest tap weighs 1; landing outside the grid contributes
-    nothing.
+    (h, g) -> (h + g', g') with weight proportional to
+    exp(-eps * Phi((g' - g)/eps)); landing outside the grid contributes
+    nothing.  On the lattice the tap weights are the sampler's step
+    probabilities (`sampling.build_increment_dist`), in continuous mode the
+    weights scaled so that the largest is 1; z1, the unconstrained one-step
+    mass, is their fsum.
     """
 
     def __init__(self, eps, delta, n_h, n_g, tap_offsets, tap_weights,
-                 z1, radius, grad_scale):
+                 radius, grad_scale):
         self.eps = float(eps)
         self.delta = float(delta)
         self.n_h = int(n_h)
         self.n_g = int(n_g)
         self.tap_offsets = np.asarray(tap_offsets, dtype=np.int64)
         self.tap_weights = np.asarray(tap_weights, dtype=np.float64)
-        self.z1 = float(z1)
+        self.z1 = math.fsum(self.tap_weights)
         self.radius = float(radius)
         self.grad_scale = float(grad_scale)
         # T[c, c2] = w(c2 - c) is banded Toeplitz: every run of `width` output
@@ -171,15 +174,10 @@ class TransferOperator:
                 sheared[rows, out] = v[rows, src] @ tile
         return buf[self.n_g * nc:(self.n_g + nr) * nc].reshape(nr, nc)
 
-    def start_vector(self, gradient: float = 0.0) -> np.ndarray:
-        """Unit mass at (h=0, g=gradient); the gradient must sit on the grid."""
-        c = int(round(gradient / self.delta))
-        if abs(gradient - c * self.delta) > 1e-9 * max(self.delta, abs(gradient)):
-            raise ValueError(f"start gradient {gradient} is not on the grid")
-        if abs(c) > self.n_g:
-            raise ValueError("start gradient lies outside the gradient cut")
+    def start_vector(self) -> np.ndarray:
+        """Unit mass at (h=0, g=0)."""
         v = np.zeros((2 * self.n_h + 1, 2 * self.n_g + 1))
-        v[self.n_h, self.n_g + c] = 1.0
+        v[self.n_h, self.n_g] = 1.0
         return v
 
     def dense(self) -> np.ndarray:
@@ -200,17 +198,31 @@ class TransferOperator:
         return mat
 
 
+def _support_truncation(support, eps: float) -> float:
+    """The truncation k/eps of the lattice cut support = (-k, ..., k)."""
+    steps = np.asarray(support, dtype=float)
+    k = steps.size // 2
+    if k < 1 or not np.array_equal(steps, np.arange(-k, k + 1)):
+        raise ValueError(f"support must be the lattice cut -k..k, k >= 1, in order; "
+                         f"got {list(steps)}")
+    return k / eps
+
+
 def _step_grid(params: ModelParams, pot: Potential, support, mesh):
-    """Grid spacing, tap offsets and weights, and the increment variance."""
+    """Grid spacing, tap offsets and weights, and the increment variance.
+
+    The variance is `sampling.build_increment_dist`'s in both height modes;
+    on the lattice the taps are its offsets and probabilities too."""
     eps = params.epsilon
     if params.height_mode == "discrete":
         if mesh is not None and mesh != 1.0:
             raise ValueError("discrete mode runs on the integer lattice; mesh must be left unset")
-        offs, wts = _step_weights(pot, eps, 1.0, support)
-        return 1.0, offs, wts, _lattice_law(offs, wts, eps)[2]
+        cut = None if support is None else _support_truncation(support, eps)
+        dist = build_increment_dist(pot, params, cut)
+        return 1.0, np.rint(dist.values * eps), dist.probs, dist.sigma2
     if support is not None:
         raise ValueError("explicit support applies to discrete mode only")
-    sigma2 = sigma2_increment(pot, params)
+    sigma2 = build_increment_dist(pot, params).sigma2
     delta = float(mesh) if mesh is not None else eps * math.sqrt(sigma2) / 40.0
     if not (delta > 0 and math.isfinite(delta)):
         raise ValueError("mesh spacing must be positive and finite")
@@ -257,17 +269,17 @@ def build_transfer(
 ) -> TransferOperator:
     """Assemble the tube-restricted transfer operator.
 
-    support lists allowed height differences (discrete mode only), matching
-    the brute-force enumeration's truncated law.  mesh sets the continuous
-    grid spacing; the default puts 40 points per standard deviation of the
-    single-step gradient change.
+    support, in discrete mode only, is the lattice cut (-k, ..., k) of the
+    brute-force enumeration's truncated law, read as the truncation k/eps of
+    `sampling.build_increment_dist`, whose law gives the taps either way.
+    mesh sets the continuous grid spacing; the default puts 40 points per
+    standard deviation of the single-step gradient change.
     """
     delta, offs, wts, sigma2 = _step_grid(params, pot, support, mesh)
     radius, grad_scale, n_h, n_g = _tube_grid(params, tube, sigma2, delta)
     _check_states(n_h, n_g, _STATE_CAP, f"rho={tube.rho:g}, mesh {delta:.4g}")
 
-    return TransferOperator(params.epsilon, delta, n_h, n_g, offs, wts, math.fsum(wts),
-                            radius, grad_scale)
+    return TransferOperator(params.epsilon, delta, n_h, n_g, offs, wts, radius, grad_scale)
 
 
 class PowerResult(NamedTuple):
@@ -286,21 +298,17 @@ def _default_start(op: TransferOperator) -> np.ndarray:
     return np.outer(a, b)
 
 
-def power_iteration(
-    op: TransferOperator,
-    *,
-    tol: float = 1e-10,
-    start: np.ndarray | None = None,
-) -> PowerResult:
+def power_iteration(op: TransferOperator, *, start: np.ndarray | None = None) -> PowerResult:
     """Dominant eigenvalue of the restricted kernel by power iteration.
 
     Stops once three consecutive steps each move the eigenvalue estimate by
-    at most tol relative to it, and raises after _POWER_MAX_ITER steps.
-    That bounds the step size, not the error: when convergence is slow the
-    result can still sit more than tol from the eigenvalue.  On slowly converging continuous operators, runs at tol=1e-10
-    from two different start vectors stopped up to 9e-10 apart, relative.
-    Transient border states carry no weight in the limit, so any start vector
-    with mass on the communicating core gives the same answer.
+    at most _POWER_TOL relative to it, and raises after _POWER_MAX_ITER
+    steps.  That bounds the step size, not the error: when convergence is
+    slow the result can sit further off.  On the benchmark's continuous
+    confine model at rho 0.063 and mesh 0.04, a warm and a cold start
+    stopped 2.6e-9 apart on lam_norm and 5.9e-8 on F, relative.  Transient
+    border states carry no weight in the limit, so any start vector with
+    mass on the communicating core gives the same answer.
     """
     v = _default_start(op) if start is None else np.array(start, dtype=float)
     if v.min() < 0 or not v.sum() > 0:
@@ -315,7 +323,7 @@ def power_iteration(
             raise RuntimeError("power iteration lost all mass; operator is degenerate")
         w /= s  # in place: a fresh array per step would raise the peak memory
         v = w
-        if lam_prev is not None and abs(s - lam_prev) <= tol * abs(s):
+        if lam_prev is not None and abs(s - lam_prev) <= _POWER_TOL * abs(s):
             hits += 1
             if hits >= 3:
                 return PowerResult(s / op.z1, s, it, v)

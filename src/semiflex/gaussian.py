@@ -40,7 +40,7 @@ class GridTimes:
 
     def __init__(self, times):
         times = np.atleast_1d(np.asarray(times, dtype=float))
-        if times.size and (np.any(times <= 0) or np.any(times >= 1)):
+        if not np.all((0 < times) & (times < 1)):
             raise ValueError("grid times must lie strictly inside (0, 1)")
         if times.size > 1 and not np.all(np.diff(times) > 0):
             raise ValueError("grid times must be strictly increasing")

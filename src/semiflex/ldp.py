@@ -310,8 +310,7 @@ def ld_rate(xi_left: float, xi_right: float, slope: float, c: float,
 
 
 def sharp_ld_probability(n_sites: int, xi_left: float, xi_right: float, slope: float,
-                         c: float, mgf: LogMgf,
-                         tilts: TiltSolution | None = None) -> float:
+                         c: float, mgf: LogMgf) -> float:
     """Sharp pinning asymptotics
 
         (2 pi N^2)^-1 det(D)^-1/2 exp{-N * ld_rate}
@@ -319,7 +318,7 @@ def sharp_ld_probability(n_sites: int, xi_left: float, xi_right: float, slope: f
     with D the Hessian of l_infinity at the tilts."""
     if n_sites < 1:
         raise ValueError("n_sites must be >= 1")
-    t = tilts if tilts is not None else solve_tilts(xi_left, xi_right, slope, c, mgf)
+    t = solve_tilts(xi_left, xi_right, slope, c, mgf)
     det = float(np.linalg.det(t.hessian))
     if det <= 0:
         raise ValueError("tilt Hessian not positive definite")

@@ -166,52 +166,32 @@ def _step_bound(pot: Potential, eps: float, truncation: float | None = None) -> 
 
 
 def _step_weights(pot: Potential, eps: float, delta: float = 1.0,
-                  support=None) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted integer offsets d and weights exp(-eps * Phi(d*delta/eps)) of a
-    height step d*delta, divided by their largest, so the peak weighs 1.
+                  d_max: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Integer offsets d and weights exp(-eps * Phi(d*delta/eps)) of a height
+    step d*delta, divided by their largest, so the peak weighs 1.
 
-    support, when given, lists the allowed steps; each must sit on the grid of
-    spacing delta and appear once.  Otherwise d runs over |d| <= d_max, the
-    largest |d| within `_step_bound` whose weight is at least _STEP_CUTOFF;
-    weights inside d_max are kept whatever their size (a table's barrier),
-    and a forbidden step (Phi = inf, as off a table's grid) weighs 0.
+    d_max, when given, is the cut: d runs over |d| <= d_max and every step is
+    kept.  Otherwise d runs over |d| <= the largest |d| within `_step_bound`
+    whose weight is at least _STEP_CUTOFF; weights inside it are kept
+    whatever their size (a table's barrier), and a forbidden step (Phi = inf,
+    as off a table's grid) weighs 0.  Step 0 is always held, and an even
+    potential is finite there, so the peak is positive.
     """
-    if support is not None:
-        steps = np.asarray(support, dtype=float)
-        offsets = np.rint(steps / delta)
-        off_grid = np.abs(steps - offsets * delta) > 1e-9 * np.maximum(delta, np.abs(steps))
-        if np.any(off_grid):
-            raise ValueError(f"support value {steps[off_grid][0]} is not on the grid")
-        offsets = np.sort(offsets.astype(np.int64))
-        if np.any(np.diff(offsets) == 0):
-            raise ValueError("support values must be distinct")
-    else:
-        reach = _step_bound(pot, eps) * eps / delta
-        if not reach < _STEP_LIMIT:
-            raise ValueError(f"the step law spans {reach:.4g} grid steps each side, above "
-                             f"{_STEP_LIMIT}: coarsen the mesh or stiffen the potential")
+    trim = d_max is None
+    reach = _step_bound(pot, eps) * eps / delta if trim else d_max
+    if not reach < _STEP_LIMIT:
+        raise ValueError(f"the step law spans {reach:.4g} grid steps each side, above "
+                         f"{_STEP_LIMIT}: coarsen the mesh, stiffen the potential or "
+                         "lower the truncation")
+    if trim:
         d_max = math.floor(reach) + 1
-        offsets = np.arange(-d_max, d_max + 1)
+    offsets = np.arange(-d_max, d_max + 1)
     g = -eps * np.asarray(pot(offsets * delta / eps), dtype=float)
-    if not g.max() > -math.inf:
-        raise ValueError("all lattice weights vanished: every step is forbidden")
     weights = np.exp(g - g.max())
-    if support is None:
+    if trim:
         keep = np.abs(offsets) <= np.abs(offsets[weights >= _STEP_CUTOFF]).max()
         offsets, weights = offsets[keep], weights[keep]
     return offsets, weights
-
-
-def _lattice_law(offsets: np.ndarray, weights: np.ndarray,
-                 eps: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """Increments eta = d/eps of a lattice step law (delta = 1), their
-    probabilities and their variance, which must be positive."""
-    eta = offsets / eps
-    probs = weights / weights.sum()
-    sigma2 = float(np.dot(probs, eta ** 2) - np.dot(probs, eta) ** 2)
-    if not sigma2 > 0:
-        raise ValueError("degenerate increment law: single-point support")
-    return eta, probs, sigma2
 
 
 def _tanh_sinh(step: float, t_max: float):
@@ -372,6 +352,8 @@ def continuum_energy_check(
 
     rows = []
     for eps in eps_list:
+        if not 0 < eps < math.inf:
+            raise ValueError(f"eps must be positive and finite, got {eps}")
         n = int(round(macro_length / eps))
         params = ModelParams(n_sites=n, epsilon=eps, macro_length=macro_length)
         # heights phi_k = eps^-gamma * f(k*eps) on the full grid k = 0..N+1

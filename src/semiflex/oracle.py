@@ -47,7 +47,6 @@ class EnumerationSpec:
     params: ModelParams
     pot: Potential
     support: tuple[float, ...]
-    xi1: float = 0.0
 
     def __post_init__(self):
         if self.params.n_sites > 8:
@@ -66,8 +65,9 @@ class EnumerationResult(NamedTuple):
     conditional_mean: float | np.ndarray
 
 
-def _heights_from_laps(laps: np.ndarray, spec: EnumerationSpec) -> np.ndarray:
-    """Vectorized reconstruction: rows of (phi_0..phi_{N+1}) from lap tuples.
+def _heights_from_laps(laps: np.ndarray) -> np.ndarray:
+    """Vectorized reconstruction: rows of (phi_0..phi_{N+1}) from lap tuples,
+    with phi_0 = phi_1 = 0.
 
     Deliberately not `model._heights`: the oracle checks the samplers, which
     rebuild heights through that kernel, so it keeps its own two cumsums as
@@ -75,9 +75,8 @@ def _heights_from_laps(laps: np.ndarray, spec: EnumerationSpec) -> np.ndarray:
     """
     m, n = laps.shape
     xi = np.empty((m, n + 1))
-    xi[:, 0] = spec.xi1
+    xi[:, 0] = 0.0
     np.cumsum(laps, axis=1, out=xi[:, 1:])
-    xi[:, 1:] += spec.xi1
     phi = np.empty((m, n + 2))
     phi[:, 0] = 0.0
     np.cumsum(xi, axis=1, out=phi[:, 1:])
@@ -122,7 +121,7 @@ def enumerate_configs(
         weights = np.exp(-eps * np.sum(spec.pot(laps / eps), axis=1))
         z_parts.append(math.fsum(weights.tolist()))
         if event is not None or statistic is not None:
-            phi = _heights_from_laps(laps, spec)
+            phi = _heights_from_laps(laps)
             if event is not None:
                 mask = np.asarray(event(phi), dtype=bool)
                 ev_parts.append(math.fsum(weights[mask].tolist()))

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -526,3 +527,41 @@ def test_oracle_check_rejects_n_max_outside_its_range(tmp_path, capsys, monkeypa
     assert "3..8" in capsys.readouterr().err
     assert calls == []
     assert not (tmp_path / "oracle_check.json").exists()
+
+
+# every float flag of every command, after the arguments that keep its run small
+_FLOAT_FLAGS = [
+    (["sample", "--n", "8"], ["--xi1", "--truncation"]),
+    (["bridge", "--n", "8", "--method", "mcmc"],
+     ["--xi-left", "--xi-right", "--endpoint", "--truncation"]),
+    (["theta-stats", "--n", "8"], ["--times"]),
+    (["qmatrix", "--times", "0.5"], ["--times"]),
+    (["exact-gauss"], ["--xi-left", "--xi-right"]),
+    (["tilts"], ["--xi-left", "--xi-right", "--slope"]),
+    (["profile", "--points", "5"], ["--xi-left", "--xi-right", "--slope"]),
+    (["confine", "--rho-min", "0.05", "--rho-max", "0.5", "--rho-steps", "5", "--mesh", "0.5"],
+     ["--rho-min", "--rho-max", "--mesh", "--grad-cut"]),
+    (["continuum-check", "--eps", "0.1"], ["--eps"]),
+]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0"])
+@pytest.mark.parametrize("command, flag", [(c, f) for c, flags in _FLOAT_FLAGS for f in flags],
+                         ids=lambda x: x if isinstance(x, str) else x[0])
+def test_float_flags_refuse_or_write_finite_output(tmp_path, capsys, command, flag, value):
+    # a value a command cannot use is one error line; a value it takes
+    # writes no nan or inf (a traceback fails the test by itself)
+    cfg = _write_config(tmp_path, {"model": {"n_sites": 10, "epsilon": 0.1},
+                                   "sampler": {"burn_in": 2}})
+    out = tmp_path / "out"
+    try:
+        code = main([*command, f"{flag}={value}", "--config", cfg, "--out", str(out)])
+    except SystemExit as exc:
+        code = exc.code
+    if code == 0:
+        for path in out.iterdir():
+            text = path.read_text()
+            assert not re.search(r"(?i)\b(nan|inf|infinity)\b", text), path.name
+    else:
+        assert code in (1, 2)
+        assert "error:" in capsys.readouterr().err

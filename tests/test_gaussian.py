@@ -150,6 +150,12 @@ def test_grid_times_validation():
         GridTimes([0.5, 0.25])
 
 
+@pytest.mark.parametrize("times", [[math.nan], [0.25, math.nan]])
+def test_grid_times_refuse_nan(times):
+    with pytest.raises(ValueError, match="strictly inside"):
+        GridTimes(times)
+
+
 def test_theta_mean_frozen_values():
     assert theta_mean(0.5, ConditionedSpec(a=1.0, b=0.0)) == pytest.approx(-1.0 / 8.0)
     assert theta_mean(0.5, ConditionedSpec(a=0.0, b=1.0)) == pytest.approx(0.5)

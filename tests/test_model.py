@@ -205,6 +205,14 @@ def test_continuum_energy_rejects_bad_scaling():
         continuum_energy_check(profile, GaussianPotential(1.0), [0.1])
 
 
+@pytest.mark.parametrize("eps", [0.0, -0.1, math.nan, math.inf])
+def test_continuum_energy_needs_a_positive_finite_eps(eps):
+    profile = ContinuumProfile(f=lambda x: x * x, gamma=1.0, delta=1.0,
+                               d2f=lambda x: 2.0 + 0.0 * x)
+    with pytest.raises(ValueError, match="eps must be positive and finite"):
+        continuum_energy_check(profile, GaussianPotential(1.0), [0.1, eps])
+
+
 @pytest.mark.parametrize("f", [
     lambda x: [math.sqrt(v - 0.5) for v in x],  # raises below x = 0.5
     lambda x: np.where(x < 0.5, np.nan, x),  # non-finite below x = 0.5
@@ -332,12 +340,6 @@ def test_step_bound_closed_forms():
 def test_step_weights_check_their_size_before_allocating():
     with pytest.raises(ValueError, match="coarsen the mesh"):
         _step_weights(GaussianPotential(1e-20), 1.0)
-
-
-def test_step_weights_refuse_a_support_of_forbidden_steps():
-    pot = TabulatedPotential(np.array([-0.5, 0.0, 0.5]), np.zeros(3))
-    with pytest.raises(ValueError, match="every step is forbidden"):
-        _step_weights(pot, 1.0, support=[-1.0, 1.0])
 
 
 def test_barrier_table_keeps_its_wells():

@@ -100,13 +100,6 @@ def test_enumeration_chunking_invariance(monkeypatch):
         assert vec.conditional_mean.tolist() == [r.conditional_mean for r in base]
 
 
-def test_enumeration_xi1_offset():
-    # phi_1 = xi1 identically, whatever the laps do
-    spec = EnumerationSpec(_params(2), ZERO_POT, support=(-1.0, 0.0, 1.0), xi1=0.5)
-    result = enumerate_configs(spec, statistic=lambda phi: phi[:, 1])
-    assert result.conditional_mean == pytest.approx(0.5, abs=1e-15)
-
-
 def test_enumeration_guards():
     with pytest.raises(ValueError):
         EnumerationSpec(_params(9, mode="continuous"), ZERO_POT, support=(-1.0, 0.0, 1.0))

@@ -112,6 +112,12 @@ def test_lattice_truncation_is_one_cut_for_the_law_and_the_chain():
     assert np.abs(laps).max() == 2.0
 
 
+def test_lattice_truncation_is_sized_before_allocating():
+    # a cut of 1e8 laps each side would be 2e8 steps; it is refused at once
+    with pytest.raises(ValueError, match="lower the truncation"):
+        build_increment_dist(GaussianPotential(1.0), _discrete_params(6), 1e8)
+
+
 def test_table_far_above_its_minimum_at_zero_is_degenerate_at_once():
     # Phi(0) = 1e5 over a minimum of 0 at the grid ends: on the lattice at
     # eps = 0.01 every step but 0 leaves the grid, so the law is one point
@@ -523,6 +529,21 @@ def test_theta_stats_shapes_and_constant_input():
 def test_theta_stats_need_a_positive_finite_scale(sigma, epsilon):
     with pytest.raises(ValueError, match="must be positive and finite"):
         estimate_theta_stats(np.zeros((10, 12)), [0.5], sigma=sigma, epsilon=epsilon)
+
+
+@pytest.mark.parametrize("times", [[math.nan], [0.5, math.nan]])
+def test_theta_stats_refuse_nan_times(times):
+    with pytest.raises(ValueError, match=r"times must lie in \[0, 1\]"):
+        estimate_theta_stats(np.zeros((10, 12)), times, sigma=1.0, epsilon=0.1)
+
+
+@pytest.mark.parametrize("mode", ["continuous", "discrete"])
+@pytest.mark.parametrize("xi1", [math.inf, -math.inf, math.nan])
+def test_sample_free_needs_a_finite_first_gradient(mode, xi1):
+    params = ModelParams(n_sites=4, epsilon=1.0, macro_length=4.0, height_mode=mode)
+    dist = build_increment_dist(GaussianPotential(1.0), params)
+    with pytest.raises(ValueError, match="xi1 must be finite"):
+        sample_free(params, dist, xi1, ChainSettings(seed=0, n_samples=4))
 
 
 def test_theta_stats_match_the_walk_area_route():
