@@ -7,12 +7,19 @@ profile), tube confinement (confine, exponent-fit), and validation sweeps
 
 Configuration is a JSON file with sections model / potential / boundary /
 sampler / tube plus output_dir; unknown keys anywhere are rejected.  Flags
-override config values.  Every text output starts with a comment line (or
-leading JSON fields) carrying a 12-hex-digit hash of the effective
-configuration and the seed, and repeated runs with the same configuration and
-seed are byte-identical regardless of --workers, which only MCMC chain blocks
-and confine sweep points use.  Exit codes: 0 success, 1 domain or validation
-error (message on stderr), 2 usage error.
+override config values.  `main` builds one run per command (`_Run`): it
+merges the config, hashes the effective configuration together with the
+flags the command names when it is registered (exponent-fit hashes its
+input file's bytes instead), and checks the seed, an integer in [0, 2^64).
+Every text output starts with a comment line (or leading JSON fields)
+carrying that 12-hex-digit hash and the seed.  --workers, --out, --svg and
+the --config path never enter the hash; flags that override a config value
+(--seed, --n, --burn-in, --thin, --grad-cut and bridge's --xi-left,
+--xi-right, --endpoint) enter it through the config.  Repeated runs with the same configuration
+and seed are byte-identical regardless of --workers, which only MCMC chain
+blocks and confine sweep points use.  Exit codes: 0 success, 1 domain or
+validation error (message on stderr), 2 usage error, malformed number
+lists (--times, --eps) included.
 """
 
 from __future__ import annotations
@@ -94,19 +101,15 @@ def _merge_config(args) -> dict:
     # flags that override one config value, for the commands that define them
     for flag, section, key in (("seed", "sampler", "seed"), ("n", "sampler", "n_samples"),
                                ("burn_in", "sampler", "burn_in"), ("thin", "sampler", "thin"),
-                               ("grad_cut", "tube", "grad_cut")):
+                               ("grad_cut", "tube", "grad_cut"),
+                               ("bc_xi_left", "boundary", "xi_left"),
+                               ("bc_xi_right", "boundary", "xi_right"),
+                               ("bc_endpoint", "boundary", "endpoint")):
         if getattr(args, flag, None) is not None:
             cfg[section][key] = getattr(args, flag)
     if getattr(args, "out", None) is not None:
         cfg["output_dir"] = args.out
     return cfg
-
-
-def _config_hash(cfg: dict, cmd: dict) -> str:
-    hashed = {k: v for k, v in cfg.items() if k != "output_dir"}
-    payload = json.dumps({"cfg": hashed, "cmd": cmd}, sort_keys=True,
-                         separators=(",", ":"))
-    return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
 def _model(cfg: dict) -> ModelParams:
@@ -145,35 +148,59 @@ def _boundary(cfg: dict) -> BoundaryConditions:
 def _settings(cfg: dict) -> sampling.ChainSettings:
     s = cfg["sampler"]
     return sampling.ChainSettings(
-        seed=int(s["seed"]), n_samples=int(s["n_samples"]),
+        seed=s["seed"], n_samples=int(s["n_samples"]),
         burn_in=int(s["burn_in"]), thin=int(s["thin"]),
         n_chains=None if s["n_chains"] is None else int(s["n_chains"]),
     )
 
 
 # ---------------------------------------------------------------------------
-# output helpers
+# the run: config, hash, seed and the writers that stamp them
 
-def _out_path(cfg: dict, name: str) -> Path:
-    out = Path(cfg["output_dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    return out / name
+class _Run:
+    """One command's run: the effective config, the hash of that config plus
+    the command's own hashed flags, the checked seed, and the writers that
+    stamp both on every output."""
 
+    def __init__(self, args):
+        self.cfg = _merge_config(args)
+        cmd = {"name": args.command, **{k: getattr(args, k) for k in args.hashed}}
+        if args.command == "exponent-fit":  # the input's bytes, not its path
+            cmd["data_sha"] = hashlib.sha256(Path(args.data).read_bytes()).hexdigest()[:12]
+        cfg = {k: v for k, v in self.cfg.items() if k != "output_dir"}
+        payload = json.dumps({"cfg": cfg, "cmd": cmd}, sort_keys=True, separators=(",", ":"))
+        self.hash = hashlib.sha256(payload.encode()).hexdigest()[:12]
+        self.seed = self.cfg["sampler"]["seed"]
+        if type(self.seed) is not int or not 0 <= self.seed < 2 ** 64:
+            raise ValueError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
+        self.stamp = f"config={self.hash} seed={self.seed}"
 
-def _stamp(h: str, seed: int) -> str:
-    return f"config={h} seed={seed}"
+    def path(self, name: str) -> Path:
+        out = Path(self.cfg["output_dir"])
+        out.mkdir(parents=True, exist_ok=True)
+        return out / name
 
+    def csv(self, name: str, header: list[str], rows) -> None:
+        path = self.path(name)
+        sampling._write_table(path, header, rows, self.stamp)
+        print(f"wrote {path}")
 
-def _write_csv(path: Path, header: list[str], rows, comment: str) -> None:
-    sampling._write_table(path, header, rows, comment)
-    print(f"wrote {path}")
+    def json(self, name: str, /, **fields) -> None:
+        path = self.path(name)
+        with open(path, "w") as fh:
+            json.dump({"config_hash": self.hash, "seed": self.seed, **fields}, fh, indent=2)
+            fh.write("\n")
+        print(f"wrote {path}")
 
-
-def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-    print(f"wrote {path}")
+    def samples(self, name: str, fmt: str, samples: np.ndarray) -> None:
+        if fmt == "csv":
+            path = self.path(f"{name}.csv")
+            sampling.samples_to_csv(samples, path, comment=self.stamp)
+        else:
+            # binary frames carry the SFLX1 magic instead of a comment line
+            path = self.path(f"{name}.bin")
+            sampling.samples_to_frame(samples, path)
+        print(f"wrote {path}")
 
 
 def _write_svg_loglog(path: Path, xs, ys, comment: str,
@@ -230,166 +257,81 @@ def _write_svg_loglog(path: Path, xs, ys, comment: str,
     print(f"wrote {path}")
 
 
-def _parse_floats(text: str) -> list[float]:
-    try:
-        return [float(v) for v in text.split(",") if v.strip()]
-    except ValueError as exc:
-        raise ValueError(f"expected comma-separated numbers, got {text!r}") from exc
-
-
-def _write_samples(cfg: dict, name: str, fmt: str, samples: np.ndarray,
-                   h: str, seed: int) -> None:
-    if fmt == "csv":
-        path = _out_path(cfg, f"{name}.csv")
-        sampling.samples_to_csv(samples, path, comment=_stamp(h, seed))
-    else:
-        # binary frames carry the SFLX1 magic instead of a comment line
-        path = _out_path(cfg, f"{name}.bin")
-        sampling.samples_to_frame(samples, path)
-    print(f"wrote {path}")
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each takes the parsed flags and the run, writes through the
+# run, and returns None or an exit code
 
-def _run_sample(args) -> int:
-    cfg = _merge_config(args)
-    cmd = {"name": "sample", "xi1": args.xi1, "fmt": args.fmt,
-           "truncation": args.truncation}
-    h = _config_hash(cfg, cmd)
-    params, pot = _model(cfg), _potential(cfg)
-    settings = _settings(cfg)
+def _run_sample(args, run: _Run) -> None:
+    params, pot = _model(run.cfg), _potential(run.cfg)
+    settings = _settings(run.cfg)
     dist = sampling.build_increment_dist(pot, params, truncation=args.truncation)
-    samples = sampling.sample_free(params, dist, args.xi1, settings)
-    _write_samples(cfg, "sample", args.fmt, samples, h, settings.seed)
-    return 0
+    run.samples("sample", args.fmt, sampling.sample_free(params, dist, args.xi1, settings))
 
 
-def _run_bridge(args) -> int:
-    cfg = _merge_config(args)
-    for key in ("xi_left", "xi_right", "endpoint"):
-        if getattr(args, key) is not None:
-            cfg["boundary"][key] = getattr(args, key)
-    cmd = {"name": "bridge", "method": args.method, "fmt": args.fmt,
-           "truncation": args.truncation}
-    h = _config_hash(cfg, cmd)
-    params, pot = _model(cfg), _potential(cfg)
-    bc, settings = _boundary(cfg), _settings(cfg)
+def _bridge_draws(args, run: _Run, params, pot, truncation=None) -> np.ndarray:
+    """Pinned-bridge draws by --method: exact Gaussian blocks or Metropolis
+    chains, the only route that takes a truncation."""
+    if truncation is not None and args.method != "mcmc":
+        raise ValueError("--truncation cuts the Metropolis chain's steps; "
+                         "use it with --method mcmc")
+    bc, settings = _boundary(run.cfg), _settings(run.cfg)
     if args.method == "exact":
-        samples = sampling.sample_gaussian_bridge(params, pot, bc, settings)
-    else:
-        samples = sampling.sample_bridge_mcmc(
-            params, pot, bc, settings, workers=args.workers,
-            truncation=args.truncation)
-    _write_samples(cfg, "bridge", args.fmt, samples, h, settings.seed)
-    return 0
+        return sampling.sample_gaussian_bridge(params, pot, bc, settings)
+    return sampling.sample_bridge_mcmc(params, pot, bc, settings, workers=args.workers,
+                                       truncation=truncation)
 
 
-def _run_theta_stats(args) -> int:
-    cfg = _merge_config(args)
-    times = _parse_floats(args.times)
-    cmd = {"name": "theta-stats", "times": times, "method": args.method}
-    h = _config_hash(cfg, cmd)
-    params, pot = _model(cfg), _potential(cfg)
-    bc, settings = _boundary(cfg), _settings(cfg)
+def _run_bridge(args, run: _Run) -> None:
+    params, pot = _model(run.cfg), _potential(run.cfg)
+    run.samples("bridge", args.fmt, _bridge_draws(args, run, params, pot, args.truncation))
+
+
+def _run_theta_stats(args, run: _Run) -> None:
+    params, pot = _model(run.cfg), _potential(run.cfg)
     # before sampling, so a law without a variance fails at once
     sigma = math.sqrt(gaussian.sigma2_increment(pot, params))
-    if args.method == "exact":
-        samples = sampling.sample_gaussian_bridge(params, pot, bc, settings)
-    else:
-        samples = sampling.sample_bridge_mcmc(params, pot, bc, settings,
-                                              workers=args.workers)
-    stats = sampling.estimate_theta_stats(samples, times, sigma, params.epsilon)
-    payload = {
-        "config_hash": h, "seed": settings.seed,
-        "times": list(stats.times), "mean": list(stats.mean),
-        "mean_se": list(stats.mean_se),
-        "cov": [list(r) for r in stats.cov],
-        "cov_se": [list(r) for r in stats.cov_se],
-    }
-    _write_json(_out_path(cfg, "theta_stats.json"), payload)
-    return 0
+    samples = _bridge_draws(args, run, params, pot)
+    stats = sampling.estimate_theta_stats(samples, args.times, sigma, params.epsilon)
+    run.json("theta_stats.json", times=list(stats.times), mean=list(stats.mean),
+             mean_se=list(stats.mean_se), cov=[list(r) for r in stats.cov],
+             cov_se=[list(r) for r in stats.cov_se])
 
 
-def _run_qmatrix(args) -> int:
-    cfg = _merge_config(args)
-    times = _parse_floats(args.times)
-    cmd = {"name": "qmatrix", "times": times}
-    h = _config_hash(cfg, cmd)
-    q = gaussian.q_matrix(np.asarray(times))
-    labels = ["0"] + [f"{t:.17g}" for t in times] + ["1"]
-    _write_csv(_out_path(cfg, "qmatrix.csv"), labels, (row.tolist() for row in q),
-               _stamp(h, cfg["sampler"]["seed"]))
-    return 0
+def _run_qmatrix(args, run: _Run) -> None:
+    q = gaussian.q_matrix(np.asarray(args.times))
+    labels = ["0"] + [f"{t:.17g}" for t in args.times] + ["1"]
+    run.csv("qmatrix.csv", labels, (row.tolist() for row in q))
 
 
-def _run_exact_gauss(args) -> int:
-    cfg = _merge_config(args)
-    cmd = {"name": "exact-gauss", "xi_left": args.xi_left,
-           "xi_right": args.xi_right}
-    h = _config_hash(cfg, cmd)
-    params, pot = _model(cfg), _potential(cfg)
+def _run_exact_gauss(args, run: _Run) -> None:
+    params, pot = _model(run.cfg), _potential(run.cfg)
     if not isinstance(pot, GaussianPotential):
         raise ValueError("exact-gauss is defined for the gaussian potential only")
     value = gaussian.exact_boundary_density(params.n_sites, pot.kappa,
                                             params.macro_length,
                                             args.xi_left, args.xi_right)
-    payload = {"config_hash": h, "seed": cfg["sampler"]["seed"],
-               "n_sites": params.n_sites, "kappa": pot.kappa,
-               "c": params.macro_length, "xi_left": args.xi_left,
-               "xi_right": args.xi_right, "density": value}
-    _write_json(_out_path(cfg, "exact_gauss.json"), payload)
-    return 0
+    run.json("exact_gauss.json", n_sites=params.n_sites, kappa=pot.kappa,
+             c=params.macro_length, xi_left=args.xi_left, xi_right=args.xi_right,
+             density=value)
 
 
-def _tilt_payload(args, cfg: dict, h: str):
-    params, pot = _model(cfg), _potential(cfg)
-    mgf = ldp.limit_log_mgf(pot)
-    sol = ldp.solve_tilts(args.xi_left, args.xi_right, args.slope,
-                          params.macro_length, mgf)
-    rate = ldp.ld_rate(args.xi_left, args.xi_right, args.slope,
-                       params.macro_length, mgf, sol)
-    return params, mgf, sol, {
-        "config_hash": h, "seed": cfg["sampler"]["seed"],
-        "u_star": float(sol.u_star), "v_star": float(sol.v_star),
-        "residual": float(np.max(np.abs(sol.residual))),
-        "det_hessian": float(np.linalg.det(sol.hessian)),
-        "rate": float(rate),
-    }
+def _run_tilts(args, run: _Run) -> None:
+    """tilts, and profile, which also writes the mean profile the tilts give."""
+    params, pot = _model(run.cfg), _potential(run.cfg)
+    data = (args.xi_left, args.xi_right, args.slope, params.macro_length,
+            ldp.limit_log_mgf(pot))
+    sol = ldp.solve_tilts(*data)
+    rate = ldp.ld_rate(*data, sol)
+    if args.command == "profile":
+        ts = np.linspace(0.0, 1.0, args.points)
+        run.csv("profile.csv", ["t", "profile"], zip(ts, ldp.mean_profile(ts, *data, sol)))
+    run.json("tilts.json", u_star=float(sol.u_star), v_star=float(sol.v_star),
+             residual=float(np.max(np.abs(sol.residual))),
+             det_hessian=float(np.linalg.det(sol.hessian)), rate=float(rate))
 
 
-def _run_tilts(args) -> int:
-    cfg = _merge_config(args)
-    cmd = {"name": "tilts", "xi_left": args.xi_left, "xi_right": args.xi_right,
-           "slope": args.slope}
-    h = _config_hash(cfg, cmd)
-    _, _, _, payload = _tilt_payload(args, cfg, h)
-    _write_json(_out_path(cfg, "tilts.json"), payload)
-    return 0
-
-
-def _run_profile(args) -> int:
-    cfg = _merge_config(args)
-    cmd = {"name": "profile", "xi_left": args.xi_left,
-           "xi_right": args.xi_right, "slope": args.slope,
-           "points": args.points}
-    h = _config_hash(cfg, cmd)
-    params, mgf, sol, payload = _tilt_payload(args, cfg, h)
-    ts = np.linspace(0.0, 1.0, args.points)
-    vals = ldp.mean_profile(ts, args.xi_left, args.xi_right, args.slope,
-                            params.macro_length, mgf, sol)
-    _write_csv(_out_path(cfg, "profile.csv"), ["t", "profile"],
-               zip(ts, vals), _stamp(h, cfg["sampler"]["seed"]))
-    _write_json(_out_path(cfg, "tilts.json"), payload)
-    return 0
-
-
-def _run_confine(args) -> int:
-    cfg = _merge_config(args)
-    cmd = {"name": "confine", "rho_min": args.rho_min, "rho_max": args.rho_max,
-           "rho_steps": args.rho_steps, "mesh": args.mesh}
-    h = _config_hash(cfg, cmd)
-    params, pot = _model(cfg), _potential(cfg)
+def _run_confine(args, run: _Run) -> None:
+    params, pot = _model(run.cfg), _potential(run.cfg)
     try:
         if not all(0 < r < math.inf for r in (args.rho_min, args.rho_max)):
             raise ValueError("rho values must be positive and finite")
@@ -399,76 +341,49 @@ def _run_confine(args) -> int:
         raise ValueError(f"{exc}; the exponent fit needs --rho-steps >= 5 and "
                          "0 < --rho-min <= --rho-max / 10") from None
     rows = confinement.confinement_sweep(
-        params, pot, rhos, grad_cut=cfg["tube"]["grad_cut"], mesh=args.mesh,
+        params, pot, rhos, grad_cut=run.cfg["tube"]["grad_cut"], mesh=args.mesh,
         workers=args.workers)
-    seed = cfg["sampler"]["seed"]
-    _write_csv(_out_path(cfg, "confine.csv"),
-               ["rho", "F", "lambda_max", "states", "mesh_delta", "F_scaled"],
-               [(r.rho, r.free_energy, r.lam_norm, r.n_states, r.mesh_delta,
-                 r.free_energy * r.rho ** (2.0 / 3.0) * params.macro_length ** (1.0 / 3.0))
-                for r in rows],
-               _stamp(h, seed))
+    run.csv("confine.csv", ["rho", "F", "lambda_max", "states", "mesh_delta", "F_scaled"],
+            [(r.rho, r.free_energy, r.lam_norm, r.n_states, r.mesh_delta,
+              r.free_energy * r.rho ** (2.0 / 3.0) * params.macro_length ** (1.0 / 3.0))
+             for r in rows])
     fit = confinement.exponent_fit([r.rho for r in rows],
                                    [r.free_energy for r in rows])
-    _write_json(_out_path(cfg, "confine_fit.json"),
-                {"config_hash": h, "seed": seed, "slope": fit.slope,
-                 "intercept": fit.intercept, "r2": fit.r_squared})
+    run.json("confine_fit.json", slope=fit.slope, intercept=fit.intercept,
+             r2=fit.r_squared)
     if args.svg:
-        _write_svg_loglog(_out_path(cfg, "confine.svg"),
-                          [r.rho for r in rows], [r.free_energy for r in rows],
-                          _stamp(h, seed), "rho", "F")
-    return 0
+        _write_svg_loglog(run.path("confine.svg"), [r.rho for r in rows],
+                          [r.free_energy for r in rows], run.stamp, "rho", "F")
 
 
-def _run_exponent_fit(args) -> int:
-    cfg = _merge_config(args)
-    raw = Path(args.data).read_bytes()
-    cmd = {"name": "exponent-fit",
-           "data_sha": hashlib.sha256(raw).hexdigest()[:12]}
-    h = _config_hash(cfg, cmd)
+def _run_exponent_fit(args, run: _Run) -> None:
     header, values = sampling._read_table(args.data)
     if "rho" not in header or "F" not in header:
         raise ValueError(f"{args.data}: the header line must name the rho and F "
                          f"columns, got {','.join(header)!r}")
     fit = confinement.exponent_fit(values[:, header.index("rho")],
                                    values[:, header.index("F")])
-    _write_json(_out_path(cfg, "exponent_fit.json"),
-                {"config_hash": h, "seed": cfg["sampler"]["seed"],
-                 "slope": fit.slope, "intercept": fit.intercept,
-                 "r2": fit.r_squared})
-    return 0
+    run.json("exponent_fit.json", slope=fit.slope, intercept=fit.intercept,
+             r2=fit.r_squared)
 
 
-def _run_continuum_check(args) -> int:
-    cfg = _merge_config(args)
-    eps_list = _parse_floats(args.eps)
-    cmd = {"name": "continuum-check", "shape": args.shape, "eps": eps_list}
-    h = _config_hash(cfg, cmd)
-    pot = _potential(cfg)
+def _run_continuum_check(args, run: _Run) -> None:
+    pot = _potential(run.cfg)
     if args.shape == "square":
         profile = ContinuumProfile(f=lambda x: x * x, gamma=1.0, delta=1.0,
                                    d2f=lambda x: 2.0 * np.ones_like(np.asarray(x)))
     else:
         profile = ContinuumProfile(f=lambda x: x ** 3, gamma=1.0, delta=1.0,
                                    d2f=lambda x: 6.0 * np.asarray(x))
-    c = float(cfg["model"]["macro_length"])
-    rows = continuum_energy_check(profile, pot, eps_list, macro_length=c)
-    _write_csv(_out_path(cfg, "continuum_check.csv"),
-               ["eps", "lattice_energy", "integral", "error"],
-               rows, _stamp(h, cfg["sampler"]["seed"]))
-    return 0
+    c = float(run.cfg["model"]["macro_length"])
+    run.csv("continuum_check.csv", ["eps", "lattice_energy", "integral", "error"],
+            continuum_energy_check(profile, pot, args.eps, macro_length=c))
 
 
-def _run_oracle_check(args) -> int:
-    cfg = _merge_config(args)
-    cmd = {"name": "oracle-check", "n_max": args.n_max}
-    h = _config_hash(cfg, cmd)
-    seed = int(cfg["sampler"]["seed"])
-    checks = oracle.cross_check_sweep(args.n_max, seed, args.workers)
+def _run_oracle_check(args, run: _Run) -> int:
+    checks = oracle.cross_check_sweep(args.n_max, run.seed, args.workers)
     passed = all(c["passed"] for c in checks)
-    payload = {"config_hash": h, "seed": seed, "n_max": args.n_max,
-               "all_passed": passed, "checks": checks}
-    _write_json(_out_path(cfg, "oracle_check.json"), payload)
+    run.json("oracle_check.json", n_max=args.n_max, all_passed=passed, checks=checks)
     return 0 if passed else 1
 
 
@@ -481,6 +396,14 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _floats(text: str) -> list[float]:
+    try:
+        return [float(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="semiflex",
@@ -489,59 +412,67 @@ def build_parser() -> argparse.ArgumentParser:
                     "confinement.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, helptext, func):
+    def command(name, helptext, func, *hashed):
+        """A subcommand whose config hash covers the flags named in `hashed`."""
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, help="RNG seed (unsigned 64-bit)")
         p.add_argument("--workers", type=_positive_int, default=1,
                        help="processes for MCMC chain blocks and confine points")
         p.add_argument("--out", help="output directory")
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, hashed=hashed)
         return p
 
-    p = command("sample", "free-measure sampler", _run_sample)
+    p = command("sample", "free-measure sampler", _run_sample, "xi1", "fmt", "truncation")
     p.add_argument("--n", type=int, help="number of samples")
     p.add_argument("--xi1", type=float, default=0.0, help="first gradient")
     p.add_argument("--truncation", type=float, help="increment truncation")
     p.add_argument("--fmt", choices=("csv", "bin"), default="csv")
 
-    p = command("bridge", "boundary-pinned sampler", _run_bridge)
+    # the boundary flags override the config's boundary section, so they
+    # enter the hash through the config
+    p = command("bridge", "boundary-pinned sampler", _run_bridge, "method", "fmt", "truncation")
     p.add_argument("--n", type=int, help="number of samples")
     p.add_argument("--method", choices=("exact", "mcmc"), default="exact")
-    p.add_argument("--xi-left", dest="xi_left", type=float)
-    p.add_argument("--xi-right", dest="xi_right", type=float)
-    p.add_argument("--endpoint", type=float)
+    p.add_argument("--xi-left", dest="bc_xi_left", metavar="XI_LEFT", type=float)
+    p.add_argument("--xi-right", dest="bc_xi_right", metavar="XI_RIGHT", type=float)
+    p.add_argument("--endpoint", dest="bc_endpoint", metavar="ENDPOINT", type=float)
     p.add_argument("--burn-in", dest="burn_in", type=int)
     p.add_argument("--thin", type=int)
     p.add_argument("--truncation", type=float)
     p.add_argument("--fmt", choices=("csv", "bin"), default="csv")
 
-    p = command("theta-stats", "rescaled bridge statistics", _run_theta_stats)
+    p = command("theta-stats", "rescaled bridge statistics", _run_theta_stats,
+                "times", "method")
     p.add_argument("--n", type=int, help="number of samples")
-    p.add_argument("--times", default="0.25,0.5,0.75",
+    p.add_argument("--times", type=_floats, default="0.25,0.5,0.75",
                    help="comma-separated grid in (0,1)")
     p.add_argument("--method", choices=("exact", "mcmc"), default="exact")
 
-    p = command("qmatrix", "limit covariance matrix on a grid", _run_qmatrix)
-    p.add_argument("--times", required=True,
+    p = command("qmatrix", "limit covariance matrix on a grid", _run_qmatrix, "times")
+    p.add_argument("--times", type=_floats, required=True,
                    help="comma-separated grid in (0,1)")
 
-    p = command("exact-gauss", "exact Gaussian endpoint density", _run_exact_gauss)
+    p = command("exact-gauss", "exact Gaussian endpoint density", _run_exact_gauss,
+                "xi_left", "xi_right")
     p.add_argument("--xi-left", dest="xi_left", type=float, default=0.0)
     p.add_argument("--xi-right", dest="xi_right", type=float, default=0.0)
 
-    p = command("tilts", "solve the boundary tilt equations", _run_tilts)
+    p = command("tilts", "solve the boundary tilt equations", _run_tilts,
+                "xi_left", "xi_right", "slope")
     p.add_argument("--xi-left", dest="xi_left", type=float, default=0.0)
     p.add_argument("--xi-right", dest="xi_right", type=float, default=0.0)
     p.add_argument("--slope", type=float, default=0.0)
 
-    p = command("profile", "conditioned mean profile", _run_profile)
+    p = command("profile", "conditioned mean profile", _run_tilts,
+                "xi_left", "xi_right", "slope", "points")
     p.add_argument("--xi-left", dest="xi_left", type=float, default=0.0)
     p.add_argument("--xi-right", dest="xi_right", type=float, default=0.0)
     p.add_argument("--slope", type=float, default=0.0)
     p.add_argument("--points", type=_positive_int, default=101)
 
-    p = command("confine", "tube free-energy sweep", _run_confine)
+    p = command("confine", "tube free-energy sweep", _run_confine,
+                "rho_min", "rho_max", "rho_steps", "mesh")
     p.add_argument("--rho-min", dest="rho_min", type=float, default=0.02)
     p.add_argument("--rho-max", dest="rho_max", type=float, default=0.2)
     p.add_argument("--rho-steps", dest="rho_steps", type=int, default=8)
@@ -549,25 +480,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mesh", type=float)
     p.add_argument("--svg", action="store_true", help="emit a log-log plot")
 
+    # hashed by the sha of the file's bytes (see _Run)
     p = command("exponent-fit", "fit log F against log rho", _run_exponent_fit)
     p.add_argument("--data", required=True, help="CSV with rho and F columns")
 
-    p = command("oracle-check", "desk-scale validation sweep", _run_oracle_check)
+    p = command("oracle-check", "desk-scale validation sweep", _run_oracle_check, "n_max")
     p.add_argument("--n-max", dest="n_max", type=int, default=6)
 
-    p = command("continuum-check", "lattice energy vs integral", _run_continuum_check)
+    p = command("continuum-check", "lattice energy vs integral", _run_continuum_check,
+                "shape", "eps")
     p.add_argument("--shape", choices=("square", "cubic"), default="square")
-    p.add_argument("--eps", default="0.1,0.05,0.025,0.0125",
+    p.add_argument("--eps", type=_floats, default="0.1,0.05,0.025,0.0125",
                    help="comma-separated lattice spacings")
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _Run(args)) or 0
     except (ValueError, RuntimeError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

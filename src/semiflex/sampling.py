@@ -154,9 +154,13 @@ def _check_truncation(truncation: float | None) -> None:
 def _lap_bound(params: ModelParams, truncation: float) -> float:
     """Largest |lap| = eps |eta| that |eta| <= truncation allows, for the
     lattice law and the Metropolis chain alike."""
+    lap = truncation * params.epsilon
     if params.height_mode == "discrete":
-        return float(math.floor(truncation * params.epsilon + 1e-12))
-    return truncation * params.epsilon + 1e-9
+        if lap == math.inf:
+            raise ValueError(f"truncation * eps must be finite on the lattice, "
+                             f"got {truncation} * {params.epsilon}")
+        return float(math.floor(lap + 1e-12))
+    return lap + 1e-9
 
 
 @dataclass(frozen=True)

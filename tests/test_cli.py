@@ -50,6 +50,84 @@ def test_profile_points_below_one_is_a_usage_error(tmp_path, capsys, points):
     assert not (tmp_path / "profile.csv").exists()
 
 
+@pytest.mark.parametrize("command, flag", [("qmatrix", "--times"), ("theta-stats", "--times"),
+                                           ("continuum-check", "--eps")])
+def test_malformed_number_list_is_a_usage_error(tmp_path, capsys, command, flag):
+    with pytest.raises(SystemExit) as err:
+        main([command, flag, "0.25,abc", "--out", str(tmp_path)])
+    assert err.value.code == 2
+    assert f"argument {flag}: expected comma-separated numbers, got '0.25,abc'" in \
+        capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+_SEED_COMMANDS = [["sample", "--n", "8"], ["qmatrix", "--times", "0.5"]]
+
+
+@pytest.mark.parametrize("flags, config_seed, shown", [
+    (["--seed", "-1"], None, "-1"),
+    (["--seed", str(2 ** 64)], None, str(2 ** 64)),
+    ([], "abc", "'abc'"),
+    ([], 2.5, "2.5"),
+    ([], True, "True"),
+    ([], -1, "-1"),
+], ids=["flag-negative", "flag-65-bits", "config-string", "config-float",
+        "config-bool", "config-negative"])
+@pytest.mark.parametrize("command", _SEED_COMMANDS, ids=["sample", "qmatrix"])
+def test_seed_must_be_an_unsigned_64_bit_integer(tmp_path, capsys, command, flags,
+                                                 config_seed, shown):
+    # one rule for every command, sampling or not: nothing is stamped with,
+    # or silently truncated from, a seed outside it
+    cfg = {"model": {"n_sites": 4, "epsilon": 0.25}}
+    if config_seed is not None:
+        cfg["sampler"] = {"seed": config_seed}
+    out = tmp_path / "out"
+    assert main([*command, *flags, "--config", _write_config(tmp_path, cfg),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: seed must be an integer in [0, 2^64), got {shown}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", _SEED_COMMANDS, ids=["sample", "qmatrix"])
+def test_largest_seed_is_stamped_as_given(tmp_path, command):
+    seed = str(2 ** 64 - 1)
+    assert main([*command, "--seed", seed, "--out", str(tmp_path)]) == 0
+    (path,) = tmp_path.iterdir()
+    assert _first_line(path).endswith(f" seed={seed}")
+
+
+@pytest.mark.parametrize("argv, stamped, stamp", [
+    (["qmatrix", "--times", "0.25,0.5"], ["qmatrix.csv"], "94588ff93055"),
+    (["tilts", "--xi-left", "1.0"], ["tilts.json"], "4f91f2240e2b"),
+    (["profile", "--xi-left", "1.0", "--points", "5"], ["profile.csv", "tilts.json"],
+     "ba49de4aa22f"),
+    (["bridge", "--n", "4", "--xi-left", "0.2", "--endpoint", "0.1"], ["bridge.csv"],
+     "e6fe3f6a6630"),
+    (["theta-stats", "--n", "8", "--times", "0.5"], ["theta_stats.json"], "af7500294ed7"),
+], ids=["qmatrix", "tilts", "profile", "bridge", "theta-stats"])
+def test_config_hash_is_pinned(tmp_path, argv, stamped, stamp):
+    # the hash covers the default config and the command's own flags; bridge's
+    # boundary flags enter it through the config
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    for name in stamped:
+        path = tmp_path / name
+        if name.endswith(".csv"):
+            assert _first_line(path) == f"# config={stamp} seed=0"
+        else:
+            data = json.loads(path.read_text())
+            assert list(data)[:2] == ["config_hash", "seed"]
+            assert (data["config_hash"], data["seed"]) == (stamp, 0)
+
+
+def test_exact_bridge_refuses_a_truncation(tmp_path, capsys):
+    # only the Metropolis chain cuts its steps; the exact bridge would ignore it
+    assert main(["bridge", "--n", "4", "--truncation", "3", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "--method mcmc" in err[0]
+    assert not (tmp_path / "bridge.csv").exists()
+
+
 @pytest.mark.parametrize("command, output", [("profile", "profile.csv"),
                                              ("exact-gauss", "exact_gauss.json")])
 def test_non_finite_boundary_data_rejected(tmp_path, capsys, command, output):

@@ -118,6 +118,17 @@ def test_lattice_truncation_is_sized_before_allocating():
         build_increment_dist(GaussianPotential(1.0), _discrete_params(6), 1e8)
 
 
+def test_lattice_truncation_overflowing_its_lap_is_a_value_error():
+    # 1e308 is finite but 1e308 * eps is not at eps = 2; the law and the
+    # chain both refuse it as a value, not with an OverflowError from floor
+    params = ModelParams(n_sites=2, epsilon=2.0, macro_length=4.0, height_mode="discrete")
+    settings = ChainSettings(seed=0, n_samples=8)
+    with pytest.raises(ValueError, match="truncation \\* eps must be finite"):
+        build_increment_dist(GaussianPotential(1.0), params, 1e308)
+    with pytest.raises(ValueError, match="truncation \\* eps must be finite"):
+        sample_bridge_mcmc(params, GaussianPotential(1.0), ZERO_BC, settings, truncation=1e308)
+
+
 def test_table_far_above_its_minimum_at_zero_is_degenerate_at_once():
     # Phi(0) = 1e5 over a minimum of 0 at the grid ends: on the lattice at
     # eps = 0.01 every step but 0 leaves the grid, so the law is one point
