@@ -25,7 +25,6 @@ from .model import (
 from .gaussian import (
     ConditionedSpec,
     GridTimes,
-    conditional_gaussian,
     exact_boundary_density,
     q_matrix,
     sigma2_increment,

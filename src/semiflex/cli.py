@@ -2,24 +2,24 @@
 
 Subcommands cover sampling (sample, bridge, theta-stats), closed-form
 analytics (qmatrix, exact-gauss), the large-deviation machinery (tilts,
-profile), tube confinement (confine, exponent-fit), and validation sweeps
-(oracle-check, continuum-check).
+profile), tube confinement (confine), and validation sweeps (oracle-check,
+continuum-check).
 
 Configuration is a JSON file with sections model / potential / boundary /
-sampler / tube plus output_dir; unknown keys anywhere are rejected.  Flags
-override config values.  `main` builds one run per command (`_Run`): it
-merges the config, hashes the effective configuration together with the
-flags the command names when it is registered (exponent-fit hashes its
-input file's bytes instead), and checks the seed, an integer in [0, 2^64).
+sampler / tube plus output_dir; an unknown key or a value of the wrong JSON
+type is rejected.  Flags override config values.  `main` builds one run per
+command (`_Run`): it merges the config, hashes it together with the flags
+the command names when it is registered, and builds the sampler settings
+(`sampling.ChainSettings`, whose integer rule holds for every command).
 Every text output starts with a comment line (or leading JSON fields)
 carrying that 12-hex-digit hash and the seed.  --workers, --out, --svg and
 the --config path never enter the hash; flags that override a config value
 (--seed, --n, --burn-in, --thin, --grad-cut and bridge's --xi-left,
---xi-right, --endpoint) enter it through the config.  Repeated runs with the same configuration
-and seed are byte-identical regardless of --workers, which only MCMC chain
-blocks and confine sweep points use.  Exit codes: 0 success, 1 domain or
-validation error (message on stderr), 2 usage error, malformed number
-lists (--times, --eps) included.
+--xi-right, --endpoint) enter it through the config.  Repeated runs with
+the same configuration and seed are byte-identical regardless of
+--workers, which only MCMC chain blocks and confine sweep points use.  Exit
+codes: 0 success, 1 domain or validation error (message on stderr), 2
+usage error, malformed number lists (--times, --eps) included.
 """
 
 from __future__ import annotations
@@ -60,27 +60,47 @@ _DEFAULTS = {
     "output_dir": ".",
 }
 
-# the keys each section accepts: those of its defaults, and for the potential
-# its kind plus every kind's own keys; None marks a plain value
-_SCHEMA = {k: set(v) if isinstance(v, dict) else None for k, v in _DEFAULTS.items()}
-_SCHEMA["potential"] = {"kind"}.union(*_POTENTIAL_KEYS.values())
+_JSON_TYPES = {bool: "a boolean", int: "a number", float: "a number", str: "a string",
+               list: "a list", dict: "an object", type(None): "null"}
+
+
+def _takes(default) -> tuple[str, ...]:
+    return ("a number", "null") if default is None else (_JSON_TYPES[type(default)],)
+
+
+# the keys each section accepts and the JSON types each takes: its default's
+# (a number or null where that is null), for the potential its kind plus
+# every kind's own keys; the sampler's values are ChainSettings' to check
+_SCHEMA = {k: {kk: _takes(vv) for kk, vv in v.items()} if isinstance(v, dict) else _takes(v)
+           for k, v in _DEFAULTS.items()}
+_SCHEMA["potential"] = {"kind": ("a string",), "kappa": ("a number",), "alpha": ("a number",),
+                        "grid": ("a list",), "values": ("a list",)}
+_SCHEMA["sampler"] = dict.fromkeys(_DEFAULTS["sampler"])
 
 
 # ---------------------------------------------------------------------------
 # configuration
+
+def _check_type(key: str, value, takes: tuple[str, ...] | None) -> None:
+    got = _JSON_TYPES[type(value)]
+    if takes is not None and got not in takes:
+        raise ValueError(f"config key {key} must be {' or '.join(takes)}, got {got}")
+
 
 def _check_keys(data: dict) -> None:
     for key, sub in data.items():
         if key not in _SCHEMA:
             raise ValueError(f"unknown config key {key!r}")
         allowed = _SCHEMA[key]
-        if allowed is None:
+        if not isinstance(allowed, dict):
+            _check_type(key, sub, allowed)
             continue
         if not isinstance(sub, dict):
             raise ValueError(f"config section {key!r} must be a JSON object")
-        for inner in sub:
+        for inner, value in sub.items():
             if inner not in allowed:
                 raise ValueError(f"unknown config key {key}.{inner}")
+            _check_type(f"{key}.{inner}", value, allowed[inner])
 
 
 def _merge_config(args) -> dict:
@@ -91,7 +111,7 @@ def _merge_config(args) -> dict:
             raise ValueError("config file must hold a JSON object")
         _check_keys(data)
         for key, sub in data.items():
-            if key == "potential" and isinstance(sub, dict) and "kind" in sub:
+            if key == "potential" and "kind" in sub:
                 # switching kind discards the defaults of the previous kind
                 cfg[key] = dict(sub)
             elif isinstance(sub, dict):
@@ -114,7 +134,7 @@ def _merge_config(args) -> dict:
 
 def _model(cfg: dict) -> ModelParams:
     m = cfg["model"]
-    return ModelParams(n_sites=int(m["n_sites"]), epsilon=float(m["epsilon"]),
+    return ModelParams(n_sites=m["n_sites"], epsilon=float(m["epsilon"]),
                        macro_length=float(m["macro_length"]),
                        height_mode=m["height_mode"])
 
@@ -134,24 +154,11 @@ def _potential(cfg: dict):
                                  alpha=float(p.get("alpha", 2.0)))
     if "grid" not in p or "values" not in p:
         raise ValueError("table potential needs grid and values")
-    return TabulatedPotential(np.asarray(p["grid"], dtype=float),
-                              np.asarray(p["values"], dtype=float))
+    return TabulatedPotential(p["grid"], p["values"])
 
 
 def _boundary(cfg: dict) -> BoundaryConditions:
-    b = cfg["boundary"]
-    return BoundaryConditions(xi_left=float(b["xi_left"]),
-                              xi_right=float(b["xi_right"]),
-                              endpoint=float(b["endpoint"]))
-
-
-def _settings(cfg: dict) -> sampling.ChainSettings:
-    s = cfg["sampler"]
-    return sampling.ChainSettings(
-        seed=s["seed"], n_samples=int(s["n_samples"]),
-        burn_in=int(s["burn_in"]), thin=int(s["thin"]),
-        n_chains=None if s["n_chains"] is None else int(s["n_chains"]),
-    )
+    return BoundaryConditions(**{k: float(v) for k, v in cfg["boundary"].items()})
 
 
 # ---------------------------------------------------------------------------
@@ -159,20 +166,17 @@ def _settings(cfg: dict) -> sampling.ChainSettings:
 
 class _Run:
     """One command's run: the effective config, the hash of that config plus
-    the command's own hashed flags, the checked seed, and the writers that
-    stamp both on every output."""
+    the command's own hashed flags, the checked sampler settings, and the
+    writers that stamp the hash and seed on every output."""
 
     def __init__(self, args):
         self.cfg = _merge_config(args)
         cmd = {"name": args.command, **{k: getattr(args, k) for k in args.hashed}}
-        if args.command == "exponent-fit":  # the input's bytes, not its path
-            cmd["data_sha"] = hashlib.sha256(Path(args.data).read_bytes()).hexdigest()[:12]
         cfg = {k: v for k, v in self.cfg.items() if k != "output_dir"}
         payload = json.dumps({"cfg": cfg, "cmd": cmd}, sort_keys=True, separators=(",", ":"))
         self.hash = hashlib.sha256(payload.encode()).hexdigest()[:12]
-        self.seed = self.cfg["sampler"]["seed"]
-        if type(self.seed) is not int or not 0 <= self.seed < 2 ** 64:
-            raise ValueError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
+        self.settings = sampling.ChainSettings(**self.cfg["sampler"])
+        self.seed = self.settings.seed
         self.stamp = f"config={self.hash} seed={self.seed}"
 
     def path(self, name: str) -> Path:
@@ -263,9 +267,8 @@ def _write_svg_loglog(path: Path, xs, ys, comment: str,
 
 def _run_sample(args, run: _Run) -> None:
     params, pot = _model(run.cfg), _potential(run.cfg)
-    settings = _settings(run.cfg)
     dist = sampling.build_increment_dist(pot, params, truncation=args.truncation)
-    run.samples("sample", args.fmt, sampling.sample_free(params, dist, args.xi1, settings))
+    run.samples("sample", args.fmt, sampling.sample_free(params, dist, args.xi1, run.settings))
 
 
 def _bridge_draws(args, run: _Run, params, pot, truncation=None) -> np.ndarray:
@@ -274,10 +277,10 @@ def _bridge_draws(args, run: _Run, params, pot, truncation=None) -> np.ndarray:
     if truncation is not None and args.method != "mcmc":
         raise ValueError("--truncation cuts the Metropolis chain's steps; "
                          "use it with --method mcmc")
-    bc, settings = _boundary(run.cfg), _settings(run.cfg)
+    bc = _boundary(run.cfg)
     if args.method == "exact":
-        return sampling.sample_gaussian_bridge(params, pot, bc, settings)
-    return sampling.sample_bridge_mcmc(params, pot, bc, settings, workers=args.workers,
+        return sampling.sample_gaussian_bridge(params, pot, bc, run.settings)
+    return sampling.sample_bridge_mcmc(params, pot, bc, run.settings, workers=args.workers,
                                        truncation=truncation)
 
 
@@ -354,17 +357,6 @@ def _run_confine(args, run: _Run) -> None:
     if args.svg:
         _write_svg_loglog(run.path("confine.svg"), [r.rho for r in rows],
                           [r.free_energy for r in rows], run.stamp, "rho", "F")
-
-
-def _run_exponent_fit(args, run: _Run) -> None:
-    header, values = sampling._read_table(args.data)
-    if "rho" not in header or "F" not in header:
-        raise ValueError(f"{args.data}: the header line must name the rho and F "
-                         f"columns, got {','.join(header)!r}")
-    fit = confinement.exponent_fit(values[:, header.index("rho")],
-                                   values[:, header.index("F")])
-    run.json("exponent_fit.json", slope=fit.slope, intercept=fit.intercept,
-             r2=fit.r_squared)
 
 
 def _run_continuum_check(args, run: _Run) -> None:
@@ -479,10 +471,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grad-cut", dest="grad_cut", type=float)
     p.add_argument("--mesh", type=float)
     p.add_argument("--svg", action="store_true", help="emit a log-log plot")
-
-    # hashed by the sha of the file's bytes (see _Run)
-    p = command("exponent-fit", "fit log F against log rho", _run_exponent_fit)
-    p.add_argument("--data", required=True, help="CSV with rho and F columns")
 
     p = command("oracle-check", "desk-scale validation sweep", _run_oracle_check, "n_max")
     p.add_argument("--n-max", dest="n_max", type=int, default=6)

@@ -27,7 +27,6 @@ __all__ = [
     "q_matrix",
     "theta_mean",
     "theta_cov",
-    "conditional_gaussian",
     "exact_boundary_density",
 ]
 
@@ -45,9 +44,6 @@ class GridTimes:
         if times.size > 1 and not np.all(np.diff(times) > 0):
             raise ValueError("grid times must be strictly increasing")
         object.__setattr__(self, "times", times)
-
-    def __len__(self) -> int:
-        return self.times.size
 
 
 @dataclass(frozen=True)
@@ -122,26 +118,6 @@ def theta_cov(s, t):
     hi = np.maximum(s, t)
     out = lo * lo * (1.0 - hi) ** 2 * (2.0 * hi * (1.0 - lo) + (hi - lo)) / 6.0
     return float(out) if out.ndim == 0 else out
-
-
-def conditional_gaussian(times: GridTimes | np.ndarray, spec: ConditionedSpec):
-    """Mean vector and covariance of (theta(t_1), ..., theta(t_k)) given the
-    endpoint pair, by Schur complement of the covariance in q_matrix."""
-    if not isinstance(times, GridTimes):
-        times = GridTimes(times)
-    if len(times) == 0:
-        return np.zeros(0), np.zeros((0, 0))
-    q = q_matrix(times)
-    k = len(times)
-    obs = np.arange(1, k + 1)
-    cond = np.array([0, k + 1])
-    q_oo = q[np.ix_(obs, obs)]
-    q_oc = q[np.ix_(obs, cond)]
-    q_cc = q[np.ix_(cond, cond)]
-    solve = np.linalg.solve(q_cc, q_oc.T)  # (2, k)
-    mean = solve.T @ np.array([spec.a, spec.b])
-    cov = q_oo - q_oc @ solve
-    return mean, 0.5 * (cov + cov.T)
 
 
 def exact_boundary_density(n_sites: int, kappa: float, c: float,

@@ -44,9 +44,7 @@ from .model import (
     ModelParams,
     Potential,
     PowerLawPotential,
-    _TS_FROM_LEFT,
-    _TS_OFFSET,
-    _TS_WEIGHT,
+    _tanh_sinh_pieces,
 )
 
 __all__ = [
@@ -80,9 +78,7 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-# the tanh-sinh rule (_TS_*) lives in model, which integrates the untilted
-# continuous step law with it too; the tilted density is cut where it has
-# fallen by e^60 from its peak
+# the tilted density is cut where it has fallen by e^60 from its peak
 _TAIL = -60.0
 
 
@@ -108,7 +104,7 @@ class LogMgf:
 
 def _tilted_log_mgf(pot: Potential, eps: float) -> LogMgf:
     """Tilted integrals of exp(-eps*Phi(x) + h x) for Phi = kappa |x|^alpha,
-    on the tanh-sinh rule."""
+    on the tanh-sinh rule of `model._tanh_sinh_pieces`."""
     if not isinstance(pot, PowerLawPotential):
         raise ValueError(
             "the log-MGF needs a power law finite on the whole line (a table potential "
@@ -157,11 +153,8 @@ def _tilted_log_mgf(pot: Potential, eps: float) -> LogMgf:
             right *= 2.0
         kink = -x0 / d
         cuts = sorted({-left, 0.0, right} | ({kink} if -left < kink < right else set()))
-        ends = np.array(cuts)
-        width = np.diff(ends)[:, None]
-        u = (np.where(_TS_FROM_LEFT, ends[:-1, None], ends[1:, None])
-             + width * _TS_OFFSET).ravel()
-        w = (width * _TS_WEIGHT).ravel() * np.exp(g(x0 + u * d) - shift)
+        u, w = _tanh_sinh_pieces(np.array(cuts))
+        w = w * np.exp(g(x0 + u * d) - shift)
         # centered u-moments keep every sum O(1); the raw second moment at
         # x0 ~ h/eps would lose the variance to cancellation
         z = float(np.sum(w))

@@ -41,6 +41,11 @@ __all__ = [
 _MODES = ("continuous", "discrete")
 
 
+def _is_integer(value) -> bool:
+    """The rule for every count and seed: a Python or numpy integer, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Lattice geometry: n_sites interior sites, spacing eps, n_sites*eps ~ macro_length."""
@@ -51,6 +56,8 @@ class ModelParams:
     height_mode: str = "continuous"
 
     def __post_init__(self):
+        if not _is_integer(self.n_sites):
+            raise ValueError(f"n_sites must be an integer, got {self.n_sites!r}")
         if self.n_sites < 2:
             raise ValueError(f"n_sites must be >= 2, got {self.n_sites}")
         if not (self.epsilon > 0) or not math.isfinite(self.epsilon):
@@ -219,6 +226,14 @@ def _tanh_sinh(step: float, t_max: float):
 _TS_FROM_LEFT, _TS_OFFSET, _TS_WEIGHT = _tanh_sinh(1.0 / 32.0, 3.2)
 
 
+def _tanh_sinh_pieces(ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the tanh-sinh rule on each piece [ends[i], ends[i+1]],
+    for the untilted step law here and the tilted one in `ldp`."""
+    width = np.diff(ends)[:, None]
+    nodes = (np.where(_TS_FROM_LEFT, ends[:-1, None], ends[1:, None]) + width * _TS_OFFSET).ravel()
+    return nodes, (width * _TS_WEIGHT).ravel()
+
+
 def _continuous_law(pot: Potential, eps: float,
                     truncation: float | None = None) -> tuple[float, float]:
     """Support bound and variance of the continuous step law exp(-eps * Phi):
@@ -230,11 +245,10 @@ def _continuous_law(pot: Potential, eps: float,
     ends = np.array([0.0, bound])
     if isinstance(pot, TabulatedPotential):
         ends = np.insert(ends, 1, pot.grid[(pot.grid > 0) & (pot.grid < bound)])
-    width = np.diff(ends)[:, None]
-    x = (np.where(_TS_FROM_LEFT, ends[:-1, None], ends[1:, None]) + width * _TS_OFFSET).ravel()
+    x, w = _tanh_sinh_pieces(ends)
     g = -eps * np.asarray(pot(x), dtype=float)
     # shifted by the largest exponent, so no weight overflows
-    w = (width * _TS_WEIGHT).ravel() * np.exp(g - g.max())
+    w = w * np.exp(g - g.max())
     return bound, float(np.dot(w, x * x) / np.sum(w))
 
 

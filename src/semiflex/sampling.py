@@ -50,6 +50,7 @@ from .model import (
     Potential,
     _continuous_law,
     _heights,
+    _is_integer,
     _laps,
     _step_weights,
     map_boundary,
@@ -165,7 +166,9 @@ def _lap_bound(params: ModelParams, truncation: float) -> float:
 
 @dataclass(frozen=True)
 class ChainSettings:
-    """seed + sample budget; burn_in/thin/n_chains only matter for MCMC."""
+    """seed + sample budget; burn_in/thin/n_chains only matter for MCMC.  The
+    one rule for the CLI's `sampler` section too: each field is a Python or
+    numpy integer, not a bool (n_chains may be None), the seed in [0, 2^64)."""
 
     seed: int
     n_samples: int
@@ -174,14 +177,18 @@ class ChainSettings:
     n_chains: int | None = None
 
     def __post_init__(self):
+        if not _is_integer(self.seed) or not 0 <= self.seed < 2 ** 64:
+            raise ValueError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
+        for name in ("n_samples", "burn_in", "thin", "n_chains"):
+            value = getattr(self, name)
+            if not (_is_integer(value) or name == "n_chains" and value is None):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
         if self.thin < 1 or self.burn_in < 0:
             raise ValueError("thin must be >= 1 and burn_in >= 0")
         if self.n_chains is not None and self.n_chains < 1:
             raise ValueError("n_chains must be >= 1 when given")
-        if not 0 <= self.seed < 2 ** 64:
-            raise ValueError("seed must fit in 64 bits")
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:

@@ -1,7 +1,6 @@
 """Command-line front door: config handling, output stamps, determinism."""
 
 import json
-import math
 import re
 
 import numpy as np
@@ -64,28 +63,33 @@ def test_malformed_number_list_is_a_usage_error(tmp_path, capsys, command, flag)
 _SEED_COMMANDS = [["sample", "--n", "8"], ["qmatrix", "--times", "0.5"]]
 
 
-@pytest.mark.parametrize("flags, config_seed, shown", [
-    (["--seed", "-1"], None, "-1"),
-    (["--seed", str(2 ** 64)], None, str(2 ** 64)),
-    ([], "abc", "'abc'"),
-    ([], 2.5, "2.5"),
-    ([], True, "True"),
-    ([], -1, "-1"),
+_SEED_ERROR = "seed must be an integer in [0, 2^64), got "
+
+
+@pytest.mark.parametrize("flags, sampler, error", [
+    (["--seed", "-1"], {}, _SEED_ERROR + "-1"),
+    (["--seed", str(2 ** 64)], {}, _SEED_ERROR + str(2 ** 64)),
+    ([], {"seed": "abc"}, _SEED_ERROR + "'abc'"),
+    ([], {"seed": 2.5}, _SEED_ERROR + "2.5"),
+    ([], {"seed": True}, _SEED_ERROR + "True"),
+    ([], {"seed": -1}, _SEED_ERROR + "-1"),
+    ([], {"thin": True}, "thin must be an integer, got True"),
+    ([], {"burn_in": 1.5}, "burn_in must be an integer, got 1.5"),
+    ([], {"n_chains": 2.9}, "n_chains must be an integer, got 2.9"),
+    ([], {"n_chains": "2"}, "n_chains must be an integer, got '2'"),
 ], ids=["flag-negative", "flag-65-bits", "config-string", "config-float",
-        "config-bool", "config-negative"])
+        "config-bool", "config-negative", "config-bool-thin", "config-float-burn-in",
+        "config-float-n-chains", "config-string-n-chains"])
 @pytest.mark.parametrize("command", _SEED_COMMANDS, ids=["sample", "qmatrix"])
 def test_seed_must_be_an_unsigned_64_bit_integer(tmp_path, capsys, command, flags,
-                                                 config_seed, shown):
-    # one rule for every command, sampling or not: nothing is stamped with,
-    # or silently truncated from, a seed outside it
-    cfg = {"model": {"n_sites": 4, "epsilon": 0.25}}
-    if config_seed is not None:
-        cfg["sampler"] = {"seed": config_seed}
+                                                 sampler, error):
+    # one rule for the whole sampler section, for every command, sampling or
+    # not: nothing is stamped with, or silently truncated from, a value outside it
+    cfg = {"model": {"n_sites": 4, "epsilon": 0.25}, "sampler": sampler}
     out = tmp_path / "out"
     assert main([*command, *flags, "--config", _write_config(tmp_path, cfg),
                  "--out", str(out)]) == 1
-    assert capsys.readouterr().err.splitlines() == [
-        f"error: seed must be an integer in [0, 2^64), got {shown}"]
+    assert capsys.readouterr().err.splitlines() == [f"error: {error}"]
     assert not out.exists()
 
 
@@ -134,6 +138,40 @@ def test_non_finite_boundary_data_rejected(tmp_path, capsys, command, output):
     assert main([command, "--xi-left", "nan", "--out", str(tmp_path)]) == 1
     assert "xi_left must be finite, got nan" in capsys.readouterr().err
     assert not (tmp_path / output).exists()
+
+
+@pytest.mark.parametrize("command, cfg, error", [
+    (["sample"], {"sampler": {"n_samples": 4.7}}, "n_samples must be an integer, got 4.7"),
+    (["sample", "--n", "4"], {"model": {"n_sites": 100.5}},
+     "n_sites must be an integer, got 100.5"),
+    (["sample", "--n", "4"], {"output_dir": 5},
+     "config key output_dir must be a string, got a number"),
+    (["sample", "--n", "4"], {"model": {"n_sites": None}},
+     "config key model.n_sites must be a number, got null"),
+    (["confine"], {"tube": {"grad_cut": "x"}},
+     "config key tube.grad_cut must be a number or null, got a string"),
+    (["sample", "--n", "4"], {"potential": {"kind": []}},
+     "config key potential.kind must be a string, got a list"),
+    (["sample", "--n", "4"], {"boundary": {"xi_left": False}},
+     "config key boundary.xi_left must be a number, got a boolean"),
+], ids=["float-n-samples", "float-n-sites", "number-output-dir", "null-n-sites",
+        "string-grad-cut", "list-kind", "bool-xi-left"])
+def test_config_value_of_the_wrong_type_is_one_error_line(tmp_path, capsys, command, cfg,
+                                                          error):
+    # refused before anything runs, so no value is truncated or hashed as given
+    # but run as another
+    out = tmp_path / "out"
+    assert main([*command, "--config", _write_config(tmp_path, cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {error}"]
+    assert not out.exists()
+
+
+def test_exponent_fit_is_no_command(capsys):
+    # confine writes its own fit to confine_fit.json
+    with pytest.raises(SystemExit) as err:
+        main(["exponent-fit", "--data", "x.csv"])
+    assert err.value.code == 2
+    assert "invalid choice: 'exponent-fit'" in capsys.readouterr().err
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):
@@ -424,7 +462,7 @@ def test_theta_stats_payload(tmp_path):
     assert data["cov"][0][0] == pytest.approx(1.0 / 192.0, rel=0.25)
 
 
-def test_confine_outputs_and_exponent_fit(tmp_path):
+def test_confine_outputs_fit_and_svg(tmp_path):
     cfg = _write_config(tmp_path, {
         "model": {"n_sites": 300, "epsilon": 1.0, "macro_length": 300.0,
                   "height_mode": "discrete"},
@@ -436,13 +474,6 @@ def test_confine_outputs_and_exponent_fit(tmp_path):
     svg = (tmp_path / "confine.svg").read_text()
     assert svg.startswith("<!-- config=")
     assert "<svg" in svg
-
-    # feed the sweep back through the standalone fitter
-    assert main(["exponent-fit", "--data", str(tmp_path / "confine.csv"),
-                 "--out", str(tmp_path)]) == 0
-    refit = json.loads((tmp_path / "exponent_fit.json").read_text())
-    assert refit["slope"] == pytest.approx(fit["slope"], abs=1e-12)
-    assert refit["r2"] == pytest.approx(fit["r2"], abs=1e-12)
 
 
 def test_confine_scaled_free_energy_column(tmp_path):
@@ -522,29 +553,6 @@ def test_truncation_outside_its_range_is_one_error_line(tmp_path, capsys, trunca
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error: truncation must be positive and finite, got {float(truncation)}"]
     assert not out.exists()
-
-
-def test_exponent_fit_plain_columns(tmp_path):
-    rhos = np.geomspace(0.1, 1.0, 6)
-    path = tmp_path / "data.csv"
-    path.write_text("rho,F\n" + "\n".join(
-        f"{r:.17g},{2.0 * r ** (-2.0 / 3.0):.17g}" for r in rhos) + "\n")
-    assert main(["exponent-fit", "--data", str(path), "--out", str(tmp_path)]) == 0
-    fit = json.loads((tmp_path / "exponent_fit.json").read_text())
-    assert fit["slope"] == pytest.approx(-2.0 / 3.0, abs=1e-10)
-    assert fit["intercept"] == pytest.approx(math.log(2.0), abs=1e-10)
-
-
-def test_exponent_fit_needs_a_rho_and_f_header(tmp_path, capsys):
-    # without a header the first data row would be taken for one and dropped
-    rhos = np.geomspace(0.01, 1.0, 7)
-    fs = 2.0 * rhos ** (-2.0 / 3.0)
-    fs[0] *= 3.0
-    path = tmp_path / "bare.csv"
-    path.write_text("".join(f"{r:.17g},{f:.17g}\n" for r, f in zip(rhos, fs)))
-    assert main(["exponent-fit", "--data", str(path), "--out", str(tmp_path)]) == 1
-    assert "must name the rho and F columns" in capsys.readouterr().err
-    assert not (tmp_path / "exponent_fit.json").exists()
 
 
 def test_continuum_check_refuses_a_profile_off_the_table(tmp_path, capsys):

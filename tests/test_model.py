@@ -74,6 +74,11 @@ def test_params_validation():
         ModelParams(n_sites=10, epsilon=0.5, macro_length=1.0)
     with pytest.raises(ValueError):
         ModelParams(n_sites=4, epsilon=1.0, macro_length=4.0, height_mode="integer")
+    # n_sites is a count: a float or a bool is refused, not truncated
+    for n_sites in (100.5, 4.0, True):
+        with pytest.raises(ValueError, match="n_sites must be an integer"):
+            ModelParams(n_sites=n_sites, epsilon=0.01, macro_length=1.0)
+    assert ModelParams(n_sites=np.int64(4), epsilon=0.25, macro_length=1.0).n_sites == 4
     assert ModelParams(n_sites=4, epsilon=0.25, macro_length=1.0).n_heights == 6
 
 

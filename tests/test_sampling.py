@@ -557,6 +557,30 @@ def test_sample_free_needs_a_finite_first_gradient(mode, xi1):
         sample_free(params, dist, xi1, ChainSettings(seed=0, n_samples=4))
 
 
+@pytest.mark.parametrize("fields, error", [
+    ({"seed": 2.5}, r"seed must be an integer in \[0, 2\^64\), got 2.5"),
+    ({"seed": True}, r"seed must be an integer in \[0, 2\^64\), got True"),
+    ({"seed": "3"}, r"seed must be an integer in \[0, 2\^64\), got '3'"),
+    ({"seed": np.uint64(2**63), "n_samples": 4.7}, "n_samples must be an integer, got 4.7"),
+    ({"n_chains": 2.9}, "n_chains must be an integer, got 2.9"),
+    ({"thin": True}, "thin must be an integer, got True"),
+    ({"burn_in": np.float64(3.0)}, "burn_in must be an integer"),
+], ids=["float-seed", "bool-seed", "string-seed", "float-n-samples", "float-n-chains",
+        "bool-thin", "numpy-float-burn-in"])
+def test_chain_settings_take_integers_only(fields, error):
+    # the library's rule is the CLI's: a count or seed is never truncated
+    with pytest.raises(ValueError, match=error):
+        ChainSettings(**{"seed": 0, "n_samples": 4, **fields})
+
+
+def test_chain_settings_take_numpy_integers():
+    params = ModelParams(n_sites=4, epsilon=1.0, macro_length=4.0)
+    dist = build_increment_dist(GaussianPotential(1.0), params)
+    draws = [sample_free(params, dist, 0.0, ChainSettings(seed=s, n_samples=n))
+             for s, n in ((np.uint64(2**64 - 1), np.int32(5)), (2**64 - 1, 5))]
+    assert_allclose(draws[0], draws[1], rtol=0, atol=0)
+
+
 def test_theta_stats_match_the_walk_area_route():
     # heights give the area path directly; the laps -> walk/area route is the reference
     n, eps, sigma, times = 100, 0.01, 10.0, np.array([0.0, 0.1, 0.33, 0.5, 0.97, 1.0])
