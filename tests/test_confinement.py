@@ -70,8 +70,9 @@ def test_power_iteration_matches_dense_spectrum():
         op = build_transfer(params, pot, TubeSpec(1.3), support=SUPPORT)
         res = power_iteration(op)
         lam_dense = float(np.max(np.linalg.eigvals(op.dense()).real))
-        assert res.lam_raw == pytest.approx(lam_dense, rel=1e-9)
-        assert res.lam_norm == pytest.approx(lam_dense / op.z1, rel=1e-9)
+        assert res.lam_raw == pytest.approx(lam_dense, rel=1e-12)
+        assert res.lam_norm == pytest.approx(lam_dense / op.z1, rel=1e-12)
+        assert 0 <= res.error <= confinement._POWER_TOL
 
 
 def test_power_iteration_reports_lost_mass():
@@ -83,13 +84,94 @@ def test_power_iteration_reports_lost_mass():
 
 
 def test_power_iteration_reports_no_convergence(monkeypatch):
-    # this operator needs about 200 steps; allow 3
+    # this operator needs 158 steps; allow 3
     op = build_transfer(ModelParams(100, 0.01, 1.0), GaussianPotential(1.0), TubeSpec(0.1),
                         mesh=0.05)
     monkeypatch.setattr(confinement, "_POWER_MAX_ITER", 3)
     with pytest.raises(RuntimeError) as err:
         power_iteration(op)
     assert str(err.value) == "power iteration did not converge in 3 iterations"
+
+
+def _reversal(op):
+    """Time reversal (h, g) -> (h - g, -g) as a flat-index map, and the core:
+    the states whose previous height h - g lies on the grid."""
+    nr, nc = 2 * op.n_h + 1, 2 * op.n_g + 1
+    h, c = np.divmod(np.arange(nr * nc), nc)
+    prev = h - (c - op.n_g)
+    core = (prev >= 0) & (prev < nr)
+    return np.where(core, prev * nc + (nc - 1 - c), -1), core
+
+
+DISC_N2000 = ModelParams(n_sites=2000, epsilon=1.0, macro_length=2000.0,
+                        height_mode="discrete")
+CONT_N100 = ModelParams(n_sites=100, epsilon=0.01, macro_length=1.0)
+
+
+@pytest.mark.parametrize("params, pot, rho, mesh", [
+    (CONT_N100, GaussianPotential(1.0), 0.02, 0.1),
+    (CONT_N100, PowerLawPotential(1.0, 1.5), 0.02, 0.2),
+    (DISC_N2000, GaussianPotential(1.0), 0.3, None),
+    (DISC_N2000, PowerLawPotential(1.0, 1.5), 0.3, None),
+])
+def test_time_reversal_makes_the_core_symmetric(params, pot, rho, mesh):
+    # T^T = P T P exactly on the core, every output lies in it, and
+    # _reflect is P: what power_iteration's quotient and estimate rest on
+    op = build_transfer(params, pot, TubeSpec(rho), mesh=mesh)
+    assert op.n_states <= 3000
+    mat = op.dense()
+    p, core = _reversal(op)
+    idx = np.flatnonzero(core)
+    assert np.array_equal(mat[np.ix_(idx, idx)].T, mat[np.ix_(p[idx], p[idx])])
+    assert not mat[~core].any()
+    v = np.random.default_rng(1).random((2 * op.n_h + 1, 2 * op.n_g + 1))
+    pv = op._reflect(v).ravel()
+    assert np.array_equal(pv[core], v.ravel()[p[core]])
+    assert not pv[~core].any()
+
+
+def test_power_iteration_start_off_the_core():
+    # the first step carries mass from anywhere into the core
+    op = build_transfer(CONT_N100, GaussianPotential(1.0), TubeSpec(0.02), mesh=0.1)
+    off = ~_reversal(op)[1].reshape(2 * op.n_h + 1, 2 * op.n_g + 1)
+    assert off.any()
+    res = power_iteration(op, start=off.astype(float))
+    assert res.lam_norm == pytest.approx(power_iteration(op).lam_norm, rel=1e-11)
+
+
+@pytest.mark.parametrize("taps, weights", [
+    ([1, 3], [1.0, 0.5]),
+    ([-1, 0, 1], [0.5, 1.0, 0.25]),
+])
+def test_power_iteration_needs_even_taps(taps, weights):
+    op = TransferOperator(1.0, 1.0, 2, 3, taps, weights, 1.0, 1.0)
+    with pytest.raises(ValueError, match=r"even tap weights, w\(t\) == w\(-t\)"):
+        power_iteration(op)
+
+
+def test_power_iteration_stops_within_1e_11_on_the_benchmark_sweep(monkeypatch):
+    # every solve of the benchmark's continuous sweep, half-mesh checks
+    # included, against ARPACK run to 1e-14
+    from scipy.sparse.linalg import LinearOperator, eigs
+
+    solves = []
+
+    def recording(op, **kw):
+        res = power_iteration(op, **kw)
+        solves.append((op, res))
+        return res
+
+    monkeypatch.setattr(confinement, "power_iteration", recording)
+    confinement_sweep(CONT_N100, GaussianPotential(1.0), np.geomspace(0.01, 0.1, 6), mesh=0.08)
+    assert len(solves) == 12
+    for op, res in solves:
+        shape = (2 * op.n_h + 1, 2 * op.n_g + 1)
+        mat = LinearOperator((op.n_states,) * 2, dtype=float,
+                             matvec=lambda x, op=op, shape=shape: op.matvec(x.reshape(shape)).ravel())
+        ref = eigs(mat, k=1, which="LM", tol=1e-14, ncv=40,
+                   v0=confinement._default_start(op).ravel())[0][0].real
+        assert res.lam_raw == pytest.approx(ref, rel=1e-11)
+        assert res.error <= confinement._POWER_TOL
 
 
 def _lattice_op(taps, kappa=1.0, n_h=2, n_g=3):
@@ -227,19 +309,19 @@ def test_warm_started_half_mesh_solve_matches_cold():
     assert start.shape == (2 * fine.n_h + 1, 2 * fine.n_g + 1)
     assert start.min() >= 0 and start.sum() > 0
     warm = power_iteration(fine, start=start)
-    assert warm.lam_norm == pytest.approx(power_iteration(fine).lam_norm, rel=1e-8)
+    assert warm.lam_norm == pytest.approx(power_iteration(fine).lam_norm, rel=1e-11)
     # a tube narrower than the coarse mesh step keeps one height row there
     _, _, coarse, fine = _half_mesh_pair(0.0005)
     assert (coarse.n_h, fine.n_h) == (0, 1)
     start = confinement._prolong(power_iteration(coarse).eigvec, coarse, fine)
     assert start.min() >= 0 and start.sum() > 0
     assert power_iteration(fine, start=start).lam_norm == pytest.approx(
-        power_iteration(fine).lam_norm, rel=1e-8)
+        power_iteration(fine).lam_norm, rel=1e-11)
 
 
 def test_sweep_half_mesh_check_is_warm_started(monkeypatch):
     # counts iterations, not time: the sweep's half-mesh solve must start from
-    # the prolonged coarse eigenvector, which saves 30% of a cold solve here
+    # the prolonged coarse eigenvector, which saves 40% of a cold solve here
     params, pot, _, fine = _half_mesh_pair(0.04)
     solves = []
 
