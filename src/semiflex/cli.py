@@ -1,25 +1,28 @@
 """Batch command-line front door.
 
 Subcommands cover sampling (sample, bridge, theta-stats), closed-form
-analytics (qmatrix, exact-gauss), the large-deviation machinery (tilts,
-profile), tube confinement (confine), and validation sweeps (oracle-check,
-continuum-check).
+analytics (qmatrix, exact-gauss), the large-deviation machinery (profile:
+the tilts, their rate and the mean profile), tube confinement (confine),
+and validation sweeps (oracle-check, continuum-check).
 
 Configuration is a JSON file with sections model / potential / boundary /
 sampler / tube plus output_dir; an unknown key or a value of the wrong JSON
 type is rejected.  Flags override config values.  `main` builds one run per
-command (`_Run`): it merges the config, hashes it together with the flags
-the command names when it is registered, and builds the sampler settings
-(`sampling.ChainSettings`, whose integer rule holds for every command).
-Every text output starts with a comment line (or leading JSON fields)
-carrying that 12-hex-digit hash and the seed.  --workers, --out, --svg and
+command (`_Run`): it merges the config into one form (a named potential
+kind filled in with its own defaults, every float-typed value a float),
+hashes it together with the flags the command names when it is registered,
+and builds the sampler settings (`sampling.ChainSettings`, whose integer
+rule holds for every command).  So `"macro_length": 1` and `1.0`, or
+`{"kind": "power"}` and the same kind with its defaults spelled out, stamp
+one hash.  Every text output starts with a comment line (or leading JSON
+fields) carrying that 12-hex-digit hash and the seed.  --workers, --out and
 the --config path never enter the hash; flags that override a config value
 (--seed, --n, --burn-in, --thin, --grad-cut and bridge's --xi-left,
 --xi-right, --endpoint) enter it through the config.  Repeated runs with
 the same configuration and seed are byte-identical regardless of
 --workers, which only MCMC chain blocks and confine sweep points use.  Exit
 codes: 0 success, 1 domain or validation error (message on stderr), 2
-usage error, malformed number lists (--times, --eps) included.
+usage error, malformed or empty number lists (--times, --eps) included.
 """
 
 from __future__ import annotations
@@ -46,44 +49,45 @@ from .model import (
 
 __all__ = ["main", "build_parser"]
 
-_POTENTIAL_KEYS = {"gaussian": {"kappa"}, "power": {"kappa", "alpha"},
-                   "table": {"grid", "values"}}
+# each potential kind: the class it builds and its keys with their defaults;
+# a table's grid and values have none (each is a required list of numbers)
+_POTENTIALS = {"gaussian": (GaussianPotential, {"kappa": 1.0}),
+               "power": (PowerLawPotential, {"kappa": 1.0, "alpha": 2.0}),
+               "table": (TabulatedPotential, {"grid": list, "values": list})}
 
+# the defaults a run starts from: a potential section that names no kind is
+# a Gaussian, and each kind fills in its own defaults after the merge
 _DEFAULTS = {
     "model": {"n_sites": 100, "epsilon": 0.01, "macro_length": 1.0,
               "height_mode": "continuous"},
-    "potential": {"kind": "gaussian", "kappa": 1.0},
+    "potential": {"kind": "gaussian"},
     "boundary": {"xi_left": 0.0, "xi_right": 0.0, "endpoint": 0.0},
     "sampler": {"seed": 0, "n_samples": 10_000, "burn_in": 0, "thin": 1,
                 "n_chains": None},
     "tube": {"grad_cut": None},
     "output_dir": ".",
 }
+# every key a config takes, with the default whose type fixes the key's JSON
+# type and number form; the potential section takes every kind's keys
+_SCHEMA = {**_DEFAULTS, "potential": {**_DEFAULTS["potential"], **{
+    k: v for _, keys in _POTENTIALS.values() for k, v in keys.items()}}}
 
 _JSON_TYPES = {bool: "a boolean", int: "a number", float: "a number", str: "a string",
                list: "a list", dict: "an object", type(None): "null"}
 
 
-def _takes(default) -> tuple[str, ...]:
-    return ("a number", "null") if default is None else (_JSON_TYPES[type(default)],)
-
-
-# the keys each section accepts and the JSON types each takes: its default's
-# (a number or null where that is null), for the potential its kind plus
-# every kind's own keys; the sampler's values are ChainSettings' to check
-_SCHEMA = {k: {kk: _takes(vv) for kk, vv in v.items()} if isinstance(v, dict) else _takes(v)
-           for k, v in _DEFAULTS.items()}
-_SCHEMA["potential"] = {"kind": ("a string",), "kappa": ("a number",), "alpha": ("a number",),
-                        "grid": ("a list",), "values": ("a list",)}
-_SCHEMA["sampler"] = dict.fromkeys(_DEFAULTS["sampler"])
-
-
 # ---------------------------------------------------------------------------
 # configuration
 
-def _check_type(key: str, value, takes: tuple[str, ...] | None) -> None:
+def _check_type(key: str, value, default) -> None:
+    """value must be of its default's JSON type: a number or null where that
+    is null, a list where it is the list type."""
+    if default is None:
+        takes = ("a number", "null")
+    else:
+        takes = (_JSON_TYPES[default if default is list else type(default)],)
     got = _JSON_TYPES[type(value)]
-    if takes is not None and got not in takes:
+    if got not in takes:
         raise ValueError(f"config key {key} must be {' or '.join(takes)}, got {got}")
 
 
@@ -100,21 +104,23 @@ def _check_keys(data: dict) -> None:
         for inner, value in sub.items():
             if inner not in allowed:
                 raise ValueError(f"unknown config key {key}.{inner}")
-            _check_type(f"{key}.{inner}", value, allowed[inner])
+            if key != "sampler":  # the sampler's values are ChainSettings' to check
+                _check_type(f"{key}.{inner}", value, allowed[inner])
 
 
 def _merge_config(args) -> dict:
+    """The effective config in one form per run: the named potential kind
+    filled in with its defaults, every float-typed value a float (a list entry
+    by entry); integers stay as given for the integer rule of ModelParams and
+    ChainSettings."""
     cfg = {k: (dict(v) if isinstance(v, dict) else v) for k, v in _DEFAULTS.items()}
-    if getattr(args, "config", None):
+    if args.config:
         data = json.loads(Path(args.config).read_text())
         if not isinstance(data, dict):
             raise ValueError("config file must hold a JSON object")
         _check_keys(data)
         for key, sub in data.items():
-            if key == "potential" and "kind" in sub:
-                # switching kind discards the defaults of the previous kind
-                cfg[key] = dict(sub)
-            elif isinstance(sub, dict):
+            if isinstance(sub, dict):
                 cfg[key].update(sub)
             else:
                 cfg[key] = sub
@@ -127,38 +133,31 @@ def _merge_config(args) -> dict:
                                ("bc_endpoint", "boundary", "endpoint")):
         if getattr(args, flag, None) is not None:
             cfg[section][key] = getattr(args, flag)
-    if getattr(args, "out", None) is not None:
+    if args.out is not None:
         cfg["output_dir"] = args.out
+    kind = cfg["potential"]["kind"]
+    if kind not in _POTENTIALS:
+        raise ValueError(f"unknown potential kind {kind!r}")
+    defaults = {k: v for k, v in _POTENTIALS[kind][1].items() if v is not list}
+    cfg["potential"] = {**defaults, **cfg["potential"]}
+    # float-typed: a key whose default is a float, null or a list
+    for section in ("model", "potential", "boundary", "tube"):
+        for key, value in cfg[section].items():
+            if value is not None and not isinstance(_SCHEMA[section][key], (int, str)):
+                cfg[section][key] = np.asarray(value, dtype=float).tolist()
     return cfg
-
-
-def _model(cfg: dict) -> ModelParams:
-    m = cfg["model"]
-    return ModelParams(n_sites=m["n_sites"], epsilon=float(m["epsilon"]),
-                       macro_length=float(m["macro_length"]),
-                       height_mode=m["height_mode"])
 
 
 def _potential(cfg: dict):
     p = dict(cfg["potential"])
     kind = p.pop("kind")
-    if kind not in _POTENTIAL_KEYS:
-        raise ValueError(f"unknown potential kind {kind!r}")
-    extras = set(p) - _POTENTIAL_KEYS[kind]
+    cls, keys = _POTENTIALS[kind]
+    extras = set(p) - set(keys)
     if extras:
         raise ValueError(f"{kind} potential does not take {sorted(extras)}")
-    if kind == "gaussian":
-        return GaussianPotential(kappa=float(p.get("kappa", 1.0)))
-    if kind == "power":
-        return PowerLawPotential(kappa=float(p.get("kappa", 1.0)),
-                                 alpha=float(p.get("alpha", 2.0)))
-    if "grid" not in p or "values" not in p:
-        raise ValueError("table potential needs grid and values")
-    return TabulatedPotential(p["grid"], p["values"])
-
-
-def _boundary(cfg: dict) -> BoundaryConditions:
-    return BoundaryConditions(**{k: float(v) for k, v in cfg["boundary"].items()})
+    if len(p) < len(keys):  # only a table has keys without defaults
+        raise ValueError(f"{kind} potential needs {' and '.join(keys)}")
+    return cls(**p)
 
 
 # ---------------------------------------------------------------------------
@@ -207,66 +206,12 @@ class _Run:
         print(f"wrote {path}")
 
 
-def _write_svg_loglog(path: Path, xs, ys, comment: str,
-                      xlabel: str, ylabel: str) -> None:
-    """Minimal log-log line plot: axes, decade ticks, one polyline."""
-    lx, ly = np.log10(np.asarray(xs, float)), np.log10(np.asarray(ys, float))
-    width, height, left, right, top, bottom = 640, 480, 70, 20, 30, 50
-
-    def span(v):
-        lo, hi = float(v.min()), float(v.max())
-        pad = 0.05 * (hi - lo) if hi > lo else 0.5
-        return lo - pad, hi + pad
-
-    (x0, x1), (y0, y1) = span(lx), span(ly)
-    px = left + (lx - x0) / (x1 - x0) * (width - left - right)
-    py = height - bottom - (ly - y0) / (y1 - y0) * (height - top - bottom)
-
-    def ticks(lo, hi):
-        vals = [k for k in range(math.ceil(lo), math.floor(hi) + 1)]
-        return vals if vals else [lo, hi]
-
-    parts = [f"<!-- {comment} -->",
-             f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-             f'height="{height}" viewBox="0 0 {width} {height}">',
-             f'<rect width="{width}" height="{height}" fill="white"/>',
-             f'<line x1="{left}" y1="{height - bottom}" x2="{width - right}" '
-             f'y2="{height - bottom}" stroke="black"/>',
-             f'<line x1="{left}" y1="{top}" x2="{left}" '
-             f'y2="{height - bottom}" stroke="black"/>']
-    for tv in ticks(x0, x1):
-        tx = left + (tv - x0) / (x1 - x0) * (width - left - right)
-        parts.append(f'<line x1="{tx:.1f}" y1="{height - bottom}" '
-                     f'x2="{tx:.1f}" y2="{height - bottom + 5}" stroke="black"/>')
-        parts.append(f'<text x="{tx:.1f}" y="{height - bottom + 20}" '
-                     f'font-size="12" text-anchor="middle">1e{tv:g}</text>')
-    for tv in ticks(y0, y1):
-        ty = height - bottom - (tv - y0) / (y1 - y0) * (height - top - bottom)
-        parts.append(f'<line x1="{left - 5}" y1="{ty:.1f}" x2="{left}" '
-                     f'y2="{ty:.1f}" stroke="black"/>')
-        parts.append(f'<text x="{left - 8}" y="{ty + 4:.1f}" font-size="12" '
-                     f'text-anchor="end">1e{tv:g}</text>')
-    pts = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(px, py))
-    parts.append(f'<polyline points="{pts}" fill="none" stroke="steelblue" '
-                 'stroke-width="1.5"/>')
-    for a, b in zip(px, py):
-        parts.append(f'<circle cx="{a:.2f}" cy="{b:.2f}" r="3" fill="steelblue"/>')
-    parts.append(f'<text x="{(left + width - right) / 2}" y="{height - 10}" '
-                 f'font-size="13" text-anchor="middle">{xlabel}</text>')
-    parts.append(f'<text x="15" y="{(top + height - bottom) / 2}" font-size="13" '
-                 f'text-anchor="middle" transform="rotate(-90 15 '
-                 f'{(top + height - bottom) / 2})">{ylabel}</text>')
-    parts.append("</svg>")
-    path.write_text("\n".join(parts) + "\n")
-    print(f"wrote {path}")
-
-
 # ---------------------------------------------------------------------------
 # subcommands: each takes the parsed flags and the run, writes through the
 # run, and returns None or an exit code
 
 def _run_sample(args, run: _Run) -> None:
-    params, pot = _model(run.cfg), _potential(run.cfg)
+    params, pot = ModelParams(**run.cfg["model"]), _potential(run.cfg)
     dist = sampling.build_increment_dist(pot, params, truncation=args.truncation)
     run.samples("sample", args.fmt, sampling.sample_free(params, dist, args.xi1, run.settings))
 
@@ -277,7 +222,7 @@ def _bridge_draws(args, run: _Run, params, pot, truncation=None) -> np.ndarray:
     if truncation is not None and args.method != "mcmc":
         raise ValueError("--truncation cuts the Metropolis chain's steps; "
                          "use it with --method mcmc")
-    bc = _boundary(run.cfg)
+    bc = BoundaryConditions(**run.cfg["boundary"])
     if args.method == "exact":
         return sampling.sample_gaussian_bridge(params, pot, bc, run.settings)
     return sampling.sample_bridge_mcmc(params, pot, bc, run.settings, workers=args.workers,
@@ -285,14 +230,16 @@ def _bridge_draws(args, run: _Run, params, pot, truncation=None) -> np.ndarray:
 
 
 def _run_bridge(args, run: _Run) -> None:
-    params, pot = _model(run.cfg), _potential(run.cfg)
+    params, pot = ModelParams(**run.cfg["model"]), _potential(run.cfg)
     run.samples("bridge", args.fmt, _bridge_draws(args, run, params, pot, args.truncation))
 
 
 def _run_theta_stats(args, run: _Run) -> None:
-    params, pot = _model(run.cfg), _potential(run.cfg)
-    # before sampling, so a law without a variance fails at once
+    params, pot = ModelParams(**run.cfg["model"]), _potential(run.cfg)
+    # before sampling, so a law without a variance or a time off the path
+    # fails at once
     sigma = math.sqrt(gaussian.sigma2_increment(pot, params))
+    sampling._check_times(args.times)
     samples = _bridge_draws(args, run, params, pot)
     stats = sampling.estimate_theta_stats(samples, args.times, sigma, params.epsilon)
     run.json("theta_stats.json", times=list(stats.times), mean=list(stats.mean),
@@ -307,7 +254,7 @@ def _run_qmatrix(args, run: _Run) -> None:
 
 
 def _run_exact_gauss(args, run: _Run) -> None:
-    params, pot = _model(run.cfg), _potential(run.cfg)
+    params, pot = ModelParams(**run.cfg["model"]), _potential(run.cfg)
     if not isinstance(pot, GaussianPotential):
         raise ValueError("exact-gauss is defined for the gaussian potential only")
     value = gaussian.exact_boundary_density(params.n_sites, pot.kappa,
@@ -318,23 +265,22 @@ def _run_exact_gauss(args, run: _Run) -> None:
              density=value)
 
 
-def _run_tilts(args, run: _Run) -> None:
-    """tilts, and profile, which also writes the mean profile the tilts give."""
-    params, pot = _model(run.cfg), _potential(run.cfg)
+def _run_profile(args, run: _Run) -> None:
+    """The tilts, their rate and the mean profile they give."""
+    params, pot = ModelParams(**run.cfg["model"]), _potential(run.cfg)
     data = (args.xi_left, args.xi_right, args.slope, params.macro_length,
             ldp.limit_log_mgf(pot))
     sol = ldp.solve_tilts(*data)
     rate = ldp.ld_rate(*data, sol)
-    if args.command == "profile":
-        ts = np.linspace(0.0, 1.0, args.points)
-        run.csv("profile.csv", ["t", "profile"], zip(ts, ldp.mean_profile(ts, *data, sol)))
+    ts = np.linspace(0.0, 1.0, args.points)
+    run.csv("profile.csv", ["t", "profile"], zip(ts, ldp.mean_profile(ts, *data, sol)))
     run.json("tilts.json", u_star=float(sol.u_star), v_star=float(sol.v_star),
              residual=float(np.max(np.abs(sol.residual))),
              det_hessian=float(np.linalg.det(sol.hessian)), rate=float(rate))
 
 
 def _run_confine(args, run: _Run) -> None:
-    params, pot = _model(run.cfg), _potential(run.cfg)
+    params, pot = ModelParams(**run.cfg["model"]), _potential(run.cfg)
     try:
         if not all(0 < r < math.inf for r in (args.rho_min, args.rho_max)):
             raise ValueError("rho values must be positive and finite")
@@ -354,9 +300,6 @@ def _run_confine(args, run: _Run) -> None:
                                    [r.free_energy for r in rows])
     run.json("confine_fit.json", slope=fit.slope, intercept=fit.intercept,
              r2=fit.r_squared)
-    if args.svg:
-        _write_svg_loglog(run.path("confine.svg"), [r.rho for r in rows],
-                          [r.free_energy for r in rows], run.stamp, "rho", "F")
 
 
 def _run_continuum_check(args, run: _Run) -> None:
@@ -367,7 +310,7 @@ def _run_continuum_check(args, run: _Run) -> None:
     else:
         profile = ContinuumProfile(f=lambda x: x ** 3, gamma=1.0, delta=1.0,
                                    d2f=lambda x: 6.0 * np.asarray(x))
-    c = float(run.cfg["model"]["macro_length"])
+    c = run.cfg["model"]["macro_length"]
     run.csv("continuum_check.csv", ["eps", "lattice_energy", "integral", "error"],
             continuum_energy_check(profile, pot, args.eps, macro_length=c))
 
@@ -390,10 +333,12 @@ def _positive_int(text: str) -> int:
 
 def _floats(text: str) -> list[float]:
     try:
-        return [float(v) for v in text.split(",") if v.strip()]
+        values = [float(v) for v in text.split(",") if v.strip()]
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated numbers, got {text!r}") from None
+        values = []
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -438,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "times", "method")
     p.add_argument("--n", type=int, help="number of samples")
     p.add_argument("--times", type=_floats, default="0.25,0.5,0.75",
-                   help="comma-separated grid in (0,1)")
+                   help="comma-separated grid in [0, 1]")
     p.add_argument("--method", choices=("exact", "mcmc"), default="exact")
 
     p = command("qmatrix", "limit covariance matrix on a grid", _run_qmatrix, "times")
@@ -450,13 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xi-left", dest="xi_left", type=float, default=0.0)
     p.add_argument("--xi-right", dest="xi_right", type=float, default=0.0)
 
-    p = command("tilts", "solve the boundary tilt equations", _run_tilts,
-                "xi_left", "xi_right", "slope")
-    p.add_argument("--xi-left", dest="xi_left", type=float, default=0.0)
-    p.add_argument("--xi-right", dest="xi_right", type=float, default=0.0)
-    p.add_argument("--slope", type=float, default=0.0)
-
-    p = command("profile", "conditioned mean profile", _run_tilts,
+    p = command("profile", "tilts and the conditioned mean profile", _run_profile,
                 "xi_left", "xi_right", "slope", "points")
     p.add_argument("--xi-left", dest="xi_left", type=float, default=0.0)
     p.add_argument("--xi-right", dest="xi_right", type=float, default=0.0)
@@ -470,7 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho-steps", dest="rho_steps", type=int, default=8)
     p.add_argument("--grad-cut", dest="grad_cut", type=float)
     p.add_argument("--mesh", type=float)
-    p.add_argument("--svg", action="store_true", help="emit a log-log plot")
 
     p = command("oracle-check", "desk-scale validation sweep", _run_oracle_check, "n_max")
     p.add_argument("--n-max", dest="n_max", type=int, default=6)

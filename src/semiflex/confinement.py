@@ -318,7 +318,9 @@ def build_transfer(
 class PowerResult(NamedTuple):
     """lam_raw is the two-sided quotient, lam_norm = lam_raw / z1; iterations
     counts matvecs; eigvec is the last iterate, summing to 1; error is the
-    final relative error estimate that stopped the solve."""
+    final relative error estimate that stopped the solve.  It is an estimate,
+    not a bound: it carries no spectral-gap factor, and on a lattice sweep at
+    N = 250,000 the true relative error of lam was up to 2.6x larger."""
 
     lam_norm: float
     lam_raw: float

@@ -499,6 +499,14 @@ class ThetaStats(NamedTuple):
     cov_se: np.ndarray
 
 
+def _check_times(times) -> np.ndarray:
+    """The rescaled-path grid as an array, every time in [0, 1]."""
+    times = np.asarray(times, dtype=float)
+    if not np.all((0 <= times) & (times <= 1)):
+        raise ValueError("times must lie in [0, 1]")
+    return times
+
+
 def estimate_theta_stats(samples: np.ndarray, times, sigma: float, epsilon: float) -> ThetaStats:
     """Sample mean/covariance of the rescaled area path at the given times,
     with jackknife standard errors (closed-form leave-one-out).  Each time
@@ -507,11 +515,9 @@ def estimate_theta_stats(samples: np.ndarray, times, sigma: float, epsilon: floa
         if not 0 < value < math.inf:
             raise ValueError(f"{name} must be positive and finite, got {value}")
     samples = np.asarray(samples, dtype=float)
-    times = np.asarray(times, dtype=float)
     if samples.ndim != 2 or samples.shape[0] < 4:
         raise ValueError("need a 2d sample matrix with at least 4 rows")
-    if not np.all((0 <= times) & (times <= 1)):
-        raise ValueError("times must lie in [0, 1]")
+    times = _check_times(times)
     m, n = samples.shape[0], samples.shape[1] - 2
     phi0, xi1 = samples[:, :1], samples[:, 1:2] - samples[:, :1]
     scale = epsilon * (n + 1) * sigma * math.sqrt(n)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from semiflex import confinement, oracle
+from semiflex import confinement, oracle, sampling
 from semiflex.cli import main
 from semiflex.gaussian import exact_boundary_density, q_matrix
 from semiflex.model import continuum_energy_check
@@ -49,14 +49,26 @@ def test_profile_points_below_one_is_a_usage_error(tmp_path, capsys, points):
     assert not (tmp_path / "profile.csv").exists()
 
 
+@pytest.mark.parametrize("value", ["0.25,abc", ""], ids=["malformed", "empty"])
 @pytest.mark.parametrize("command, flag", [("qmatrix", "--times"), ("theta-stats", "--times"),
                                            ("continuum-check", "--eps")])
-def test_malformed_number_list_is_a_usage_error(tmp_path, capsys, command, flag):
+def test_malformed_number_list_is_a_usage_error(tmp_path, capsys, command, flag, value):
     with pytest.raises(SystemExit) as err:
-        main([command, flag, "0.25,abc", "--out", str(tmp_path)])
+        main([command, flag, value, "--out", str(tmp_path)])
     assert err.value.code == 2
-    assert f"argument {flag}: expected comma-separated numbers, got '0.25,abc'" in \
+    assert f"argument {flag}: expected comma-separated numbers, got {value!r}" in \
         capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_theta_stats_checks_its_times_before_drawing(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(sampling, "sample_bridge_mcmc", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(sampling, "sample_gaussian_bridge", lambda *a, **k: calls.append(a))
+    assert main(["theta-stats", "--method", "mcmc", "--n", "6400", "--times", "0.5,1.5",
+                 "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: times must lie in [0, 1]"]
+    assert calls == []
     assert not any(tmp_path.iterdir())
 
 
@@ -103,13 +115,12 @@ def test_largest_seed_is_stamped_as_given(tmp_path, command):
 
 @pytest.mark.parametrize("argv, stamped, stamp", [
     (["qmatrix", "--times", "0.25,0.5"], ["qmatrix.csv"], "94588ff93055"),
-    (["tilts", "--xi-left", "1.0"], ["tilts.json"], "4f91f2240e2b"),
     (["profile", "--xi-left", "1.0", "--points", "5"], ["profile.csv", "tilts.json"],
      "ba49de4aa22f"),
     (["bridge", "--n", "4", "--xi-left", "0.2", "--endpoint", "0.1"], ["bridge.csv"],
      "e6fe3f6a6630"),
     (["theta-stats", "--n", "8", "--times", "0.5"], ["theta_stats.json"], "af7500294ed7"),
-], ids=["qmatrix", "tilts", "profile", "bridge", "theta-stats"])
+], ids=["qmatrix", "profile", "bridge", "theta-stats"])
 def test_config_hash_is_pinned(tmp_path, argv, stamped, stamp):
     # the hash covers the default config and the command's own flags; bridge's
     # boundary flags enter it through the config
@@ -122,6 +133,23 @@ def test_config_hash_is_pinned(tmp_path, argv, stamped, stamp):
             data = json.loads(path.read_text())
             assert list(data)[:2] == ["config_hash", "seed"]
             assert (data["config_hash"], data["seed"]) == (stamp, 0)
+
+
+@pytest.mark.parametrize("name, spelled, explicit", [
+    ("model", {"macro_length": 1}, {"macro_length": 1.0}),
+    ("potential", {"kind": "power"}, {"kind": "power", "kappa": 1.0, "alpha": 2.0}),
+    ("tube", {"grad_cut": 3}, {"grad_cut": 3.0}),
+], ids=["integer-float", "kind-defaults", "integer-grad-cut"])
+def test_one_run_spelled_two_ways_stamps_one_hash(tmp_path, name, spelled, explicit):
+    # the config is hashed in one form: float-typed values as floats, a named
+    # potential kind with its own defaults filled in
+    stamps = []
+    for i, section in enumerate((spelled, explicit)):
+        cfg = _write_config(tmp_path, {name: section}, name=f"config{i}.json")
+        assert main(["qmatrix", "--times", "0.5", "--config", cfg,
+                     "--out", str(tmp_path / str(i))]) == 0
+        stamps.append(_first_line(tmp_path / str(i) / "qmatrix.csv"))
+    assert stamps[0] == stamps[1]
 
 
 def test_exact_bridge_refuses_a_truncation(tmp_path, capsys):
@@ -154,8 +182,10 @@ def test_non_finite_boundary_data_rejected(tmp_path, capsys, command, output):
      "config key potential.kind must be a string, got a list"),
     (["sample", "--n", "4"], {"boundary": {"xi_left": False}},
      "config key boundary.xi_left must be a number, got a boolean"),
+    (["qmatrix", "--times", "0.5"], {"potential": {"kind": "harmonic"}},
+     "unknown potential kind 'harmonic'"),
 ], ids=["float-n-samples", "float-n-sites", "number-output-dir", "null-n-sites",
-        "string-grad-cut", "list-kind", "bool-xi-left"])
+        "string-grad-cut", "list-kind", "bool-xi-left", "unknown-kind"])
 def test_config_value_of_the_wrong_type_is_one_error_line(tmp_path, capsys, command, cfg,
                                                           error):
     # refused before anything runs, so no value is truncated or hashed as given
@@ -166,12 +196,19 @@ def test_config_value_of_the_wrong_type_is_one_error_line(tmp_path, capsys, comm
     assert not out.exists()
 
 
-def test_exponent_fit_is_no_command(capsys):
-    # confine writes its own fit to confine_fit.json
+# confine writes its own fit to confine_fit.json, profile writes tilts.json,
+# and confine.csv and confine_fit.json hold every number a plot would draw
+@pytest.mark.parametrize("argv, error", [
+    (["exponent-fit", "--data", "x.csv"], "invalid choice: 'exponent-fit'"),
+    (["tilts", "--xi-left", "1.0"], "invalid choice: 'tilts'"),
+    (["confine", "--svg"], "unrecognized arguments: --svg"),
+], ids=["exponent-fit", "tilts", "confine-svg"])
+def test_removed_command_or_flag_is_a_usage_error(tmp_path, capsys, argv, error):
     with pytest.raises(SystemExit) as err:
-        main(["exponent-fit", "--data", "x.csv"])
+        main([*argv, "--out", str(tmp_path)])
     assert err.value.code == 2
-    assert "invalid choice: 'exponent-fit'" in capsys.readouterr().err
+    assert error in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):
@@ -212,12 +249,11 @@ def test_domain_error_exit_code(tmp_path, capsys):
     assert "gaussian potential only" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["tilts", "profile"])
-def test_table_potential_rejected_by_ldp_commands(tmp_path, capsys, command):
+def test_table_potential_rejected_by_profile(tmp_path, capsys):
     grid = np.linspace(-50.0, 50.0, 2001)
     cfg = _write_config(tmp_path, {"potential": {
         "kind": "table", "grid": grid.tolist(), "values": (0.5 * grid**2).tolist()}})
-    assert main([command, "--xi-left", "1.0", "--config", cfg,
+    assert main(["profile", "--xi-left", "1.0", "--config", cfg,
                  "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert "table" in err and "use potential kind 'gaussian' or 'power'" in err
@@ -274,7 +310,7 @@ def test_exact_gauss_payload(tmp_path):
 
 
 def test_tilts_frozen_solution(tmp_path):
-    assert main(["tilts", "--xi-left", "1.0", "--out", str(tmp_path)]) == 0
+    assert main(["profile", "--xi-left", "1.0", "--out", str(tmp_path)]) == 0
     data = json.loads((tmp_path / "tilts.json").read_text())
     assert data["u_star"] == pytest.approx(2.0, abs=1e-9)
     assert data["v_star"] == pytest.approx(-6.0, abs=1e-9)
@@ -286,12 +322,13 @@ def test_tilts_frozen_solution(tmp_path):
 def test_tilts_outside_the_admissible_range_fail_cleanly(tmp_path, capsys):
     cfg = _write_config(tmp_path, {"potential": {"kind": "power", "kappa": 1.0,
                                                  "alpha": 1.0}})
-    assert main(["tilts", "--config", cfg, "--xi-left", "3",
+    assert main(["profile", "--config", cfg, "--xi-left", "3",
                  "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err.splitlines() == [
         "error: tilt solver line search stalled; boundary data likely outside "
         "the admissible range"]
     assert not (tmp_path / "tilts.json").exists()
+    assert not (tmp_path / "profile.csv").exists()
 
 
 def test_profile_matches_cubic(tmp_path):
@@ -462,18 +499,15 @@ def test_theta_stats_payload(tmp_path):
     assert data["cov"][0][0] == pytest.approx(1.0 / 192.0, rel=0.25)
 
 
-def test_confine_outputs_fit_and_svg(tmp_path):
+def test_confine_outputs_fit(tmp_path):
     cfg = _write_config(tmp_path, {
         "model": {"n_sites": 300, "epsilon": 1.0, "macro_length": 300.0,
                   "height_mode": "discrete"},
     })
     assert main(["confine", "--config", cfg, "--rho-min", "0.5", "--rho-max",
-                 "5.0", "--rho-steps", "5", "--svg", "--out", str(tmp_path)]) == 0
+                 "5.0", "--rho-steps", "5", "--out", str(tmp_path)]) == 0
     fit = json.loads((tmp_path / "confine_fit.json").read_text())
     assert {"config_hash", "seed", "slope", "intercept", "r2"} <= set(fit)
-    svg = (tmp_path / "confine.svg").read_text()
-    assert svg.startswith("<!-- config=")
-    assert "<svg" in svg
 
 
 def test_confine_scaled_free_energy_column(tmp_path):
@@ -623,7 +657,6 @@ _FLOAT_FLAGS = [
     (["theta-stats", "--n", "8"], ["--times"]),
     (["qmatrix", "--times", "0.5"], ["--times"]),
     (["exact-gauss"], ["--xi-left", "--xi-right"]),
-    (["tilts"], ["--xi-left", "--xi-right", "--slope"]),
     (["profile", "--points", "5"], ["--xi-left", "--xi-right", "--slope"]),
     (["confine", "--rho-min", "0.05", "--rho-max", "0.5", "--rho-steps", "5", "--mesh", "0.5"],
      ["--rho-min", "--rho-max", "--mesh", "--grad-cut"]),
