@@ -182,10 +182,8 @@ def test_non_finite_boundary_data_rejected(tmp_path, capsys, command, output):
      "config key potential.kind must be a string, got a list"),
     (["sample", "--n", "4"], {"boundary": {"xi_left": False}},
      "config key boundary.xi_left must be a number, got a boolean"),
-    (["qmatrix", "--times", "0.5"], {"potential": {"kind": "harmonic"}},
-     "unknown potential kind 'harmonic'"),
 ], ids=["float-n-samples", "float-n-sites", "number-output-dir", "null-n-sites",
-        "string-grad-cut", "list-kind", "bool-xi-left", "unknown-kind"])
+        "string-grad-cut", "list-kind", "bool-xi-left"])
 def test_config_value_of_the_wrong_type_is_one_error_line(tmp_path, capsys, command, cfg,
                                                           error):
     # refused before anything runs, so no value is truncated or hashed as given
@@ -193,6 +191,21 @@ def test_config_value_of_the_wrong_type_is_one_error_line(tmp_path, capsys, comm
     out = tmp_path / "out"
     assert main([*command, "--config", _write_config(tmp_path, cfg), "--out", str(out)]) == 1
     assert capsys.readouterr().err.splitlines() == [f"error: {error}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["sample", "--n", "4"], ["bridge", "--n", "4"], ["theta-stats", "--n", "8"],
+    ["qmatrix", "--times", "0.5"], ["exact-gauss"], ["profile", "--points", "5"],
+    ["confine"], ["oracle-check"], ["continuum-check"],
+], ids=lambda argv: argv[0])
+def test_unknown_potential_kind_is_one_error_line_on_every_command(tmp_path, capsys,
+                                                                   command):
+    # the kind is checked where the config is merged, before any command runs
+    cfg = _write_config(tmp_path, {"potential": {"kind": "harmonic"}})
+    out = tmp_path / "out"
+    assert main([*command, "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: unknown potential kind 'harmonic'"]
     assert not out.exists()
 
 
