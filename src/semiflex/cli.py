@@ -144,7 +144,11 @@ def _merge_config(args) -> dict:
     for section in ("model", "potential", "boundary", "tube"):
         for key, value in cfg[section].items():
             if value is not None and not isinstance(_SCHEMA[section][key], (int, str)):
-                cfg[section][key] = np.asarray(value, dtype=float).tolist()
+                try:
+                    cfg[section][key] = np.asarray(value, dtype=float).tolist()
+                except OverflowError:
+                    raise OverflowError(f"config key {section}.{key} is too large "
+                                        "for a float") from None
     return cfg
 
 
@@ -200,7 +204,7 @@ class _Run:
             path = self.path(f"{name}.csv")
             sampling.samples_to_csv(samples, path, comment=self.stamp)
         else:
-            # binary frames carry the SFLX1 magic instead of a comment line
+            # .npy bytes, which have no room for the stamp's comment line
             path = self.path(f"{name}.bin")
             sampling.samples_to_frame(samples, path)
         print(f"wrote {path}")
@@ -305,11 +309,10 @@ def _run_confine(args, run: _Run) -> None:
 def _run_continuum_check(args, run: _Run) -> None:
     pot = _potential(run.cfg)
     if args.shape == "square":
-        profile = ContinuumProfile(f=lambda x: x * x, gamma=1.0, delta=1.0,
+        profile = ContinuumProfile(f=lambda x: x * x,
                                    d2f=lambda x: 2.0 * np.ones_like(np.asarray(x)))
     else:
-        profile = ContinuumProfile(f=lambda x: x ** 3, gamma=1.0, delta=1.0,
-                                   d2f=lambda x: 6.0 * np.asarray(x))
+        profile = ContinuumProfile(f=lambda x: x ** 3, d2f=lambda x: 6.0 * np.asarray(x))
     c = run.cfg["model"]["macro_length"]
     run.csv("continuum_check.csv", ["eps", "lattice_energy", "integral", "error"],
             continuum_energy_check(profile, pot, args.eps, macro_length=c))
@@ -426,7 +429,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args, _Run(args)) or 0
-    except (ValueError, RuntimeError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, RuntimeError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

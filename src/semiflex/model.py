@@ -13,7 +13,7 @@ increment coordinates eta_j = lap_j / eps and their walk X_k and area Y_k.
 The private kernels `_laps`, `_heights` and `_walk_area` do that change of
 variables along the last axis, for one row or a matrix of sample rows; the
 samplers call `_laps` and `_heights`, and `_walk_area` is the tests' reference
-route.  `hamiltonian` is H_N with its input checks.
+route.  `hamiltonian`, H_N with its input checks, is the one H_N formula.
 """
 
 from __future__ import annotations
@@ -85,8 +85,8 @@ class GaussianPotential:
     kappa: float
 
     def __post_init__(self):
-        if not (self.kappa > 0):
-            raise ValueError(f"kappa must be positive, got {self.kappa}")
+        if not 0 < self.kappa < math.inf:
+            raise ValueError(f"kappa must be positive and finite, got {self.kappa}")
 
     def __call__(self, x):
         return 0.5 * self.kappa * np.square(x)
@@ -100,10 +100,10 @@ class PowerLawPotential:
     alpha: float
 
     def __post_init__(self):
-        if not (self.kappa > 0):
-            raise ValueError(f"kappa must be positive, got {self.kappa}")
-        if not (self.alpha >= 1):
-            raise ValueError(f"alpha must be >= 1, got {self.alpha}")
+        if not 0 < self.kappa < math.inf:
+            raise ValueError(f"kappa must be positive and finite, got {self.kappa}")
+        if not 1 <= self.alpha < math.inf:
+            raise ValueError(f"alpha must be >= 1 and finite, got {self.alpha}")
 
     def __call__(self, x):
         return self.kappa * np.abs(x) ** self.alpha
@@ -269,12 +269,10 @@ class BoundaryConditions:
 
 @dataclass(frozen=True)
 class ContinuumProfile:
-    """Smooth profile f on [0, macro_length] with height scaling eps^-gamma and
-    increment scaling eps^-delta; d2f is its exact second derivative."""
+    """Smooth profile f on [0, macro_length]; d2f is its exact second
+    derivative.  The lattice heights are f(k eps) / eps."""
 
     f: Callable[[np.ndarray], np.ndarray]
-    gamma: float
-    delta: float
     d2f: Callable[[np.ndarray], np.ndarray]
 
 
@@ -349,15 +347,12 @@ def continuum_energy_check(
 ) -> list[EnergyCheckRow]:
     """Lattice energy of the discretized profile vs the curvature integral.
 
-    For each eps, computes H = eps * sum_j Phi(eps^-delta * lap_j) on the grid
-    with N = round(macro_length/eps) sites, and the integral of Phi(f'') over
-    [0, macro_length].  The two agree as eps -> 0 iff gamma + delta = 2.
-    Either one infinite (the profile off a table's grid) is an error.
+    For each eps, takes `hamiltonian` of the heights phi_k = f(k eps) / eps
+    on the grid with N = round(macro_length/eps) sites, whose laps over eps
+    tend to f'', and the integral of Phi(f'') over [0, macro_length]; the two
+    agree as eps -> 0.  Either one infinite (the profile off a table's grid)
+    is an error.
     """
-    if abs(profile.gamma + profile.delta - 2.0) > 1e-12:
-        raise ValueError(
-            f"scaling violation: gamma + delta must be 2, got {profile.gamma + profile.delta}"
-        )
     # fixed-order Gauss-Legendre for the smooth curvature integral
     nodes, weights = np.polynomial.legendre.leggauss(64)
     xs = 0.5 * macro_length * (nodes + 1.0)
@@ -370,7 +365,7 @@ def continuum_energy_check(
             raise ValueError(f"eps must be positive and finite, got {eps}")
         n = int(round(macro_length / eps))
         params = ModelParams(n_sites=n, epsilon=eps, macro_length=macro_length)
-        # heights phi_k = eps^-gamma * f(k*eps) on the full grid k = 0..N+1
+        # the profile on the full grid k = 0..N+1
         grid = np.arange(params.n_heights) * eps
         try:
             vals = np.asarray(profile.f(grid), dtype=float)
@@ -378,8 +373,7 @@ def continuum_energy_check(
             raise ValueError(f"profile undefined on the grid [0, {grid[-1]}]: {exc}") from exc
         if vals.shape != grid.shape or not np.all(np.isfinite(vals)):
             raise ValueError("profile must evaluate to finite values on the grid")
-        lap = _laps(eps ** (-profile.gamma) * vals)
-        energy = float(eps * np.sum(pot(eps ** (-profile.delta) * lap)))
+        energy = hamiltonian(vals / eps, params, pot)
         rows.append(EnergyCheckRow(eps=eps, lattice_energy=energy, integral=integral,
                                    error=abs(energy - integral)))
     if not all(math.isfinite(r.lattice_energy + r.integral) for r in rows):

@@ -17,8 +17,9 @@ Three routes to samples:
 
 `build_increment_dist` is the one place that maps (potential, height mode,
 truncation) to a step law: the free sampler, both exact Gaussian routes, the
-chain's proposal width, `gaussian.sigma2_increment` and the transfer
-operator's variance and lattice taps all read it.  The parts come from
+chain (its proposal width; on the lattice, that the law is not one point),
+`gaussian.sigma2_increment` and the transfer operator's variance and lattice
+taps all read it.  The parts come from
 `model`: where each law ends, its weights scaled so that its peak weighs 1,
 and the continuous variance.  This module assembles them, takes the lattice
 variance and refuses a law that sits on one point, draws from them and
@@ -36,7 +37,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-import struct
 from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
@@ -73,7 +73,6 @@ __all__ = [
 
 _IID_BLOCK = 8192
 _CHAIN_BLOCK = 64
-_FRAME_MAGIC = b"SFLX1"
 
 
 @dataclass(frozen=True)
@@ -474,14 +473,15 @@ def sample_bridge_mcmc(
     processes; the output does not depend on it.
     """
     _check_truncation(truncation)
-    dist = None
-    if params.height_mode == "discrete":
+    discrete = params.height_mode == "discrete"
+    if discrete:
         for name, v in (("xi_left", bc.xi_left), ("xi_right", bc.xi_right),
                         ("endpoint", bc.endpoint)):
             if v != round(v):
                 raise ValueError(f"discrete mode needs integer boundary data, {name}={v}")
-    else:
-        dist = build_increment_dist(pot, params)
+    # the one step law, before any chain runs: it sizes the continuous proposal,
+    # and a lattice law on one point fails here (the lattice chain never reads it)
+    dist = build_increment_dist(pot, params, truncation if discrete else None)
     n_chains = settings.n_chains or min(_CHAIN_BLOCK, settings.n_samples)
     n_per_chain = math.ceil(settings.n_samples / n_chains)
 
@@ -592,22 +592,20 @@ def samples_from_csv(path) -> np.ndarray:
 
 
 def samples_to_frame(samples: np.ndarray, path) -> None:
-    """Binary frame: magic SFLX1, uint64 rows, uint64 cols, float64 row-major,
-    all little-endian."""
-    samples = np.ascontiguousarray(samples, dtype="<f8")
+    """The sample matrix as `.npy` bytes, readable with `numpy.load`; written
+    into the opened file, so the name is kept as given."""
     with open(path, "wb") as fh:
-        fh.write(_FRAME_MAGIC)
-        fh.write(struct.pack("<QQ", samples.shape[0], samples.shape[1]))
-        fh.write(samples.tobytes())
+        np.save(fh, np.asarray(samples, dtype=float))
 
 
 def samples_from_frame(path) -> np.ndarray:
+    """The matrix of a `samples_to_frame` file; ValueError for anything but a
+    2-D float64 `.npy` array (an `.npz`, a truncated or non-npy file)."""
     with open(path, "rb") as fh:
-        magic = fh.read(5)
-        if magic != _FRAME_MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}")
-        rows, cols = struct.unpack("<QQ", fh.read(16))
-        data = np.frombuffer(fh.read(rows * cols * 8), dtype="<f8")
-    if data.size != rows * cols:
-        raise ValueError(f"{path}: truncated frame")
-    return data.reshape(rows, cols).astype(float)
+        try:
+            data = np.load(fh, allow_pickle=False)
+        except (ValueError, EOFError) as exc:
+            raise ValueError(f"{path}: not an .npy sample matrix: {exc}") from None
+    if not isinstance(data, np.ndarray) or data.ndim != 2 or data.dtype != np.float64:
+        raise ValueError(f"{path}: expected a 2-D float64 .npy matrix")
+    return data

@@ -225,13 +225,11 @@ def test_criterion_08_oracle_equivalence():
 
 def test_criterion_09_continuum_energy():
     pot = GaussianPotential(1.0)
-    square = ContinuumProfile(f=lambda x: x * x, gamma=1.0, delta=1.0,
-                              d2f=lambda x: 2.0 + 0.0 * x)
+    square = ContinuumProfile(f=lambda x: x * x, d2f=lambda x: 2.0 + 0.0 * x)
     rows = continuum_energy_check(square, pot, [0.1, 0.05, 0.025, 0.0125])
     ok_square = all(row.error < 10.0 * row.eps and abs(row.integral - 2.0) < 1e-12
                     for row in rows)
-    cubic = ContinuumProfile(f=lambda x: x**3, gamma=1.0, delta=1.0,
-                             d2f=lambda x: 6.0 * x)
+    cubic = ContinuumProfile(f=lambda x: x**3, d2f=lambda x: 6.0 * x)
     first, second = continuum_energy_check(cubic, pot, [0.1, 0.05])
     ratio = second.error / first.error
     ok = ok_square and 0.3 <= ratio <= 0.7

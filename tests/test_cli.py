@@ -182,8 +182,16 @@ def test_non_finite_boundary_data_rejected(tmp_path, capsys, command, output):
      "config key potential.kind must be a string, got a list"),
     (["sample", "--n", "4"], {"boundary": {"xi_left": False}},
      "config key boundary.xi_left must be a number, got a boolean"),
+    (["qmatrix", "--times", "0.5"], {"model": {"epsilon": 10 ** 400}},
+     "config key model.epsilon is too large for a float"),
+    (["bridge", "--method", "mcmc"], {"sampler": {"n_samples": 10 ** 400}},
+     "integer division result too large for a float"),
+    (["sample", "--n", "4"],
+     {"potential": {"kind": "gaussian", "kappa": json.loads("1e400")}},
+     "kappa must be positive and finite, got inf"),
 ], ids=["float-n-samples", "float-n-sites", "number-output-dir", "null-n-sites",
-        "string-grad-cut", "list-kind", "bool-xi-left"])
+        "string-grad-cut", "list-kind", "bool-xi-left", "huge-epsilon", "huge-n-samples",
+        "infinite-kappa"])
 def test_config_value_of_the_wrong_type_is_one_error_line(tmp_path, capsys, command, cfg,
                                                           error):
     # refused before anything runs, so no value is truncated or hashed as given
@@ -380,12 +388,16 @@ def test_sample_discrete_table_without_truncation(tmp_path):
 
 
 def test_bridge_binary_output(tmp_path):
+    # plain .npy bytes: numpy.load reads back the csv output's matrix exactly
     cfg = _write_config(tmp_path, {"model": {"n_sites": 10, "epsilon": 0.1,
                                              "macro_length": 1.0}})
-    assert main(["bridge", "--config", cfg, "--n", "20", "--fmt", "bin",
-                 "--out", str(tmp_path)]) == 0
+    for fmt in ("bin", "csv"):
+        assert main(["bridge", "--config", cfg, "--n", "20", "--fmt", fmt,
+                     "--out", str(tmp_path)]) == 0
     samples = samples_from_frame(tmp_path / "bridge.bin")
     assert samples.shape == (20, 12)
+    assert np.array_equal(np.load(tmp_path / "bridge.bin"),
+                          samples_from_csv(tmp_path / "bridge.csv"))
 
 
 def test_bridge_worker_byte_identity(tmp_path):
@@ -570,8 +582,9 @@ def test_confine_unfittable_sweep_fails_before_solving(tmp_path, capsys, monkeyp
     assert not (tmp_path / "confine.csv").exists()
 
 
-@pytest.mark.parametrize("command", [["confine"], ["theta-stats", "--method", "mcmc"]],
-                         ids=["confine", "theta-stats"])
+@pytest.mark.parametrize("command", [["confine"], ["theta-stats", "--method", "mcmc"],
+                                     ["bridge", "--method", "mcmc"]],
+                         ids=["confine", "theta-stats", "bridge-mcmc"])
 def test_degenerate_lattice_law_fails_before_writing(tmp_path, capsys, command):
     # the default config on the lattice: at eps = 0.01 a unit lap weighs
     # exp(-50) of the zero lap, below the 1e-18 cut, so the law is one point

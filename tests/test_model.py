@@ -155,6 +155,18 @@ def test_potential_shapes():
         PowerLawPotential(kappa=1.0, alpha=0.5)
 
 
+@pytest.mark.parametrize("make, error", [
+    (lambda v: GaussianPotential(kappa=v), "kappa must be positive and finite"),
+    (lambda v: PowerLawPotential(kappa=v, alpha=2.0), "kappa must be positive and finite"),
+    (lambda v: PowerLawPotential(kappa=1.0, alpha=v), "alpha must be >= 1 and finite"),
+], ids=["gaussian-kappa", "power-kappa", "power-alpha"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_potential_parameters_must_be_finite(make, error, value):
+    # JSON 1e400 parses to inf: an infinitely stiff Gaussian has sigma^2 = 0
+    with pytest.raises(ValueError, match=error):
+        make(value)
+
+
 def test_tabulated_potential():
     grid = np.linspace(-2.0, 2.0, 5)
     pot = TabulatedPotential(grid, 0.5 * grid**2)
@@ -172,30 +184,20 @@ def test_hamiltonian_of_a_lap_off_the_table_is_infinite():
     assert hamiltonian([0.0, 0.0, 2.0, 2.0], params, pot) == np.inf  # laps 2, -2
 
 
-def test_discretize_profile_scaling():
-    # phi_k = eps^-gamma (k eps)^2 has lap_k = 2 eps^(2-gamma), so with
-    # delta = 2 - gamma every eta is 2 and H = N eps Phi(2) = 2 exactly
-    profile = ContinuumProfile(f=lambda x: x * x, gamma=0.5, delta=1.5,
-                               d2f=lambda x: 2.0 + 0.0 * x)
-    rows = continuum_energy_check(profile, GaussianPotential(1.0), [0.25, 0.125])
-    for row in rows:
-        assert row.lattice_energy == pytest.approx(2.0, abs=1e-12)
-
-
 def test_continuum_energy_quadratic_profile():
-    # f'' = 2 so the lattice energy is exactly 2*N*eps for every eps
-    profile = ContinuumProfile(f=lambda x: x * x, gamma=1.0, delta=1.0,
-                               d2f=lambda x: 2.0 + 0.0 * x)
+    # f'' = 2: phi_k = (k eps)^2 / eps has every lap / eps = 2, so the
+    # lattice energy is N eps Phi(2) = 2 N eps = 2 for every eps
+    profile = ContinuumProfile(f=lambda x: x * x, d2f=lambda x: 2.0 + 0.0 * x)
     rows = continuum_energy_check(profile, GaussianPotential(1.0), [0.1, 0.05, 0.025])
     for row in rows:
         assert row.integral == pytest.approx(2.0, abs=1e-12)
+        assert row.lattice_energy == pytest.approx(2.0, abs=1e-12)
         assert row.error < 10.0 * row.eps
 
 
 def test_continuum_energy_cubic_halving():
     # exact error 9 eps + 3 eps^2, so halving eps cuts it roughly in half
-    profile = ContinuumProfile(f=lambda x: x**3, gamma=1.0, delta=1.0,
-                               d2f=lambda x: 6.0 * x)
+    profile = ContinuumProfile(f=lambda x: x**3, d2f=lambda x: 6.0 * x)
     rows = continuum_energy_check(profile, GaussianPotential(1.0), [0.1, 0.05])
     assert rows[0].integral == pytest.approx(6.0, abs=1e-12)
     assert rows[0].error == pytest.approx(9 * 0.1 + 3 * 0.1**2, abs=1e-10)
@@ -203,17 +205,9 @@ def test_continuum_energy_cubic_halving():
     assert 0.3 < ratio < 0.7
 
 
-def test_continuum_energy_rejects_bad_scaling():
-    profile = ContinuumProfile(f=lambda x: x * x, gamma=1.0, delta=0.5,
-                               d2f=lambda x: 2.0 + 0.0 * x)
-    with pytest.raises(ValueError):
-        continuum_energy_check(profile, GaussianPotential(1.0), [0.1])
-
-
 @pytest.mark.parametrize("eps", [0.0, -0.1, math.nan, math.inf])
 def test_continuum_energy_needs_a_positive_finite_eps(eps):
-    profile = ContinuumProfile(f=lambda x: x * x, gamma=1.0, delta=1.0,
-                               d2f=lambda x: 2.0 + 0.0 * x)
+    profile = ContinuumProfile(f=lambda x: x * x, d2f=lambda x: 2.0 + 0.0 * x)
     with pytest.raises(ValueError, match="eps must be positive and finite"):
         continuum_energy_check(profile, GaussianPotential(1.0), [0.1, eps])
 
@@ -223,7 +217,7 @@ def test_continuum_energy_needs_a_positive_finite_eps(eps):
     lambda x: np.where(x < 0.5, np.nan, x),  # non-finite below x = 0.5
 ])
 def test_continuum_energy_rejects_profile_undefined_on_grid(f):
-    profile = ContinuumProfile(f=f, gamma=1.0, delta=1.0, d2f=lambda x: 0.0 * x)
+    profile = ContinuumProfile(f=f, d2f=lambda x: 0.0 * x)
     with pytest.raises(ValueError, match="profile"):
         continuum_energy_check(profile, GaussianPotential(1.0), [0.1])
 

@@ -88,7 +88,8 @@ def test_table_cut_keeps_only_offsets_evaluated_on_the_grid():
 @example(eps=0.7, g=30.0, height=1.0)  # 21 / 0.7 rounds just past the grid
 def test_a_step_off_the_table_weighs_zero_everywhere(eps, g, height):
     # one rule: Phi = inf off the grid.  The lattice law ends at the last
-    # offset with finite Phi, and chains without a truncation never leave it
+    # offset with finite Phi, and chains without a truncation never leave it;
+    # a lattice law on the one step 0 fails before any chain runs
     grid = np.array([-g, -0.5 * g, 0.0, 0.5 * g, g])
     pot = TabulatedPotential(grid, height * (grid / g) ** 2)
     offsets, _ = _step_weights(pot, eps)
@@ -98,6 +99,10 @@ def test_a_step_off_the_table_weighs_zero_everywhere(eps, g, height):
     settings = ChainSettings(seed=4, n_samples=32, burn_in=10, n_chains=4)
     for mode in ("discrete", "continuous"):
         params = ModelParams(n_sites=6, epsilon=eps, macro_length=6 * eps, height_mode=mode)
+        if mode == "discrete" and d == 0:
+            with pytest.raises(ValueError, match="degenerate increment law"):
+                sample_bridge_mcmc(params, pot, ZERO_BC, settings)
+            continue
         laps = _laps(sample_bridge_mcmc(params, pot, ZERO_BC, settings))
         assert np.all(np.isfinite(pot(laps / eps)))
 
@@ -670,8 +675,25 @@ def test_samples_frame_roundtrip(tmp_path):
     target = tmp_path / "samples.bin"
     samples_to_frame(samples, target)
     with open(target, "rb") as fh:
-        assert fh.read(5) == b"SFLX1"
+        assert fh.read(6) == b"\x93NUMPY"
     back = samples_from_frame(target)
+    assert back.dtype == np.float64
     assert_allclose(back, samples, rtol=0, atol=0)
-    with pytest.raises(ValueError):
-        samples_from_frame(__file__)
+    assert_allclose(back, np.load(target), rtol=0, atol=0)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["samples.bin"]
+
+
+def test_samples_from_frame_rejects_anything_but_a_float_matrix(tmp_path):
+    samples = np.arange(12.0).reshape(3, 4)
+    npz = tmp_path / "samples.npz"
+    np.savez(npz, samples=samples)
+    truncated = tmp_path / "truncated.bin"
+    samples_to_frame(samples, truncated)
+    truncated.write_bytes(truncated.read_bytes()[:-8])
+    flat = tmp_path / "flat.bin"
+    samples_to_frame(samples.ravel(), flat)
+    text = tmp_path / "samples.csv"
+    samples_to_csv(samples, text)
+    for path in (npz, truncated, flat, text):
+        with pytest.raises(ValueError, match=str(path)):
+            samples_from_frame(path)
