@@ -10,15 +10,15 @@ sampler / tube plus output_dir; an unknown key or a value of the wrong JSON
 type is rejected.  Flags override config values.  `main` builds one run per
 command (`_Run`): it merges the config into one form (a named potential
 kind filled in with its own defaults, every float-typed value a float),
-hashes it together with the flags the command names when it is registered,
-and builds the sampler settings (`sampling.ChainSettings`, whose integer
-rule holds for every command).  So `"macro_length": 1` and `1.0`, or
-`{"kind": "power"}` and the same kind with its defaults spelled out, stamp
-one hash.  Every text output starts with a comment line (or leading JSON
-fields) carrying that 12-hex-digit hash and the seed.  --workers, --out and
-the --config path never enter the hash; flags that override a config value
-(--seed, --n, --burn-in, --thin, --grad-cut and bridge's --xi-left,
---xi-right, --endpoint) enter it through the config.  Repeated runs with
+hashes it together with the command's flags, and builds the sampler
+settings (`sampling.ChainSettings`, whose integer rule holds for every
+command).  So `"macro_length": 1` and `1.0`, or `{"kind": "power"}` and the
+same kind with its defaults spelled out, stamp one hash.  Every text output
+starts with a comment line (or leading JSON fields) carrying that
+12-hex-digit hash and the seed.  Every flag enters the hash except
+--config, --workers and --out: a flag that overrides a config value
+declares that value as its dest (--n is `sampler.n_samples`) and enters
+through the config, every other flag directly.  Repeated runs with
 the same configuration and seed are byte-identical regardless of
 --workers, which only MCMC chain blocks and confine sweep points use.  Exit
 codes: 0 success, 1 domain or validation error (message on stderr), 2
@@ -44,6 +44,7 @@ from .model import (
     ModelParams,
     PowerLawPotential,
     TabulatedPotential,
+    build_increment_dist,
     continuum_energy_check,
 )
 
@@ -124,15 +125,11 @@ def _merge_config(args) -> dict:
                 cfg[key].update(sub)
             else:
                 cfg[key] = sub
-    # flags that override one config value, for the commands that define them
-    for flag, section, key in (("seed", "sampler", "seed"), ("n", "sampler", "n_samples"),
-                               ("burn_in", "sampler", "burn_in"), ("thin", "sampler", "thin"),
-                               ("grad_cut", "tube", "grad_cut"),
-                               ("bc_xi_left", "boundary", "xi_left"),
-                               ("bc_xi_right", "boundary", "xi_right"),
-                               ("bc_endpoint", "boundary", "endpoint")):
-        if getattr(args, flag, None) is not None:
-            cfg[section][key] = getattr(args, flag)
+    # a flag that overrides a config value has that value's section.key as dest
+    for dest, value in vars(args).items():
+        if "." in dest and value is not None:
+            section, key = dest.split(".")
+            cfg[section][key] = value
     if args.out is not None:
         cfg["output_dir"] = args.out
     kind = cfg["potential"]["kind"]
@@ -168,13 +165,15 @@ def _potential(cfg: dict):
 # the run: config, hash, seed and the writers that stamp them
 
 class _Run:
-    """One command's run: the effective config, the hash of that config plus
-    the command's own hashed flags, the checked sampler settings, and the
+    """One command's run: the effective config, its hash with every other flag
+    but --config, --workers and --out, the checked sampler settings, and the
     writers that stamp the hash and seed on every output."""
 
     def __init__(self, args):
         self.cfg = _merge_config(args)
-        cmd = {"name": args.command, **{k: getattr(args, k) for k in args.hashed}}
+        flags = {k: v for k, v in vars(args).items()
+                 if "." not in k and k not in ("command", "func", "config", "workers", "out")}
+        cmd = {"name": args.command, **flags}
         cfg = {k: v for k, v in self.cfg.items() if k != "output_dir"}
         payload = json.dumps({"cfg": cfg, "cmd": cmd}, sort_keys=True, separators=(",", ":"))
         self.hash = hashlib.sha256(payload.encode()).hexdigest()[:12]
@@ -216,7 +215,7 @@ class _Run:
 
 def _run_sample(args, run: _Run) -> None:
     params, pot = ModelParams(**run.cfg["model"]), _potential(run.cfg)
-    dist = sampling.build_increment_dist(pot, params, truncation=args.truncation)
+    dist = build_increment_dist(pot, params, truncation=args.truncation)
     run.samples("sample", args.fmt, sampling.sample_free(params, dist, args.xi1, run.settings))
 
 
@@ -352,72 +351,70 @@ def build_parser() -> argparse.ArgumentParser:
                     "confinement.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, helptext, func, *hashed):
-        """A subcommand whose config hash covers the flags named in `hashed`."""
+    def command(name, helptext, func):
+        """A subcommand; a flag that overrides a config value takes its
+        section.key as dest and keeps its plain metavar."""
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--seed", type=int, help="RNG seed (unsigned 64-bit)")
+        p.add_argument("--seed", dest="sampler.seed", metavar="SEED", type=int,
+                       help="RNG seed (unsigned 64-bit)")
         p.add_argument("--workers", type=_positive_int, default=1,
                        help="processes for MCMC chain blocks and confine points")
         p.add_argument("--out", help="output directory")
-        p.set_defaults(func=func, hashed=hashed)
+        p.set_defaults(func=func)
         return p
 
-    p = command("sample", "free-measure sampler", _run_sample, "xi1", "fmt", "truncation")
-    p.add_argument("--n", type=int, help="number of samples")
+    p = command("sample", "free-measure sampler", _run_sample)
+    p.add_argument("--n", dest="sampler.n_samples", metavar="N", type=int,
+                   help="number of samples")
     p.add_argument("--xi1", type=float, default=0.0, help="first gradient")
     p.add_argument("--truncation", type=float, help="increment truncation")
     p.add_argument("--fmt", choices=("csv", "bin"), default="csv")
 
-    # the boundary flags override the config's boundary section, so they
-    # enter the hash through the config
-    p = command("bridge", "boundary-pinned sampler", _run_bridge, "method", "fmt", "truncation")
-    p.add_argument("--n", type=int, help="number of samples")
+    p = command("bridge", "boundary-pinned sampler", _run_bridge)
+    p.add_argument("--n", dest="sampler.n_samples", metavar="N", type=int,
+                   help="number of samples")
     p.add_argument("--method", choices=("exact", "mcmc"), default="exact")
-    p.add_argument("--xi-left", dest="bc_xi_left", metavar="XI_LEFT", type=float)
-    p.add_argument("--xi-right", dest="bc_xi_right", metavar="XI_RIGHT", type=float)
-    p.add_argument("--endpoint", dest="bc_endpoint", metavar="ENDPOINT", type=float)
-    p.add_argument("--burn-in", dest="burn_in", type=int)
-    p.add_argument("--thin", type=int)
+    p.add_argument("--xi-left", dest="boundary.xi_left", metavar="XI_LEFT", type=float)
+    p.add_argument("--xi-right", dest="boundary.xi_right", metavar="XI_RIGHT", type=float)
+    p.add_argument("--endpoint", dest="boundary.endpoint", metavar="ENDPOINT", type=float)
+    p.add_argument("--burn-in", dest="sampler.burn_in", metavar="BURN_IN", type=int)
+    p.add_argument("--thin", dest="sampler.thin", metavar="THIN", type=int)
     p.add_argument("--truncation", type=float)
     p.add_argument("--fmt", choices=("csv", "bin"), default="csv")
 
-    p = command("theta-stats", "rescaled bridge statistics", _run_theta_stats,
-                "times", "method")
-    p.add_argument("--n", type=int, help="number of samples")
+    p = command("theta-stats", "rescaled bridge statistics", _run_theta_stats)
+    p.add_argument("--n", dest="sampler.n_samples", metavar="N", type=int,
+                   help="number of samples")
     p.add_argument("--times", type=_floats, default="0.25,0.5,0.75",
                    help="comma-separated grid in [0, 1]")
     p.add_argument("--method", choices=("exact", "mcmc"), default="exact")
 
-    p = command("qmatrix", "limit covariance matrix on a grid", _run_qmatrix, "times")
+    p = command("qmatrix", "limit covariance matrix on a grid", _run_qmatrix)
     p.add_argument("--times", type=_floats, required=True,
                    help="comma-separated grid in (0,1)")
 
-    p = command("exact-gauss", "exact Gaussian endpoint density", _run_exact_gauss,
-                "xi_left", "xi_right")
+    p = command("exact-gauss", "exact Gaussian endpoint density", _run_exact_gauss)
     p.add_argument("--xi-left", dest="xi_left", type=float, default=0.0)
     p.add_argument("--xi-right", dest="xi_right", type=float, default=0.0)
 
-    p = command("profile", "tilts and the conditioned mean profile", _run_profile,
-                "xi_left", "xi_right", "slope", "points")
+    p = command("profile", "tilts and the conditioned mean profile", _run_profile)
     p.add_argument("--xi-left", dest="xi_left", type=float, default=0.0)
     p.add_argument("--xi-right", dest="xi_right", type=float, default=0.0)
     p.add_argument("--slope", type=float, default=0.0)
     p.add_argument("--points", type=_positive_int, default=101)
 
-    p = command("confine", "tube free-energy sweep", _run_confine,
-                "rho_min", "rho_max", "rho_steps", "mesh")
+    p = command("confine", "tube free-energy sweep", _run_confine)
     p.add_argument("--rho-min", dest="rho_min", type=float, default=0.02)
     p.add_argument("--rho-max", dest="rho_max", type=float, default=0.2)
     p.add_argument("--rho-steps", dest="rho_steps", type=int, default=8)
-    p.add_argument("--grad-cut", dest="grad_cut", type=float)
+    p.add_argument("--grad-cut", dest="tube.grad_cut", metavar="GRAD_CUT", type=float)
     p.add_argument("--mesh", type=float)
 
-    p = command("oracle-check", "desk-scale validation sweep", _run_oracle_check, "n_max")
+    p = command("oracle-check", "desk-scale validation sweep", _run_oracle_check)
     p.add_argument("--n-max", dest="n_max", type=int, default=6)
 
-    p = command("continuum-check", "lattice energy vs integral", _run_continuum_check,
-                "shape", "eps")
+    p = command("continuum-check", "lattice energy vs integral", _run_continuum_check)
     p.add_argument("--shape", choices=("square", "cubic"), default="square")
     p.add_argument("--eps", type=_floats, default="0.1,0.05,0.025,0.0125",
                    help="comma-separated lattice spacings")
@@ -429,7 +426,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args, _Run(args)) or 0
-    except (ValueError, RuntimeError, OSError, OverflowError) as exc:
+    except (ValueError, RuntimeError, OSError, OverflowError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -40,8 +40,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .model import ModelParams, Potential, _step_weights
-from .sampling import _pool_map, build_increment_dist
+from .model import ModelParams, Potential, _step_weights, build_increment_dist
+from .sampling import _pool_map
 
 __all__ = [
     "TubeSpec",
@@ -107,7 +107,7 @@ class TransferOperator:
     (h, g) -> (h + g', g') with weight proportional to
     exp(-eps * Phi((g' - g)/eps)); landing outside the grid contributes
     nothing.  On the lattice the tap weights are the sampler's step
-    probabilities (`sampling.build_increment_dist`), in continuous mode the
+    probabilities (`model.build_increment_dist`), in continuous mode the
     weights scaled so that the largest is 1; z1, the unconstrained one-step
     mass, is their fsum.
     """
@@ -244,7 +244,7 @@ def _support_truncation(support, eps: float) -> float:
 def _step_grid(params: ModelParams, pot: Potential, support, mesh):
     """Grid spacing, tap offsets and weights, and the increment variance.
 
-    The variance is `sampling.build_increment_dist`'s in both height modes;
+    The variance is `model.build_increment_dist`'s in both height modes;
     on the lattice the taps are its offsets and probabilities too."""
     eps = params.epsilon
     if params.height_mode == "discrete":
@@ -304,7 +304,7 @@ def build_transfer(
 
     support, in discrete mode only, is the lattice cut (-k, ..., k) of the
     brute-force enumeration's truncated law, read as the truncation k/eps of
-    `sampling.build_increment_dist`, whose law gives the taps either way.
+    `model.build_increment_dist`, whose law gives the taps either way.
     mesh sets the continuous grid spacing; the default puts 40 points per
     standard deviation of the single-step gradient change.
     """

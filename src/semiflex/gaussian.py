@@ -6,7 +6,7 @@ rescaled area path converges to a Gaussian process on [0, 1] whose mean and
 covariance are polynomials in t.  This module evaluates those limits and the
 finite-dimensional covariance matrix (the integrated-walk kernel), plus the
 exact endpoint density of the Gaussian chain.  sigma^2 itself is read from
-the step law that `sampling.build_increment_dist` assembles.
+the step law that `model.build_increment_dist` assembles.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, Potential
-from .sampling import build_increment_dist
+from .model import ModelParams, Potential, build_increment_dist
 
 __all__ = [
     "GridTimes",
@@ -60,7 +59,7 @@ class ConditionedSpec:
 
 def sigma2_increment(pot: Potential, params: ModelParams) -> float:
     """Variance of one increment under the step weight exp(-eps * Phi): the
-    sigma2 of the untruncated law `sampling.build_increment_dist` draws from,
+    sigma2 of the untruncated law `model.build_increment_dist` draws from,
     so the scaling limit, the tube radius and the samplers share one law."""
     return build_increment_dist(pot, params).sigma2
 

@@ -1,6 +1,6 @@
 """Discrete stiff-polymer model: parameters, potentials, boundary data, the
-bending energy, and the exact change of variables to increment (random walk)
-coordinates.
+step law, the bending energy, and the exact change of variables to increment
+(random walk) coordinates.
 
 A configuration is a plain float array of heights (phi_0, ..., phi_{N+1}).
 The energy couples second differences,
@@ -14,6 +14,14 @@ The private kernels `_laps`, `_heights` and `_walk_area` do that change of
 variables along the last axis, for one row or a matrix of sample rows; the
 samplers call `_laps` and `_heights`, and `_walk_area` is the tests' reference
 route.  `hamiltonian`, H_N with its input checks, is the one H_N formula.
+
+The step law exp(-eps * Phi) of one increment is decided here and nowhere
+else.  `_step_bound` says where it ends, `_step_weights` weighs its lattice
+steps, and `build_increment_dist` assembles it, cut at a truncation if
+given, into the `IncrementDistribution` that every sampler draws from.  Its
+variance sigma^2 (`gaussian.sigma2_increment` reads it) fixes the scaling
+limit and the tube radius R = rho sigma sqrt(N), and on the lattice the
+transfer operator takes its taps from the same law.
 """
 
 from __future__ import annotations
@@ -30,6 +38,8 @@ __all__ = [
     "PowerLawPotential",
     "TabulatedPotential",
     "Potential",
+    "IncrementDistribution",
+    "build_increment_dist",
     "BoundaryConditions",
     "ContinuumProfile",
     "EnergyCheckRow",
@@ -234,22 +244,102 @@ def _tanh_sinh_pieces(ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return nodes, (width * _TS_WEIGHT).ravel()
 
 
-def _continuous_law(pot: Potential, eps: float,
-                    truncation: float | None = None) -> tuple[float, float]:
-    """Support bound and variance of the continuous step law exp(-eps * Phi):
-    the bound is `_step_bound`'s, and the variance E x^2 on [0, bound] (the
-    law is even) comes from the tanh-sinh rule on each piece where Phi is
-    smooth, a table's cells below the bound or all of [0, bound] (the power
-    law's kink)."""
+@dataclass(frozen=True)
+class IncrementDistribution:
+    """Sampler for one increment eta under weight exp(-eps * Phi(eta)).
+
+    kind is "gaussian" (exact normal draws), "discrete" (finite lattice support
+    with tabulated probabilities) or "table" (continuous inverse-CDF on a dense
+    grid).  sigma2 is the variance of the exact law.  A "table" draw follows
+    the trapezoid CDF on 8193 points, whose variance sits off sigma2: by
+    3.8e-6 relative for the power law with alpha 1.5 at eps 0.01, 3.8e-7 with
+    alpha 4, and 1e-8 to 2e-6 for smooth tables.
+    """
+
+    sigma2: float
+    kind: str
+    values: np.ndarray | None = None
+    probs: np.ndarray | None = None
+    cdf: np.ndarray | None = None
+
+    def sample(self, rng: np.random.Generator, size) -> np.ndarray:
+        if self.kind == "gaussian":
+            return rng.normal(0.0, math.sqrt(self.sigma2), size)
+        if self.kind == "discrete":
+            idx = rng.choice(self.values.size, size=size, p=self.probs)
+            return self.values[idx]
+        u = rng.random(size)
+        return np.interp(u, self.cdf, self.values)
+
+
+def build_increment_dist(
+    pot: Potential, params: ModelParams, truncation: float | None = None
+) -> IncrementDistribution:
+    """The step law of (pot, params), cut at |eta| <= `truncation` if given:
+    the only code that chooses a law, so every sampler and every variance
+    (`gaussian.sigma2_increment`) reads the same one.
+
+    The continuous Gaussian is drawn exactly with variance 1/(eps*kappa).
+    Discrete mode draws eta = d/eps with probabilities from `_step_weights`,
+    d over -k..k for the largest allowed lap k or to the law's own end;
+    `confinement.build_transfer` takes these offsets and probabilities as
+    its lattice taps.  A continuous power law or table is drawn by inverse
+    CDF on [-bound, bound], bound from `_step_bound`; its variance E x^2 on
+    [0, bound] (the law is even) comes from the tanh-sinh rule on each piece
+    where Phi is smooth, a table's cells below the bound or all of
+    [0, bound] (the power law's kink).
+    """
+    _check_truncation(truncation)
+    eps = params.epsilon
+    if params.height_mode == "continuous" and isinstance(pot, GaussianPotential):
+        if truncation is not None:
+            raise ValueError("the continuous Gaussian increment is drawn exactly "
+                             "and takes no truncation")
+        return IncrementDistribution(sigma2=1.0 / (eps * pot.kappa), kind="gaussian")
+
+    if params.height_mode == "discrete":
+        # eta = d/eps for |d| <= the largest allowed lap; else the law's own end
+        d_max = None if truncation is None else int(_lap_bound(params, truncation))
+        offsets, weights = _step_weights(pot, eps, d_max=d_max)
+        values, probs = offsets / eps, weights / weights.sum()
+        sigma2 = float(np.dot(probs, values ** 2) - np.dot(probs, values) ** 2)
+        if not sigma2 > 0:
+            raise ValueError("degenerate increment law: single-point support")
+        return IncrementDistribution(sigma2=sigma2, kind="discrete", values=values, probs=probs)
+
+    # continuous, non-Gaussian; every weight is shifted by the largest
+    # exponent, so none overflows
     bound = _step_bound(pot, eps, truncation)
     ends = np.array([0.0, bound])
     if isinstance(pot, TabulatedPotential):
         ends = np.insert(ends, 1, pot.grid[(pot.grid > 0) & (pot.grid < bound)])
     x, w = _tanh_sinh_pieces(ends)
     g = -eps * np.asarray(pot(x), dtype=float)
-    # shifted by the largest exponent, so no weight overflows
     w = w * np.exp(g - g.max())
-    return bound, float(np.dot(w, x * x) / np.sum(w))
+    sigma2 = float(np.dot(w, x * x) / np.sum(w))
+    # the dense inverse-CDF table on the law's support
+    xs = np.linspace(-bound, bound, 8193)
+    g = -eps * np.asarray(pot(xs), dtype=float)
+    w = np.exp(g - g.max())
+    cdf = np.concatenate(([0.0], np.cumsum(0.5 * (w[1:] + w[:-1]) * np.diff(xs))))
+    return IncrementDistribution(sigma2=sigma2, kind="table", values=xs, cdf=cdf / cdf[-1])
+
+
+def _check_truncation(truncation: float | None) -> None:
+    if truncation is not None and not 0 < truncation < math.inf:
+        raise ValueError(f"truncation must be positive and finite, got {truncation}")
+
+
+def _lap_bound(params: ModelParams, truncation: float) -> float:
+    """Largest |lap| = eps |eta| that |eta| <= truncation allows, for the
+    lattice law and the Metropolis chain alike."""
+    lap = truncation * params.epsilon
+    if params.height_mode == "discrete":
+        if lap == math.inf:
+            raise ValueError(f"truncation * eps must be finite on the lattice, "
+                             f"got {truncation} * {params.epsilon}")
+        return float(math.floor(lap + 1e-12))
+    return lap + 1e-9
 
 
 @dataclass(frozen=True)

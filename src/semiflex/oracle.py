@@ -22,7 +22,7 @@ import numpy as np
 
 from . import confinement, gaussian, sampling
 from .model import (BoundaryConditions, GaussianPotential, ModelParams, Potential,
-                    TabulatedPotential)
+                    TabulatedPotential, build_increment_dist)
 
 __all__ = [
     "EnumerationSpec",
@@ -255,7 +255,7 @@ def cross_check_sweep(n_max: int, seed: int, workers: int = 1) -> list[dict]:
         params = ModelParams(n, 1.0, float(n), height_mode="discrete")
         for pname, pot in pots.items():
             # a tube of radius 1 on the lattice
-            s2 = sampling.build_increment_dist(pot, params, truncation=1.0).sigma2
+            s2 = build_increment_dist(pot, params, truncation=1.0).sigma2
             path_sum, exact = path_sum_check(params, pot, support, 1.5 / math.sqrt(s2 * n))
             record(f"transfer_vs_enumeration_{pname}_n{n}",
                    abs(path_sum - exact) / exact, 1e-12)
@@ -266,7 +266,7 @@ def cross_check_sweep(n_max: int, seed: int, workers: int = 1) -> list[dict]:
     n = n_max
     params = ModelParams(n, 1.0, float(n), height_mode="discrete")
     pot = pots["gaussian"]
-    dist = sampling.build_increment_dist(pot, params, truncation=1.0)
+    dist = build_increment_dist(pot, params, truncation=1.0)
     var_x, cov_xy, var_y = gaussian.xy_moments(n, n, dist.sigma2)
 
     def moments(hh):

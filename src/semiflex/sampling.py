@@ -1,36 +1,4 @@
-"""Samplers for the free and pinned polymer ensembles.
-
-Three routes to samples:
-
-* `sample_free`: i.i.d. increments, exact for any step law.
-* `sample_gaussian_bridge`: exact conditional sampling of the Gaussian chain
-  given all four boundary constraints (projection of an unconditioned draw).
-* `sample_bridge_mcmc`: Metropolis over the laps (increments times eps),
-  valid for any potential.  Its one move adds delta * c to a few laps with
-  sum c = sum j c_j = 0: c = (1, -2, 1) moves one height, c = (1, -1, -1, 1)
-  shifts a block of heights, and neither can move the pinned walk and area,
-  so the four constrained heights stay fixed.  Moves on disjoint laps are
-  independent, since H_N is a sum over laps, so a sweep is a few batched
-  steps: three colour steps of site flips (heights j with one j mod 3), then
-  rounds of block shifts on disjoint laps, at least N-2 shifts per chain.
-  The proposal width starts at eps times the increment standard deviation.
-
-`build_increment_dist` is the one place that maps (potential, height mode,
-truncation) to a step law: the free sampler, both exact Gaussian routes, the
-chain (its proposal width; on the lattice, that the law is not one point),
-`gaussian.sigma2_increment` and the transfer operator's variance and lattice
-taps all read it.  The parts come from
-`model`: where each law ends, its weights scaled so that its peak weighs 1,
-and the continuous variance.  This module assembles them, takes the lattice
-variance and refuses a law that sits on one point, draws from them and
-checks the truncation.
-
-Reproducibility contract: work is split into fixed-size blocks (8192 samples
-for i.i.d. samplers, 64 chains for MCMC) and block i draws from
-SeedSequence(seed, spawn_key=(i,)).  Block layout depends only on the request
-and blocks are concatenated in index order, so a given (seed, settings) gives
-bit-identical output for any `workers` (taken only by `sample_bridge_mcmc`).
-"""
+"""Samplers for the free and pinned polymer ensembles, their statistics and sample files."""
 
 from __future__ import annotations
 
@@ -46,21 +14,21 @@ import numpy as np
 from .model import (
     BoundaryConditions,
     GaussianPotential,
+    IncrementDistribution,
     ModelParams,
     Potential,
-    _continuous_law,
+    _check_truncation,
     _heights,
     _is_integer,
+    _lap_bound,
     _laps,
-    _step_weights,
+    build_increment_dist,
     map_boundary,
 )
 
 __all__ = [
-    "IncrementDistribution",
     "ChainSettings",
     "ThetaStats",
-    "build_increment_dist",
     "sample_free",
     "sample_gaussian_bridge",
     "sample_bridge_mcmc",
@@ -73,94 +41,6 @@ __all__ = [
 
 _IID_BLOCK = 8192
 _CHAIN_BLOCK = 64
-
-
-@dataclass(frozen=True)
-class IncrementDistribution:
-    """Sampler for one increment eta under weight exp(-eps * Phi(eta)).
-
-    kind is "gaussian" (exact normal draws), "discrete" (finite lattice support
-    with tabulated probabilities) or "table" (continuous inverse-CDF on a dense
-    grid).  sigma2 is the variance of the exact law.  A "table" draw follows
-    the trapezoid CDF on 8193 points, whose variance sits off sigma2: by
-    3.8e-6 relative for the power law with alpha 1.5 at eps 0.01, 3.8e-7 with
-    alpha 4, and 1e-8 to 2e-6 for smooth tables.
-    """
-
-    sigma2: float
-    kind: str
-    values: np.ndarray | None = None
-    probs: np.ndarray | None = None
-    cdf: np.ndarray | None = None
-
-    def sample(self, rng: np.random.Generator, size) -> np.ndarray:
-        if self.kind == "gaussian":
-            return rng.normal(0.0, math.sqrt(self.sigma2), size)
-        if self.kind == "discrete":
-            idx = rng.choice(self.values.size, size=size, p=self.probs)
-            return self.values[idx]
-        u = rng.random(size)
-        return np.interp(u, self.cdf, self.values)
-
-
-def build_increment_dist(
-    pot: Potential, params: ModelParams, truncation: float | None = None
-) -> IncrementDistribution:
-    """The step law of (pot, params), cut at |eta| <= `truncation` if given:
-    the only code that chooses a law, so every sampler and every variance
-    (`gaussian.sigma2_increment`) reads the same one.
-
-    The continuous Gaussian is drawn exactly with variance 1/(eps*kappa).
-    Discrete mode draws eta = d/eps with probabilities from
-    `model._step_weights`, d over -k..k for the largest allowed lap k or to
-    the law's own end; `confinement.build_transfer` takes these offsets and
-    probabilities as its lattice taps.  A continuous power law or table is
-    drawn by inverse CDF on [-bound, bound] from `model._continuous_law`,
-    with its sigma2.  `model` decides where each law ends.
-    """
-    _check_truncation(truncation)
-    eps = params.epsilon
-    if params.height_mode == "continuous" and isinstance(pot, GaussianPotential):
-        if truncation is not None:
-            raise ValueError("the continuous Gaussian increment is drawn exactly "
-                             "and takes no truncation")
-        return IncrementDistribution(sigma2=1.0 / (eps * pot.kappa), kind="gaussian")
-
-    if params.height_mode == "discrete":
-        # eta = d/eps for |d| <= the largest allowed lap; else the law's own end
-        d_max = None if truncation is None else int(_lap_bound(params, truncation))
-        offsets, weights = _step_weights(pot, eps, d_max=d_max)
-        values, probs = offsets / eps, weights / weights.sum()
-        sigma2 = float(np.dot(probs, values ** 2) - np.dot(probs, values) ** 2)
-        if not sigma2 > 0:
-            raise ValueError("degenerate increment law: single-point support")
-        return IncrementDistribution(sigma2=sigma2, kind="discrete", values=values, probs=probs)
-
-    # continuous, non-Gaussian: dense inverse-CDF table on the law's support,
-    # shifted by the largest exponent as in _continuous_law, so none overflows
-    bound, sigma2 = _continuous_law(pot, eps, truncation)
-    xs = np.linspace(-bound, bound, 8193)
-    g = -eps * np.asarray(pot(xs), dtype=float)
-    w = np.exp(g - g.max())
-    cdf = np.concatenate(([0.0], np.cumsum(0.5 * (w[1:] + w[:-1]) * np.diff(xs))))
-    return IncrementDistribution(sigma2=sigma2, kind="table", values=xs, cdf=cdf / cdf[-1])
-
-
-def _check_truncation(truncation: float | None) -> None:
-    if truncation is not None and not 0 < truncation < math.inf:
-        raise ValueError(f"truncation must be positive and finite, got {truncation}")
-
-
-def _lap_bound(params: ModelParams, truncation: float) -> float:
-    """Largest |lap| = eps |eta| that |eta| <= truncation allows, for the
-    lattice law and the Metropolis chain alike."""
-    lap = truncation * params.epsilon
-    if params.height_mode == "discrete":
-        if lap == math.inf:
-            raise ValueError(f"truncation * eps must be finite on the lattice, "
-                             f"got {truncation} * {params.epsilon}")
-        return float(math.floor(lap + 1e-12))
-    return lap + 1e-9
 
 
 @dataclass(frozen=True)
@@ -190,14 +70,30 @@ class ChainSettings:
             raise ValueError("n_chains must be >= 1 when given")
 
 
-def _block_rng(seed: int, block: int) -> np.random.Generator:
-    # counter-keyed split: block index folded into the seed by SeedSequence
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
-
-
-def _blocks(total: int, size: int) -> list[tuple[int, int]]:
-    """(block index, count) pairs covering `total` items in blocks of `size`."""
-    return [(b, min(size, total - start)) for b, start in enumerate(range(0, total, size))]
+def _draw_blocks(draw, settings: ChainSettings, params: ModelParams, units: int,
+                 block: int, per_unit: int = 1, workers: int = 1,
+                 counts: str = "sampler.n_samples (--n)") -> np.ndarray:
+    """The reproducibility contract of every sampler.  `units` samples (or
+    chains of `per_unit` rows each) go in blocks of `block`; block b is
+    draw((rng, count)) with rng from SeedSequence(seed, spawn_key=(b,)), and
+    its rows fill the next rows of one output matrix, allocated before any
+    draw, in block order.  The layout depends only on the request, so a given
+    (seed, settings) gives bit-identical output for any `workers` (which
+    spread the blocks over processes).  Returns the first n_samples rows.
+    A matrix too large to allocate is refused, naming `counts`."""
+    rows = units * per_unit
+    try:
+        out = np.empty((rows, params.n_heights))
+    except (ValueError, MemoryError):
+        raise ValueError(f"{rows} samples of {params.n_heights} heights are too many "
+                         f"to allocate: lower {counts}") from None
+    jobs = ((np.random.default_rng(np.random.SeedSequence(settings.seed, spawn_key=(b,))),
+             min(block, units - start)) for b, start in enumerate(range(0, units, block)))
+    start = 0
+    for part in _pool_map(draw, jobs, workers) if workers > 1 else map(draw, jobs):
+        out[start:start + len(part)] = part
+        start += len(part)
+    return out[: settings.n_samples]
 
 
 def _pool_map(fn, jobs, workers: int) -> list:
@@ -228,15 +124,16 @@ def sample_free(
         raise ValueError(f"xi1 must be finite, got {xi1}")
     if params.height_mode == "discrete" and xi1 != round(xi1):
         raise ValueError("discrete mode needs an integer first gradient")
-    parts = []
-    for b, c in _blocks(settings.n_samples, _IID_BLOCK):
-        etas = dist.sample(_block_rng(settings.seed, b), (c, params.n_sites))
-        parts.append(_heights(xi1, etas, params.epsilon))
-    return np.concatenate(parts, axis=0)
+
+    def draw(job):
+        rng, count = job
+        return _heights(xi1, dist.sample(rng, (count, params.n_sites)), params.epsilon)
+
+    return _draw_blocks(draw, settings, params, settings.n_samples, _IID_BLOCK)
 
 
-def _gaussian_bridge_rows(rng, params: ModelParams, bc: BoundaryConditions,
-                          dist: IncrementDistribution, count: int) -> np.ndarray:
+def _gaussian_bridge_rows(rng, count: int, params: ModelParams, bc: BoundaryConditions,
+                          dist: IncrementDistribution) -> np.ndarray:
     """`count` exact Gaussian bridge rows: i.i.d. increments of the Gaussian
     law `dist` projected onto the two boundary constraints (X_N, Y_N) =
     map_boundary."""
@@ -264,9 +161,8 @@ def sample_gaussian_bridge(
     if params.height_mode != "continuous":
         raise ValueError("exact bridge sampling needs continuous heights")
     dist = build_increment_dist(pot, params)
-    parts = [_gaussian_bridge_rows(_block_rng(settings.seed, b), params, bc, dist, c)
-             for b, c in _blocks(settings.n_samples, _IID_BLOCK)]
-    return np.concatenate(parts, axis=0)
+    return _draw_blocks(lambda job: _gaussian_bridge_rows(*job, params, bc, dist), settings,
+                        params, settings.n_samples, _IID_BLOCK)
 
 
 def _clamped_cubic_init(params: ModelParams, bc: BoundaryConditions) -> np.ndarray:
@@ -328,17 +224,16 @@ def _block_rounds(rng, n: int, rounds: int, chains: int) -> tuple[np.ndarray, np
 
 
 def _mcmc_block(params, pot, bc, settings, truncation, dist, n_per_chain, job):
-    block, n_chains = job
+    rng, n_chains = job
     eps = params.epsilon
     n = params.n_sites
-    rng = _block_rng(settings.seed, block)
     discrete = params.height_mode == "discrete"
     width = None if discrete else eps * math.sqrt(dist.sigma2)
 
     # equilibrium start when exact sampling is available (an untruncated
     # Gaussian; an exact draw can break a cut), clamped cubic otherwise
     if not discrete and dist.kind == "gaussian" and truncation is None:
-        phi = _gaussian_bridge_rows(rng, params, bc, dist, n_chains)
+        phi = _gaussian_bridge_rows(rng, n_chains, params, bc, dist)
     else:
         phi = np.tile(_clamped_cubic_init(params, bc), (n_chains, 1))
     # the chain state, flat: laps[c * n + i] = eps * eta_{i+1} of chain c
@@ -422,7 +317,12 @@ def _mcmc_block(params, pot, bc, settings, truncation, dist, n_per_chain, job):
         since = sweep - settings.burn_in
         if not tuning and since % settings.thin == 0:
             snaps[:, since // settings.thin - 1] = laps.reshape(n_chains, n)
-    phi = _heights(bc.xi_left, snaps.reshape(-1, n), 1.0)
+    # heights in row blocks, so that beside the snapshots and the output
+    # matrix the change of variables holds only one block of temporaries
+    rows = snaps.reshape(-1, n)
+    phi = np.empty((len(rows), n + 2))
+    for lo in range(0, len(rows), _IID_BLOCK):
+        phi[lo:lo + _IID_BLOCK] = _heights(bc.xi_left, rows[lo:lo + _IID_BLOCK], 1.0)
     # the pinned far end, exactly rather than as a sum of laps
     phi[:, n] = bc.endpoint + bc.xi_right
     phi[:, n + 1] = bc.endpoint
@@ -485,10 +385,10 @@ def sample_bridge_mcmc(
     n_chains = settings.n_chains or min(_CHAIN_BLOCK, settings.n_samples)
     n_per_chain = math.ceil(settings.n_samples / n_chains)
 
-    fn = partial(_mcmc_block, params, pot, bc, settings, truncation, dist,
-                 n_per_chain)
-    parts = _pool_map(fn, _blocks(n_chains, _CHAIN_BLOCK), workers)
-    return np.concatenate(parts, axis=0)[: settings.n_samples]
+    counts = "sampler.n_samples (--n)" + (" or sampler.n_chains" if settings.n_chains else "")
+    return _draw_blocks(partial(_mcmc_block, params, pot, bc, settings, truncation, dist,
+                                n_per_chain), settings, params, n_chains, _CHAIN_BLOCK,
+                        n_per_chain, workers, counts)
 
 
 class ThetaStats(NamedTuple):

@@ -30,6 +30,7 @@ from semiflex.model import (
     ModelParams,
     PowerLawPotential,
     TabulatedPotential,
+    build_increment_dist,
     continuum_energy_check,
 )
 from semiflex.oracle import (
@@ -39,7 +40,6 @@ from semiflex.oracle import (
 )
 from semiflex.sampling import (
     ChainSettings,
-    build_increment_dist,
     estimate_theta_stats,
     sample_bridge_mcmc,
     sample_free,

@@ -110,6 +110,29 @@ def test_no_orphaned_private_helpers():
     assert orphans == []
 
 
+def test_the_step_law_has_one_owner():
+    # model alone defines and exports the step law; every module that uses it
+    # imports it from there, and gaussian reads nothing else of the package
+    law = {"IncrementDistribution", "build_increment_dist"}
+    defined, exported, law_from, package = {}, {}, {}, {}
+    for name in MODULES:
+        tree = ast.parse(Path(semiflex.__path__[0], f"{name}.py").read_text())
+        defined[name] = law & {n.name for n in tree.body
+                               if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+        exported[name] = law & set(importlib.import_module(f"semiflex.{name}").__all__)
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                names = {a.name for a in node.names}
+                package.setdefault(name, set()).update([node.module] if node.module else names)
+                if names & law:
+                    law_from.setdefault(name, set()).add(node.module)
+    assert {n: d for n, d in defined.items() if d} == {"model": law}
+    assert {n: e for n, e in exported.items() if e} == {"model": law}
+    users = ("sampling", "confinement", "oracle", "gaussian", "cli")
+    assert {n: law_from.get(n) for n in users} == {n: {"model"} for n in users}
+    assert package["gaussian"] == {"model"}
+
+
 def test_cli_import_leaves_convolution_modules_unloaded():
     # every command pays for what `import semiflex.cli` loads; no command
     # needs scipy (the convolution modules included: the transfer operator is

@@ -1,5 +1,6 @@
 """Command-line front door: config handling, output stamps, determinism."""
 
+import argparse
 import json
 import re
 
@@ -8,7 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from semiflex import confinement, oracle, sampling
-from semiflex.cli import main
+from semiflex.cli import _positive_int, _Run, build_parser, main
 from semiflex.gaussian import exact_boundary_density, q_matrix
 from semiflex.model import continuum_energy_check
 from semiflex.sampling import _read_table, samples_from_csv, samples_from_frame
@@ -168,6 +169,13 @@ def test_non_finite_boundary_data_rejected(tmp_path, capsys, command, output):
     assert not (tmp_path / output).exists()
 
 
+# 10^17 rows of 102 heights: numpy refuses the matrix without allocating it
+# ("array is too big"), so the refusal never touches real memory
+_TOO_MANY = str(10 ** 17)
+_UNALLOCATABLE = (f"{_TOO_MANY} samples of 102 heights are too many to allocate: "
+                  "lower sampler.n_samples (--n)")
+
+
 @pytest.mark.parametrize("command, cfg, error", [
     (["sample"], {"sampler": {"n_samples": 4.7}}, "n_samples must be an integer, got 4.7"),
     (["sample", "--n", "4"], {"model": {"n_sites": 100.5}},
@@ -189,9 +197,17 @@ def test_non_finite_boundary_data_rejected(tmp_path, capsys, command, output):
     (["sample", "--n", "4"],
      {"potential": {"kind": "gaussian", "kappa": json.loads("1e400")}},
      "kappa must be positive and finite, got inf"),
+    (["sample", "--n", _TOO_MANY], {}, _UNALLOCATABLE),
+    (["bridge", "--n", _TOO_MANY], {}, _UNALLOCATABLE),
+    (["bridge", "--method", "mcmc", "--n", _TOO_MANY], {}, _UNALLOCATABLE),
+    (["theta-stats", "--n", _TOO_MANY], {}, _UNALLOCATABLE),
+    (["bridge", "--method", "mcmc"], {"sampler": {"n_chains": 10 ** 17}},
+     _UNALLOCATABLE + " or sampler.n_chains"),
 ], ids=["float-n-samples", "float-n-sites", "number-output-dir", "null-n-sites",
         "string-grad-cut", "list-kind", "bool-xi-left", "huge-epsilon", "huge-n-samples",
-        "infinite-kappa"])
+        "infinite-kappa", "unallocatable-sample", "unallocatable-bridge",
+        "unallocatable-bridge-mcmc", "unallocatable-theta-stats",
+        "unallocatable-bridge-mcmc-chains"])
 def test_config_value_of_the_wrong_type_is_one_error_line(tmp_path, capsys, command, cfg,
                                                           error):
     # refused before anything runs, so no value is truncated or hashed as given
@@ -307,6 +323,34 @@ def test_config_hash_independent_of_output_dir(tmp_path):
         assert main(["qmatrix", "--times", "0.25,0.75", "--out", str(d)]) == 0
     stamps = [_first_line(d / "qmatrix.csv") for d in dirs]
     assert stamps[0] == stamps[1]
+
+
+_SUBCOMMANDS = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)).choices
+_REQUIRED = {"qmatrix": ["--times", "0.5"]}
+
+
+def _other_value(action) -> str:
+    """A valid value of the flag that is not its default."""
+    if action.choices:
+        return next(c for c in action.choices if c != action.default)
+    return "3" if action.type in (int, _positive_int) else "0.0625"
+
+
+@pytest.mark.parametrize("command", sorted(_SUBCOMMANDS))
+def test_every_flag_but_config_workers_and_out_enters_the_hash(command):
+    # directly, or through the config value it overrides
+    base = [command, *_REQUIRED.get(command, [])]
+    stamp = _Run(build_parser().parse_args(base)).hash
+    unhashed = []
+    for action in _SUBCOMMANDS[command]._actions:
+        flag = action.option_strings[0]
+        if flag in ("-h", "--config", "--workers", "--out"):
+            continue
+        args = build_parser().parse_args([*base, flag, _other_value(action)])
+        if _Run(args).hash == stamp:
+            unhashed.append(flag)
+    assert unhashed == []
 
 
 def test_config_hash_tracks_seed(tmp_path):

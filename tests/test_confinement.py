@@ -26,9 +26,10 @@ from semiflex.model import (
     ModelParams,
     PowerLawPotential,
     TabulatedPotential,
+    build_increment_dist,
 )
 from semiflex.oracle import EnumerationSpec, enumerate_configs
-from semiflex.sampling import ChainSettings, build_increment_dist, sample_free
+from semiflex.sampling import ChainSettings, sample_free
 
 ZERO_POT = TabulatedPotential(np.array([-1.0, 0.0, 1.0]), np.zeros(3))
 SUPPORT = (-1.0, 0.0, 1.0)

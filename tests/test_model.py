@@ -16,7 +16,6 @@ from semiflex.model import (
     ModelParams,
     PowerLawPotential,
     TabulatedPotential,
-    _continuous_law,
     _heights,
     _laps,
     _step_bound,
@@ -350,4 +349,4 @@ def test_barrier_table_keeps_its_wells():
     assert offsets.tolist() == [-3, -2, -1, 0, 1, 2, 3]
     assert weights[3] == 1.0
     assert weights[2] == pytest.approx(math.exp(-50.0), rel=1e-15)
-    assert _continuous_law(pot, 0.01)[0] == 300.0
+    assert _step_bound(pot, 0.01) == 300.0

@@ -19,16 +19,16 @@ from semiflex.model import (
     ModelParams,
     PowerLawPotential,
     TabulatedPotential,
-    _continuous_law,
     _laps,
+    _step_bound,
     _step_weights,
     _walk_area,
+    build_increment_dist,
     map_boundary,
 )
 from semiflex.oracle import EnumerationSpec, enumerate_configs
 from semiflex.sampling import (
     ChainSettings,
-    build_increment_dist,
     estimate_theta_stats,
     sample_bridge_mcmc,
     sample_free,
@@ -165,7 +165,7 @@ def test_barrier_table_transfer_taps_reach_the_continuous_bound():
     op = build_transfer(params, pot, TubeSpec(0.001))  # default mesh, a narrow tube
     step = op.delta / params.epsilon  # one mesh step in eta
     reach = op.tap_offsets.max() * step
-    assert _continuous_law(pot, params.epsilon)[0] - step <= reach <= 300.0
+    assert _step_bound(pot, params.epsilon) - step <= reach <= 300.0
     discrete = ModelParams(n_sites=100, epsilon=0.01, macro_length=1.0, height_mode="discrete")
     assert build_increment_dist(pot, discrete).values.tolist() == [-300.0, -200.0, -100.0,
                                                                    0.0, 100.0, 200.0, 300.0]
