@@ -529,7 +529,7 @@ def confinement_sweep(
             n_h, n_g = _tube_grid(params, TubeSpec(r, grad_cut), sigma2, d)[2:]
             _check_states(n_h, n_g, _STATE_CAP, f"rho={r:g}, {label}mesh {d:.4g}")
     jobs = [(params, pot, r, grad_cut, mesh) for r in rhos]
-    return _pool_map(_sweep_point, jobs, workers)
+    return list(_pool_map(_sweep_point, jobs, workers))
 
 
 class FitResult(NamedTuple):

@@ -96,21 +96,24 @@ def _draw_blocks(draw, settings: ChainSettings, params: ModelParams, units: int,
     return out[: settings.n_samples]
 
 
-def _pool_map(fn, jobs, workers: int) -> list:
-    """[fn(job) for job in jobs] in job order, on min(workers, len(jobs),
-    cpu count) processes; in-process when that is 1 or less.  Only worth it
-    when each job computes far longer than its result takes to pickle back."""
+def _pool_map(fn, jobs, workers: int):
+    """fn(job) for each job, yielded in job order as the caller asks for them,
+    on min(workers, len(jobs), cpu count) processes; in-process when that is
+    1 or less.  A consumer that copies each result out as it comes never
+    holds them all.  Only worth it when each job computes far longer than its
+    result takes to pickle back."""
     jobs = list(jobs)
     procs = min(workers, len(jobs), os.cpu_count() or 1)
     if procs <= 1:
-        return [fn(job) for job in jobs]
+        yield from map(fn, jobs)
+        return
     # imported here so that in-process runs never load multiprocessing; under
     # the spawn start method each worker re-imports numpy only (~0.2 s), and
     # on Linux the default start method is fork
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=procs) as pool:
-        return list(pool.map(fn, jobs))
+        yield from pool.map(fn, jobs)
 
 
 def sample_free(
@@ -142,8 +145,12 @@ def _gaussian_bridge_rows(rng, count: int, params: ModelParams, bc: BoundaryCond
     proj = np.linalg.solve(a @ a.T, a)  # (2, N): rows of (A A^T)^-1 A
     target = np.array(map_boundary(bc, params))
     etas = dist.sample(rng, (count, n))
-    defect = etas @ a.T - target  # (count, 2)
-    etas -= defect @ proj
+    # numpy's own loops, not BLAS: as matmuls, both products of an 8192-row
+    # block woke OpenBLAS's second thread, which saved no wall time and then
+    # spun for about 0.13 s after each call; einsum without optimize never
+    # calls BLAS
+    defect = np.einsum("ij,kj->ik", etas, a) - target  # (count, 2)
+    etas -= np.einsum("ik,kj->ij", defect, proj)
     return _heights(bc.xi_left, etas, params.epsilon)
 
 
@@ -383,7 +390,7 @@ def sample_bridge_mcmc(
     # and a lattice law on one point fails here (the lattice chain never reads it)
     dist = build_increment_dist(pot, params, truncation if discrete else None)
     n_chains = settings.n_chains or min(_CHAIN_BLOCK, settings.n_samples)
-    n_per_chain = math.ceil(settings.n_samples / n_chains)
+    n_per_chain = -(-settings.n_samples // n_chains)
 
     counts = "sampler.n_samples (--n)" + (" or sampler.n_chains" if settings.n_chains else "")
     return _draw_blocks(partial(_mcmc_block, params, pot, bc, settings, truncation, dist,

@@ -192,8 +192,9 @@ _UNALLOCATABLE = (f"{_TOO_MANY} samples of 102 heights are too many to allocate:
      "config key boundary.xi_left must be a number, got a boolean"),
     (["qmatrix", "--times", "0.5"], {"model": {"epsilon": 10 ** 400}},
      "config key model.epsilon is too large for a float"),
+    # 64 chains of 10^400 / 64 rows each: integer sizes reach the refusal
     (["bridge", "--method", "mcmc"], {"sampler": {"n_samples": 10 ** 400}},
-     "integer division result too large for a float"),
+     _UNALLOCATABLE.replace(_TOO_MANY, str(10 ** 400))),
     (["sample", "--n", "4"],
      {"potential": {"kind": "gaussian", "kappa": json.loads("1e400")}},
      "kappa must be positive and finite, got inf"),

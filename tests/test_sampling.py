@@ -1,6 +1,7 @@
 """Samplers: exact Gaussian bridge, free walk, Metropolis bridge, serialization."""
 
 import math
+import resource
 import time
 import tracemalloc
 
@@ -240,6 +241,27 @@ def test_exact_bridge_block_layout():
     assert two.shape == (8292, 12)
     assert np.array_equal(two[:8192], one)
     assert not np.array_equal(two[8192:], one[:100])
+
+
+def _cpu_s() -> float:
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    return usage.ru_utime + usage.ru_stime
+
+
+def test_exact_bridge_keeps_to_one_thread():
+    # a one-thread computation uses no more CPU than wall time, whatever the
+    # load on the machine.  A threaded BLAS product in the projection wakes a
+    # second thread, which spins on after each call: the sleeps let a thread
+    # woken before the draw fall asleep, and charge one woken by it
+    params = ModelParams(n_sites=100, epsilon=0.01, macro_length=1.0)
+    settings = ChainSettings(seed=1, n_samples=40_000)
+    time.sleep(0.3)
+    cpu, wall = _cpu_s(), time.perf_counter()
+    sample_gaussian_bridge(params, GaussianPotential(1.0), ZERO_BC, settings)
+    wall = time.perf_counter() - wall
+    time.sleep(0.3)
+    cpu = _cpu_s() - cpu
+    assert cpu <= 1.2 * wall + 0.05, (cpu, wall)
 
 
 def test_free_walk_moments():
@@ -501,8 +523,10 @@ def test_mcmc_default_width_moves_steep_power_law_chains():
     assert moved > 0.9
 
 
-def test_pool_never_exceeds_cpu_count(monkeypatch):
-    # a fake pool records its size and maps in-process, so no process starts
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The sizes of the pools `_pool_map` opens; a fake pool records its size
+    and maps in-process, so no process starts."""
     sizes = []
 
     class FakePool:
@@ -521,11 +545,34 @@ def test_pool_never_exceeds_cpu_count(monkeypatch):
     monkeypatch.setattr(sampling.os, "cpu_count", lambda: 2)
     # _pool_map imports the executor when it needs one, so patch it at its source
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
+    return sizes
+
+
+def test_pool_never_exceeds_cpu_count(pool_sizes):
     jobs = list(range(200))
-    assert sampling._pool_map(abs, jobs, 200) == jobs
-    assert sampling._pool_map(abs, jobs[:1], 200) == jobs[:1]
-    assert sampling._pool_map(abs, jobs, 1) == jobs
-    assert sizes == [2]
+    assert list(sampling._pool_map(abs, jobs, 200)) == jobs
+    assert list(sampling._pool_map(abs, jobs[:1], 200)) == jobs[:1]
+    assert list(sampling._pool_map(abs, jobs, 1)) == jobs
+    assert pool_sizes == [2]
+
+
+def test_pooled_chain_blocks_stream_into_the_output(pool_sizes):
+    # each block is copied into the output as the pool yields it, so the
+    # run holds one block's result and temporaries beside the output, not
+    # all 16 blocks
+    n, per_chain, chains = 10, 80, 16 * 64
+    params = ModelParams(n_sites=n, epsilon=0.1, macro_length=1.0)
+    settings = ChainSettings(seed=2, n_samples=chains * per_chain, n_chains=chains)
+    block = 64 * per_chain * (n + 2) * 8
+    tracemalloc.start()
+    try:
+        out = sample_bridge_mcmc(params, GaussianPotential(1.0), ZERO_BC, settings, workers=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pool_sizes == [2]
+    assert out.nbytes == 16 * block
+    assert peak - out.nbytes < 10 * block, (peak - out.nbytes) / block
 
 
 def test_theta_stats_shapes_and_constant_input():
