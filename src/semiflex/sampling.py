@@ -189,8 +189,51 @@ def _clamped_cubic_init(params: ModelParams, bc: BoundaryConditions) -> np.ndarr
 
 # lap changes of the two moves, each per unit delta; both sum to zero and have
 # zero first moment, so the walk X_N and area Y_N of the laps never move
-_FLIP = np.array([1.0, -2.0, 1.0])  # one height j: laps j-1, j, j+1
-_SHIFT = np.array([1.0, -1.0, -1.0, 1.0])  # heights lo..hi: laps lo-1, lo, hi, hi+1
+_FLIP = np.array([1, -2, 1])  # one height j: laps j-1, j, j+1
+_SHIFT = np.array([1, -1, -1, 1])  # heights lo..hi: laps lo-1, lo, hi, hi+1
+
+# a cut lattice chain reads its moves' energy changes from tables while the
+# larger one, the block shift's, has at most this many entries
+_MOVE_TABLE_CAP = 1 << 16
+
+
+def _lap_energy(pot: Potential, eps: float, lap_max: float | None):
+    """The chain's energy of a lap x: Phi(x / eps), +inf past the cut lap_max."""
+    def energy(x):
+        terms = pot(x / eps)
+        return terms if lap_max is None else np.where(np.abs(x) <= lap_max, terms, np.inf)
+
+    return energy
+
+
+def _energy_change(energy, eps: float, old: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """eps * (H(new) - H(old)) of moves that change the laps `old` to `new`,
+    along the last axis; +inf when a new lap has energy +inf.  New terms are
+    summed left to right, then old ones subtracted: another order rounds
+    differently and changes the chains."""
+    terms = energy(np.concatenate((new, old), axis=-1))
+    m = old.shape[-1]
+    total = terms[..., 0] + terms[..., 1]
+    for c in range(2, m):
+        total += terms[..., c]
+    for c in range(m, 2 * m):
+        total -= terms[..., c]
+    return eps * total
+
+
+def _move_table(energy, eps: float, coeffs: np.ndarray, lap_max: int) -> np.ndarray:
+    """`_energy_change` of every +-1 move with lap changes `coeffs` from old
+    laps in [-L, L]^m, L = lap_max: entry s (2L+1)^m + sum_i (old_i + L)
+    (2L+1)^(m-1-i) is the move of step 2s - 1.  A new lap past the cut gives
+    +inf; an old tuple the chain cannot occupy (a lap of energy +inf, as off
+    a table's grid) gives nan.  Both reject every move."""
+    m = len(coeffs)
+    grid = np.indices((2,) + (2 * lap_max + 1,) * m).reshape(m + 1, -1)
+    old = grid[1:].T - lap_max
+    with np.errstate(invalid="ignore"):  # inf - inf where an old lap is off the grid
+        table = _energy_change(energy, eps, old, old + (2 * grid[0] - 1)[:, None] * coeffs)
+    table[np.isinf(energy(old)).any(axis=1)] = np.nan
+    return table
 
 
 def _block_layout(n: int) -> tuple[int, int]:
@@ -247,43 +290,22 @@ def _mcmc_block(params, pot, bc, settings, truncation, dist, n_per_chain, job):
     laps = _laps(phi).ravel()
 
     lap_max = None if truncation is None else _lap_bound(params, truncation)
-
-    def energy(x):  # Phi(x / eps) of laps x, +inf past the truncation
-        terms = pot(x / eps)
-        return terms if lap_max is None else np.where(np.abs(x) <= lap_max, terms, np.inf)
-
+    energy = _lap_energy(pot, eps, lap_max)
     if not np.all(np.isfinite(energy(laps))):
         raise ValueError("initial configuration violates the truncation cut "
                          "(or the tabulated potential's grid)")
-
-    def move(idx, coeffs, delta, threshold):
-        """k Metropolis moves per chain at once: laps[idx] += delta * coeffs.
-        idx (chains, k, m) holds flat lap indices, the k moves of a chain on
-        disjoint laps, so their order does not matter; delta and threshold
-        (chains, k) are the proposals and -log of the uniforms.  Returns the
-        accept mask; a new lap of energy +inf makes the total +inf."""
-        old = laps.take(idx)
-        new = old + delta[..., None] * coeffs
-        terms = energy(np.concatenate((new, old), axis=2))
-        # new terms summed left to right, then old ones subtracted: another
-        # order rounds differently and changes the chains
-        m = len(coeffs)
-        total = terms[..., 0] + terms[..., 1]
-        for c in range(2, m):
-            total += terms[..., c]
-        for c in range(m, 2 * m):
-            total -= terms[..., c]
-        accept = eps * total < threshold
-        laps.put(idx, np.where(accept[..., None], new, old))
-        return accept
+    if discrete:
+        laps = laps.astype(np.int64)  # exact: lattice laps are integers
 
     starts = (np.arange(n_chains) * n)[:, None, None]
     # site flips in three colour steps: heights j = 2..n-1 of one residue
     # mod 3 touch disjoint laps j-1..j+1, so updating them at once is exactly
     # a scan in colour order
     colours = [np.arange(j, n, 3) for j in range(2, min(n, 5))]
-    flips = [starts + (h[:, None] + np.arange(-2, 1)) for h in colours]
     bounds = np.cumsum([0] + [h.size for h in colours])
+    # (flat lap indices, columns of a sweep's proposals) of each colour step
+    flips = [(starts + (h[:, None] + np.arange(-2, 1)), slice(a, b))
+             for h, a, b in zip(colours, bounds[:-1], bounds[1:])]
     # contiguous block shifts, in rounds of blocks on disjoint laps.  Single-
     # site flips alone are not irreducible under a hard lap cut (from a flat
     # chain every +-1 flip makes a lap of 2), so these restore connectivity;
@@ -291,32 +313,69 @@ def _mcmc_block(params, pot, bc, settings, truncation, dist, n_per_chain, job):
     # Metropolis either way.
     rounds, per_round = _block_layout(n)
     n_moves = (n - 2) + rounds * per_round
-    block_shape = (n_chains, rounds, per_round)
+    shift_cols = [slice(n - 2 + r * per_round, n - 2 + (r + 1) * per_round)
+                  for r in range(rounds)]
+
+    # on a cut lattice every lap stays in [-L, L] and every delta is +-1, so a
+    # move's energy change is one of 2 (2L+1)^m numbers, tabled once per move
+    # type and read at old @ strides + sel, where sel holds the sign digit and
+    # the +L offsets of each proposal column.  The code is integer, so the @
+    # calls no BLAS.
+    tables = {}
+    side = 2 * int(lap_max) + 1 if discrete and lap_max is not None else None
+    if side is not None and 2 * side ** 4 <= _MOVE_TABLE_CAP:
+        for coeffs in (_FLIP, _SHIFT):
+            strides = side ** np.arange(len(coeffs) - 1, -1, -1)
+            tables[len(coeffs)] = _move_table(energy, eps, coeffs, side // 2), strides
+        # per proposal column: the flips' (m = 3), then the shifts' (m = 4)
+        counts = (n - 2, n_moves - (n - 2))
+        sign_stride = np.repeat([side ** 3, side ** 4], counts)
+        offset = np.repeat([side // 2 * tables[m][1].sum() for m in (3, 4)], counts)
+
+    def move(idx, coeffs, cols, delta, threshold, sel):
+        """k Metropolis moves per chain at once: laps[idx] += delta * coeffs.
+        idx (chains, k, m) holds flat lap indices, the k moves of a chain on
+        disjoint laps, so their order does not matter; columns `cols` of
+        the sweep's (chains, n_moves) arrays delta and threshold are their
+        proposals and -log of the uniforms, and of sel a tabled chain's table
+        offsets.  Returns the accept mask; a new lap of energy +inf makes the
+        change +inf."""
+        old = laps.take(idx)
+        new = old + delta[:, cols, None] * coeffs
+        if tables:
+            table, strides = tables[len(coeffs)]
+            change = table.take(old @ strides + sel[:, cols])
+        else:
+            change = _energy_change(energy, eps, old, new)
+        accept = change < threshold[:, cols]
+        laps.put(idx, np.where(accept[..., None], new, old))
+        return accept
 
     sweeps = settings.burn_in + n_per_chain * settings.thin
     snaps = np.empty((n_chains, n_per_chain, n))  # chain-major laps
     acc_count, acc_tries = 0, 0
+    sel = None
     for sweep in range(1, sweeps + 1):
         tuning = sweep <= settings.burn_in
-        # one sweep's proposals and Metropolis thresholds -log(u) ~ Exp(1):
-        # the site flips' columns first, then the blocks'
+        # one sweep's proposals and Metropolis thresholds -log(u) ~ Exp(1)
         if discrete:
-            delta = rng.integers(0, 2, (n_chains, n_moves)) * 2.0 - 1.0
+            sign = rng.integers(0, 2, (n_chains, n_moves))
+            delta = 2 * sign - 1
+            if tables:
+                sel = sign * sign_stride + offset
         else:
             delta = rng.normal(0.0, width, (n_chains, n_moves))
         threshold = rng.standard_exponential((n_chains, n_moves))
-        for idx, a, b in zip(flips, bounds[:-1], bounds[1:]):
-            accept = move(idx, _FLIP, delta[:, a:b], threshold[:, a:b])
+        for idx, cols in flips:
+            accept = move(idx, _FLIP, cols, delta, threshold, sel)
             if tuning and not discrete:
                 acc_count += int(accept.sum())
                 acc_tries += accept.size
         if rounds:
             lo, hi = _block_rounds(rng, n, rounds, n_chains)
             blocks = starts + np.stack((lo - 2, lo - 1, hi - 1, hi), axis=3)
-            block_delta = delta[:, n - 2:].reshape(block_shape)
-            block_threshold = threshold[:, n - 2:].reshape(block_shape)
-            for r in range(rounds):
-                move(blocks[r], _SHIFT, block_delta[:, r], block_threshold[:, r])
+            for block, cols in zip(blocks, shift_cols):
+                move(block, _SHIFT, cols, delta, threshold, sel)
         if tuning and not discrete and sweep % 32 == 0 and acc_tries:
             rate = acc_count / acc_tries
             width *= math.exp(1.2 * (rate - 0.45))
@@ -376,8 +435,15 @@ def sample_bridge_mcmc(
     must grow with N.  `truncation` gives a lap past
     `_lap_bound` (|eta| <= truncation, as in `build_increment_dist`) energy
     +inf, where a `TabulatedPotential` off its grid already is: a move to
-    such a lap is rejected.  `workers` spreads the blocks of 64 chains over
-    processes; the output does not depend on it.
+    such a lap is rejected.  A cut lattice chain, whose laps stay in [-L, L]
+    and whose deltas are +-1, reads each move's energy change from a table
+    of 2 (2L+1)^m entries for a move on m laps, built once per block of 64
+    chains by the general move's own arithmetic (`_move_table`), as long as
+    the block shift's table has at most `_MOVE_TABLE_CAP` = 2^16 entries
+    (L <= 6); uncut, continuous and more widely cut chains take the general
+    move.  The chains are the same bit for bit either way.  `workers`
+    spreads the blocks of 64 chains over processes; the output does not
+    depend on it.
     """
     _check_truncation(truncation)
     discrete = params.height_mode == "discrete"

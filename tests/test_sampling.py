@@ -458,11 +458,11 @@ def test_mcmc_continuous_gaussian_bridge_keeps_the_exact_variance():
 
 
 @st.composite
-def _mcmc_cases(draw):
+def _mcmc_cases(draw, kinds=("lattice", "lattice_cut", "gaussian", "power")):
     """(params, pot, bc, truncation): lattice chains with and without a lap
     cut, continuous Gaussian and power-law chains, on random boundaries."""
     n = draw(st.integers(2, 9))
-    kind = draw(st.sampled_from(["lattice", "lattice_cut", "gaussian", "power"]))
+    kind = draw(st.sampled_from(kinds))
     if kind.startswith("lattice"):
         eps = draw(st.sampled_from([1.0, 0.5]))
         params = ModelParams(n_sites=n, epsilon=eps, macro_length=n * eps,
@@ -508,6 +508,101 @@ def test_mcmc_moves_keep_the_pinned_walk_and_area(case, seed, burn_in, thin):
         assert np.all(s == np.round(s))
     if truncation is not None:
         assert np.max(np.abs(_laps(s))) <= truncation * eps + 1e-9
+
+
+def _table_entries(coeffs, lap_max):
+    """(step, old laps) of each `_move_table` entry, decoded from its index."""
+    side, m = 2 * lap_max + 1, len(coeffs)
+    for code in range(2 * side ** m):
+        digits = np.unravel_index(code, (2,) + (side,) * m)
+        yield 2 * digits[0] - 1, np.array(digits[1:]) - lap_max
+
+
+@pytest.mark.parametrize("coeffs", [sampling._FLIP, sampling._SHIFT], ids=["flip", "shift"])
+@pytest.mark.parametrize("lap_max", [1, 2, 3])
+@pytest.mark.parametrize("pot, eps", [(GaussianPotential(1.0), 1.0),
+                                      (PowerLawPotential(1.0, 1.5), 0.5)],
+                         ids=["gaussian", "power"])
+def test_move_table_is_the_general_energy_change_bitwise(coeffs, lap_max, pot, eps):
+    # every entry is the general move's energy change of its one move, to the
+    # bit: the tabled lattice chain then makes every accept decision alike
+    energy = sampling._lap_energy(pot, eps, float(lap_max))
+    table = sampling._move_table(energy, eps, coeffs, lap_max)
+    assert table.shape == (2 * (2 * lap_max + 1) ** len(coeffs),)
+    for entry, (step, old) in zip(table, _table_entries(coeffs, lap_max)):
+        new = old + step * coeffs
+        general = sampling._energy_change(energy, eps, old[None], new[None])[0]
+        assert entry.tobytes() == general.tobytes()
+        assert np.isfinite(entry) == bool(np.all(np.abs(new) <= lap_max))
+
+
+@pytest.mark.parametrize("coeffs", [sampling._FLIP, sampling._SHIFT], ids=["flip", "shift"])
+def test_move_table_rejects_off_a_tabulated_grid_inside_the_cut(coeffs):
+    # the grid ends at |lap| = 2 inside the cut at 3: a move to a lap of 3
+    # is +inf, and a tuple holding a lap of 3, which no chain can occupy, is
+    # nan; neither accepts at any threshold
+    pot = TabulatedPotential(np.arange(-2.0, 3.0), np.array([3.0, 1.0, 0.0, 1.0, 3.0]))
+    energy = sampling._lap_energy(pot, 1.0, 3.0)
+    table = sampling._move_table(energy, 1.0, coeffs, 3)
+    for entry, (step, old) in zip(table, _table_entries(coeffs, 3)):
+        new = old + step * coeffs
+        if np.any(np.abs(old) > 2):
+            assert np.isnan(entry)
+        elif np.any(np.abs(new) > 2):
+            assert entry == np.inf
+        else:
+            general = sampling._energy_change(energy, 1.0, old[None], new[None])[0]
+            assert entry.tobytes() == general.tobytes()
+            continue
+        assert not entry < np.finfo(float).max
+
+
+def _tabled_and_general(params, pot, bc, settings, truncation):
+    """sample_bridge_mcmc's bytes, and how many tables it built, once as it
+    runs and once with the table cap at 0, which forces the general move."""
+    built = []
+    runs = []
+    with pytest.MonkeyPatch.context() as mp:
+        make = sampling._move_table
+        mp.setattr(sampling, "_move_table", lambda *a: built.append(a) or make(*a))
+        for cap in (sampling._MOVE_TABLE_CAP, 0):
+            mp.setattr(sampling, "_MOVE_TABLE_CAP", cap)
+            runs.append(sample_bridge_mcmc(params, pot, bc, settings,
+                                           truncation=truncation).tobytes())
+    return runs, len(built)
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=_mcmc_cases(kinds=("lattice_cut",)), seed=st.integers(0, 2**32),
+       burn_in=st.integers(0, 5), thin=st.integers(1, 2))
+def test_tabled_lattice_chain_is_the_general_chain(case, seed, burn_in, thin):
+    (tabled, general), _ = _tabled_and_general(*case[:3], ChainSettings(seed, 24, burn_in,
+                                                                         thin, 8), case[3])
+    assert tabled == general
+
+
+def test_tabled_lattice_chain_is_the_general_chain_at_the_unit_cut():
+    # the oracle's chain: N = 6 on the lattice, laps cut at 1
+    params = ModelParams(6, 1.0, 6.0, height_mode="discrete")
+    settings = ChainSettings(seed=5, n_samples=2000, burn_in=50, thin=2, n_chains=64)
+    (tabled, general), built = _tabled_and_general(params, GaussianPotential(1.0), ZERO_BC,
+                                                   settings, 1.0)
+    assert built == 2  # one table per move type, and only in the first run
+    assert tabled == general
+
+
+def test_lattice_chain_past_the_table_cap_takes_the_general_move():
+    # a cut at 20 needs 2 * 41^4 shift entries, over the cap: no table is
+    # built.  The potential is flat out to 30, so only the cut keeps the
+    # laps, the start's steepest of which sit on it, from going past 20
+    params = ModelParams(6, 1.0, 6.0, height_mode="discrete")
+    bc = BoundaryConditions(0.0, 0.0, 140.0)
+    assert np.max(np.abs(_laps(sampling._clamped_cubic_init(params, bc)))) == 20.0
+    flat = TabulatedPotential(np.array([-30.0, 30.0]), np.zeros(2))
+    settings = ChainSettings(seed=9, n_samples=512, burn_in=20, thin=1, n_chains=64)
+    (s, _), built = _tabled_and_general(params, flat, bc, settings, 20.0)
+    assert built == 0
+    assert np.max(np.abs(_laps(np.frombuffer(s).reshape(-1, 8)))) == 20.0
 
 
 def test_mcmc_default_width_moves_steep_power_law_chains():
