@@ -296,9 +296,7 @@ def _run_confine(args, run: _Run) -> None:
         params, pot, rhos, grad_cut=run.cfg["tube"]["grad_cut"], mesh=args.mesh,
         workers=args.workers)
     run.csv("confine.csv", ["rho", "F", "lambda_max", "states", "mesh_delta", "F_scaled"],
-            [(r.rho, r.free_energy, r.lam_norm, r.n_states, r.mesh_delta,
-              r.free_energy * r.rho ** (2.0 / 3.0) * params.macro_length ** (1.0 / 3.0))
-             for r in rows])
+            rows)
     fit = confinement.exponent_fit([r.rho for r in rows],
                                    [r.free_energy for r in rows])
     run.json("confine_fit.json", slope=fit.slope, intercept=fit.intercept,

@@ -30,6 +30,12 @@ the left Perron vector.  `power_iteration` returns the two-sided quotient
 <Pv, Tv> / <Pv, v>, second-order accurate in the iterate's error, and stops
 when its estimate |Tv - lam v|^2 / (lam <Pv, v>) reaches 1e-12, checked at
 steps predicted from the estimate's own decay rather than every step.
+
+`confinement_sweep` picks its meshes once and sizes every (rho, mesh) grid
+through one private builder before any solve; the builder also refuses a
+continuous mesh whose step law keeps one tap, a chain that never moves.
+Each `SweepRow` carries F and F_scaled = F rho^(2/3) c^(1/3); one
+operator's F is -log(power_iteration(op).lam_norm) / op.eps.
 """
 
 from __future__ import annotations
@@ -52,7 +58,6 @@ __all__ = [
     "tube_radius",
     "build_transfer",
     "power_iteration",
-    "free_energy",
     "survival_probability",
     "confinement_sweep",
     "exponent_fit",
@@ -102,8 +107,8 @@ def tube_radius(tube: TubeSpec, params: ModelParams, sigma2: float) -> float:
 class TransferOperator:
     """Restricted step kernel on the (height, gradient) grid.
 
-    The state value array has shape (2*n_h + 1, 2*n_g + 1); row i is height
-    delta*(i - n_h), column c is gradient delta*(c - n_g).  A step moves
+    The state value array has shape `shape` = (2*n_h + 1, 2*n_g + 1); row i
+    is height delta*(i - n_h), column c is gradient delta*(c - n_g).  A step moves
     (h, g) -> (h + g', g') with weight proportional to
     exp(-eps * Phi((g' - g)/eps)); landing outside the grid contributes
     nothing.  On the lattice the tap weights are the sampler's step
@@ -118,6 +123,8 @@ class TransferOperator:
         self.delta = float(delta)
         self.n_h = int(n_h)
         self.n_g = int(n_g)
+        self.shape = (2 * self.n_h + 1, 2 * self.n_g + 1)
+        self.n_states = self.shape[0] * self.shape[1]
         self.tap_offsets = np.asarray(tap_offsets, dtype=np.int64)
         self.tap_weights = np.asarray(tap_weights, dtype=np.float64)
         self.z1 = math.fsum(self.tap_weights)
@@ -127,7 +134,7 @@ class TransferOperator:
         # columns reads `width + span - 1` input columns through the same tile,
         # and the blocks at the edges read a slice of it
         lo, hi = int(self.tap_offsets.min()), int(self.tap_offsets.max())
-        span, nc = hi - lo + 1, 2 * self.n_g + 1
+        span, nc = hi - lo + 1, self.shape[1]
         width = min(nc, span)
         tile = np.zeros((width + span - 1, width))
         cols = np.arange(width)
@@ -142,10 +149,6 @@ class TransferOperator:
                 self._blocks.append((slice(a, b), slice(c0, c1),
                                      tile[i0:i0 + c1 - c0, :b - a]))
         self._rows = max(64, _SERIAL_GEMM // tile.size)
-
-    @property
-    def n_states(self) -> int:
-        return (2 * self.n_h + 1) * (2 * self.n_g + 1)
 
     def heights(self) -> np.ndarray:
         return self.delta * np.arange(-self.n_h, self.n_h + 1)
@@ -173,11 +176,10 @@ class TransferOperator:
         under 2^19 multiply-adds where they can, which OpenBLAS runs on one
         thread.  The result is a view into the padded buffer.
         """
-        nr, nc = 2 * self.n_h + 1, 2 * self.n_g + 1
-        if v.shape != (nr, nc):
-            raise ValueError(f"state vector must have shape {(nr, nc)}")
+        if v.shape != self.shape:
+            raise ValueError(f"state vector must have shape {self.shape}")
         sheared, result = self._sheared()
-        for r in range(0, nr, self._rows):
+        for r in range(0, self.shape[0], self._rows):
             rows = slice(r, r + self._rows)
             for out, src, tile in self._blocks:
                 sheared[rows, out] = v[rows, src] @ tile
@@ -190,7 +192,7 @@ class TransferOperator:
         column c of the view is row h + c - n_g of the array, and whatever
         lands in the padding has left the grid.
         """
-        nr, nc = 2 * self.n_h + 1, 2 * self.n_g + 1
+        nr, nc = self.shape
         buf = np.zeros((nr + 2 * self.n_g) * nc)
         item = buf.itemsize
         sheared = np.ndarray((nr, nc), buffer=buf, strides=(nc * item, (nc + 1) * item))
@@ -207,17 +209,11 @@ class TransferOperator:
         sheared[...] = v[:, ::-1]
         return out
 
-    def start_vector(self) -> np.ndarray:
-        """Unit mass at (h=0, g=0)."""
-        v = np.zeros((2 * self.n_h + 1, 2 * self.n_g + 1))
-        v[self.n_h, self.n_g] = 1.0
-        return v
-
     def dense(self) -> np.ndarray:
         """Explicit matrix on flattened states, for desk-scale checks only."""
         if self.n_states > _DENSE_CAP:
             raise ValueError(f"dense form capped at {_DENSE_CAP} states")
-        nr, nc = 2 * self.n_h + 1, 2 * self.n_g + 1
+        nr, nc = self.shape
         mat = np.zeros((nr * nc, nr * nc))
         rows = np.arange(nr)
         for c in range(nc):
@@ -241,55 +237,57 @@ def _support_truncation(support, eps: float) -> float:
     return k / eps
 
 
-def _step_grid(params: ModelParams, pot: Potential, support, mesh):
-    """Grid spacing, tap offsets and weights, and the increment variance.
+def _grid(params: ModelParams, pot: Potential, tube: TubeSpec,
+          support: Sequence[float] | None = None, mesh: float | None = None,
+          label: str = "") -> tuple:
+    """`TransferOperator`'s arguments for one tube and mesh.
 
-    The variance is `model.build_increment_dist`'s in both height modes;
-    on the lattice the taps are its offsets and probabilities too."""
+    The increment variance is `model.build_increment_dist`'s in both height
+    modes; on the lattice the taps are its offsets and probabilities too.
+    Refuses a continuous mesh so coarse that the step law keeps one tap, and
+    a grid over _STATE_CAP states, naming the tube, `label` (which of a
+    sweep's meshes) and the spacing.
+    """
     eps = params.epsilon
     if params.height_mode == "discrete":
         if mesh is not None and mesh != 1.0:
             raise ValueError("discrete mode runs on the integer lattice; mesh must be left unset")
         cut = None if support is None else _support_truncation(support, eps)
         dist = build_increment_dist(pot, params, cut)
-        return 1.0, np.rint(dist.values * eps), dist.probs, dist.sigma2
-    if support is not None:
-        raise ValueError("explicit support applies to discrete mode only")
-    sigma2 = build_increment_dist(pot, params).sigma2
-    delta = float(mesh) if mesh is not None else eps * math.sqrt(sigma2) / 40.0
-    if not (delta > 0 and math.isfinite(delta)):
-        raise ValueError("mesh spacing must be positive and finite")
-    offs, wts = _step_weights(pot, eps, delta)
-    return delta, offs, wts, sigma2
+        delta, offs, wts, sigma2 = 1.0, np.rint(dist.values * eps), dist.probs, dist.sigma2
+    else:
+        if support is not None:
+            raise ValueError("explicit support applies to discrete mode only")
+        sigma2 = build_increment_dist(pot, params).sigma2
+        delta = float(mesh) if mesh is not None else eps * math.sqrt(sigma2) / 40.0
+        if not (delta > 0 and math.isfinite(delta)):
+            raise ValueError("mesh spacing must be positive and finite")
+        offs, wts = _step_weights(pot, eps, delta)
+        if offs.size < 2:
+            raise ValueError(
+                f"mesh {delta:.4g} keeps only the zero step of the increment law; set "
+                f"--mesh well below eps * sqrt(sigma2) = {eps * math.sqrt(sigma2):.4g}"
+            )
 
-
-def _tube_grid(params: ModelParams, tube: TubeSpec, sigma2: float, delta: float):
-    """Radius, gradient scale, and the half-extents n_h, n_g."""
-    eps = params.epsilon
     radius = tube_radius(tube, params, sigma2)
     if radius <= 0 and params.height_mode != "discrete":
         raise ValueError("tube radius vanished; increase rho")
-
     # stationary gradient scale from the block length D = rho^(2/3) c^(1/3) / eps
     block = max(1.0, tube.rho ** (2.0 / 3.0) * params.macro_length ** (1.0 / 3.0) / eps)
     grad_scale = eps * math.sqrt(sigma2) * math.sqrt(block)
-    if tube.grad_cut is not None:
-        grad_cut = tube.grad_cut
-    else:
+    grad_cut = tube.grad_cut
+    if grad_cut is None:
         grad_cut = min(2.0 * radius, 8.0 * grad_scale) if radius > 0 else 8.0 * grad_scale
-
     n_h = int(math.floor(radius / delta + 1e-9))
     n_g = int(math.floor(grad_cut / delta + 1e-9))
-    return radius, grad_scale, n_h, n_g
-
-
-def _check_states(n_h: int, n_g: int, cap: int, where: str) -> None:
     n_states = (2 * n_h + 1) * (2 * n_g + 1)
-    if n_states > cap:
+    if n_states > _STATE_CAP:
         raise ValueError(
-            f"{where}: operator needs {n_states} states, above the cap {cap}; "
-            "coarsen the mesh (--mesh) or tighten grad_cut (--grad-cut)"
+            f"rho={tube.rho:g}, {label}mesh {delta:.4g}: operator needs {n_states} states, "
+            f"above the cap {_STATE_CAP}; coarsen the mesh (--mesh) or tighten grad_cut "
+            "(--grad-cut)"
         )
+    return eps, delta, n_h, n_g, offs, wts, radius, grad_scale
 
 
 def build_transfer(
@@ -308,11 +306,7 @@ def build_transfer(
     mesh sets the continuous grid spacing; the default puts 40 points per
     standard deviation of the single-step gradient change.
     """
-    delta, offs, wts, sigma2 = _step_grid(params, pot, support, mesh)
-    radius, grad_scale, n_h, n_g = _tube_grid(params, tube, sigma2, delta)
-    _check_states(n_h, n_g, _STATE_CAP, f"rho={tube.rho:g}, mesh {delta:.4g}")
-
-    return TransferOperator(params.epsilon, delta, n_h, n_g, offs, wts, radius, grad_scale)
+    return TransferOperator(*_grid(params, pot, tube, support, mesh))
 
 
 class PowerResult(NamedTuple):
@@ -432,11 +426,6 @@ def power_iteration(op: TransferOperator, *, start: np.ndarray | None = None) ->
     raise RuntimeError(f"power iteration did not converge in {_POWER_MAX_ITER} iterations")
 
 
-def free_energy(op: TransferOperator) -> float:
-    """Confinement rate per unit macroscopic length, -(1/eps) log(lambda/z1)."""
-    return -math.log(power_iteration(op).lam_norm) / op.eps
-
-
 def survival_probability(op: TransferOperator, n_sites: int) -> float:
     """P(sup_{1<=k<=N} |phi_k| <= R | phi_0 = phi_1 = 0) by exact path sum.
 
@@ -445,18 +434,24 @@ def survival_probability(op: TransferOperator, n_sites: int) -> float:
     """
     if n_sites < 1:
         raise ValueError("n_sites must be at least 1")
-    v = op.start_vector()
+    v = np.zeros(op.shape)
+    v[op.n_h, op.n_g] = 1.0  # unit mass at (h=0, g=0)
     for _ in range(n_sites - 1):
         v = op.matvec(v) / op.z1
     return float(v.sum())
 
 
 class SweepRow(NamedTuple):
+    """One rho of a sweep, in `confine.csv`'s column order: F, lambda and the
+    state count at the sweep's first mesh, |delta F| to its last, and
+    F_scaled = F rho^(2/3) c^(1/3)."""
+
     rho: float
     free_energy: float
     lam_norm: float
     n_states: int
     mesh_delta: float
+    f_scaled: float
 
 
 def _prolong(v: np.ndarray, coarse: TransferOperator, fine: TransferOperator) -> np.ndarray:
@@ -485,18 +480,18 @@ def _prolong(v: np.ndarray, coarse: TransferOperator, fine: TransferOperator) ->
 
 
 def _sweep_point(job) -> SweepRow:
-    params, pot, rho, grad_cut, mesh = job
-    tube = TubeSpec(rho, grad_cut)
-    op = build_transfer(params, pot, tube, mesh=mesh)
-    res = power_iteration(op)
-    f = -math.log(res.lam_norm) / op.eps
-    delta = 0.0
-    if params.height_mode == "continuous":
-        # the half-mesh check starts from this point's own eigenvector
-        fine = build_transfer(params, pot, tube, mesh=op.delta / 2.0)
-        lam = power_iteration(fine, start=_prolong(res.eigvec, op, fine)).lam_norm
-        delta = abs(-math.log(lam) / fine.eps - f)
-    return SweepRow(rho, f, res.lam_norm, op.n_states, delta)
+    """One tube solved at each of the sweep's meshes in turn, each solve
+    started from the one before's eigenvector prolonged to its grid."""
+    params, pot, tube, meshes = job
+    ops, sols = [], []
+    for mesh in meshes:
+        op = build_transfer(params, pot, tube, mesh=mesh)
+        start = _prolong(sols[-1].eigvec, ops[-1], op) if ops else None
+        ops.append(op)
+        sols.append(power_iteration(op, start=start))
+    f = [-math.log(sol.lam_norm) / op.eps for sol, op in zip(sols, ops)]
+    return SweepRow(tube.rho, f[0], sols[0].lam_norm, ops[0].n_states, abs(f[-1] - f[0]),
+                    f[0] * tube.rho ** (2.0 / 3.0) * params.macro_length ** (1.0 / 3.0))
 
 
 def confinement_sweep(
@@ -510,25 +505,22 @@ def confinement_sweep(
 ) -> list[SweepRow]:
     """Free energy across tube widths; rho points are independent jobs.
 
-    In continuous mode each point is recomputed at half the mesh, starting
-    from its own eigenvector prolonged to the finer grid, and mesh_delta
-    reports |delta F|; the lattice has no mesh to halve, so there
-    mesh_delta is 0.  Every operator, half-mesh ones included,
-    is sized against the state cap before the first point is solved.
-    Results are in input order and identical for any worker count.
+    The meshes are chosen once: the lattice's own, or in continuous mode
+    the requested mesh and half of it, where each point's second solve
+    starts from its first's eigenvector and mesh_delta reports |delta F|;
+    on the lattice mesh_delta is 0.  Every (rho, mesh) grid is sized
+    against the state cap, and its taps counted, before the first point is
+    solved.  Results are in input order and identical for any worker count.
     """
-    rhos = [float(r) for r in rhos]
-    if not rhos:
+    tubes = [TubeSpec(float(r), grad_cut) for r in rhos]
+    if not tubes:
         raise ValueError("need at least one rho")
-    delta, _, _, sigma2 = _step_grid(params, pot, None, mesh)
-    grids = [(delta, "")]
-    if params.height_mode == "continuous":
-        grids.append((delta / 2.0, "half-mesh check at "))
-    for r in rhos:
-        for d, label in grids:
-            n_h, n_g = _tube_grid(params, TubeSpec(r, grad_cut), sigma2, d)[2:]
-            _check_states(n_h, n_g, _STATE_CAP, f"rho={r:g}, {label}mesh {d:.4g}")
-    jobs = [(params, pot, r, grad_cut, mesh) for r in rhos]
+    delta = _grid(params, pot, tubes[0], mesh=mesh)[1]
+    meshes = [delta] if params.height_mode == "discrete" else [delta, delta / 2.0]
+    for tube in tubes:
+        for m, label in zip(meshes, ("", "half-mesh check at ")):
+            _grid(params, pot, tube, mesh=m, label=label)
+    jobs = [(params, pot, tube, meshes) for tube in tubes]
     return list(_pool_map(_sweep_point, jobs, workers))
 
 

@@ -90,7 +90,7 @@ def _draw_blocks(draw, settings: ChainSettings, params: ModelParams, units: int,
     jobs = ((np.random.default_rng(np.random.SeedSequence(settings.seed, spawn_key=(b,))),
              min(block, units - start)) for b, start in enumerate(range(0, units, block)))
     start = 0
-    for part in _pool_map(draw, jobs, workers) if workers > 1 else map(draw, jobs):
+    for part in _pool_map(draw, jobs, workers):
         out[start:start + len(part)] = part
         start += len(part)
     return out[: settings.n_samples]

@@ -640,6 +640,26 @@ def test_degenerate_lattice_law_fails_before_writing(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("potential, mesh", [({"kind": "gaussian"}, "1"),
+                                             ({"kind": "power", "alpha": 4.0}, "0.1")],
+                         ids=["gaussian", "alpha-4"])
+def test_one_tap_continuous_mesh_fails_before_solving(tmp_path, capsys, monkeypatch,
+                                                      potential, mesh):
+    # a mesh past the step law's reach (eps * sd = 0.1 and 0.018 here) keeps
+    # only the zero step, a chain that never moves: F = 0 at every rho
+    calls = []
+    monkeypatch.setattr(confinement, "power_iteration", lambda *a, **k: calls.append(a))
+    cfg = _write_config(tmp_path, {"potential": potential})
+    out = tmp_path / "out"
+    assert main(["confine", "--config", cfg, "--mesh", mesh, "--rho-min", "0.2",
+                 "--rho-max", "2", "--rho-steps", "5", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "keeps only the zero step" in err
+    assert "--mesh" in err and "eps * sqrt(sigma2)" in err
+    assert calls == []
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("truncation", ["-1", "0", "nan", "inf"])
 @pytest.mark.parametrize("command", [["sample"], ["bridge", "--method", "mcmc"]],
                          ids=["sample", "bridge-mcmc"])

@@ -15,7 +15,6 @@ from semiflex.confinement import (
     build_transfer,
     confinement_sweep,
     exponent_fit,
-    free_energy,
     power_iteration,
     survival_probability,
     tube_radius,
@@ -260,10 +259,14 @@ def test_support_must_be_a_symmetric_lattice_cut():
             build_transfer(params, ZERO_POT, TubeSpec(1.0), support=support)
 
 
+def _free_energy(op):
+    return -math.log(power_iteration(op).lam_norm) / op.eps
+
+
 def test_free_energy_positive_and_decreasing():
     params = _discrete_params(2000)
     pot = GaussianPotential(1.0)
-    fs = [free_energy(build_transfer(params, pot, TubeSpec(r))) for r in (0.3, 0.9, 2.7)]
+    fs = [_free_energy(build_transfer(params, pot, TubeSpec(r))) for r in (0.3, 0.9, 2.7)]
     assert all(f > 0 for f in fs)
     assert fs[0] > fs[1] > fs[2]
 
@@ -365,14 +368,32 @@ def test_build_transfer_mode_guards(monkeypatch):
         build_transfer(disc, ZERO_POT, TubeSpec(1.0), support=SUPPORT)
 
 
+def test_sweep_refuses_an_over_cap_half_mesh_at_its_last_rho(monkeypatch):
+    # a cap that every coarse grid and every half-mesh grid but the widest
+    # tube's fits: the sweep must refuse that last one before any solve
+    rhos = [0.02, 0.04, 0.08]
+    pot = GaussianPotential(1.0)
+    coarse = [build_transfer(CONT_N100, pot, TubeSpec(r), mesh=0.08) for r in rhos]
+    fine = [build_transfer(CONT_N100, pot, TubeSpec(r), mesh=0.04) for r in rhos]
+    cap = max(max(op.n_states for op in coarse), fine[-2].n_states)
+    assert fine[-1].n_states > cap
+    calls = []
+    monkeypatch.setattr(confinement, "_STATE_CAP", cap)
+    monkeypatch.setattr(confinement, "power_iteration", lambda *a, **k: calls.append(a))
+    with pytest.raises(ValueError, match=rf"rho=0\.08, half-mesh check at mesh 0\.04: "
+                                         rf"operator needs {fine[-1].n_states} states"):
+        confinement_sweep(CONT_N100, pot, rhos, mesh=0.08)
+    assert calls == []
+
+
 def test_continuous_transfer_mesh_refinement():
     # once the mesh resolves the step kernel (eps*sigma = 0.1 here), halving
     # it must barely move the free energy
     params = ModelParams(n_sites=100, epsilon=0.01, macro_length=1.0)
     pot = GaussianPotential(1.0)
     tube = TubeSpec(0.05)
-    f1 = free_energy(build_transfer(params, pot, tube, mesh=0.08))
-    f2 = free_energy(build_transfer(params, pot, tube, mesh=0.04))
+    f1 = _free_energy(build_transfer(params, pot, tube, mesh=0.08))
+    f2 = _free_energy(build_transfer(params, pot, tube, mesh=0.04))
     assert f2 == pytest.approx(f1, rel=0.02)
 
 
