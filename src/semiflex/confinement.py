@@ -9,9 +9,9 @@ eigenvalue, F = -(1/eps) * log(lambda / z1), with z1 the unconstrained
 single-step normalizer so that F -> 0 as the tube widens.
 
 Heights and gradients live on a shared uniform grid: the integer lattice in
-discrete mode, a mesh of spacing eps*sigma/40 (configurable) in continuous
-mode.  Gradients are truncated at min(2R, 8 * stationary gradient scale);
-|xi| <= 2R is implied by two in-tube heights, so the 2R cut is exact.
+discrete mode, in continuous mode a mesh of at most the step sd eps*sigma,
+half of it by default.  Gradients are cut at min(2R, 8 * stationary gradient
+scale); |xi| <= 2R is implied by two in-tube heights, so the 2R cut is exact.
 
 One step is a convolution along the gradient axis and a shear that moves
 gradient column c by c - n_g height rows.  `TransferOperator.matvec` does the
@@ -33,7 +33,7 @@ steps predicted from the estimate's own decay rather than every step.
 
 `confinement_sweep` picks its meshes once and sizes every (rho, mesh) grid
 through one private builder before any solve; the builder also refuses a
-continuous mesh whose step law keeps one tap, a chain that never moves.
+continuous mesh above eps*sigma, where the outer taps carry almost nothing.
 Each `SweepRow` carries F and F_scaled = F rho^(2/3) c^(1/3); one
 operator's F is -log(power_iteration(op).lam_norm) / op.eps.
 """
@@ -131,21 +131,26 @@ class TransferOperator:
         self.radius = float(radius)
         self.grad_scale = float(grad_scale)
         # T[c, c2] = w(c2 - c) is banded Toeplitz: every run of `width` output
-        # columns reads `width + span - 1` input columns through the same tile,
-        # and the blocks at the edges read a slice of it
-        lo, hi = int(self.tap_offsets.min()), int(self.tap_offsets.max())
-        span, nc = hi - lo + 1, self.shape[1]
-        width = min(nc, span)
-        tile = np.zeros((width + span - 1, width))
-        cols = np.arange(width)
-        for t, w in zip(self.tap_offsets, self.tap_weights):
-            tile[cols + hi - t, cols] = w
+        # columns reads `width + span - 1` input columns, span = hi - lo + 1,
+        # through the same tile, and the blocks at the edges read a slice of
+        # it.  A tap |t| >= nc joins no two columns; a span of nc or more is
+        # one block, whose tile is T itself, from the band's row `top` on
+        nc = self.shape[1]
+        near = np.abs(self.tap_offsets) < nc
+        offs, wts = self.tap_offsets[near], self.tap_weights[near]
+        lo, hi = (int(offs.min()), int(offs.max())) if offs.size else (0, 0)
+        width = min(nc, hi - lo + 1)
+        top, n_rows = (hi, nc) if width == nc else (0, 2 * width - 1)
+        # tile[i, j] = w(j - i + hi - top), read off the taps laid end to end
+        w_at = np.zeros(n_rows + width - 1)
+        w_at[offs - (hi - top - n_rows + 1)] = wts
+        tile = w_at[np.arange(width) - np.arange(n_rows)[:, None] + n_rows - 1]
         self._blocks = []
         for a in range(0, nc, width):
             b = min(a + width, nc)
             c0, c1 = max(0, a - hi), min(nc, b - lo)
             if c1 > c0:
-                i0 = c0 - (a - hi)
+                i0 = c0 - (a - hi) - top
                 self._blocks.append((slice(a, b), slice(c0, c1),
                                      tile[i0:i0 + c1 - c0, :b - a]))
         self._rows = max(64, _SERIAL_GEMM // tile.size)
@@ -171,10 +176,11 @@ class TransferOperator:
         of nonnegative products never turn a nonnegative v negative.
 
         Cost: at most nr*nc*(2*span - 1) multiply-adds, under twice the direct
-        sum when the taps fill the span, and a cached tile of (2*span - 1)*span
-        floats.  Rows go in chunks of at least 64 that keep one product
-        under 2^19 multiply-adds where they can, which OpenBLAS runs on one
-        thread.  The result is a view into the padded buffer.
+        sum when the taps fill the span, and a cached tile of at most
+        (2*span - 1)*span floats, span counting the taps shorter than nc.
+        Rows go in chunks of at least 64 that keep one product under 2^19
+        multiply-adds where they can, which OpenBLAS runs on one thread.  The
+        result is a view into the padded buffer.
         """
         if v.shape != self.shape:
             raise ValueError(f"state vector must have shape {self.shape}")
@@ -243,10 +249,11 @@ def _grid(params: ModelParams, pot: Potential, tube: TubeSpec,
     """`TransferOperator`'s arguments for one tube and mesh.
 
     The increment variance is `model.build_increment_dist`'s in both height
-    modes; on the lattice the taps are its offsets and probabilities too.
-    Refuses a continuous mesh so coarse that the step law keeps one tap, and
-    a grid over _STATE_CAP states, naming the tube, `label` (which of a
-    sweep's meshes) and the spacing.
+    modes; on the lattice the taps are its offsets and probabilities too.  A
+    continuous mesh is at most the step sd eps * sqrt(sigma2), up to the grid
+    floors' 1e-9 relative slack, and by default half of it: the law reaches
+    past one sd, so its taps -1, 0 and 1 stay.  Refuses any other mesh, and a
+    grid over _STATE_CAP states, naming the tube, `label` and the spacing.
     """
     eps = params.epsilon
     if params.height_mode == "discrete":
@@ -259,15 +266,12 @@ def _grid(params: ModelParams, pot: Potential, tube: TubeSpec,
         if support is not None:
             raise ValueError("explicit support applies to discrete mode only")
         sigma2 = build_increment_dist(pot, params).sigma2
-        delta = float(mesh) if mesh is not None else eps * math.sqrt(sigma2) / 40.0
-        if not (delta > 0 and math.isfinite(delta)):
-            raise ValueError("mesh spacing must be positive and finite")
+        sd = eps * math.sqrt(sigma2)
+        delta = sd / 2.0 if mesh is None else float(mesh)
+        if not 0 < delta <= sd * (1 + 1e-9):
+            raise ValueError(f"mesh {delta:.4g} must be positive and at most the step sd "
+                             f"eps * sqrt(sigma2) = {sd:.4g}; lower --mesh or leave it unset")
         offs, wts = _step_weights(pot, eps, delta)
-        if offs.size < 2:
-            raise ValueError(
-                f"mesh {delta:.4g} keeps only the zero step of the increment law; set "
-                f"--mesh well below eps * sqrt(sigma2) = {eps * math.sqrt(sigma2):.4g}"
-            )
 
     radius = tube_radius(tube, params, sigma2)
     if radius <= 0 and params.height_mode != "discrete":
@@ -303,8 +307,8 @@ def build_transfer(
     support, in discrete mode only, is the lattice cut (-k, ..., k) of the
     brute-force enumeration's truncated law, read as the truncation k/eps of
     `model.build_increment_dist`, whose law gives the taps either way.
-    mesh sets the continuous grid spacing; the default puts 40 points per
-    standard deviation of the single-step gradient change.
+    mesh sets the continuous grid spacing, at most the standard deviation
+    of the single-step gradient change and by default half of it.
     """
     return TransferOperator(*_grid(params, pot, tube, support, mesh))
 

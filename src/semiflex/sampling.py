@@ -352,7 +352,7 @@ def _mcmc_block(params, pot, bc, settings, truncation, dist, n_per_chain, job):
         return accept
 
     sweeps = settings.burn_in + n_per_chain * settings.thin
-    snaps = np.empty((n_chains, n_per_chain, n))  # chain-major laps
+    phi = np.empty((n_chains, n_per_chain, n + 2))  # chain-major heights
     acc_count, acc_tries = 0, 0
     sel = None
     for sweep in range(1, sweeps + 1):
@@ -382,17 +382,11 @@ def _mcmc_block(params, pot, bc, settings, truncation, dist, n_per_chain, job):
             acc_count, acc_tries = 0, 0
         since = sweep - settings.burn_in
         if not tuning and since % settings.thin == 0:
-            snaps[:, since // settings.thin - 1] = laps.reshape(n_chains, n)
-    # heights in row blocks, so that beside the snapshots and the output
-    # matrix the change of variables holds only one block of temporaries
-    rows = snaps.reshape(-1, n)
-    phi = np.empty((len(rows), n + 2))
-    for lo in range(0, len(rows), _IID_BLOCK):
-        phi[lo:lo + _IID_BLOCK] = _heights(bc.xi_left, rows[lo:lo + _IID_BLOCK], 1.0)
+            phi[:, since // settings.thin - 1] = _heights(bc.xi_left, laps.reshape(-1, n), 1.0)
     # the pinned far end, exactly rather than as a sum of laps
-    phi[:, n] = bc.endpoint + bc.xi_right
-    phi[:, n + 1] = bc.endpoint
-    return phi
+    phi[..., n] = bc.endpoint + bc.xi_right
+    phi[..., n + 1] = bc.endpoint
+    return phi.reshape(-1, n + 2)
 
 
 def sample_bridge_mcmc(

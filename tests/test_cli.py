@@ -596,18 +596,17 @@ def test_confine_scaled_free_energy_column(tmp_path):
     assert_allclose(scaled, 0.69522, rtol=0.01)
 
 
-def test_confine_default_config_fails_before_solving(tmp_path, capsys, monkeypatch):
-    # the half-mesh operator of the first rho is over the state cap; the sweep
-    # must say so up front instead of after a long power iteration
-    calls = []
-    monkeypatch.setattr(confinement, "power_iteration", lambda *a, **k: calls.append(a))
-    assert main(["confine", "--out", str(tmp_path)]) == 1
-    err = capsys.readouterr().err
-    assert "rho=0.02, half-mesh check" in err
-    assert "11123475 states, above the cap 4000000" in err
-    assert "--mesh" in err
-    assert calls == []
-    assert not (tmp_path / "confine.csv").exists()
+def test_confine_default_config_writes_the_tube_law(tmp_path):
+    # the default mesh, half the step sd, resolves every rho of the default
+    # sweep: F falls as rho^(-2/3) and the half-mesh check moves it under 2%
+    assert main(["confine", "--out", str(tmp_path)]) == 0
+    header, values = _read_table(tmp_path / "confine.csv")
+    f, mesh_delta = values[:, header.index("F")], values[:, header.index("mesh_delta")]
+    assert len(values) == 8
+    assert np.all(np.diff(f) < 0)
+    assert np.max(mesh_delta / f) <= 0.02
+    fit = json.loads((tmp_path / "confine_fit.json").read_text())
+    assert -0.77 <= fit["slope"] <= -0.57
 
 
 @pytest.mark.parametrize("flags, reason", [
@@ -641,12 +640,14 @@ def test_degenerate_lattice_law_fails_before_writing(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("potential, mesh", [({"kind": "gaussian"}, "1"),
+                                             ({"kind": "gaussian"}, "0.5"),
                                              ({"kind": "power", "alpha": 4.0}, "0.1")],
-                         ids=["gaussian", "alpha-4"])
+                         ids=["gaussian", "gaussian-three-taps", "alpha-4"])
 def test_one_tap_continuous_mesh_fails_before_solving(tmp_path, capsys, monkeypatch,
                                                       potential, mesh):
-    # a mesh past the step law's reach (eps * sd = 0.1 and 0.018 here) keeps
-    # only the zero step, a chain that never moves: F = 0 at every rho
+    # a mesh above the step sd (eps * sd = 0.1 and 0.018 here) keeps the zero
+    # step alone, or outer steps of weight 4e-6 at mesh 0.5, where F came out
+    # 7.45e-4 at every rho; it is refused before any solve
     calls = []
     monkeypatch.setattr(confinement, "power_iteration", lambda *a, **k: calls.append(a))
     cfg = _write_config(tmp_path, {"potential": potential})
@@ -654,7 +655,7 @@ def test_one_tap_continuous_mesh_fails_before_solving(tmp_path, capsys, monkeypa
     assert main(["confine", "--config", cfg, "--mesh", mesh, "--rho-min", "0.2",
                  "--rho-max", "2", "--rho-steps", "5", "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert "keeps only the zero step" in err
+    assert f"mesh {float(mesh):g} must be positive and at most the step sd" in err
     assert "--mesh" in err and "eps * sqrt(sigma2)" in err
     assert calls == []
     assert not out.exists()
@@ -749,7 +750,7 @@ _FLOAT_FLAGS = [
     (["qmatrix", "--times", "0.5"], ["--times"]),
     (["exact-gauss"], ["--xi-left", "--xi-right"]),
     (["profile", "--points", "5"], ["--xi-left", "--xi-right", "--slope"]),
-    (["confine", "--rho-min", "0.05", "--rho-max", "0.5", "--rho-steps", "5", "--mesh", "0.5"],
+    (["confine", "--rho-min", "0.05", "--rho-max", "0.5", "--rho-steps", "5", "--mesh", "0.3"],
      ["--rho-min", "--rho-max", "--mesh", "--grad-cut"]),
     (["continuum-check", "--eps", "0.1"], ["--eps"]),
 ]

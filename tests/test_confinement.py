@@ -110,7 +110,7 @@ CONT_N100 = ModelParams(n_sites=100, epsilon=0.01, macro_length=1.0)
 
 @pytest.mark.parametrize("params, pot, rho, mesh", [
     (CONT_N100, GaussianPotential(1.0), 0.02, 0.1),
-    (CONT_N100, PowerLawPotential(1.0, 1.5), 0.02, 0.2),
+    (CONT_N100, PowerLawPotential(1.0, 1.5), 0.02, 0.18),
     (DISC_N2000, GaussianPotential(1.0), 0.3, None),
     (DISC_N2000, PowerLawPotential(1.0, 1.5), 0.3, None),
 ])
@@ -184,13 +184,13 @@ def _lattice_op(taps, kappa=1.0, n_h=2, n_g=3):
 
 LATTICE_OPS = st.builds(_lattice_op, st.sets(st.integers(-3, 3), min_size=2).map(sorted),
                         st.floats(0.1, 3.0), st.integers(0, 4), st.integers(0, 6))
-# 11 to 37 taps on at most 61 x 31 states; a small grad_cut leaves fewer
-# gradient columns than taps
+# 19 to 37 taps on at most 61 x 31 states, meshes under the step sd
+# eps * sd >= 0.141; a small grad_cut leaves fewer gradient columns than taps
 CONT_PARAMS = ModelParams(n_sites=25, epsilon=0.04, macro_length=1.0)
 CONTINUOUS_OPS = st.builds(build_transfer, st.just(CONT_PARAMS),
                            st.floats(1.0, 2.0).map(GaussianPotential),
                            st.builds(TubeSpec, st.floats(0.03, 0.12), st.floats(0.1, 1.5)),
-                           mesh=st.floats(0.1, 0.25))
+                           mesh=st.floats(0.1, 0.14))
 
 
 def _continuous_op(tube, mesh):
@@ -208,7 +208,13 @@ def _continuous_op(tube, mesh):
 @example(op=_continuous_op(TubeSpec(0.03, 6.0), 0.1), seed=0)
 # 183 taps over 31 gradient columns, 101 height rows in two row chunks
 @example(op=_continuous_op(TubeSpec(0.04, 0.3), 0.02), seed=0)
+# 365 taps over 3 gradient columns
+@example(op=_continuous_op(TubeSpec(0.05, 0.01), 0.01), seed=0)
 def test_matvec_agrees_with_dense(op, seed):
+    # a tap |t| >= nc joins no two of the nc gradient columns, so the tile
+    # holds at most 2 nc - 1 rows however far the law reaches
+    nc = 2 * op.n_g + 1
+    assert all(tile.base.shape[0] <= 2 * nc - 1 for _, _, tile in op._blocks)
     v = np.random.default_rng(seed).normal(size=(2 * op.n_h + 1, 2 * op.n_g + 1))
     # each output sums at most 183 products w * v with weights w <= 1
     assert_allclose(op.matvec(v).ravel(), op.dense() @ v.ravel(), rtol=0,
@@ -220,6 +226,22 @@ def test_matvec_agrees_with_dense(op, seed):
     off_grid = (rows < 0) | (rows > 2 * op.n_h)
     assert np.all(out >= 0)
     assert np.all(out[off_grid] == 0)
+
+
+@pytest.mark.parametrize("pot", [GaussianPotential(1.0), PowerLawPotential(1.0, 1.5),
+                                 PowerLawPotential(2.0, 4.0)],
+                         ids=["gaussian", "alpha-1.5", "alpha-4"])
+def test_continuous_mesh_is_at_most_the_step_sd(pot):
+    # a mesh of one step sd, within the grid floors' slack, keeps taps -1..1;
+    # past the slack it is refused, and the default is half the sd
+    sd = CONT_N100.epsilon * math.sqrt(build_increment_dist(pot, CONT_N100).sigma2)
+    tube = TubeSpec(0.2)
+    op = build_transfer(CONT_N100, pot, tube, mesh=sd * (1 + 1e-10))
+    assert {-1, 0, 1} <= set(op.tap_offsets.tolist())
+    assert build_transfer(CONT_N100, pot, tube).delta == sd / 2.0
+    for mesh in (sd * (1 + 1e-8), 0.0, -sd, math.inf, math.nan):
+        with pytest.raises(ValueError, match=r"at most the step sd eps \* sqrt\(sigma2\)"):
+            build_transfer(CONT_N100, pot, tube, mesh=mesh)
 
 
 @settings(max_examples=60, deadline=None)
