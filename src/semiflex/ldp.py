@@ -14,15 +14,15 @@ is off an adaptive-quadrature profile by 3e-13, 1e-5, 3e-4 and 3e-3.
 Supported potentials: the Gaussian, whose limit law is the standard normal,
 and the power law kappa |x|^alpha with alpha >= 1, one unit law rescaled to
 each step and to the limit (see `limit_log_mgf`).  The power law goes through
-one tilted-moment kernel.  At each tilt h it takes the peak of
-exp(-eps Phi(x) + h x) in closed form, sizes the width and the window where
-the exponent has fallen by 60 by halving and doubling, and evaluates the
-integrand once, as one array, on model's tanh-sinh rule, in pieces that end
-at the window ends, the peak and the kink of |x|^alpha at x = 0.  log Z, the mean
-and the variance come from those nodes and are cached per tilt, so value, d1
-and d2 at one tilt cost one evaluation.  The tests hold the kernel to
-adaptive quadrature within 1e-8 relative for alpha in {1, 1.25, 1.5, 2, 4}
-and to the Gaussian closed forms within 1e-12 at alpha = 2.  A table
+one tilted-moment kernel on a whole array of tilts h (a node set, say).  It
+takes the peaks of exp(-eps Phi(x) + h x) in closed form, sizes widths and
+windows (where the exponent has fallen by 60) in masked halving and doubling
+loops over the tilts still searching, and evaluates the integrands on model's
+tanh-sinh rule, in pieces that end at the window ends, the peak and the kink
+of |x|^alpha at x = 0, as one array per piece count.  The tests hold it to
+adaptive quadrature within 1e-8 relative for alpha in {1, 1.25, 1.5, 2, 4},
+to the one-tilt kernel it replaced within 1e-13, and to the Gaussian closed
+forms within 1e-12 at alpha = 2.  A table
 potential is rejected: it is a hard wall (+inf) past its grid, so its tilted
 law has neither the closed-form peak nor the one rescaled unit law that the
 kernel and the limit rely on.
@@ -30,7 +30,6 @@ kernel and the limit rely on.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -84,12 +83,13 @@ _TAIL = -60.0
 
 @dataclass(frozen=True)
 class LogMgf:
-    """Log moment generating function with first two derivatives and the
-    largest usable tilt h_max (open domain bound, 1% safety margin applied)."""
+    """Log moment generating function with first two derivatives, each taking
+    a float or an array of tilts alike, and the largest usable tilt h_max
+    (open domain bound, 1% safety margin applied)."""
 
-    value: Callable[[float], float]
-    d1: Callable[[float], float]
-    d2: Callable[[float], float]
+    value: Callable[[float | np.ndarray], float | np.ndarray]
+    d1: Callable[[float | np.ndarray], float | np.ndarray]
+    d2: Callable[[float | np.ndarray], float | np.ndarray]
     h_max: float
 
     def check(self, h) -> None:
@@ -104,73 +104,101 @@ class LogMgf:
 
 def _tilted_log_mgf(pot: Potential, eps: float) -> LogMgf:
     """Tilted integrals of exp(-eps*Phi(x) + h x) for Phi = kappa |x|^alpha,
-    on the tanh-sinh rule of `model._tanh_sinh_pieces`."""
+    on the tanh-sinh rule of `model._tanh_sinh_pieces`, at arrays of tilts h."""
     if not isinstance(pot, PowerLawPotential):
         raise ValueError(
             "the log-MGF needs a power law finite on the whole line (a table potential "
             f"is +inf past its grid ends), got {type(pot).__name__}; use potential kind "
             "'gaussian' or 'power'")
 
-    @functools.lru_cache(maxsize=256)
-    def _moments(h: float):
+    last = [(None, None)]  # the last distinct tilts' bytes and moments, swapped whole
+
+    def _moments(h: np.ndarray) -> np.ndarray:
         # the tilted integrand is a single bump (Phi is convex and even) that
         # peaks where g' = 0, at x0 = sign(h) (|h| / (eps kappa alpha))^(1/(alpha-1)),
         # or at the kink x0 = 0 when alpha = 1; for large h or small eps it
         # sits far from the origin and is narrow, so integrate in a
         # peak-centered, width-scaled variable and keep the exponent shift out of exp
-        def g(x):
-            return -eps * pot(x) + h * x
-
-        if pot.alpha == 1.0 and abs(h) >= eps * pot.kappa:
-            raise ValueError(f"tilted normalizer diverges at h={h}")
-        try:
-            x0 = 0.0 if pot.alpha == 1.0 else math.copysign(
-                (abs(h) / (eps * pot.kappa * pot.alpha)) ** (1.0 / (pot.alpha - 1.0)), h)
-        except OverflowError:  # far past the precision guard below
-            x0 = math.inf
-        # the terms of g near the peak are of size |h x0|; up to 2^26 their
-        # rounding (2^-27 absolute) keeps exp within the kernel's 1e-8 tolerance
-        if not abs(h * x0) <= 2.0**26:
+        with np.errstate(over="ignore", invalid="ignore"):  # far past the guard below
+            x0 = np.zeros_like(h) if pot.alpha == 1.0 else np.copysign(
+                (np.abs(h) / (eps * pot.kappa * pot.alpha)) ** (1.0 / (pot.alpha - 1.0)), h)
+            diverges = (pot.alpha == 1.0) & (np.abs(h) >= eps * pot.kappa)
+            # the terms of g near the peak are of size |h x0|; up to 2^26 their
+            # rounding (2^-27 absolute) keeps exp within the kernel's 1e-8 tolerance
+            bad = diverges | ~(np.abs(h * x0) <= 2.0**26)
+        if bad.any():  # name the first bad tilt
+            i = int(np.argmax(bad))
+            if diverges[i]:
+                raise ValueError(f"tilted normalizer diverges at h={float(h[i])}")
             raise ValueError(
-                f"the tilted exponent (peak {h * x0 * (1.0 - 1.0 / pot.alpha):.3g}) exceeds "
-                f"float64 precision at h={h}; the integral is finite but cannot be "
-                "evaluated there")
-        shift = float(g(x0))
+                f"the tilted exponent (peak {h[i] * x0[i] * (1.0 - 1.0 / pot.alpha):.3g}) "
+                f"exceeds float64 precision at h={float(h[i])}; the integral is finite "
+                "but cannot be evaluated there")
+        # each distinct tilt once (the solver's first node set, at zero tilt,
+        # is one); value, d1 and d2 at the last tilts share one evaluation, as
+        # do the rate and the profile at the solver's final nodes
+        h, first, back = np.unique(h, return_index=True, return_inverse=True)
+        key, moments = last[0]
+        if h.tobytes() == key:
+            return moments[:, back]
+        x0 = x0[first]
+        shift = -eps * pot(x0) + h * x0
+
+        def fall(i, offset):  # g - shift at tilts h[i], x = x0[i] + offset (a row each)
+            x = x0[i, None] + offset
+            return -eps * pot(x) + h[i, None] * x - shift[i, None]
+
+        def scan(scale, factor, holds):  # scale[k] *= factor while holds(k, scale[k])
+            live = np.arange(scale.size)
+            while live.size:
+                live = live[holds(live, scale[live])]
+                scale[live] *= factor
+            return scale
+
         # width = scale over which the exponent drops by about 1/2 .. 10
-        d = 1.0
-        while min(g(x0 + d), g(x0 - d)) - shift < -10.0 and d > 1e-12:
-            d *= 0.5
-        while max(g(x0 + d), g(x0 - d)) - shift > -0.1 and d < 2.0**60:
-            d *= 2.0
-
+        both = np.array([1.0, -1.0])
+        d = scan(np.ones(h.size), 0.5, lambda i, d: (
+            fall(i, d[:, None] * both).min(axis=1) < -10.0) & (d > 1e-12))
+        d = scan(d, 2.0, lambda i, d: (
+            fall(i, d[:, None] * both).max(axis=1) > -0.1) & (d < 2.0**60))
         # the window ends where the exponent has dropped below _TAIL on both
-        # sides; the integrand is smooth on each piece between the window
-        # ends, the peak (u = 0) and the kink of |x|^alpha at x = 0
-        left = right = 1.0
-        while g(x0 - left * d) - shift > _TAIL:
-            left *= 2.0
-        while g(x0 + right * d) - shift > _TAIL:
-            right *= 2.0
+        # sides: reach[2 i] is tilt i's right end, reach[2 i + 1] its left
+        reach = scan(np.ones(2 * h.size), 2.0, lambda k, r: fall(
+            k // 2, (both[k % 2] * (r * d[k // 2]))[:, None])[:, 0] > _TAIL)
+        right, left = reach[0::2], reach[1::2]
+        # the integrand is smooth on each piece between the window ends, the
+        # peak (u = 0) and the kink of |x|^alpha at x = 0; tilts whose kink
+        # lies inside the window, off the peak, take three pieces, the rest two
         kink = -x0 / d
-        cuts = sorted({-left, 0.0, right} | ({kink} if -left < kink < right else set()))
-        u, w = _tanh_sinh_pieces(np.array(cuts))
-        w = w * np.exp(g(x0 + u * d) - shift)
-        # centered u-moments keep every sum O(1); the raw second moment at
-        # x0 ~ h/eps would lose the variance to cancellation
-        z = float(np.sum(w))
-        u1 = float(np.dot(w, u)) / z
-        var = float(np.dot(w, np.square(u - u1))) / z
-        return math.log(z * d) + shift, x0 + d * u1, d * d * var
+        inside = (-left < kink) & (kink < right) & (kink != 0.0)
+        out = np.empty((3, h.size))
+        for rows, cuts in ((inside, (-left, np.minimum(kink, 0.0), np.maximum(kink, 0.0), right)),
+                           (~inside, (-left, np.zeros(h.size), right))):
+            i = np.flatnonzero(rows)
+            if not i.size:
+                continue
+            u, w = _tanh_sinh_pieces(np.stack(cuts, axis=1)[i])
+            w = w * np.exp(fall(i, u * d[i, None]))
+            # centered u-moments keep every sum O(1); the raw second moment at
+            # x0 ~ h/eps would lose the variance to cancellation
+            z = w.sum(axis=1)
+            u1 = (w * u).sum(axis=1) / z
+            var = (w * np.square(u - u1[:, None])).sum(axis=1) / z
+            out[:, i] = np.log(z * d[i]) + shift[i], x0[i] + d[i] * u1, d[i] * d[i] * var
+        last[0] = h.tobytes(), out
+        return out[:, back]
 
-    logz0 = _moments(0.0)[0]
+    def at(h, k):
+        h = np.asarray(h, dtype=float)
+        out = _moments(h.ravel())[k].reshape(h.shape)
+        return float(out) if out.ndim == 0 else out
+
+    logz0 = at(0.0, 0)
     # exp(-eps kappa |x|^alpha + h x) is integrable for every h when alpha > 1
     # and for |h| < eps kappa when alpha = 1; 1% margin on the finite bound
     h_max = math.inf if pot.alpha > 1 else 0.99 * eps * pot.kappa
-    # value, d1 and d2 at one tilt share one cached evaluation; float() keys
-    # numpy scalars and Python floats alike
-    return LogMgf(value=lambda h: _moments(float(h))[0] - logz0,
-                  d1=lambda h: _moments(float(h))[1],
-                  d2=lambda h: _moments(float(h))[2], h_max=h_max)
+    return LogMgf(value=lambda h: at(h, 0) - logz0, d1=lambda h: at(h, 1),
+                  d2=lambda h: at(h, 2), h_max=h_max)
 
 
 def _scaled(mgf: LogMgf, s: float) -> LogMgf:
@@ -180,7 +208,8 @@ def _scaled(mgf: LogMgf, s: float) -> LogMgf:
 
 
 # the Gaussian potential's unit law: the standard normal
-_STANDARD = LogMgf(value=lambda h: 0.5 * h * h, d1=lambda h: h, d2=lambda h: 1.0,
+_STANDARD = LogMgf(value=lambda h: 0.5 * h * h, d1=lambda h: h,
+                   d2=lambda h: 1.0 if np.ndim(h) == 0 else np.ones(np.shape(h)),
                    h_max=math.inf)
 
 
@@ -220,16 +249,16 @@ def _tilt_nodes(u: float, v: float, mgf: LogMgf) -> np.ndarray:
 
 def l_infinity(u: float, v: float, mgf: LogMgf) -> float:
     """Integral over [0,1] of L(u + (1-x) v) dx = L(u + y v) dy."""
-    return float(np.dot(_W01, [mgf.value(a) for a in _tilt_nodes(u, v, mgf)]))
+    return float(np.dot(_W01, mgf.value(_tilt_nodes(u, v, mgf))))
 
 
 def _tilt_residual(u, v, mgf, c, xi_left, xi_right, slope):
     y = _X01
     args = _tilt_nodes(u, v, mgf)
-    d1 = np.array([mgf.d1(a) for a in args])
+    d1 = mgf.d1(args)
     r1 = float(np.dot(_W01, d1)) + (xi_right + xi_left) / c
     r2 = float(np.dot(_W01, y * d1)) + (xi_left - slope) / c
-    d2 = np.array([mgf.d2(a) for a in args])
+    d2 = mgf.d2(args)
     j11 = float(np.dot(_W01, d2))
     j12 = float(np.dot(_W01, y * d2))
     j22 = float(np.dot(_W01, y * y * d2))
@@ -333,7 +362,7 @@ def mean_profile(t, xi_left: float, xi_right: float, slope: float, c: float,
     t_arr = np.asarray(t, dtype=float)
     if not np.all((t_arr >= 0) & (t_arr <= 1)):
         raise ValueError("profile times must lie in [0, 1]")
-    d1 = [mgf.d1(a) for a in _tilt_nodes(sol.u_star, sol.v_star, mgf)]
+    d1 = mgf.d1(_tilt_nodes(sol.u_star, sol.v_star, mgf))
     # on s = 2x - 1 the nodes x = 1 - y sit at -_GL_NODES, and dx = ds / 2;
     # minus the series' own value at x = 0, the profile there is 0 exactly
     series = legendre.legint(legendre.legfit(-_GL_NODES, d1, _GL_NODES.size - 1),

@@ -237,11 +237,12 @@ _TS_FROM_LEFT, _TS_OFFSET, _TS_WEIGHT = _tanh_sinh(1.0 / 32.0, 3.2)
 
 
 def _tanh_sinh_pieces(ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the tanh-sinh rule on each piece [ends[i], ends[i+1]],
-    for the untilted step law here and the tilted one in `ldp`."""
-    width = np.diff(ends)[:, None]
-    nodes = (np.where(_TS_FROM_LEFT, ends[:-1, None], ends[1:, None]) + width * _TS_OFFSET).ravel()
-    return nodes, (width * _TS_WEIGHT).ravel()
+    """Nodes and weights of the tanh-sinh rule on each piece [ends[..., i], ends[..., i+1]],
+    joined on the last axis: for the untilted step law here, per tilt in `ldp`."""
+    width = np.diff(ends)[..., None]
+    nodes = np.where(_TS_FROM_LEFT, ends[..., :-1, None], ends[..., 1:, None]) + width * _TS_OFFSET
+    shape = ends.shape[:-1] + (-1,)
+    return nodes.reshape(shape), (width * _TS_WEIGHT).reshape(shape)
 
 
 @dataclass(frozen=True)
