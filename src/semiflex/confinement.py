@@ -33,7 +33,9 @@ steps predicted from the estimate's own decay rather than every step.
 
 `confinement_sweep` picks its meshes once and sizes every (rho, mesh) grid
 through one private builder before any solve; the builder also refuses a
-continuous mesh above eps*sigma, where the outer taps carry almost nothing.
+continuous mesh above eps*sigma, where the outer taps carry almost nothing,
+and a continuous tube radius R below one mesh cell, whose grid has no height
+row but 0 and so cannot see the tube.
 Each `SweepRow` carries F and F_scaled = F rho^(2/3) c^(1/3); one
 operator's F is -log(power_iteration(op).lam_norm) / op.eps.
 """
@@ -252,8 +254,10 @@ def _grid(params: ModelParams, pot: Potential, tube: TubeSpec,
     modes; on the lattice the taps are its offsets and probabilities too.  A
     continuous mesh is at most the step sd eps * sqrt(sigma2), up to the grid
     floors' 1e-9 relative slack, and by default half of it: the law reaches
-    past one sd, so its taps -1, 0 and 1 stay.  Refuses any other mesh, and a
-    grid over _STATE_CAP states, naming the tube, `label` and the spacing.
+    past one sd, so its taps -1, 0 and 1 stay.  Refuses any other mesh, a
+    continuous tube narrower than one mesh cell (no height row but 0, so the
+    grid cannot see the tube), and a grid over _STATE_CAP states, naming the
+    tube, `label` and the spacing.
     """
     eps = params.epsilon
     if params.height_mode == "discrete":
@@ -274,15 +278,19 @@ def _grid(params: ModelParams, pot: Potential, tube: TubeSpec,
         offs, wts = _step_weights(pot, eps, delta)
 
     radius = tube_radius(tube, params, sigma2)
-    if radius <= 0 and params.height_mode != "discrete":
-        raise ValueError("tube radius vanished; increase rho")
+    n_h = int(math.floor(radius / delta + 1e-9))
+    if n_h < 1 and params.height_mode != "discrete":
+        raise ValueError(
+            f"rho={tube.rho:g}, {label}mesh {delta:.4g}: tube radius R = {radius:.4g} is "
+            "narrower than one mesh cell, so the grid has no height row but 0; raise "
+            "--rho-min, or set --mesh below R"
+        )
     # stationary gradient scale from the block length D = rho^(2/3) c^(1/3) / eps
     block = max(1.0, tube.rho ** (2.0 / 3.0) * params.macro_length ** (1.0 / 3.0) / eps)
     grad_scale = eps * math.sqrt(sigma2) * math.sqrt(block)
     grad_cut = tube.grad_cut
     if grad_cut is None:
         grad_cut = min(2.0 * radius, 8.0 * grad_scale) if radius > 0 else 8.0 * grad_scale
-    n_h = int(math.floor(radius / delta + 1e-9))
     n_g = int(math.floor(grad_cut / delta + 1e-9))
     n_states = (2 * n_h + 1) * (2 * n_g + 1)
     if n_states > _STATE_CAP:

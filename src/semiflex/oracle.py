@@ -2,10 +2,11 @@
 paths are checked against them.
 
 The reference is deliberately independent of the fast paths:
-`enumerate_configs` (with `_heights_from_laps`) sums over every increment
-tuple with compensated summation, using only `model`'s parameters and
-potentials, and `gaussian_functional_density` / `mapped_boundary_density`
-evaluate the endpoint density straight from the walk/area covariance.
+`enumerate_configs` (with `_heights_from_laps`) builds every increment
+tuple in one pass, at most 2^18 of them, and takes exactly rounded sums
+(math.fsum) over them, using only `model`'s parameters and potentials;
+`gaussian_functional_density` / `mapped_boundary_density` evaluate the
+endpoint density straight from the walk/area covariance.
 `path_sum_check`, `bridge_marginal_check` and the `oracle-check` sweep
 `cross_check_sweep` run a fast path and the reference on the same event;
 only they call into `confinement` and `sampling`.
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -36,8 +36,8 @@ __all__ = [
     "cross_check_sweep",
 ]
 
-_MAX_TUPLES = 100_000_000
-_CHUNK = 262_144
+# the most tuples one pass holds: 2^18 rows of N laps, heights and weights
+_MAX_TUPLES = 2 ** 18
 
 
 @dataclass(frozen=True)
@@ -88,60 +88,41 @@ def enumerate_configs(
     event: Callable[[np.ndarray], np.ndarray] | None = None,
     statistic: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> EnumerationResult:
-    """Exact sums over every increment tuple.
+    """Exact sums over every increment tuple, in one pass.
 
-    `event` and `statistic` receive a (chunk, N+2) height matrix.  `event`
-    returns a boolean per row; `statistic` a float per row, or a (rows, k)
-    matrix for k statistics from one pass, each column summed exactly as a
-    scalar statistic would be.  Sums are accumulated with math.fsum so the
-    result does not depend on chunking.
+    The k^N lap tuples are built at once, as the rows that
+    `itertools.product(support, repeat=N)` yields and in the same order;
+    `_MAX_TUPLES` keeps them to one array.  `event` and `statistic` receive
+    the (k^N, N+2) height matrix.  `event` returns a boolean per row;
+    `statistic` a float per row, or a (rows, k) matrix for k statistics from
+    one pass, each column summed exactly as a scalar statistic would be.
+    The partition sum, the event mass and each statistic column are one
+    math.fsum over all tuples, so each is exactly rounded.
     """
     n = spec.params.n_sites
     eps = spec.params.epsilon
     support = np.asarray(spec.support, dtype=float)
     k = support.size
-
-    z_parts, ev_parts, st_parts = [], [], []
-    vector = False
-    # enumerate lap tuples in lexicographic chunks
-    total = k ** n
-    n_outer = max(1, math.ceil(total / _CHUNK))
-    outer_digits = max(0, math.ceil(math.log(n_outer, k))) if k > 1 else 0
-    outer_digits = min(outer_digits, n)
-    inner = n - outer_digits
-
-    inner_grid = np.array(list(product(support, repeat=inner)), dtype=float)
-    for head in product(support, repeat=outer_digits):
-        if outer_digits:
-            laps = np.empty((inner_grid.shape[0], n))
-            laps[:, :outer_digits] = np.asarray(head)
-            laps[:, outer_digits:] = inner_grid
-        else:
-            laps = inner_grid
-        weights = np.exp(-eps * np.sum(spec.pot(laps / eps), axis=1))
-        z_parts.append(math.fsum(weights.tolist()))
-        if event is not None or statistic is not None:
-            phi = _heights_from_laps(laps)
-            if event is not None:
-                mask = np.asarray(event(phi), dtype=bool)
-                ev_parts.append(math.fsum(weights[mask].tolist()))
-            else:
-                mask = slice(None)
-            if statistic is not None:
-                vals = np.asarray(statistic(phi), dtype=float)
-                vector = vals.ndim == 2
-                kept = vals[mask] if vector else vals[mask][:, None]
-                st_parts.append([math.fsum(col) for col in
-                                 (weights[mask][:, None] * kept).T.tolist()])
-
-    z = math.fsum(z_parts)
+    laps = support[np.stack(np.unravel_index(np.arange(k ** n), (k,) * n), axis=1)]
+    weights = np.exp(-eps * np.sum(spec.pot(laps / eps), axis=1))
+    z = math.fsum(weights.tolist())
     if z <= 0:
         raise ValueError("partition sum vanished; weights degenerate")
-    ev = math.fsum(ev_parts) if ev_parts else z
-    prob = ev / z
-    means = [math.fsum(col) / ev if ev > 0 else math.nan for col in zip(*st_parts)]
-    cond_mean = np.array(means) if vector else (means[0] if means else math.nan)
-    return EnumerationResult(z=z, probability=prob, conditional_mean=cond_mean)
+    ev, cond_mean = z, math.nan
+    if event is not None or statistic is not None:
+        phi = _heights_from_laps(laps)
+        if event is not None:
+            mask = np.asarray(event(phi), dtype=bool)
+            weights = weights[mask]
+            ev = math.fsum(weights.tolist())
+        if statistic is not None:
+            vals = np.asarray(statistic(phi), dtype=float)
+            kept = vals if event is None else vals[mask]
+            kept = kept if kept.ndim == 2 else kept[:, None]
+            means = [math.fsum(col) / ev if ev > 0 else math.nan
+                     for col in (weights[:, None] * kept).T.tolist()]
+            cond_mean = np.array(means) if vals.ndim == 2 else means[0]
+    return EnumerationResult(z=z, probability=ev / z, conditional_mean=cond_mean)
 
 
 def gaussian_functional_density(n_sites: int, sigma2: float, x, y):

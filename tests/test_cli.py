@@ -544,11 +544,12 @@ def test_bridge_mcmc_continuous_table_default_width(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["bridge", "--method", "mcmc", "--n", "64"],
     ["theta-stats", "--method", "mcmc", "--n", "64"],
-    ["confine", "--mesh", "0.5"],
+    ["confine", "--mesh", "0.5", "--rho-min", "0.3", "--rho-max", "3"],
 ], ids=["bridge", "theta-stats", "confine"])
 def test_continuous_power_law_commands_read_the_step_variance(tmp_path, argv):
     # kappa |x|^3 at eps = 1: every command that reads the increment variance
-    # (the proposal width, the theta scale, the tube radius) runs
+    # (the proposal width, the theta scale, the tube radius) runs.  R is
+    # 1.93 rho here, so the tubes from rho 0.3 are at least one 0.5 cell wide
     cfg = _write_config(tmp_path, {
         "model": {"n_sites": 10, "epsilon": 1.0, "macro_length": 10.0},
         "potential": {"kind": "power", "kappa": 1.0, "alpha": 3.0},
@@ -659,6 +660,22 @@ def test_one_tap_continuous_mesh_fails_before_solving(tmp_path, capsys, monkeypa
     assert "--mesh" in err and "eps * sqrt(sigma2)" in err
     assert calls == []
     assert not out.exists()
+
+
+def test_sub_cell_tube_fails_before_solving(tmp_path, capsys, monkeypatch):
+    # on the default config (mesh 0.05) a tube of radius 1e-298 has no height
+    # row but 0, where every row read one F and the fit a slope of 1e-16
+    calls = []
+    monkeypatch.setattr(confinement, "power_iteration", lambda *a, **k: calls.append(a))
+    out = tmp_path / "out"
+    assert main(["confine", "--rho-min", "1e-300", "--rho-max", "1e-299", "--rho-steps", "5",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert ("rho=1e-300, mesh 0.05: tube radius R = 1e-298 is narrower than one mesh cell"
+            in err)
+    assert "raise --rho-min, or set --mesh below R" in err
+    assert calls == []
+    assert not (out / "confine.csv").exists()
 
 
 @pytest.mark.parametrize("truncation", ["-1", "0", "nan", "inf"])
@@ -776,3 +793,20 @@ def test_float_flags_refuse_or_write_finite_output(tmp_path, capsys, command, fl
     else:
         assert code in (1, 2)
         assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cfg, error", [
+    ({"models": {"n_sites": 4}}, "unknown config key 'models'"),
+    ({"model": 4}, "config section 'model' must be a JSON object"),
+    ([{"model": {"n_sites": 4}}], "config file must hold a JSON object"),
+    ({"potential": {"kind": "gaussian", "alpha": 3.0}},
+     "gaussian potential does not take ['alpha']"),
+    ({"potential": {"kind": "table"}}, "table potential needs grid and values"),
+], ids=["unknown-section", "section-not-object", "file-not-object", "extra-potential-key",
+        "table-without-grid"])
+def test_config_refusals_are_one_error_line(tmp_path, capsys, cfg, error):
+    out = tmp_path / "out"
+    assert main(["sample", "--n", "4", "--config", _write_config(tmp_path, cfg),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {error}"]
+    assert not out.exists()

@@ -322,9 +322,9 @@ def test_continuous_sweep_worker_invariance():
     assert rows1 == rows2
 
 
-def _half_mesh_pair(rho):
+def _half_mesh_pair(rho, grad_cut=None):
     params = ModelParams(n_sites=100, epsilon=0.01, macro_length=1.0)
-    pot, tube = GaussianPotential(1.0), TubeSpec(rho)
+    pot, tube = GaussianPotential(1.0), TubeSpec(rho, grad_cut)
     return (params, pot, build_transfer(params, pot, tube, mesh=0.08),
             build_transfer(params, pot, tube, mesh=0.04))
 
@@ -336,9 +336,10 @@ def test_warm_started_half_mesh_solve_matches_cold():
     assert start.min() >= 0 and start.sum() > 0
     warm = power_iteration(fine, start=start)
     assert warm.lam_norm == pytest.approx(power_iteration(fine).lam_norm, rel=1e-11)
-    # a tube narrower than the coarse mesh step keeps one height row there
-    _, _, coarse, fine = _half_mesh_pair(0.0005)
-    assert (coarse.n_h, fine.n_h) == (0, 1)
+    # a gradient cut below the coarse mesh step keeps one gradient column
+    # there (a tube that narrow is refused, so the height axis cannot)
+    _, _, coarse, fine = _half_mesh_pair(0.04, grad_cut=0.06)
+    assert (coarse.n_g, fine.n_g) == (0, 1)
     start = confinement._prolong(power_iteration(coarse).eigvec, coarse, fine)
     assert start.min() >= 0 and start.sum() > 0
     assert power_iteration(fine, start=start).lam_norm == pytest.approx(
@@ -390,6 +391,17 @@ def test_build_transfer_mode_guards(monkeypatch):
         build_transfer(disc, ZERO_POT, TubeSpec(1.0), support=SUPPORT)
 
 
+def test_sub_cell_continuous_tube_is_refused():
+    # step sd 0.1 and R = 100 rho here: at mesh 0.05 a tube of R = 0.049 has
+    # no height row but 0 and cannot see the tube; R = 0.05 has one each side
+    pot = GaussianPotential(1.0)
+    with pytest.raises(ValueError, match=r"rho=0\.00049, mesh 0\.05: tube radius "
+                                         r"R = 0\.049 is narrower than one mesh cell.*"
+                                         r"raise --rho-min, or set --mesh below R"):
+        build_transfer(CONT_N100, pot, TubeSpec(4.9e-4), mesh=0.05)
+    assert build_transfer(CONT_N100, pot, TubeSpec(5e-4), mesh=0.05).n_h == 1
+
+
 def test_sweep_refuses_an_over_cap_half_mesh_at_its_last_rho(monkeypatch):
     # a cap that every coarse grid and every half-mesh grid but the widest
     # tube's fits: the sweep must refuse that last one before any solve
@@ -435,3 +447,32 @@ def test_exponent_fit_validation():
         exponent_fit([1.0, 2.0, 3.0, 4.0, 5.0], [1.0, 0.9, 0.8, 0.7, 0.6])  # no decade
     with pytest.raises(ValueError):
         exponent_fit([0.1, 0.5, 1.0, 5.0, 10.0], [1.0, 0.5, -0.1, 0.2, 0.1])
+
+
+def _small_op():
+    return build_transfer(_discrete_params(4), ZERO_POT, TubeSpec(1.3), support=SUPPORT)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: TubeSpec(0.0), "rho must be positive and finite"),
+    (lambda: TubeSpec(math.inf), "rho must be positive and finite"),
+    (lambda: _small_op().matvec(np.zeros((1, 1))), "state vector must have shape (5, 9)"),
+    # 401 heights x 149 gradients
+    (lambda: build_transfer(CONT_N100, GaussianPotential(1.0), TubeSpec(0.1), mesh=0.05).dense(),
+     "dense form capped at 20000 states"),
+    (lambda: power_iteration(_small_op(), start=-np.ones((5, 9))),
+     "start vector must be nonnegative with positive mass"),
+    (lambda: survival_probability(_small_op(), 0), "n_sites must be at least 1"),
+    (lambda: confinement_sweep(CONT_N100, GaussianPotential(1.0), []), "need at least one rho"),
+    (lambda: exponent_fit([0.1, 1.0, 10.0], [1.0, 0.5]),
+     "rhos and fs must be 1d and the same length"),
+    (lambda: exponent_fit(np.ones((5, 1)), np.ones((5, 1))),
+     "rhos and fs must be 1d and the same length"),
+    (lambda: exponent_fit([0.0, 0.5, 1.0, 5.0, 10.0], [1.0] * 5),
+     "exponent fit needs positive rho values"),
+], ids=["zero-rho", "infinite-rho", "matvec-shape", "dense-cap", "negative-start",
+        "no-sites", "no-rho", "unequal-lengths", "not-1d", "zero-rho-fit"])
+def test_confinement_refusals(call, error):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == error

@@ -215,3 +215,15 @@ def test_exact_boundary_density_symmetry():
     assert a == pytest.approx(b, rel=1e-15)
     # and any nonzero slope pair is exponentially suppressed
     assert a < exact_boundary_density(6, 2.0, 1.5, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: ConditionedSpec(math.nan, 0.0), "conditioning values must be finite"),
+    (lambda: ConditionedSpec(0.0, math.inf), "conditioning values must be finite"),
+    (lambda: exact_boundary_density(4, 0.0, 1.0, 0.1, 0.1), "kappa and c must be positive"),
+    (lambda: exact_boundary_density(4, 1.0, -1.0, 0.1, 0.1), "kappa and c must be positive"),
+], ids=["nan-a", "infinite-b", "zero-kappa", "negative-c"])
+def test_gaussian_refusals(call, error):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == error

@@ -275,6 +275,30 @@ def test_tilt_solver_accepts_its_last_step(monkeypatch):
     assert sol.v_star == pytest.approx(-6.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("data, damped", [((2.0, -1.0, 0.5), 1), ((3.0, 3.0, -2.0), 2)])
+def test_tilt_solver_damps_a_step_that_raises_the_residual(monkeypatch, data, damped):
+    # on these alpha = 1.5 data a full Newton step raises the residual, so the
+    # line search halves it: each residual call is the start, one per Newton
+    # step taken, or one per rejected candidate, none of which left the domain
+    calls, solves, raised = [], [], []
+    residual, solve = ldp._tilt_residual, np.linalg.solve
+
+    def counted_residual(*args):
+        calls.append(args)
+        try:
+            return residual(*args)
+        except ValueError:
+            raised.append(args)
+            raise
+
+    monkeypatch.setattr(ldp, "_tilt_residual", counted_residual)
+    monkeypatch.setattr(np.linalg, "solve", lambda *a: solves.append(a) or solve(*a))
+    sol = solve_tilts(*data, 1.0, limit_log_mgf(PowerLawPotential(1.0, 1.5)))
+    assert np.max(np.abs(sol.residual)) < ldp._TILT_TOL
+    assert raised == []
+    assert len(calls) - 1 - len(solves) == damped
+
+
 def test_mean_profile_rejects_nan_times():
     # t < 0 and t > 1 are both False at NaN
     with pytest.raises(ValueError, match=r"profile times must lie in \[0, 1\]"):
@@ -621,3 +645,17 @@ def test_log_mgf_reads_a_float_or_an_array(mgf):
         out = read(tilts)
         assert out.shape == tilts.shape
         assert out.tolist() == [[read(float(h)) for h in row] for row in tilts]
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: step_log_mgf(PowerLawPotential(1.0, 1.5),
+                          ModelParams(4, 1.0, 4.0, height_mode="discrete")),
+     "log-MGF machinery is defined for continuous heights"),
+    (lambda: solve_tilts(0.1, 0.0, 0.0, 0.0, GAUSS_MGF), "c must be positive"),
+    (lambda: solve_tilts(0.1, 0.0, 0.0, math.nan, GAUSS_MGF), "c must be positive"),
+    (lambda: sharp_ld_probability(0, 0.1, 0.0, 0.0, 1.0, GAUSS_MGF), "n_sites must be >= 1"),
+], ids=["discrete-heights", "zero-c", "nan-c", "no-sites"])
+def test_ldp_refusals(call, error):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == error

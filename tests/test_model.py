@@ -350,3 +350,24 @@ def test_barrier_table_keeps_its_wells():
     assert weights[3] == 1.0
     assert weights[2] == pytest.approx(math.exp(-50.0), rel=1e-15)
     assert _step_bound(pot, 0.01) == 300.0
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: ModelParams(4, 0.0, 1.0), "epsilon must be positive and finite, got 0.0"),
+    (lambda: ModelParams(4, math.inf, 1.0), "epsilon must be positive and finite, got inf"),
+    (lambda: ModelParams(4, 0.25, -1.0), "macro_length must be positive, got -1.0"),
+    (lambda: ModelParams(4, 0.25, math.nan), "macro_length must be positive, got nan"),
+    (lambda: TabulatedPotential([0.0], [0.0]),
+     "grid and values must be 1d arrays of equal length >= 2"),
+    (lambda: TabulatedPotential([-1.0, 0.0, 1.0], [0.0, 0.0]),
+     "grid and values must be 1d arrays of equal length >= 2"),
+    (lambda: TabulatedPotential([1.0, 0.0, -1.0], [0.0, 0.0, 0.0]),
+     "grid must be strictly increasing"),
+    (lambda: TabulatedPotential([-1.0, 0.0, 1.0], [math.inf, 0.0, math.inf]),
+     "tabulated values must be finite"),
+], ids=["zero-epsilon", "infinite-epsilon", "negative-length", "nan-length", "one-point",
+        "unequal-lengths", "decreasing-grid", "infinite-value"])
+def test_model_refusals(build, error):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == error

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-import semiflex.oracle as oracle_mod
 from semiflex.gaussian import exact_boundary_density
 from semiflex.model import GaussianPotential, ModelParams, TabulatedPotential
 from semiflex.oracle import (
@@ -78,26 +77,40 @@ def test_enumeration_against_plain_loop():
     assert result.conditional_mean == pytest.approx(st_ref / ev_ref, rel=1e-14)
 
 
-def test_enumeration_chunking_invariance(monkeypatch):
-    # tiny chunks force the outer/inner split; sums must not move.  A (rows, k)
-    # statistic gives, from one pass, what k scalar calls give, bit for bit
+def test_enumeration_chunking_invariance():
+    # a (rows, k) statistic gives, from one pass, what k scalar calls give,
+    # bit for bit
     spec = EnumerationSpec(_params(5), GaussianPotential(1.0), support=(-1.0, 0.0, 1.0))
     event = lambda phi: np.abs(phi[:, 3]) <= 1.0
     stats = [lambda phi: phi[:, 2] ** 2, lambda phi: phi[:, 4] / 3.0,
              lambda phi: (phi[:, 5] == 1.0).astype(float)]
-    both = lambda phi: np.stack([f(phi) for f in stats], axis=1)
+    base = [enumerate_configs(spec, event=event, statistic=f) for f in stats]
+    vec = enumerate_configs(spec, event=event,
+                            statistic=lambda phi: np.stack([f(phi) for f in stats], axis=1))
+    assert (vec.z, vec.probability) == (base[0].z, base[0].probability)
+    assert vec.conditional_mean.tolist() == [r.conditional_mean for r in base]
 
-    def run():
-        scalar = [enumerate_configs(spec, event=event, statistic=f) for f in stats]
-        return scalar, enumerate_configs(spec, event=event, statistic=both)
 
-    base, base_vec = run()
-    monkeypatch.setattr(oracle_mod, "_CHUNK", 7)
-    small, small_vec = run()
-    assert small == base
-    for vec in (base_vec, small_vec):
-        assert (vec.z, vec.probability) == (base[0].z, base[0].probability)
-        assert vec.conditional_mean.tolist() == [r.conditional_mean for r in base]
+def test_partition_sum_is_exactly_rounded():
+    # z is one exactly rounded sum of the per-tuple weights, each weight
+    # computed here tuple by tuple from the potential, apart from the oracle
+    params = _params(4, eps=0.5)
+    pot = GaussianPotential(kappa=1.7)
+    support = (-1.5, -0.25, 0.0, 0.5, 2.0)
+    weights = [math.exp(-params.epsilon * sum(
+        float(pot(np.array([lap / params.epsilon]))[0]) for lap in laps))
+        for laps in product(support, repeat=params.n_sites)]
+    assert enumerate_configs(EnumerationSpec(params, pot, support)).z == math.fsum(weights)
+
+
+def test_enumeration_cap_is_one_pass():
+    # 2^18 tuples fit in one pass; 5^8 = 390,625 are refused up front
+    with pytest.raises(ValueError, match="390625 tuples exceed the enumeration cap 262144"):
+        EnumerationSpec(_params(8), ZERO_POT, support=tuple(range(5)))
+    spec = EnumerationSpec(_params(6), ZERO_POT, support=tuple(np.linspace(-1.0, 1.0, 8)))
+    result = enumerate_configs(spec, event=lambda phi: phi[:, 2] < 0.0)  # lap_1 < 0
+    assert result.z == 8.0 ** 6
+    assert result.probability == 0.5
 
 
 def test_enumeration_guards():
@@ -160,3 +173,20 @@ def test_mapped_density_constant_ratio():
                 for xl, xr in ((0.0, 0.0), (0.02, -0.01), (0.05, 0.05), (0.3, 0.2))
             ]
             assert_allclose(ratios, n * n / (c * (n + 1)), rtol=1e-12)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: gaussian_functional_density(0, 1.0, 0.0, 0.0), "need n_sites >= 1 and sigma2 > 0"),
+    (lambda: gaussian_functional_density(3, 0.0, 0.0, 0.0), "need n_sites >= 1 and sigma2 > 0"),
+    (lambda: gaussian_functional_density(3, math.nan, 0.0, 0.0),
+     "need n_sites >= 1 and sigma2 > 0"),
+    # at N = 1 the area is half the walk: det = N^2 s^2 (N - 1) / (12 (N + 1)) = 0
+    (lambda: gaussian_functional_density(1, 1.0, 0.0, 0.0), "degenerate endpoint covariance"),
+    # every weight exp(-0.5 * 1e4) underflows to zero
+    (lambda: enumerate_configs(EnumerationSpec(_params(2), GaussianPotential(1e4), (1.0,))),
+     "partition sum vanished; weights degenerate"),
+], ids=["no-sites", "zero-variance", "nan-variance", "one-site", "zero-weights"])
+def test_oracle_refusals(call, error):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == error

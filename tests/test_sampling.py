@@ -839,3 +839,43 @@ def test_samples_from_frame_rejects_anything_but_a_float_matrix(tmp_path):
     for path in (npz, truncated, flat, text):
         with pytest.raises(ValueError, match=str(path)):
             samples_from_frame(path)
+
+
+_LATTICE4 = ModelParams(n_sites=4, epsilon=1.0, macro_length=4.0, height_mode="discrete")
+_CONT4 = ModelParams(n_sites=4, epsilon=0.25, macro_length=1.0)
+_EIGHT = ChainSettings(seed=0, n_samples=8)
+
+
+def _csv(path, text):
+    path.write_text(text)
+    return path
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda tmp: ChainSettings(seed=0, n_samples=0), "n_samples must be >= 1"),
+    (lambda tmp: ChainSettings(seed=0, n_samples=1, thin=0),
+     "thin must be >= 1 and burn_in >= 0"),
+    (lambda tmp: ChainSettings(seed=0, n_samples=1, burn_in=-1),
+     "thin must be >= 1 and burn_in >= 0"),
+    (lambda tmp: ChainSettings(seed=0, n_samples=1, n_chains=0),
+     "n_chains must be >= 1 when given"),
+    (lambda tmp: sample_free(_LATTICE4, build_increment_dist(GaussianPotential(1.0), _LATTICE4,
+                                                             2.0), 0.5, _EIGHT),
+     "discrete mode needs an integer first gradient"),
+    (lambda tmp: sample_gaussian_bridge(_CONT4, PowerLawPotential(1.0, 4.0), ZERO_BC, _EIGHT),
+     "exact bridge sampling needs the Gaussian potential"),
+    (lambda tmp: sample_gaussian_bridge(_LATTICE4, GaussianPotential(1.0), ZERO_BC, _EIGHT),
+     "exact bridge sampling needs continuous heights"),
+    (lambda tmp: sample_bridge_mcmc(_LATTICE4, GaussianPotential(1.0),
+                                    BoundaryConditions(0.0, 0.5, 0.0), _EIGHT, truncation=2.0),
+     "discrete mode needs integer boundary data, xi_right=0.5"),
+    (lambda tmp: estimate_theta_stats(np.zeros((3, 6)), [0.5], 1.0, 0.25),
+     "need a 2d sample matrix with at least 4 rows"),
+    (lambda tmp: samples_from_csv(_csv(tmp / "h.csv", "h_0,h_1\n0,1\n")),
+     "{tmp}/h.csv: expected phi_* header columns"),
+], ids=["n-samples", "thin", "burn-in", "n-chains", "lattice-xi1", "bridge-power-law",
+        "bridge-lattice", "mcmc-lattice-boundary", "theta-stats-rows", "csv-header"])
+def test_sampling_refusals(tmp_path, call, error):
+    with pytest.raises(ValueError) as err:
+        call(tmp_path)
+    assert str(err.value) == error.format(tmp=tmp_path)
