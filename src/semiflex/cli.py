@@ -316,7 +316,7 @@ def _run_continuum_check(args, run: _Run) -> None:
 
 
 def _run_oracle_check(args, run: _Run) -> int:
-    checks = oracle.cross_check_sweep(args.n_max, run.seed, args.workers)
+    checks = oracle.cross_check_sweep(args.n_max, run.seed)
     passed = all(c["passed"] for c in checks)
     run.json("oracle_check.json", n_max=args.n_max, all_passed=passed, checks=checks)
     return 0 if passed else 1

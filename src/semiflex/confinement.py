@@ -116,11 +116,10 @@ class TransferOperator:
     nothing.  On the lattice the tap weights are the sampler's step
     probabilities (`model.build_increment_dist`), in continuous mode the
     weights scaled so that the largest is 1; z1, the unconstrained one-step
-    mass, is their fsum.
+    mass, is their fsum, and radius the tube half-width R.
     """
 
-    def __init__(self, eps, delta, n_h, n_g, tap_offsets, tap_weights,
-                 radius, grad_scale):
+    def __init__(self, eps, delta, n_h, n_g, tap_offsets, tap_weights, radius):
         self.eps = float(eps)
         self.delta = float(delta)
         self.n_h = int(n_h)
@@ -131,7 +130,6 @@ class TransferOperator:
         self.tap_weights = np.asarray(tap_weights, dtype=np.float64)
         self.z1 = math.fsum(self.tap_weights)
         self.radius = float(radius)
-        self.grad_scale = float(grad_scale)
         # T[c, c2] = w(c2 - c) is banded Toeplitz: every run of `width` output
         # columns reads `width + span - 1` input columns, span = hi - lo + 1,
         # through the same tile, and the blocks at the edges read a slice of
@@ -290,7 +288,7 @@ def _grid(params: ModelParams, pot: Potential, tube: TubeSpec,
     grad_scale = eps * math.sqrt(sigma2) * math.sqrt(block)
     grad_cut = tube.grad_cut
     if grad_cut is None:
-        grad_cut = min(2.0 * radius, 8.0 * grad_scale) if radius > 0 else 8.0 * grad_scale
+        grad_cut = min(2.0 * radius, 8.0 * grad_scale)
     n_g = int(math.floor(grad_cut / delta + 1e-9))
     n_states = (2 * n_h + 1) * (2 * n_g + 1)
     if n_states > _STATE_CAP:
@@ -299,7 +297,7 @@ def _grid(params: ModelParams, pot: Potential, tube: TubeSpec,
             f"above the cap {_STATE_CAP}; coarsen the mesh (--mesh) or tighten grad_cut "
             "(--grad-cut)"
         )
-    return eps, delta, n_h, n_g, offs, wts, radius, grad_scale
+    return eps, delta, n_h, n_g, offs, wts, radius
 
 
 def build_transfer(
@@ -326,22 +324,13 @@ class PowerResult(NamedTuple):
     counts matvecs; eigvec is the last iterate, summing to 1; error is the
     final relative error estimate that stopped the solve.  It is an estimate,
     not a bound: it carries no spectral-gap factor, and on a lattice sweep at
-    N = 250,000 the true relative error of lam was up to 2.6x larger."""
+    N = 250,000 the true relative error of lam was up to 2.1x larger."""
 
     lam_norm: float
     lam_raw: float
     iterations: int
     eigvec: np.ndarray
     error: float
-
-
-def _default_start(op: TransferOperator) -> np.ndarray:
-    h = op.heights()
-    g = op.gradients()
-    half = op.radius + op.delta
-    a = np.cos(0.5 * math.pi * h / half) ** 2 + 1e-6
-    b = np.exp(-((g / max(op.grad_scale, op.delta)) ** 2)) + 1e-6
-    return np.outer(a, b)
 
 
 def _check_even(op: TransferOperator) -> None:
@@ -404,14 +393,15 @@ def power_iteration(op: TransferOperator, *, start: np.ndarray | None = None) ->
     consecutive steps settles to _FIRST_CHECK relative, the next one step
     later, each later one where the decay between the last two estimates
     predicts the tolerance, at most _CHECK_GAP steps on.  The benchmark's
-    continuous sweep takes 857 matvecs and stops within 5e-13 of a tight
+    continuous sweep takes 842 matvecs and stops within 4e-13 of a tight
     Arnoldi reference.  Raises ValueError for uneven taps and RuntimeError
     after _POWER_MAX_ITER steps.  Transient border states carry no weight in
     the limit, so any start vector with mass on the communicating core gives
-    the same answer.
+    the same answer; without `start` the flat vector is the start (1,053
+    matvecs on the default sweep's cold solves, 1,064 from a shaped one).
     """
     _check_even(op)
-    v = _default_start(op) if start is None else np.array(start, dtype=float)
+    v = np.ones(op.shape) if start is None else np.array(start, dtype=float)
     if v.min() < 0 or not v.sum() > 0:
         raise ValueError("start vector must be nonnegative with positive mass")
     v = v / v.sum()
@@ -522,7 +512,8 @@ def confinement_sweep(
     starts from its first's eigenvector and mesh_delta reports |delta F|;
     on the lattice mesh_delta is 0.  Every (rho, mesh) grid is sized
     against the state cap, and its taps counted, before the first point is
-    solved.  Results are in input order and identical for any worker count.
+    solved; a lattice tube of floored radius 0 is refused there.  Results
+    are in input order and identical for any worker count.
     """
     tubes = [TubeSpec(float(r), grad_cut) for r in rhos]
     if not tubes:
@@ -531,7 +522,10 @@ def confinement_sweep(
     meshes = [delta] if params.height_mode == "discrete" else [delta, delta / 2.0]
     for tube in tubes:
         for m, label in zip(meshes, ("", "half-mesh check at ")):
-            _grid(params, pot, tube, mesh=m, label=label)
+            n_h = _grid(params, pot, tube, mesh=m, label=label)[2]
+        if n_h < 1:  # a lattice tube: `_grid` refuses a continuous one
+            raise ValueError(f"rho={tube.rho:g}: lattice tube radius R = 0 holds height 0 "
+                             "alone, so F cannot depend on rho; raise --rho-min")
     jobs = [(params, pot, tube, meshes) for tube in tubes]
     return list(_pool_map(_sweep_point, jobs, workers))
 

@@ -131,8 +131,8 @@ def gaussian_functional_density(n_sites: int, sigma2: float, x, y):
 
     Vectorized over (x, y); scalars in, scalar out."""
     n = n_sites
-    if n < 1 or not (sigma2 > 0):
-        raise ValueError("need n_sites >= 1 and sigma2 > 0")
+    if n < 2 or not (sigma2 > 0):
+        raise ValueError("need n_sites >= 2 and sigma2 > 0")
     vxx = n * sigma2
     vxy = 0.5 * n * sigma2
     vyy = n * (2 * n + 1) * sigma2 / (6.0 * (n + 1))
@@ -214,7 +214,7 @@ def bridge_marginal_check(samples: np.ndarray, params: ModelParams, pot: Potenti
     return MarginalCheck(sampled, exact, np.abs(sampled - exact))
 
 
-def cross_check_sweep(n_max: int, seed: int, workers: int = 1) -> list[dict]:
+def cross_check_sweep(n_max: int, seed: int) -> list[dict]:
     """Every fast path against the reference at N <= n_max (3..8), on
     increments in {-1, 0, 1}: transfer path sums, the walk/area moments, the
     free sampler's endpoint, one bridge MCMC marginal, and the endpoint
@@ -271,7 +271,7 @@ def cross_check_sweep(n_max: int, seed: int, workers: int = 1) -> list[dict]:
     # bridge MCMC marginal against conditioned enumeration
     mc_settings = sampling.ChainSettings(seed=seed, n_samples=4000, burn_in=500, thin=2)
     mc = sampling.sample_bridge_mcmc(params, pot, BoundaryConditions(0.0, 0.0, 0.0),
-                                     mc_settings, workers=workers, truncation=1.0)
+                                     mc_settings, truncation=1.0)
     check = bridge_marginal_check(mc, params, pot, support, [(n + 1) // 2], [0.0])
     record(f"mcmc_bridge_marginal_n{n}", float(check.error[0, 0]), 0.03)
 

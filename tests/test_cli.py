@@ -678,6 +678,23 @@ def test_sub_cell_tube_fails_before_solving(tmp_path, capsys, monkeypatch):
     assert not (out / "confine.csv").exists()
 
 
+def test_lattice_tube_of_radius_0_fails_before_solving(tmp_path, capsys, monkeypatch):
+    # N = 300 on the lattice: R = floor(rho * sigma * sqrt(N)) is 0 for the
+    # four narrowest rhos, where every row read F 0.9189 with 15 states
+    calls = []
+    monkeypatch.setattr(confinement, "power_iteration", lambda *a, **k: calls.append(a))
+    cfg = _write_config(tmp_path, {"model": {"n_sites": 300, "epsilon": 1.0,
+                                             "macro_length": 300.0, "height_mode": "discrete"}})
+    out = tmp_path / "out"
+    assert main(["confine", "--config", cfg, "--rho-min", "0.01", "--rho-max", "0.1",
+                 "--rho-steps", "5", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "rho=0.01: lattice tube radius R = 0 holds height 0 alone" in err
+    assert "raise --rho-min" in err
+    assert calls == []
+    assert not (out / "confine.csv").exists()
+
+
 @pytest.mark.parametrize("truncation", ["-1", "0", "nan", "inf"])
 @pytest.mark.parametrize("command", [["sample"], ["bridge", "--method", "mcmc"]],
                          ids=["sample", "bridge-mcmc"])
@@ -709,7 +726,7 @@ def test_continuum_check_refuses_a_profile_off_the_table(tmp_path, capsys):
 
 
 def test_bridge_width_is_a_usage_error(tmp_path, capsys):
-    # the proposal width is eps times the increment sd, adapted in burn-in
+    # the proposal width is fixed at eps times the increment sd
     with pytest.raises(SystemExit) as err:
         main(["bridge", "--method", "mcmc", "--width", "0.1", "--out", str(tmp_path)])
     assert err.value.code == 2

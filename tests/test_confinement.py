@@ -75,9 +75,20 @@ def test_power_iteration_matches_dense_spectrum():
         assert 0 <= res.error <= confinement._POWER_TOL
 
 
+@pytest.mark.parametrize("op", [
+    build_transfer(_discrete_params(8), ZERO_POT, TubeSpec(1.3), support=SUPPORT),
+    build_transfer(ModelParams(100, 0.01, 1.0), GaussianPotential(1.0), TubeSpec(0.1),
+                   mesh=0.05),
+], ids=["lattice", "continuous"])
+def test_power_iteration_starts_flat(op):
+    res, flat = power_iteration(op), power_iteration(op, start=np.ones(op.shape))
+    assert (res.lam_raw, res.iterations) == (flat.lam_raw, flat.iterations)
+    assert np.array_equal(res.eigvec, flat.eigvec)
+
+
 def test_power_iteration_reports_lost_mass():
     # one tap of weight 0 maps every vector to zero in the first step
-    op = TransferOperator(1.0, 1.0, 1, 1, [0], [0.0], 1.0, 1.0)
+    op = TransferOperator(1.0, 1.0, 1, 1, [0], [0.0], 1.0)
     with pytest.raises(RuntimeError) as err:
         power_iteration(op)
     assert str(err.value) == "power iteration lost all mass; operator is degenerate"
@@ -144,7 +155,7 @@ def test_power_iteration_start_off_the_core():
     ([-1, 0, 1], [0.5, 1.0, 0.25]),
 ])
 def test_power_iteration_needs_even_taps(taps, weights):
-    op = TransferOperator(1.0, 1.0, 2, 3, taps, weights, 1.0, 1.0)
+    op = TransferOperator(1.0, 1.0, 2, 3, taps, weights, 1.0)
     with pytest.raises(ValueError, match=r"even tap weights, w\(t\) == w\(-t\)"):
         power_iteration(op)
 
@@ -169,7 +180,7 @@ def test_power_iteration_stops_within_1e_11_on_the_benchmark_sweep(monkeypatch):
         mat = LinearOperator((op.n_states,) * 2, dtype=float,
                              matvec=lambda x, op=op, shape=shape: op.matvec(x.reshape(shape)).ravel())
         ref = eigs(mat, k=1, which="LM", tol=1e-14, ncv=40,
-                   v0=confinement._default_start(op).ravel())[0][0].real
+                   v0=np.ones(op.n_states))[0][0].real
         assert res.lam_raw == pytest.approx(ref, rel=1e-11)
         assert res.error <= confinement._POWER_TOL
 
@@ -179,7 +190,7 @@ def _lattice_op(taps, kappa=1.0, n_h=2, n_g=3):
     symmetric cuts -k..k, and these tap sets may be one-sided or gapped."""
     offsets = np.asarray(taps)
     return TransferOperator(1.0, 1.0, n_h, n_g, offsets, np.exp(-0.5 * kappa * offsets ** 2),
-                            1.0, 1.0)
+                            1.0)
 
 
 LATTICE_OPS = st.builds(_lattice_op, st.sets(st.integers(-3, 3), min_size=2).map(sorted),
@@ -348,7 +359,8 @@ def test_warm_started_half_mesh_solve_matches_cold():
 
 def test_sweep_half_mesh_check_is_warm_started(monkeypatch):
     # counts iterations, not time: the sweep's half-mesh solve must start from
-    # the prolonged coarse eigenvector, which saves 40% of a cold solve here
+    # the prolonged coarse eigenvector, which takes 57 steps here to a cold
+    # solve's 89
     params, pot, _, fine = _half_mesh_pair(0.04)
     solves = []
 
@@ -400,6 +412,22 @@ def test_sub_cell_continuous_tube_is_refused():
                                          r"raise --rho-min, or set --mesh below R"):
         build_transfer(CONT_N100, pot, TubeSpec(4.9e-4), mesh=0.05)
     assert build_transfer(CONT_N100, pot, TubeSpec(5e-4), mesh=0.05).n_h == 1
+
+
+def test_sweep_refuses_a_lattice_tube_of_radius_0(monkeypatch):
+    # at N = 300 the unit lattice law has sigma2 within 3e-7 of 1, so
+    # R = rho * 17.3 floors to 0 below rho 0.0578: such a tube holds height 0
+    # alone, and its F cannot depend on rho.  build_transfer still takes it
+    # (the oracle's path sums do)
+    params = ModelParams(300, 1.0, 300.0, height_mode="discrete")
+    pot = GaussianPotential(1.0)
+    calls = []
+    monkeypatch.setattr(confinement, "power_iteration", lambda *a, **k: calls.append(a))
+    with pytest.raises(ValueError, match=r"^rho=0\.05: lattice tube radius R = 0 holds "
+                                         r"height 0 alone.*; raise --rho-min$"):
+        confinement_sweep(params, pot, [0.1, 0.05])
+    assert calls == []
+    assert build_transfer(params, pot, TubeSpec(0.05)).n_h == 0
 
 
 def test_sweep_refuses_an_over_cap_half_mesh_at_its_last_rho(monkeypatch):

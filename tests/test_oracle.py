@@ -176,16 +176,19 @@ def test_mapped_density_constant_ratio():
 
 
 @pytest.mark.parametrize("call, error", [
-    (lambda: gaussian_functional_density(0, 1.0, 0.0, 0.0), "need n_sites >= 1 and sigma2 > 0"),
-    (lambda: gaussian_functional_density(3, 0.0, 0.0, 0.0), "need n_sites >= 1 and sigma2 > 0"),
+    (lambda: gaussian_functional_density(0, 1.0, 0.0, 0.0), "need n_sites >= 2 and sigma2 > 0"),
+    (lambda: gaussian_functional_density(3, 0.0, 0.0, 0.0), "need n_sites >= 2 and sigma2 > 0"),
     (lambda: gaussian_functional_density(3, math.nan, 0.0, 0.0),
-     "need n_sites >= 1 and sigma2 > 0"),
+     "need n_sites >= 2 and sigma2 > 0"),
     # at N = 1 the area is half the walk: det = N^2 s^2 (N - 1) / (12 (N + 1)) = 0
-    (lambda: gaussian_functional_density(1, 1.0, 0.0, 0.0), "degenerate endpoint covariance"),
+    (lambda: gaussian_functional_density(1, 1.0, 0.0, 0.0), "need n_sites >= 2 and sigma2 > 0"),
+    # det = N^2 s^2 (N - 1) / (12 (N + 1)) underflows to 0
+    (lambda: gaussian_functional_density(3, 1e-200, 0.0, 0.0), "degenerate endpoint covariance"),
     # every weight exp(-0.5 * 1e4) underflows to zero
     (lambda: enumerate_configs(EnumerationSpec(_params(2), GaussianPotential(1e4), (1.0,))),
      "partition sum vanished; weights degenerate"),
-], ids=["no-sites", "zero-variance", "nan-variance", "one-site", "zero-weights"])
+], ids=["no-sites", "zero-variance", "nan-variance", "one-site", "underflow-variance",
+        "zero-weights"])
 def test_oracle_refusals(call, error):
     with pytest.raises(ValueError) as err:
         call()

@@ -618,6 +618,22 @@ def test_mcmc_default_width_moves_steep_power_law_chains():
     assert moved > 0.9
 
 
+@pytest.mark.parametrize("pot", [PowerLawPotential(1.0, 1.5), GaussianPotential(1.0)],
+                         ids=["power-1.5", "gaussian"])
+def test_mcmc_burn_in_only_discards_sweeps(pot):
+    # the proposal width never changes, so 64 burn-in sweeps are the first 64
+    # draws of each chain of a run without burn-in; the untruncated Gaussian
+    # starts from exact draws, which both runs take from the same stream
+    n, chains, kept = 20, 8, 5
+    params = ModelParams(n_sites=n, epsilon=0.05, macro_length=1.0)
+    bc = BoundaryConditions(0.1, -0.2, 0.3)
+    burnt = sample_bridge_mcmc(params, pot, bc, ChainSettings(7, chains * kept, 64, 1, chains))
+    full = sample_bridge_mcmc(params, pot, bc,
+                              ChainSettings(7, chains * (kept + 64), 0, 1, chains))
+    full = full.reshape(chains, kept + 64, n + 2)[:, 64:].reshape(-1, n + 2)
+    assert np.array_equal(burnt, full)
+
+
 @pytest.fixture
 def pool_sizes(monkeypatch):
     """The sizes of the pools `_pool_map` opens; a fake pool records its size
