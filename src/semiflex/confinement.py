@@ -10,8 +10,14 @@ single-step normalizer so that F -> 0 as the tube widens.
 
 Heights and gradients live on a shared uniform grid: the integer lattice in
 discrete mode, in continuous mode a mesh of at most the step sd eps*sigma,
-half of it by default.  Gradients are cut at min(2R, 8 * stationary gradient
-scale); |xi| <= 2R is implied by two in-tube heights, so the 2R cut is exact.
+half of it by default.  |xi| <= 2R is implied by two in-tube heights, so a
+gradient cut at 2R is exact; a tighter one reads the stationary gradient
+scale s.  `confinement_sweep` cuts at min(2R, 4 s) and solves; when the
+confined density v * Pv's tail past that cut, extrapolated from its two
+outermost column pairs, could move F by over 1e-13 relative, it widens the
+cut once, to min(2R, 8 s), and solves again from the first solution.  The
+half-mesh check keeps the final cut.  `build_transfer`, with no solution to
+read, cuts at min(2R, 8 s); an explicit grad_cut is used as given.
 
 One step is a convolution along the gradient axis and a shear that moves
 gradient column c by c - n_g height rows.  `TransferOperator.matvec` does the
@@ -76,14 +82,24 @@ _CHECK_GAP = 32
 # its second thread doubled the CPU time of 23-45-tap matvecs and saved
 # little wall time.  64-row chunks stay efficient GEMMs for wider kernels.
 _SERIAL_GEMM = 2 ** 19
+# the automatic gradient cut, in stationary gradient scales: where a sweep's
+# solve starts, and the widest it widens to
+_START_SCALES = 4.0
+_MAX_SCALES = 8.0
+# the relative change in F that the density's tail past the start cut may hold
+_TAIL_TOL = 1e-13
 
 
 @dataclass(frozen=True)
 class TubeSpec:
     """Tube of half-width rho * sigma * sqrt(N) in height units.
 
-    grad_cut overrides the automatic gradient truncation; None picks
-    min(2R, 8 * eps * sigma * sqrt(D)) with D = rho^(2/3) c^(1/3) / eps.
+    grad_cut overrides the automatic gradient truncation, and is never
+    widened.  None reads the stationary gradient scale
+    s = eps * sigma * sqrt(D), D = max(1, rho^(2/3) c^(1/3) / eps):
+    `confinement_sweep` starts at min(2R, 4 s) and widens once, to
+    min(2R, 8 s), when the solution's tail asks; `build_transfer` alone
+    cuts at min(2R, 8 s).
     """
 
     rho: float
@@ -243,6 +259,20 @@ def _support_truncation(support, eps: float) -> float:
     return k / eps
 
 
+def _cut_range(params: ModelParams, tube: TubeSpec, sigma2: float) -> tuple[float, float]:
+    """The gradient cut a sweep's solve starts at, and the widest it may
+    widen to: min(2R, 4 s) and min(2R, 8 s) for the stationary gradient
+    scale s = eps * sqrt(sigma2 * D), D = max(1, rho^(2/3) c^(1/3) / eps)
+    the block length; an explicit tube.grad_cut is both."""
+    if tube.grad_cut is not None:
+        return tube.grad_cut, tube.grad_cut
+    eps = params.epsilon
+    two_r = 2.0 * tube_radius(tube, params, sigma2)
+    block = max(1.0, tube.rho ** (2.0 / 3.0) * params.macro_length ** (1.0 / 3.0) / eps)
+    scale = eps * math.sqrt(sigma2) * math.sqrt(block)
+    return min(two_r, _START_SCALES * scale), min(two_r, _MAX_SCALES * scale)
+
+
 def _grid(params: ModelParams, pot: Potential, tube: TubeSpec,
           support: Sequence[float] | None = None, mesh: float | None = None,
           label: str = "") -> tuple:
@@ -252,7 +282,8 @@ def _grid(params: ModelParams, pot: Potential, tube: TubeSpec,
     modes; on the lattice the taps are its offsets and probabilities too.  A
     continuous mesh is at most the step sd eps * sqrt(sigma2), up to the grid
     floors' 1e-9 relative slack, and by default half of it: the law reaches
-    past one sd, so its taps -1, 0 and 1 stay.  Refuses any other mesh, a
+    past one sd, so its taps -1, 0 and 1 stay.  The gradient cut is the top
+    of the tube's cut range (`_cut_range`).  Refuses any other mesh, a
     continuous tube narrower than one mesh cell (no height row but 0, so the
     grid cannot see the tube), and a grid over _STATE_CAP states, naming the
     tube, `label` and the spacing.
@@ -283,13 +314,7 @@ def _grid(params: ModelParams, pot: Potential, tube: TubeSpec,
             "narrower than one mesh cell, so the grid has no height row but 0; raise "
             "--rho-min, or set --mesh below R"
         )
-    # stationary gradient scale from the block length D = rho^(2/3) c^(1/3) / eps
-    block = max(1.0, tube.rho ** (2.0 / 3.0) * params.macro_length ** (1.0 / 3.0) / eps)
-    grad_scale = eps * math.sqrt(sigma2) * math.sqrt(block)
-    grad_cut = tube.grad_cut
-    if grad_cut is None:
-        grad_cut = min(2.0 * radius, 8.0 * grad_scale)
-    n_g = int(math.floor(grad_cut / delta + 1e-9))
+    n_g = int(math.floor(_cut_range(params, tube, sigma2)[1] / delta + 1e-9))
     n_states = (2 * n_h + 1) * (2 * n_g + 1)
     if n_states > _STATE_CAP:
         raise ValueError(
@@ -481,19 +506,61 @@ def _prolong(v: np.ndarray, coarse: TransferOperator, fine: TransferOperator) ->
     return out
 
 
+def _tail_share(op: TransferOperator, v: np.ndarray) -> float:
+    """Estimated share of the confined density v * Pv past the gradient cut.
+
+    The outermost column pair holds a share e of the density and the next
+    pair in a share n; a tail that goes on falling by q = e / n per column
+    pair holds e q / (1 - q) past the cut.  0 when the edge holds nothing,
+    infinite when the shares do not fall or the grid has no second pair.
+    """
+    cols = (v * op._reflect(v)).sum(axis=0)
+    edge = cols[0] + cols[-1]
+    if edge == 0:
+        return 0.0
+    inner = cols[1] + cols[-2] if op.n_g >= 2 else 0.0
+    if edge >= inner:
+        return math.inf
+    q = edge / inner
+    return float(edge * q / (1 - q) / cols.sum())
+
+
+def _solve_cut(params: ModelParams, pot: Potential, rho: float, cuts: tuple[float, float],
+               mesh: float | None) -> tuple[TubeSpec, TransferOperator, PowerResult]:
+    """Solve a tube at the start of its cut range, and once more at the top
+    when the tail past the start cut could move F by over _TAIL_TOL relative.
+
+    Cutting the tail's share d of the density moves lambda by about d
+    relative, so F = -log(lam_norm) / eps by d / -log(lam_norm).  The wide
+    solve starts from the narrow eigenvector, whose states it holds at the
+    same spacing.  Returns the tube at its final cut, its operator and solve.
+    """
+    start, top = cuts
+    tube = TubeSpec(rho, start)
+    op = build_transfer(params, pot, tube, mesh=mesh)
+    sol = power_iteration(op)
+    if top > start and _tail_share(op, sol.eigvec) > _TAIL_TOL * -math.log(sol.lam_norm):
+        tube = TubeSpec(rho, top)
+        wide = build_transfer(params, pot, tube, mesh=mesh)
+        sol = power_iteration(wide, start=_prolong(sol.eigvec, op, wide))
+        op = wide
+    return tube, op, sol
+
+
 def _sweep_point(job) -> SweepRow:
-    """One tube solved at each of the sweep's meshes in turn, each solve
-    started from the one before's eigenvector prolonged to its grid."""
-    params, pot, tube, meshes = job
-    ops, sols = [], []
-    for mesh in meshes:
+    """One tube solved at each of the sweep's meshes in turn: the first at
+    its cut range's start or top (`_solve_cut`), each later one at the final
+    cut, started from the one before's eigenvector prolonged to its grid."""
+    params, pot, rho, cuts, meshes = job
+    tube, op, sol = _solve_cut(params, pot, rho, cuts, meshes[0])
+    ops, sols = [op], [sol]
+    for mesh in meshes[1:]:
         op = build_transfer(params, pot, tube, mesh=mesh)
-        start = _prolong(sols[-1].eigvec, ops[-1], op) if ops else None
+        sols.append(power_iteration(op, start=_prolong(sols[-1].eigvec, ops[-1], op)))
         ops.append(op)
-        sols.append(power_iteration(op, start=start))
     f = [-math.log(sol.lam_norm) / op.eps for sol, op in zip(sols, ops)]
-    return SweepRow(tube.rho, f[0], sols[0].lam_norm, ops[0].n_states, abs(f[-1] - f[0]),
-                    f[0] * tube.rho ** (2.0 / 3.0) * params.macro_length ** (1.0 / 3.0))
+    return SweepRow(rho, f[0], sols[0].lam_norm, ops[0].n_states, abs(f[-1] - f[0]),
+                    f[0] * rho ** (2.0 / 3.0) * params.macro_length ** (1.0 / 3.0))
 
 
 def confinement_sweep(
@@ -510,10 +577,12 @@ def confinement_sweep(
     The meshes are chosen once: the lattice's own, or in continuous mode
     the requested mesh and half of it, where each point's second solve
     starts from its first's eigenvector and mesh_delta reports |delta F|;
-    on the lattice mesh_delta is 0.  Every (rho, mesh) grid is sized
-    against the state cap, and its taps counted, before the first point is
-    solved; a lattice tube of floored radius 0 is refused there.  Results
-    are in input order and identical for any worker count.
+    on the lattice mesh_delta is 0.  Each point's gradient cut is chosen at
+    the first mesh by `_solve_cut` and kept at the half mesh.  Every
+    (rho, mesh) grid is sized against the state cap at the widest cut it
+    may widen to, and its taps counted, before the first point is solved; a
+    lattice tube of floored radius 0 is refused there.  Results are in
+    input order and identical for any worker count.
     """
     tubes = [TubeSpec(float(r), grad_cut) for r in rhos]
     if not tubes:
@@ -521,12 +590,14 @@ def confinement_sweep(
     delta = _grid(params, pot, tubes[0], mesh=mesh)[1]
     meshes = [delta] if params.height_mode == "discrete" else [delta, delta / 2.0]
     for tube in tubes:
+        # `_grid` cuts at the top of the tube's cut range
         for m, label in zip(meshes, ("", "half-mesh check at ")):
             n_h = _grid(params, pot, tube, mesh=m, label=label)[2]
         if n_h < 1:  # a lattice tube: `_grid` refuses a continuous one
             raise ValueError(f"rho={tube.rho:g}: lattice tube radius R = 0 holds height 0 "
                              "alone, so F cannot depend on rho; raise --rho-min")
-    jobs = [(params, pot, tube, meshes) for tube in tubes]
+    sigma2 = build_increment_dist(pot, params).sigma2
+    jobs = [(params, pot, tube.rho, _cut_range(params, tube, sigma2), meshes) for tube in tubes]
     return list(_pool_map(_sweep_point, jobs, workers))
 
 

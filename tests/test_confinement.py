@@ -448,6 +448,108 @@ def test_sweep_refuses_an_over_cap_half_mesh_at_its_last_rho(monkeypatch):
     assert calls == []
 
 
+def _cuts(params, pot, rho):
+    """A tube's automatic cut range: where a sweep starts, and its top."""
+    sigma2 = build_increment_dist(pot, params).sigma2
+    return confinement._cut_range(params, TubeSpec(rho), sigma2)
+
+
+def test_sweep_refuses_a_tube_whose_widest_cut_is_over_cap(monkeypatch):
+    # every start-cut grid fits the cap, but the widest tube's half mesh at
+    # the top of its cut range does not: a widening could reach that grid
+    # mid-sweep, so the sizing pass must refuse it before any solve
+    rhos = [0.02, 0.04, 0.08]
+    pot = GaussianPotential(1.0)
+    start = build_transfer(CONT_N100, pot, TubeSpec(0.08, _cuts(CONT_N100, pot, 0.08)[0]),
+                           mesh=0.04)
+    top = build_transfer(CONT_N100, pot, TubeSpec(0.08), mesh=0.04)
+    assert start.n_states < top.n_states
+    calls = []
+    monkeypatch.setattr(confinement, "_STATE_CAP", start.n_states)
+    monkeypatch.setattr(confinement, "power_iteration", lambda *a, **k: calls.append(a))
+    with pytest.raises(ValueError, match=rf"rho=0\.08, half-mesh check at mesh 0\.04: "
+                                         rf"operator needs {top.n_states} states"):
+        confinement_sweep(CONT_N100, pot, rhos, mesh=0.08)
+    assert calls == []
+
+
+LATTICE_N250K = ModelParams(250_000, 1.0, 250_000.0, height_mode="discrete")
+TABLE_GRID = np.linspace(-40.0, 40.0, 161)
+
+
+@pytest.mark.parametrize("rho", [0.02, 0.2])
+@pytest.mark.parametrize("params, pot", [
+    (CONT_N100, GaussianPotential(1.0)),
+    (CONT_N100, PowerLawPotential(1.0, 1.0)),
+    (CONT_N100, PowerLawPotential(1.0, 1.5)),
+    (CONT_N100, PowerLawPotential(1.0, 4.0)),
+    (CONT_N100, TabulatedPotential(TABLE_GRID, np.abs(TABLE_GRID) ** 1.5)),
+    (LATTICE_N250K, GaussianPotential(1.0)),
+], ids=["gaussian", "alpha-1", "alpha-1.5", "alpha-4", "table", "lattice-gaussian"])
+def test_doubling_the_final_cut_moves_f_by_at_most_1e_12(params, pot, rho, monkeypatch):
+    # solves at the default 1e-12 leave lambda off by up to about that, and
+    # F = -log(lam_norm) / eps with -log(lam_norm) down to 0.02 here, so two
+    # of them disagreed by 4.5e-11 relative in F with the cut not moving it;
+    # at 1e-15 every pair here agreed within 6e-14
+    monkeypatch.setattr(confinement, "_POWER_TOL", 1e-15)
+    tube, op, sol = confinement._solve_cut(params, pot, rho, _cuts(params, pot, rho), None)
+    wide = build_transfer(params, pot, TubeSpec(rho, 2 * tube.grad_cut))
+    assert wide.n_g >= 2 * op.n_g
+    res = power_iteration(wide, start=confinement._prolong(sol.eigvec, op, wide))
+    assert math.log(res.lam_norm) == pytest.approx(math.log(sol.lam_norm), rel=1e-12)
+
+
+def test_an_alpha_1_tube_widens_its_cut():
+    # the Laplace step law's density at 4 scales holds 2e-10 of its mass in
+    # the edge columns, and the start cut moves F by 6e-10 relative
+    pot = PowerLawPotential(1.0, 1.0)
+    start = build_transfer(CONT_N100, pot, TubeSpec(0.02, _cuts(CONT_N100, pot, 0.02)[0]))
+    (row,) = confinement_sweep(CONT_N100, pot, [0.02])
+    assert row.n_states == build_transfer(CONT_N100, pot, TubeSpec(0.02)).n_states
+    assert row.n_states > start.n_states
+
+
+def test_benchmark_sweep_keeps_its_start_cut():
+    # the benchmark's continuous sweep solves every tube at 4 gradient
+    # scales, about half the states of the top of the range, 8 scales
+    pot = GaussianPotential(1.0)
+    rhos = np.geomspace(0.01, 0.1, 6)
+    rows = confinement_sweep(CONT_N100, pot, rhos, mesh=0.08)
+    for row, rho in zip(rows, rhos):
+        start = build_transfer(CONT_N100, pot, TubeSpec(rho, _cuts(CONT_N100, pot, rho)[0]),
+                               mesh=0.08)
+        assert row.n_states == start.n_states
+    top = build_transfer(CONT_N100, pot, TubeSpec(0.1), mesh=0.08)
+    assert rows[-1].n_states <= 0.52 * top.n_states
+
+
+def test_explicit_grad_cut_is_never_widened(monkeypatch):
+    # the alpha = 1 tube that widens from its automatic start cut keeps the
+    # same cut when it is given explicitly: one solve per mesh
+    pot = PowerLawPotential(1.0, 1.0)
+    cut = _cuts(CONT_N100, pot, 0.02)[0]
+    calls = []
+
+    def counting(op, **kw):
+        calls.append(op)
+        return power_iteration(op, **kw)
+
+    monkeypatch.setattr(confinement, "power_iteration", counting)
+    (row,) = confinement_sweep(CONT_N100, pot, [0.02], grad_cut=cut)
+    assert row.n_states == build_transfer(CONT_N100, pot, TubeSpec(0.02, cut)).n_states
+    assert len(calls) == 2
+
+
+def test_widening_sweep_worker_invariance():
+    pot = PowerLawPotential(1.0, 1.0)
+    rhos = [0.02, 0.025, 0.03]
+    rows1 = confinement_sweep(CONT_N100, pot, rhos, workers=1)
+    rows2 = confinement_sweep(CONT_N100, pot, rhos, workers=2)
+    assert [r.n_states for r in rows1] == [
+        build_transfer(CONT_N100, pot, TubeSpec(r)).n_states for r in rhos]
+    assert rows1 == rows2
+
+
 def test_continuous_transfer_mesh_refinement():
     # once the mesh resolves the step kernel (eps*sigma = 0.1 here), halving
     # it must barely move the free energy
