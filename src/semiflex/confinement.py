@@ -28,7 +28,15 @@ by tap and stays the reference it is tested against.  Direct, not FFT,
 convolution: the kernels have tens of taps, where the direct sum is faster,
 and it keeps nonnegative vectors nonnegative.
 
-The potentials are even, and so the chain is symmetric under time reversal
+The potentials are even, with exactly even taps (`model._step_weights`
+reads Phi at |step|), so T commutes with the parity S(h, g) = (-h, -g) and
+the Perron vector is even.  `power_iteration` and `survival_probability`
+run in that even sector: each step computes the output's gradients g <= 0
+alone, through a second block list cut there, about half of a matvec's
+products, and mirrors the rest, into two buffers that alternate for the
+whole solve.  `matvec` stays the full-grid step.
+
+The chain is also symmetric under time reversal
 P(h, g) = (h - g, -g), the reversed chain's state (its previous height and
 negated gradient).  On the core, the states whose previous height lies in
 the tube and where every matvec output lies, T^T = P T P exactly, so P v is
@@ -133,6 +141,10 @@ class TransferOperator:
     probabilities (`model.build_increment_dist`), in continuous mode the
     weights scaled so that the largest is 1; z1, the unconstrained one-step
     mass, is their fsum, and radius the tube half-width R.
+
+    `matvec` steps any state and `dense()` is its explicit matrix: the two
+    full-grid references.  The solves step an even state with `_even_step`,
+    on a second list of column blocks cut at the centre column n_g.
     """
 
     def __init__(self, eps, delta, n_h, n_g, tap_offsets, tap_weights, radius):
@@ -169,6 +181,15 @@ class TransferOperator:
                 i0 = c0 - (a - hi) - top
                 self._blocks.append((slice(a, b), slice(c0, c1),
                                      tile[i0:i0 + c1 - c0, :b - a]))
+        # the even step's blocks: each cut at output column n_g, reading only
+        # the source columns, and tile rows, that reach columns up to it
+        self._half_blocks = []
+        for out, src, blk in self._blocks:
+            b = min(out.stop, self.n_g + 1)
+            c1 = min(src.stop, b - lo)
+            if b > out.start and c1 > src.start:
+                self._half_blocks.append((slice(out.start, b), slice(src.start, c1),
+                                          blk[:c1 - src.start, :b - out.start]))
         self._rows = max(64, _SERIAL_GEMM // tile.size)
 
     def heights(self) -> np.ndarray:
@@ -201,11 +222,35 @@ class TransferOperator:
         if v.shape != self.shape:
             raise ValueError(f"state vector must have shape {self.shape}")
         sheared, result = self._sheared()
+        self._convolve(v, sheared, self._blocks)
+        return result
+
+    def _even_step(self, v: np.ndarray, bufs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        """`matvec` of an even v, v[::-1, ::-1] == v, into the `_sheared()`
+        pair bufs, whose array it returns.
+
+        With even taps T commutes with S(h, g) = (-h, -g), so T v is even:
+        the products fill output columns 0..n_g alone, about half the work,
+        and the rest is their mirror, as is the lower half of column n_g, so
+        the result is exactly even.  The sheared writes and the mirror hit
+        the same entries on every call and the entries they skip stay zero,
+        so a solve reuses two buffers, each step writing into the one that
+        does not hold v.
+        """
+        sheared, result = bufs
+        self._convolve(v, sheared, self._half_blocks)
+        n_h, n_g = self.n_h, self.n_g
+        result[n_h + 1:, n_g] = result[:n_h, n_g][::-1]
+        result[:, n_g + 1:] = result[::-1, :n_g][:, ::-1]
+        return result
+
+    def _convolve(self, v: np.ndarray, sheared: np.ndarray, blocks: list) -> None:
+        """The products of `blocks` written through the sheared view, in row
+        chunks of `_rows`."""
         for r in range(0, self.shape[0], self._rows):
             rows = slice(r, r + self._rows)
-            for out, src, tile in self._blocks:
+            for out, src, tile in blocks:
                 sheared[rows, out] = v[rows, src] @ tile
-        return result
 
     def _sheared(self) -> tuple[np.ndarray, np.ndarray]:
         """A zero state array and a sheared view that writes into it.
@@ -346,10 +391,12 @@ def build_transfer(
 
 class PowerResult(NamedTuple):
     """lam_raw is the two-sided quotient, lam_norm = lam_raw / z1; iterations
-    counts matvecs; eigvec is the last iterate, summing to 1; error is the
-    final relative error estimate that stopped the solve.  It is an estimate,
-    not a bound: it carries no spectral-gap factor, and on a lattice sweep at
-    N = 250,000 the true relative error of lam was up to 2.1x larger."""
+    counts steps, each one matvec's worth of output; eigvec is the last
+    iterate, summing to 1 and exactly even, eigvec[::-1, ::-1] == eigvec;
+    error is the final relative error estimate that stopped the solve.  It
+    is an estimate, not a bound: it carries no spectral-gap factor, and on a
+    lattice sweep at N = 250,000 the true relative error of lam was up to
+    2.1x larger."""
 
     lam_norm: float
     lam_raw: float
@@ -359,14 +406,14 @@ class PowerResult(NamedTuple):
 
 
 def _check_even(op: TransferOperator) -> None:
-    """Time reversal needs w(t) == w(-t).  A relative mismatch d moves the
-    quotient by about d times the iterate's error, sqrt(_POWER_TOL) at the
-    stop, so 1e-6 leaves it inside the tolerance."""
+    """The even step and time reversal need w(t) == w(-t) exactly: the fold
+    mirrors half of each output, so a mismatch would not be averaged away."""
     order = np.argsort(op.tap_offsets)
     t, w = op.tap_offsets[order], op.tap_weights[order]
-    if not (np.array_equal(t, -t[::-1]) and np.allclose(w, w[::-1], rtol=1e-6, atol=0)):
-        raise ValueError("power iteration needs even tap weights, w(t) == w(-t): its "
-                         "eigenvalue quotient and error estimate rest on time reversal")
+    if not (np.array_equal(t, -t[::-1]) and np.array_equal(w, w[::-1])):
+        raise ValueError("power iteration and path sums need even tap weights, "
+                         "w(t) == w(-t): they step the even half of the states only, "
+                         "and the eigenvalue quotient rests on time reversal")
 
 
 def _quotient(op: TransferOperator, v: np.ndarray, w: np.ndarray) -> tuple[float, float]:
@@ -418,23 +465,35 @@ def power_iteration(op: TransferOperator, *, start: np.ndarray | None = None) ->
     consecutive steps settles to _FIRST_CHECK relative, the next one step
     later, each later one where the decay between the last two estimates
     predicts the tolerance, at most _CHECK_GAP steps on.  The benchmark's
-    continuous sweep takes 842 matvecs and stops within 4e-13 of a tight
-    Arnoldi reference.  Raises ValueError for uneven taps and RuntimeError
-    after _POWER_MAX_ITER steps.  Transient border states carry no weight in
-    the limit, so any start vector with mass on the communicating core gives
-    the same answer; without `start` the flat vector is the start (1,053
-    matvecs on the default sweep's cold solves, 1,064 from a shaped one).
+    continuous sweep takes 842 steps and stops within 4e-13 of a tight
+    Arnoldi reference.  Raises ValueError for a start of the wrong shape or
+    uneven taps, and RuntimeError after _POWER_MAX_ITER steps.  Transient
+    border states carry no weight in the limit, so any start vector with
+    mass on the communicating core gives the same answer; without `start`
+    the flat vector is the start (1,053 steps on the default sweep's cold
+    solves, 1,064 from a shaped one).
+
+    The solve runs in the even sector.  T commutes with S(h, g) = (-h, -g)
+    and the Perron vector is even, so S v has the same component along it
+    as v: the start is symmetrised once, v + v[::-1, ::-1], and each step
+    is `TransferOperator._even_step`, which computes half of the output and
+    mirrors the rest, into two buffers that alternate for the whole solve.
+    Each step does the work of about half a matvec and counts as one.
     """
     _check_even(op)
     v = np.ones(op.shape) if start is None else np.array(start, dtype=float)
+    if v.shape != op.shape:
+        raise ValueError(f"state vector must have shape {op.shape}")
     if v.min() < 0 or not v.sum() > 0:
         raise ValueError("start vector must be nonnegative with positive mass")
-    v = v / v.sum()
+    v = v + v[::-1, ::-1]
+    v *= 1.0 / v.sum()
+    bufs = (op._sheared(), op._sheared())
     s_prev = None
     check_at = None  # no check before the mass ratio settles
     last = None  # step and estimate of the previous check
     for it in range(1, _POWER_MAX_ITER + 1):
-        w = op.matvec(v)
+        w = op._even_step(v, bufs[it % 2])
         s = float(w.sum())
         if not (s > 0 and math.isfinite(s)):
             raise RuntimeError("power iteration lost all mass; operator is degenerate")
@@ -443,12 +502,12 @@ def power_iteration(op: TransferOperator, *, start: np.ndarray | None = None) ->
         if it == check_at:
             lam, err = _quotient(op, v, w)
             if err <= _POWER_TOL:
-                w /= s
+                w *= 1.0 / s
                 return PowerResult(lam / op.z1, lam, it, w, err)
             check_at = it + _check_gap(last, it, err)
             last = (it, err)
         s_prev = s
-        w /= s  # in place: a fresh array per step would raise the peak memory
+        w *= 1.0 / s
         v = w
     raise RuntimeError(f"power iteration did not converge in {_POWER_MAX_ITER} iterations")
 
@@ -458,13 +517,18 @@ def survival_probability(op: TransferOperator, n_sites: int) -> float:
 
     The chain starts at height 0 with gradient 0, and its N-1 steps, each
     divided by z1, land exactly on the constrained heights phi_2 .. phi_N.
+    That start is even under (h, g) -> (-h, -g), so every step is the even
+    step of `power_iteration`, on two alternating buffers.
     """
     if n_sites < 1:
         raise ValueError("n_sites must be at least 1")
+    _check_even(op)
     v = np.zeros(op.shape)
     v[op.n_h, op.n_g] = 1.0  # unit mass at (h=0, g=0)
-    for _ in range(n_sites - 1):
-        v = op.matvec(v) / op.z1
+    bufs = (op._sheared(), op._sheared())
+    for k in range(n_sites - 1):
+        v = op._even_step(v, bufs[k % 2])
+        v /= op.z1
     return float(v.sum())
 
 

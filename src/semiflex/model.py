@@ -184,8 +184,10 @@ def _step_bound(pot: Potential, eps: float, truncation: float | None = None) -> 
 
 def _step_weights(pot: Potential, eps: float, delta: float = 1.0,
                   d_max: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Integer offsets d and weights exp(-eps * Phi(d*delta/eps)) of a height
-    step d*delta, divided by their largest, so the peak weighs 1.
+    """Integer offsets d and weights exp(-eps * Phi(|d|*delta/eps)) of a
+    height step d*delta, divided by their largest, so the peak weighs 1.
+    Phi is read at |d| only, so the weights are exactly even even where a
+    table, accepted as even to 1e-9, is not exactly so.
 
     d_max, when given, is the cut: d runs over |d| <= d_max and every step is
     kept.  Otherwise d runs over |d| <= the largest |d| within `_step_bound`
@@ -203,7 +205,7 @@ def _step_weights(pot: Potential, eps: float, delta: float = 1.0,
     if trim:
         d_max = math.floor(reach) + 1
     offsets = np.arange(-d_max, d_max + 1)
-    g = -eps * np.asarray(pot(offsets * delta / eps), dtype=float)
+    g = -eps * np.asarray(pot(np.abs(offsets) * delta / eps), dtype=float)
     weights = np.exp(g - g.max())
     if trim:
         keep = np.abs(offsets) <= np.abs(offsets[weights >= _STEP_CUTOFF]).max()

@@ -158,6 +158,22 @@ def test_power_iteration_needs_even_taps(taps, weights):
     op = TransferOperator(1.0, 1.0, 2, 3, taps, weights, 1.0)
     with pytest.raises(ValueError, match=r"even tap weights, w\(t\) == w\(-t\)"):
         power_iteration(op)
+    with pytest.raises(ValueError, match=r"even tap weights, w\(t\) == w\(-t\)"):
+        survival_probability(op, 3)
+
+
+def test_a_table_even_to_1e_10_gives_exactly_even_taps():
+    # Phi is read at |x|, so a table that is even only within the 1e-9 it
+    # is accepted at still passes the even step's exact check
+    grid = np.linspace(-40.0, 40.0, 161)
+    pot = TabulatedPotential(grid, np.abs(grid) ** 1.5 + 1e-10 * (grid > 0))
+    op = build_transfer(CONT_N100, pot, TubeSpec(0.01, 0.5))
+    x = op.tap_offsets * op.delta / op.eps
+    assert not np.array_equal(pot(x), pot(-x))
+    assert np.array_equal(op.tap_offsets, -op.tap_offsets[::-1])
+    assert np.array_equal(op.tap_weights, op.tap_weights[::-1])
+    lam_dense = float(np.max(np.linalg.eigvals(op.dense()).real))
+    assert power_iteration(op).lam_raw == pytest.approx(lam_dense, rel=1e-10)
 
 
 def test_power_iteration_stops_within_1e_11_on_the_benchmark_sweep(monkeypatch):
@@ -237,6 +253,72 @@ def test_matvec_agrees_with_dense(op, seed):
     off_grid = (rows < 0) | (rows > 2 * op.n_h)
     assert np.all(out >= 0)
     assert np.all(out[off_grid] == 0)
+
+
+EVEN_LATTICE_OPS = st.builds(
+    _lattice_op, st.sets(st.integers(0, 3), min_size=1).map(lambda s: sorted(s | {-t for t in s})),
+    st.floats(0.1, 3.0), st.integers(0, 4), st.integers(0, 6))
+
+
+def _even(v):
+    return v + v[::-1, ::-1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(op=EVEN_LATTICE_OPS | CONTINUOUS_OPS, seed=st.integers(0, 2**32))
+# one gradient column, and one height row
+@example(op=_lattice_op([-1, 0, 1], n_g=0), seed=0)
+@example(op=_lattice_op([-3, -1, 1, 3], n_h=0), seed=0)
+# 37 taps over 3 gradient columns
+@example(op=_continuous_op(TubeSpec(0.1, 0.1), 0.1), seed=0)
+# 37 taps over 121 gradient columns: the half grid cuts a column block
+@example(op=_continuous_op(TubeSpec(0.03, 6.0), 0.1), seed=0)
+# 183 taps over 31 gradient columns, 101 height rows in two row chunks
+@example(op=_continuous_op(TubeSpec(0.04, 0.3), 0.02), seed=0)
+# 365 taps over 3 gradient columns
+@example(op=_continuous_op(TubeSpec(0.05, 0.01), 0.01), seed=0)
+def test_even_step_agrees_with_matvec(op, seed):
+    # on an even vector the half-grid products and their mirror are matvec,
+    # and the result is exactly even
+    v = _even(np.random.default_rng(seed).normal(size=op.shape))
+    out = op._even_step(v, op._sheared())
+    assert_allclose(out, op.matvec(v), rtol=0, atol=1e-13 * np.max(np.abs(v)))
+    assert np.array_equal(out, out[::-1, ::-1])
+    # a state whose source row the shear puts off the grid gets exactly nothing
+    rows = np.arange(2 * op.n_h + 1)[:, None] - (np.arange(2 * op.n_g + 1) - op.n_g)
+    off_grid = (rows < 0) | (rows > 2 * op.n_h)
+    assert np.all(op._even_step(np.abs(v), op._sheared())[off_grid] == 0)
+
+
+@pytest.mark.parametrize("op", [
+    _lattice_op([-3, -2, -1, 0, 1, 2, 3], n_h=3, n_g=1),
+    _continuous_op(TubeSpec(0.03, 6.0), 0.1),
+    _continuous_op(TubeSpec(0.04, 0.3), 0.02),
+], ids=["lattice", "column-blocks", "row-chunks"])
+def test_reused_buffers_step_like_fresh_ones(op):
+    # the third step writes over the first one's output, and matches bit for bit
+    v = _even(np.random.default_rng(3).random(op.shape))
+    fresh, reused = v, v
+    bufs = (op._sheared(), op._sheared())
+    for k in range(3):
+        fresh = op._even_step(fresh, op._sheared())
+        reused = op._even_step(reused, bufs[k % 2])
+    assert np.array_equal(fresh, reused)
+
+
+@pytest.mark.parametrize("op", [
+    build_transfer(_discrete_params(8), ZERO_POT, TubeSpec(1.3), support=SUPPORT),
+    build_transfer(CONT_N100, GaussianPotential(1.0), TubeSpec(0.02), mesh=0.1),
+], ids=["lattice", "continuous"])
+def test_power_iteration_from_an_uneven_start(op):
+    # mass on one off-centre state: the solve runs on its symmetrised start,
+    # and its eigenvector is exactly even
+    start = np.zeros(op.shape)
+    start[op.n_h + 1, op.n_g + 1] = 1.0
+    res, flat = power_iteration(op, start=start), power_iteration(op)
+    assert res.lam_norm == pytest.approx(flat.lam_norm, rel=1e-11)
+    for vec in (res.eigvec, flat.eigvec):
+        assert np.array_equal(vec, vec[::-1, ::-1])
 
 
 @pytest.mark.parametrize("pot", [GaussianPotential(1.0), PowerLawPotential(1.0, 1.5),
@@ -592,6 +674,8 @@ def _small_op():
      "dense form capped at 20000 states"),
     (lambda: power_iteration(_small_op(), start=-np.ones((5, 9))),
      "start vector must be nonnegative with positive mass"),
+    (lambda: power_iteration(_small_op(), start=np.ones((9, 5))),
+     "state vector must have shape (5, 9)"),
     (lambda: survival_probability(_small_op(), 0), "n_sites must be at least 1"),
     (lambda: confinement_sweep(CONT_N100, GaussianPotential(1.0), []), "need at least one rho"),
     (lambda: exponent_fit([0.1, 1.0, 10.0], [1.0, 0.5]),
@@ -600,7 +684,7 @@ def _small_op():
      "rhos and fs must be 1d and the same length"),
     (lambda: exponent_fit([0.0, 0.5, 1.0, 5.0, 10.0], [1.0] * 5),
      "exponent fit needs positive rho values"),
-], ids=["zero-rho", "infinite-rho", "matvec-shape", "dense-cap", "negative-start",
+], ids=["zero-rho", "infinite-rho", "matvec-shape", "dense-cap", "negative-start", "start-shape",
         "no-sites", "no-rho", "unequal-lengths", "not-1d", "zero-rho-fit"])
 def test_confinement_refusals(call, error):
     with pytest.raises(ValueError) as err:
