@@ -28,6 +28,7 @@ usage error, malformed or empty number lists (--times, --eps) included.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -342,6 +343,7 @@ def _floats(text: str) -> list[float]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for the command line; `main` builds one per process."""
     parser = argparse.ArgumentParser(
         prog="semiflex",
         description="Discrete semiflexible polymer toolkit: samplers, "
@@ -420,8 +422,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's parser, built on its first call: parsing leaves a parser as it was,
+# so one serves every call in a process
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args, _Run(args)) or 0
     except (ValueError, RuntimeError, OSError, OverflowError, MemoryError) as exc:

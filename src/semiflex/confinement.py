@@ -393,10 +393,13 @@ class PowerResult(NamedTuple):
     """lam_raw is the two-sided quotient, lam_norm = lam_raw / z1; iterations
     counts steps, each one matvec's worth of output; eigvec is the last
     iterate, summing to 1 and exactly even, eigvec[::-1, ::-1] == eigvec;
-    error is the final relative error estimate that stopped the solve.  It
-    is an estimate, not a bound: it carries no spectral-gap factor, and on a
-    lattice sweep at N = 250,000 the true relative error of lam was up to
-    2.1x larger."""
+    error is the final relative error estimate of lam that stopped the
+    solve, about _POWER_TOL = 1e-12.  It is an estimate, not a bound: it
+    carries no spectral-gap factor, and on a lattice sweep at N = 250,000 the
+    true relative error of lam was up to 2.1x larger.  F = -log(lam_norm) / eps
+    magnifies lam's relative error by 1 / -log(lam_norm), about 50 at rho 0.2
+    on the default sweep and more for wider tubes, so F is good to about
+    5e-11 relative there, not 1e-12."""
 
     lam_norm: float
     lam_raw: float

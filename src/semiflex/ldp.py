@@ -19,10 +19,18 @@ takes the peaks of exp(-eps Phi(x) + h x) in closed form, sizes widths and
 windows (where the exponent has fallen by 60) in masked halving and doubling
 loops over the tilts still searching, and evaluates the integrands on model's
 tanh-sinh rule, in pieces that end at the window ends, the peak and the kink
-of |x|^alpha at x = 0, as one array per piece count.  The tests hold it to
-adaptive quadrature within 1e-8 relative for alpha in {1, 1.25, 1.5, 2, 4},
-to the one-tilt kernel it replaced within 1e-13, and to the Gaussian closed
-forms within 1e-12 at alpha = 2.  A table
+of |x|^alpha at x = 0 (`_node_set`), per piece count in chunks of at most 64
+tilts.  Each chunk's nodes, weights, integrand and centred moments are
+written in place on a workspace of three 64-tilt, three-piece arrays (0.95 MB)
+that the LogMgf holds, so a call allocates nothing of node-set size but the
+potential's values: fresh arrays of that size (200-320 KB) cost page faults
+on every call.  Each tilt's moments are a function of that tilt alone, the
+same bits in any chunk, after any earlier call.  The tests hold the kernel
+to adaptive quadrature within 1e-8 relative for alpha in {1, 1.25, 1.5, 2,
+4}, to the one-tilt kernel it replaced within 1e-13, to the Gaussian closed
+forms within 1e-12 at alpha = 2, and to the allocating expressions it
+replaced bit for bit.  Calls that share one LogMgf share its workspace, so
+they must not run at once in threads.  A table
 potential is rejected: it is a hard wall (+inf) past its grid, so its tilted
 law has neither the closed-form peak nor the one rescaled unit law that the
 kernel and the limit rely on.
@@ -43,6 +51,7 @@ from .model import (
     ModelParams,
     Potential,
     PowerLawPotential,
+    _TS_WEIGHT,
     _tanh_sinh_pieces,
 )
 
@@ -79,6 +88,8 @@ def __getattr__(name):
 
 # the tilted density is cut where it has fallen by e^60 from its peak
 _TAIL = -60.0
+# tilts per pass of the node-set quadrature, the rows its workspace holds
+_TILT_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -102,6 +113,42 @@ class LogMgf:
             raise ValueError(f"tilt {worst} leaves the log-MGF domain (|h| < {self.h_max})")
 
 
+def _exponent(pot: PowerLawPotential, eps: float, h, x0, shift, x: np.ndarray) -> np.ndarray:
+    """g(x0 + x) - shift, g(x) = -eps Phi(x) + h x, with h, x0 and shift
+    broadcast against x (a column each for rows of tilts).  One call of pot;
+    x is overwritten, and the result is pot's own array."""
+    x += x0
+    g = pot(x)
+    g *= -eps
+    g += np.multiply(h, x, out=x)
+    g -= shift
+    return g
+
+
+def _node_set(pot: PowerLawPotential, eps: float, h: np.ndarray, x0: np.ndarray,
+              shift: np.ndarray, d: np.ndarray, ends: np.ndarray,
+              work: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Log Z, mean and variance of exp(-eps Phi(x) + h x) at each tilt h, one
+    row each, on the tanh-sinh rule over pieces ending at `ends` in the
+    variable u = (x - x0) / d; shift is g at the peak x0.
+
+    Nodes, weights and integrand live on the first rows of the three flat
+    arrays of `work`, written afresh, so no call sees an earlier one; pot
+    is read once, on all the rows' nodes."""
+    shape = (h.size, (ends.shape[1] - 1) * _TS_WEIGHT.size)
+    u, w, x = (buf[:shape[0] * shape[1]].reshape(shape) for buf in work)
+    _tanh_sinh_pieces(ends, out=(u, w))
+    w *= np.exp(_exponent(pot, eps, h[:, None], x0[:, None], shift[:, None],
+                          np.multiply(u, d[:, None], out=x)), out=x)
+    # centered u-moments keep every sum O(1); the raw second moment at
+    # x0 ~ h/eps would lose the variance to cancellation
+    z = w.sum(axis=1)
+    u1 = np.multiply(w, u, out=x).sum(axis=1) / z
+    np.square(np.subtract(u, u1[:, None], out=x), out=x)
+    var = np.multiply(w, x, out=x).sum(axis=1) / z
+    return np.log(z * d) + shift, x0 + d * u1, d * d * var
+
+
 def _tilted_log_mgf(pot: Potential, eps: float) -> LogMgf:
     """Tilted integrals of exp(-eps*Phi(x) + h x) for Phi = kappa |x|^alpha,
     on the tanh-sinh rule of `model._tanh_sinh_pieces`, at arrays of tilts h."""
@@ -112,6 +159,9 @@ def _tilted_log_mgf(pot: Potential, eps: float) -> LogMgf:
             "'gaussian' or 'power'")
 
     last = [(None, None)]  # the last distinct tilts' bytes and moments, swapped whole
+    # the node-set workspace, reused by every call: nodes, weights and the
+    # integrand's scratch for _TILT_CHUNK tilts of up to three pieces each
+    work = np.empty((3, _TILT_CHUNK * 3 * _TS_WEIGHT.size))
 
     def _moments(h: np.ndarray) -> np.ndarray:
         # the tilted integrand is a single bump (Phi is convex and even) that
@@ -144,9 +194,8 @@ def _tilted_log_mgf(pot: Potential, eps: float) -> LogMgf:
         x0 = x0[first]
         shift = -eps * pot(x0) + h * x0
 
-        def fall(i, offset):  # g - shift at tilts h[i], x = x0[i] + offset (a row each)
-            x = x0[i, None] + offset
-            return -eps * pot(x) + h[i, None] * x - shift[i, None]
+        def fall(i, x):  # g - shift at tilts h[i], x = x0[i] + x (a row each); overwrites x
+            return _exponent(pot, eps, h[i, None], x0[i, None], shift[i, None], x)
 
         def scan(scale, factor, holds):  # scale[k] *= factor while holds(k, scale[k])
             live = np.arange(scale.size)
@@ -174,17 +223,11 @@ def _tilted_log_mgf(pot: Potential, eps: float) -> LogMgf:
         out = np.empty((3, h.size))
         for rows, cuts in ((inside, (-left, np.minimum(kink, 0.0), np.maximum(kink, 0.0), right)),
                            (~inside, (-left, np.zeros(h.size), right))):
-            i = np.flatnonzero(rows)
-            if not i.size:
-                continue
-            u, w = _tanh_sinh_pieces(np.stack(cuts, axis=1)[i])
-            w = w * np.exp(fall(i, u * d[i, None]))
-            # centered u-moments keep every sum O(1); the raw second moment at
-            # x0 ~ h/eps would lose the variance to cancellation
-            z = w.sum(axis=1)
-            u1 = (w * u).sum(axis=1) / z
-            var = (w * np.square(u - u1[:, None])).sum(axis=1) / z
-            out[:, i] = np.log(z * d[i]) + shift[i], x0[i] + d[i] * u1, d[i] * d[i] * var
+            ends = np.stack(cuts, axis=1)
+            rows = np.flatnonzero(rows)
+            # at most _TILT_CHUNK tilts at a time, each on a row of the workspace
+            for i in (rows[k:k + _TILT_CHUNK] for k in range(0, rows.size, _TILT_CHUNK)):
+                out[:, i] = _node_set(pot, eps, h[i], x0[i], shift[i], d[i], ends[i], work)
         last[0] = h.tobytes(), out
         return out[:, back]
 

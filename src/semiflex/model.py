@@ -238,13 +238,26 @@ def _tanh_sinh(step: float, t_max: float):
 _TS_FROM_LEFT, _TS_OFFSET, _TS_WEIGHT = _tanh_sinh(1.0 / 32.0, 3.2)
 
 
-def _tanh_sinh_pieces(ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _tanh_sinh_pieces(ends: np.ndarray, out: tuple[np.ndarray, np.ndarray] | None = None
+                      ) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the tanh-sinh rule on each piece [ends[..., i], ends[..., i+1]],
-    joined on the last axis: for the untilted step law here, per tilt in `ldp`."""
+    joined on the last axis: for the untilted step law here, per tilt in `ldp`.
+
+    `out`, a pair of C-contiguous float arrays of that joined shape, receives
+    the nodes and weights in place (`ldp` reuses one workspace this way);
+    without it both are fresh arrays.  Each node is its nearer end plus
+    width * offset, each weight width * weight, either way."""
     width = np.diff(ends)[..., None]
-    nodes = np.where(_TS_FROM_LEFT, ends[..., :-1, None], ends[..., 1:, None]) + width * _TS_OFFSET
-    shape = ends.shape[:-1] + (-1,)
-    return nodes.reshape(shape), (width * _TS_WEIGHT).reshape(shape)
+    shape = ends.shape[:-1] + (width.shape[-2] * _TS_WEIGHT.size,)
+    nodes, weights = (np.empty(shape), np.empty(shape)) if out is None else out
+    # (..., piece, node) views: reshaping a C-contiguous array copies nothing
+    split = ends.shape[:-1] + (width.shape[-2], _TS_WEIGHT.size)
+    at, by = nodes.reshape(split), weights.reshape(split)
+    np.multiply(width, _TS_OFFSET, out=at)
+    np.add(at, ends[..., :-1, None], out=at, where=_TS_FROM_LEFT)
+    np.add(at, ends[..., 1:, None], out=at, where=~_TS_FROM_LEFT)
+    np.multiply(width, _TS_WEIGHT, out=by)
+    return nodes, weights
 
 
 @dataclass(frozen=True)
@@ -319,7 +332,10 @@ def build_increment_dist(
     x, w = _tanh_sinh_pieces(ends)
     g = -eps * np.asarray(pot(x), dtype=float)
     w = w * np.exp(g - g.max())
-    sigma2 = float(np.dot(w, x * x) / np.sum(w))
+    # one dot per piece, summed in order: BLAS runs a dot this short on one
+    # thread, so the bits do not depend on its thread count
+    pieces = (-1, _TS_WEIGHT.size)
+    sigma2 = float(sum(map(np.dot, w.reshape(pieces), (x * x).reshape(pieces))) / np.sum(w))
     # the dense inverse-CDF table on the law's support
     xs = np.linspace(-bound, bound, 8193)
     g = -eps * np.asarray(pot(xs), dtype=float)

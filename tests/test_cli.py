@@ -2,12 +2,17 @@
 
 import argparse
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import semiflex
 from semiflex import confinement, oracle, sampling
 from semiflex.cli import _positive_int, _Run, build_parser, main
 from semiflex.gaussian import exact_boundary_density, q_matrix
@@ -352,6 +357,37 @@ def test_every_flag_but_config_workers_and_out_enters_the_hash(command):
         if _Run(args).hash == stamp:
             unhashed.append(flag)
     assert unhashed == []
+
+
+def test_build_parser_returns_a_new_parser_each_call():
+    assert build_parser() is not build_parser()
+
+
+def test_main_calls_in_one_process_carry_no_state(tmp_path):
+    # main parses with one parser per process: theta-stats on its default
+    # --times, a quartic profile and theta-stats again write the files, and
+    # exit with the codes, that each writes in an interpreter of its own
+    quartic = _write_config(tmp_path, {"potential": {"kind": "power", "kappa": 1.0,
+                                                     "alpha": 4.0}})
+    commands = {"theta": ["theta-stats", "--n", "64"],
+                "profile": ["profile", "--config", quartic, "--xi-left", "0.4",
+                            "--xi-right", "-0.2", "--slope", "0.3", "--points", "11"]}
+    src = str(Path(semiflex.__path__[0]).parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = "import sys; from semiflex.cli import main; sys.exit(main(sys.argv[1:]))"
+    alone = {name: subprocess.run([sys.executable, "-c", code, *argv, "--out",
+                                   str(tmp_path / name)], env=env, capture_output=True).returncode
+             for name, argv in commands.items()}
+    assert alone == {"theta": 0, "profile": 0}
+
+    def files(out):
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    for k, name in enumerate(("theta", "profile", "theta")):
+        out = tmp_path / f"in_process{k}"
+        assert main([*commands[name], "--out", str(out)]) == alone[name]
+        assert files(out) == files(tmp_path / name)
 
 
 def test_config_hash_tracks_seed(tmp_path):

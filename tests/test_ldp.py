@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -630,6 +631,127 @@ def test_batched_kernel_names_the_first_bad_tilt(alpha, eps, tilts, bad):
         with pytest.raises(ValueError) as err:
             read(np.array(tilts))
         assert str(err.value) == str(ref.value)
+
+
+# ---------------------------------------------------------------------------
+# The node-set quadrature on its workspace against the allocating expressions
+# it replaced.
+
+def _allocating_node_set(pot, eps, h, x0, shift, d, ends):
+    """`ldp._node_set` as it ran before its workspace: each intermediate a
+    fresh array, and the tanh-sinh nodes from `np.where`."""
+    width = np.diff(ends)[..., None]
+    u = (np.where(model._TS_FROM_LEFT, ends[:, :-1, None], ends[:, 1:, None])
+         + width * model._TS_OFFSET).reshape(h.size, -1)
+    w = (width * model._TS_WEIGHT).reshape(h.size, -1)
+    x = x0[:, None] + u * d[:, None]
+    w = w * np.exp(-eps * pot(x) + h[:, None] * x - shift[:, None])
+    z = w.sum(axis=1)
+    u1 = (w * u).sum(axis=1) / z
+    var = (w * np.square(u - u1[:, None])).sum(axis=1) / z
+    return np.log(z * d) + shift, x0 + d * u1, d * d * var
+
+
+def _record_node_sets(monkeypatch):
+    """From here on, record each `ldp._node_set` call: its tilt arrays
+    (copied), its workspace and its result."""
+    calls = []
+    node_set = ldp._node_set
+
+    def recording(pot, eps, *arrays):
+        *inputs, work = arrays
+        inputs = [a.copy() for a in inputs]
+        result = node_set(pot, eps, *arrays)
+        calls.append((pot, eps, inputs, work, result))
+        return result
+
+    monkeypatch.setattr(ldp, "_node_set", recording)
+    return calls
+
+
+def _bits(*arrays):
+    return [np.asarray(a).tobytes() for a in arrays]
+
+
+@pytest.mark.parametrize("eps", [1.0, 1e-5])
+@pytest.mark.parametrize("alpha", [1.0, 1.25, 1.5, 2.0, 4.0])
+def test_node_sets_on_the_workspace_are_the_allocating_expressions(alpha, eps, monkeypatch):
+    mgf = _power_step_mgf.__wrapped__(alpha, eps)
+    tilts = _mixed_tilts(mgf)
+    calls = _record_node_sets(monkeypatch)
+    mgf.d1(tilts)
+    # both piece counts (one at alpha = 1), 101 tilts in chunks of at most 64
+    assert {c[2][-1].shape[1] - 1 for c in calls} == ({2} if alpha == 1.0 else {2, 3})
+    assert sum(c[2][0].size for c in calls) == tilts.size
+    for pot, eps, inputs, work, result in calls:
+        assert inputs[0].size <= ldp._TILT_CHUNK
+        assert _bits(*result) == _bits(*_allocating_node_set(pot, eps, *inputs))
+
+
+def test_workspace_history_leaves_no_trace(monkeypatch):
+    alpha, eps = 1.5, 1.0
+    tilts = _mixed_tilts(_power_step_mgf(alpha, eps))
+    fresh = _power_step_mgf.__wrapped__(alpha, eps)
+    want = _bits(fresh.value(tilts), fresh.d1(tilts), fresh.d2(tilts))
+    mgf = _power_step_mgf.__wrapped__(alpha, eps)
+
+    def same():
+        return _bits(mgf.value(tilts), mgf.d1(tilts), mgf.d2(tilts)) == want
+
+    # each call below reads other tilts first, so the kernel's cache of the
+    # last tilts cannot answer for the workspace
+    mgf.d1(np.linspace(-1.0, 1.0, 301) * np.abs(tilts).max())  # a larger call
+    assert same()
+    mgf.d1(tilts[:5] / 3.0)  # a smaller one
+    assert same()
+    mgf.d1(tilts[:7] / 5.0)
+    piece = model._TS_WEIGHT.size
+    exponent = ldp._exponent
+
+    def failing(pot, eps, h, x0, shift, x):  # fails on a node set, after its nodes are written
+        if x.shape[-1] >= 2 * piece:
+            raise FloatingPointError("injected")
+        return exponent(pot, eps, h, x0, shift, x)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ldp, "_exponent", failing)
+        with pytest.raises(FloatingPointError):
+            mgf.d1(np.linspace(-2.0, 2.0, 150))  # a call that raised
+    assert same()
+
+
+@pytest.mark.parametrize("eps", [1.0, 1e-5])
+@pytest.mark.parametrize("alpha", [1.0, 1.5, 4.0])
+def test_a_call_over_several_chunks_is_its_chunks_calls(alpha, eps, monkeypatch):
+    mgf = _power_step_mgf(alpha, eps)
+    fracs = np.random.default_rng(11).uniform(-1.0, 1.0, 3 * ldp._TILT_CHUNK + 17)
+    tilts = np.array([_tilt(mgf, f) for f in fracs])
+    calls = _record_node_sets(monkeypatch)
+    whole = [read(tilts) for read in (mgf.value, mgf.d1, mgf.d2)]
+    assert len(calls) > 2 and max(c[2][0].size for c in calls) == ldp._TILT_CHUNK
+    step = ldp._TILT_CHUNK
+    for read, joined in zip((mgf.value, mgf.d1, mgf.d2), whole):
+        parts = [read(tilts[k:k + step]) for k in range(0, tilts.size, step)]
+        assert _bits(joined) == _bits(np.concatenate(parts))
+
+
+def test_the_workspace_holds_one_chunk_whatever_the_tilt_count(monkeypatch):
+    mgf = _power_step_mgf.__wrapped__(4.0, 1.0)
+    tilts = _tilt(mgf, 1.0) * np.linspace(-1.0, 1.0, 5000)
+    calls = _record_node_sets(monkeypatch)
+    mgf.d1(tilts[::50])
+    size = {c[3].size for c in calls}
+    assert size == {3 * ldp._TILT_CHUNK * 3 * model._TS_WEIGHT.size}
+    monkeypatch.undo()
+    # one chunk's arrays and a few floats per tilt: under an eighth of one
+    # three-piece node-set array over all the tilts at once
+    tracemalloc.start()
+    try:
+        mgf.d1(tilts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < tilts.size * 3 * model._TS_WEIGHT.size * 8 / 8
 
 
 @pytest.mark.parametrize("mgf", [

@@ -1,6 +1,10 @@
 """Core model: energy, change-of-variables kernels, continuum check."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
+import semiflex
 from semiflex.model import (
     BoundaryConditions,
     ContinuumProfile,
@@ -318,6 +323,23 @@ def test_step_weights_make_one_potential_call(monkeypatch, pot):
     offsets, weights = _step_weights(pot, 0.5, 0.1)
     assert len(calls) == 1
     assert weights.max() == 1.0
+
+
+def test_table_law_variance_does_not_depend_on_blas_threads():
+    # |x|^1.5 on linspace(-40, 40, 161), plain and as the CI's confine table
+    # (1e-10 off even): about 80 tanh-sinh pieces, whose variance summed in
+    # one BLAS dot read other bits on one OpenBLAS thread than on two
+    src = str(Path(semiflex.__path__[0]).parent)
+    code = ("import numpy as n; from semiflex.model import *; "
+            "g = n.linspace(-40, 40, 161); p = ModelParams(100, 0.01, 1.0); "
+            "print([build_increment_dist(TabulatedPotential(g, abs(g) ** 1.5 + s * (g > 0)), p)"
+            ".sigma2.hex() for s in (0.0, 1e-10)])")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": path,
+                                           "OPENBLAS_NUM_THREADS": threads}).stdout
+           for threads in ("1", "2")]
+    assert out[0] == out[1]
 
 
 def test_step_bound_closed_forms():
