@@ -88,7 +88,8 @@ _CHECK_GAP = 32
 # matvec row chunks: OpenBLAS 0.3.31 (numpy 2.4's) ran a GEMM of m*n*k
 # multiply-adds on one thread below about 1e6 on a 2-core x86-64 VM; above,
 # its second thread doubled the CPU time of 23-45-tap matvecs and saved
-# little wall time.  64-row chunks stay efficient GEMMs for wider kernels.
+# little wall time, and summed in another order, so the bits depended on
+# the thread count.  Wide kernels take chunks of fewer rows, down to one.
 _SERIAL_GEMM = 2 ** 19
 # the automatic gradient cut, in stationary gradient scales: where a sweep's
 # solve starts, and the widest it widens to
@@ -190,7 +191,7 @@ class TransferOperator:
             if b > out.start and c1 > src.start:
                 self._half_blocks.append((slice(out.start, b), slice(src.start, c1),
                                           blk[:c1 - src.start, :b - out.start]))
-        self._rows = max(64, _SERIAL_GEMM // tile.size)
+        self._rows = max(1, _SERIAL_GEMM // tile.size)
 
     def heights(self) -> np.ndarray:
         return self.delta * np.arange(-self.n_h, self.n_h + 1)
@@ -215,9 +216,10 @@ class TransferOperator:
         Cost: at most nr*nc*(2*span - 1) multiply-adds, under twice the direct
         sum when the taps fill the span, and a cached tile of at most
         (2*span - 1)*span floats, span counting the taps shorter than nc.
-        Rows go in chunks of at least 64 that keep one product under 2^19
-        multiply-adds where they can, which OpenBLAS runs on one thread.  The
-        result is a view into the padded buffer.
+        Rows go in chunks that keep one product under 2^19 multiply-adds,
+        which OpenBLAS runs on one thread, so the bits do not depend on its
+        thread count while a tile has at most 2^19 entries.  The result is a
+        view into the padded buffer.
         """
         if v.shape != self.shape:
             raise ValueError(f"state vector must have shape {self.shape}")

@@ -196,6 +196,11 @@ _SHIFT = np.array([1, -1, -1, 1])  # heights lo..hi: laps lo-1, lo, hi, hi+1
 # larger one, the block shift's, has at most this many entries
 _MOVE_TABLE_CAP = 1 << 16
 
+# a chain block draws its sweeps' proposals, thresholds and block layouts,
+# and keeps their recorded laps, a chunk of sweeps at a time in about this
+# many bytes
+_SWEEP_CHUNK_BYTES = 1 << 19
+
 
 def _lap_energy(pot: Potential, eps: float, lap_max: float | None):
     """The chain's energy of a lap x: Phi(x / eps), +inf past the cut lap_max."""
@@ -249,10 +254,13 @@ def _block_layout(n: int) -> tuple[int, int]:
     return rounds, math.ceil((n - 2) / rounds)
 
 
-def _block_rounds(rng, n: int, rounds: int, chains: int) -> tuple[np.ndarray, np.ndarray]:
-    """Block shifts for `rounds` rounds of `chains` chains, drawn in one RNG
-    call and independently of the chain state: (lo, hi), each of shape
-    (rounds, chains, k) with k from `_block_layout`.
+def _block_rounds(uniforms: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Block shifts laid out from `uniforms`, of shape (..., n - 2k) with k
+    from `_block_layout`, one row per round of one chain: (lo, hi), each of
+    shape (..., k).  The stream contract: per sweep, the sampler draws its
+    proposals, then its thresholds, then its rounds' rows in one RNG call,
+    whatever the chunk of sweeps it lays out here at once; the layout never
+    depends on the chain state.
 
     Shifting heights lo..hi changes the lap pairs (q, q+1) at q = lo-1 and
     q = hi.  A round takes a uniform random set of 2k positions in 1..n-1,
@@ -261,15 +269,16 @@ def _block_rounds(rng, n: int, rounds: int, chains: int) -> tuple[np.ndarray, np
     i-th smallest of 2k distinct values v in 0..n-2k-1."""
     k = _block_layout(n)[1]
     cells = n - 2 * k
-    rows = rounds * chains
+    keys = uniforms.reshape(-1, cells)
+    rows = len(keys)
     # the first 2k entries of a random permutation: a random subset, in random order
-    chosen = np.argsort(rng.random((rows, cells)), axis=1)[:, : 2 * k]
+    chosen = np.argsort(keys, axis=1)[:, : 2 * k]
     flat = chosen + (np.arange(rows) * cells)[:, None]
     member = np.zeros(rows * cells, dtype=np.int64)
     member[flat] = 1
     pos = chosen + member.reshape(rows, cells).cumsum(axis=1).ravel()[flat]
     first, second = pos[:, 0::2], pos[:, 1::2]
-    shape = (rounds, chains, k)
+    shape = uniforms.shape[:-1] + (k,)
     return (np.minimum(first, second) + 1).reshape(shape), np.maximum(first, second).reshape(shape)
 
 
@@ -286,8 +295,8 @@ def _mcmc_block(params, pot, bc, settings, truncation, dist, n_per_chain, job):
         phi = _gaussian_bridge_rows(rng, n_chains, params, bc, dist)
     else:
         phi = np.tile(_clamped_cubic_init(params, bc), (n_chains, 1))
-    # the chain state, flat: laps[c * n + i] = eps * eta_{i+1} of chain c
-    laps = _laps(phi).ravel()
+    # the chain state: laps[c, i] = eps * eta_{i+1} of chain c
+    laps = _laps(phi)
 
     lap_max = None if truncation is None else _lap_bound(params, truncation)
     energy = _lap_energy(pot, eps, lap_max)
@@ -296,25 +305,28 @@ def _mcmc_block(params, pot, bc, settings, truncation, dist, n_per_chain, job):
                          "(or the tabulated potential's grid)")
     if discrete:
         laps = laps.astype(np.int64)  # exact: lattice laps are integers
+    flat = laps.reshape(-1)
 
-    starts = (np.arange(n_chains) * n)[:, None, None]
     # site flips in three colour steps: heights j = 2..n-1 of one residue
     # mod 3 touch disjoint laps j-1..j+1, so updating them at once is exactly
-    # a scan in colour order
-    colours = [np.arange(j, n, 3) for j in range(2, min(n, 5))]
-    bounds = np.cumsum([0] + [h.size for h in colours])
-    # (flat lap indices, columns of a sweep's proposals) of each colour step
-    flips = [(starts + (h[:, None] + np.arange(-2, 1)), slice(a, b))
-             for h, a, b in zip(colours, bounds[:-1], bounds[1:])]
+    # a scan in colour order.  The k heights of colour j touch the 3k laps
+    # from lap j-1 on: each step reads and writes a (chains, k, 3) view.
+    flips, col = [], 0
+    for j in range(2, min(n, 5)):
+        k = len(range(j, n, 3))
+        flips.append((laps[:, j - 2:j - 2 + 3 * k].reshape(n_chains, k, 3), slice(col, col + k)))
+        col += k
     # contiguous block shifts, in rounds of blocks on disjoint laps.  Single-
     # site flips alone are not irreducible under a hard lap cut (from a flat
     # chain every +-1 flip makes a lap of 2), so these restore connectivity;
     # the proposal is state-independent and symmetric in delta, hence valid
     # Metropolis either way.
     rounds, per_round = _block_layout(n)
+    cells = n - 2 * per_round
     n_moves = (n - 2) + rounds * per_round
     shift_cols = [slice(n - 2 + r * per_round, n - 2 + (r + 1) * per_round)
                   for r in range(rounds)]
+    starts = (np.arange(n_chains) * n)[:, None, None]
 
     # on a cut lattice every lap stays in [-L, L] and every delta is +-1, so a
     # move's energy change is one of 2 (2L+1)^m numbers, tabled once per move
@@ -332,46 +344,71 @@ def _mcmc_block(params, pot, bc, settings, truncation, dist, n_per_chain, job):
         sign_stride = np.repeat([side ** 3, side ** 4], counts)
         offset = np.repeat([side // 2 * tables[m][1].sum() for m in (3, 4)], counts)
 
-    def move(idx, coeffs, cols, delta, threshold, sel):
-        """k Metropolis moves per chain at once: laps[idx] += delta * coeffs.
-        idx (chains, k, m) holds flat lap indices, the k moves of a chain on
-        disjoint laps, so their order does not matter; columns `cols` of
-        the sweep's (chains, n_moves) arrays delta and threshold are their
-        proposals and -log of the uniforms, and of sel a tabled chain's table
-        offsets.  A new lap of energy +inf makes the change +inf."""
-        old = laps.take(idx)
+    def propose(old, coeffs, cols, delta, threshold, sel):
+        """k Metropolis proposals per chain at once, from the laps `old`
+        (chains, k, m) to new = old + delta * coeffs: (new, accept), accept
+        of shape (chains, k, 1).  The k moves of a chain are on disjoint
+        laps, so their order does not matter; columns `cols` of one sweep's
+        (chains, n_moves) arrays delta and threshold are their proposals and
+        -log of the uniforms, and of sel a tabled chain's table offsets.  A
+        new lap of energy +inf makes the change +inf."""
         new = old + delta[:, cols, None] * coeffs
         if tables:
             table, strides = tables[len(coeffs)]
             change = table.take(old @ strides + sel[:, cols])
         else:
             change = _energy_change(energy, eps, old, new)
-        accept = change < threshold[:, cols]
-        laps.put(idx, np.where(accept[..., None], new, old))
+        return new, (change < threshold[:, cols])[..., None]
 
-    sweeps = settings.burn_in + n_per_chain * settings.thin
+    thin, burn_in = settings.thin, settings.burn_in
+    sweeps = burn_in + n_per_chain * thin
+    # the state-independent work goes a chunk of sweeps at a time; per chain
+    # and sweep a chunk holds at most about this many 8-byte numbers at once:
+    # proposals, deltas, table offsets and thresholds; the layout's uniforms
+    # and sort keys, and block indices; recorded laps
+    numbers = 4 * n_moves + rounds * (4 * cells + 8 * per_round) + n
+    chunk = max(1, _SWEEP_CHUNK_BYTES // (8 * n_chains * numbers))
     phi = np.empty((n_chains, n_per_chain, n + 2))  # chain-major heights
     sel = None
-    for sweep in range(1, sweeps + 1):
-        # one sweep's proposals and Metropolis thresholds -log(u) ~ Exp(1)
-        if discrete:
-            sign = rng.integers(0, 2, (n_chains, n_moves))
-            delta = 2 * sign - 1
-            if tables:
-                sel = sign * sign_stride + offset
-        else:
-            delta = rng.normal(0.0, width, (n_chains, n_moves))
-        threshold = rng.standard_exponential((n_chains, n_moves))
-        for idx, cols in flips:
-            move(idx, _FLIP, cols, delta, threshold, sel)
+    for done in range(0, sweeps, chunk):
+        size = min(chunk, sweeps - done)
+        # the stream, sweep by sweep: proposals, Metropolis thresholds
+        # -log(u) ~ Exp(1), then the block layout's uniforms.  One call per
+        # sweep each: integers() buffers its 32-bit draws within a call, so
+        # merging calls across sweeps would change the stream.
+        proposals = np.empty((size, n_chains, n_moves), dtype=laps.dtype)
+        threshold = np.empty((size, n_chains, n_moves))
+        uniforms = np.empty((size, rounds, n_chains, cells))
+        for i in range(size):
+            if discrete:
+                proposals[i] = rng.integers(0, 2, (n_chains, n_moves))  # signs
+            else:
+                proposals[i] = rng.normal(0.0, width, (n_chains, n_moves))
+            rng.standard_exponential(out=threshold[i])
+            rng.random(out=uniforms[i])
+        delta = 2 * proposals - 1 if discrete else proposals
+        if tables:
+            sel = proposals * sign_stride + offset
         if rounds:
-            lo, hi = _block_rounds(rng, n, rounds, n_chains)
-            blocks = starts + np.stack((lo - 2, lo - 1, hi - 1, hi), axis=3)
-            for block, cols in zip(blocks, shift_cols):
-                move(block, _SHIFT, cols, delta, threshold, sel)
-        since = sweep - settings.burn_in
-        if since > 0 and since % settings.thin == 0:
-            phi[:, since // settings.thin - 1] = _heights(bc.xi_left, laps.reshape(-1, n), 1.0)
+            lo, hi = _block_rounds(uniforms, n)
+            blocks = starts + np.stack((lo - 2, lo - 1, hi - 1, hi), axis=-1)
+        # the chunk's recorded draws: after sweep s, max(0, s - burn_in) // thin
+        first, last = (max(0, s - burn_in) // thin for s in (done, done + size))
+        recorded = np.empty((n_chains, last - first, n), dtype=laps.dtype)
+        for i in range(size):
+            args = delta[i], threshold[i], None if sel is None else sel[i]
+            for view, cols in flips:
+                new, accept = propose(view, _FLIP, cols, *args)
+                np.copyto(view, new, where=accept)
+            for r, cols in enumerate(shift_cols):
+                idx = blocks[i, r]
+                old = flat.take(idx)
+                new, accept = propose(old, _SHIFT, cols, *args)
+                flat.put(idx, np.where(accept, new, old))
+            since = done + i + 1 - burn_in
+            if since > 0 and since % thin == 0:
+                recorded[:, since // thin - 1 - first] = laps
+        phi[:, first:last] = _heights(bc.xi_left, recorded, 1.0)
     # the pinned far end, exactly rather than as a sum of laps
     phi[..., n] = bc.endpoint + bc.xi_right
     phi[..., n + 1] = bc.endpoint
@@ -428,6 +465,16 @@ def sample_bridge_mcmc(
     move.  The chains are the same bit for bit either way.  `workers`
     spreads the blocks of 64 chains over processes; the output does not
     depend on it.
+
+    The stream contract: each block of chains draws from its own generator
+    (`_draw_blocks`), first the exact start when it has one, then per sweep
+    one call each for the proposals (`integers` on the lattice, `normal`
+    otherwise), the thresholds (`standard_exponential`) and the block
+    layout's uniforms (`random`, `_block_rounds`), in that order.  The
+    state-independent work goes a chunk of sweeps at a time, in about
+    `_SWEEP_CHUNK_BYTES` = 512 KB: their draws in that order, their block
+    layout, and their recorded heights.  The chains do not depend on the
+    chunk.
     """
     _check_truncation(truncation)
     discrete = params.height_mode == "discrete"

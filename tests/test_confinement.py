@@ -1,6 +1,10 @@
 """Transfer operator for tube confinement: path sums, spectra, width scaling."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import semiflex
 from semiflex import confinement
 from semiflex.confinement import (
     TransferOperator,
@@ -319,6 +324,27 @@ def test_power_iteration_from_an_uneven_start(op):
     assert res.lam_norm == pytest.approx(flat.lam_norm, rel=1e-11)
     for vec in (res.eigvec, flat.eigvec):
         assert np.array_equal(vec, vec[::-1, ::-1])
+
+
+def test_alpha_1_solve_does_not_depend_on_blas_threads():
+    # alpha = 1 at the sweep's half mesh has 235 taps, a 469 x 235 tile: in
+    # chunks of 64 rows a product went past the one-thread GEMM size, and
+    # OpenBLAS's second thread summed in another order than one thread
+    mesh = confinement._grid(CONT_N100, PowerLawPotential(1.0, 1.0), TubeSpec(0.05))[1] / 2
+    code = ("import hashlib; from semiflex.confinement import *; "
+            "from semiflex.model import ModelParams, PowerLawPotential; "
+            "op = build_transfer(ModelParams(100, 0.01, 1.0), PowerLawPotential(1.0, 1.0), "
+            f"TubeSpec(0.05), mesh={mesh!r}); r = power_iteration(op); "
+            "print(op.tap_offsets.size, r.lam_raw.hex(), "
+            "hashlib.sha256(r.eigvec.tobytes()).hexdigest())")
+    src = str(Path(semiflex.__path__[0]).parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": path,
+                                           "OPENBLAS_NUM_THREADS": threads}).stdout
+           for threads in ("1", "2")]
+    assert out[0].split()[0] == "235"
+    assert out[0] == out[1]
 
 
 @pytest.mark.parametrize("pot", [GaussianPotential(1.0), PowerLawPotential(1.0, 1.5),

@@ -210,6 +210,23 @@ def test_mean_profile_error_at_strong_tilts():
         assert np.all(off <= 2e-5 * np.maximum(1.0, np.abs(prof)))
 
 
+@pytest.mark.parametrize("pot, triple", [
+    (GaussianPotential(1.0), (0.3, -0.2, 0.9)),
+    (PowerLawPotential(1.0, 1.5), (0.7, -0.3, 0.2)),
+    (PowerLawPotential(1.0, 4.0), (1.31, -0.40, -1.90)),
+], ids=["gaussian", "alpha-1.5", "quartic-strong"])
+def test_profile_projection_is_legfits_interpolant(pot, triple):
+    # the Legendre projection, built once per process, gives the coefficients
+    # legfit fits at the tilt nodes to 1e-13 of the largest, which reaches
+    # 16.5 at tilts about 912
+    mgf = limit_log_mgf(pot)
+    sol = solve_tilts(*triple, 1.0, mgf)
+    d1 = mgf.d1(ldp._tilt_nodes(sol.u_star, sol.v_star, mgf))
+    fitted = np.polynomial.legendre.legfit(-ldp._GL_NODES, d1, ldp._GL_NODES.size - 1)
+    assert_allclose(ldp._legendre_projection() @ d1, fitted, rtol=0,
+                    atol=1e-13 * np.abs(fitted).max())
+
+
 def _count_power_calls(monkeypatch):
     """From here on, record the argument size of every PowerLawPotential call."""
     calls = []

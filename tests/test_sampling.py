@@ -1,5 +1,6 @@
 """Samplers: exact Gaussian bridge, free walk, Metropolis bridge, serialization."""
 
+import hashlib
 import math
 import resource
 import time
@@ -407,7 +408,8 @@ def test_block_rounds_are_legal_disjoint_and_cover_every_block(n, seed):
     rounds, per_round = sampling._block_layout(n)
     assert rounds * per_round >= n - 2  # block shifts per chain and sweep
     sweeps, chains = 30, 8
-    lo, hi = sampling._block_rounds(np.random.default_rng(seed), n, sweeps * rounds, chains)
+    uniforms = np.random.default_rng(seed).random((sweeps * rounds, chains, n - 2 * per_round))
+    lo, hi = sampling._block_rounds(uniforms, n)
     assert lo.shape == hi.shape == (sweeps * rounds, chains, per_round)
     assert np.all((2 <= lo) & (lo < hi) & (hi <= n - 1))
     # a shift of heights lo..hi changes laps lo-1, lo, hi and hi+1; no lap
@@ -603,6 +605,76 @@ def test_lattice_chain_past_the_table_cap_takes_the_general_move():
     (s, _), built = _tabled_and_general(params, flat, bc, settings, 20.0)
     assert built == 0
     assert np.max(np.abs(_laps(np.frombuffer(s).reshape(-1, 8)))) == 20.0
+
+
+_POWER_2 = PowerLawPotential(1.0, 2.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_mcmc_cases(), seed=st.integers(0, 2**32), burn_in=st.integers(0, 9),
+       thin=st.integers(1, 3), chains=st.integers(1, 9), budget=st.integers(1, 1 << 15))
+@example(case=(ModelParams(2, 0.5, 1.0), _POWER_2, BoundaryConditions(0.3, -0.2, 0.5), None),
+         seed=1, burn_in=3, thin=2, chains=3, budget=1)
+@example(case=(ModelParams(3, 1 / 3, 1.0), _POWER_2, BoundaryConditions(0.3, -0.2, 0.5), None),
+         seed=2, burn_in=5, thin=3, chains=4, budget=5000)
+@example(case=(_discrete_params(4), GaussianPotential(0.7), BoundaryConditions(1.0, 0.0, 2.0),
+               2.0), seed=3, burn_in=7, thin=2, chains=5, budget=9000)
+def test_mcmc_bytes_do_not_depend_on_the_sweep_chunk(case, seed, burn_in, thin, chains, budget):
+    # a chunk draws its sweeps in the stream order of single sweeps and
+    # records the same draws, so the default chunk, one sweep per chunk and
+    # chunks whose edges fall inside burn-in or between thinned draws all
+    # give the same chains
+    params, pot, bc, truncation = case
+    settings = ChainSettings(seed, 3 * chains, burn_in, thin, chains)
+    runs = set()
+    with pytest.MonkeyPatch.context() as mp:
+        for size in (sampling._SWEEP_CHUNK_BYTES, 1, budget):
+            mp.setattr(sampling, "_SWEEP_CHUNK_BYTES", size)
+            runs.add(sample_bridge_mcmc(params, pot, bc, settings,
+                                        truncation=truncation).tobytes())
+    assert len(runs) == 1
+
+
+# sha256 of two lattice chains as the sampler drew them one sweep at a time.
+# Their arithmetic is exact on any CPU: integer laps, Gaussian energies of
+# small integers and a clamped-cubic start at least 0.25 from a rounding tie
+_LATTICE_GOLDEN = {
+    "cut 1, tabled": "0f6db9bfd20b6671ece7a32a10034e1101ecd78cc66c165773adba5d8d18a8e7",
+    "uncut": "fe11d66283b1aebc5d3d6ce7e1922ca9805cf3a3388533865bd4fc6510901d25",
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_lattice_chains_keep_their_bytes(workers):
+    # 150 chains split 64 + 64 + 22, whose blocks chunk their 55 sweeps
+    # differently; 16 uncut chains run 59 sweeps in several chunks
+    cut = sample_bridge_mcmc(_discrete_params(6), GaussianPotential(1.0), ZERO_BC,
+                             ChainSettings(5, 900, 37, 3, 150), workers=workers,
+                             truncation=1.0)
+    uncut = sample_bridge_mcmc(_discrete_params(8), GaussianPotential(0.7),
+                               BoundaryConditions(-2.0, -2.0, 3.0),
+                               ChainSettings(19, 400, 9, 2, 16), workers=workers)
+    got = {name: hashlib.sha256(s.tobytes()).hexdigest()
+           for name, s in (("cut 1, tabled", cut), ("uncut", uncut))}
+    assert got == _LATTICE_GOLDEN
+
+
+def test_mcmc_memory_does_not_grow_with_the_sweeps():
+    # the draws, layouts and recorded laps live a chunk of sweeps at a time:
+    # ten times the burn-in leaves the peak beside the output where it was
+    params = _discrete_params(6)
+    extra = []
+    for burn_in in (200, 2270):
+        settings = ChainSettings(seed=4, n_samples=64 * 30, burn_in=burn_in, n_chains=64)
+        tracemalloc.start()
+        try:
+            out = sample_bridge_mcmc(params, GaussianPotential(1.0), ZERO_BC, settings,
+                                     truncation=1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        extra.append(peak - out.nbytes)
+    assert extra[1] <= extra[0] + (16 << 10), extra
 
 
 def test_mcmc_default_width_moves_steep_power_law_chains():
