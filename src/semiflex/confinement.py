@@ -31,10 +31,10 @@ and it keeps nonnegative vectors nonnegative.
 The potentials are even, with exactly even taps (`model._step_weights`
 reads Phi at |step|), so T commutes with the parity S(h, g) = (-h, -g) and
 the Perron vector is even.  `power_iteration` and `survival_probability`
-run in that even sector: each step computes the output's gradients g <= 0
-alone, through a second block list cut there, about half of a matvec's
-products, and mirrors the rest, into two buffers that alternate for the
-whole solve.  `matvec` stays the full-grid step.
+run in that even sector: S reverses the flattened state, so each step runs
+matvec's products only where they land at heights h <= 0, about half of
+them, and mirrors the rest with one reversed 1-D copy, into two buffers
+that alternate for the whole solve.  `matvec` stays the full-grid step.
 
 The chain is also symmetric under time reversal
 P(h, g) = (h - g, -g), the reversed chain's state (its previous height and
@@ -91,6 +91,9 @@ _CHECK_GAP = 32
 # little wall time, and summed in another order, so the bits depended on
 # the thread count.  Wide kernels take chunks of fewer rows, down to one.
 _SERIAL_GEMM = 2 ** 19
+# the widest column block: in the even step a block of w columns fills up to
+# w - 1 rows past the centre, which made 235-tap blocks of 235 columns slower
+_BLOCK_COLS = 64
 # the automatic gradient cut, in stationary gradient scales: where a sweep's
 # solve starts, and the widest it widens to
 _START_SCALES = 4.0
@@ -145,7 +148,7 @@ class TransferOperator:
 
     `matvec` steps any state and `dense()` is its explicit matrix: the two
     full-grid references.  The solves step an even state with `_even_step`,
-    on a second list of column blocks cut at the centre column n_g.
+    matvec's products on the rows up to the centre and a mirror of the rest.
     """
 
     def __init__(self, eps, delta, n_h, n_g, tap_offsets, tap_weights, radius):
@@ -162,14 +165,14 @@ class TransferOperator:
         # T[c, c2] = w(c2 - c) is banded Toeplitz: every run of `width` output
         # columns reads `width + span - 1` input columns, span = hi - lo + 1,
         # through the same tile, and the blocks at the edges read a slice of
-        # it.  A tap |t| >= nc joins no two columns; a span of nc or more is
-        # one block, whose tile is T itself, from the band's row `top` on
+        # it.  A tap |t| >= nc joins no two columns; a grid of `width` columns
+        # is one block, whose tile is T itself, from the band's row `top` on
         nc = self.shape[1]
         near = np.abs(self.tap_offsets) < nc
         offs, wts = self.tap_offsets[near], self.tap_weights[near]
         lo, hi = (int(offs.min()), int(offs.max())) if offs.size else (0, 0)
-        width = min(nc, hi - lo + 1)
-        top, n_rows = (hi, nc) if width == nc else (0, 2 * width - 1)
+        width = min(nc, hi - lo + 1, _BLOCK_COLS)
+        top, n_rows = (hi, nc) if width == nc else (0, width + hi - lo)
         # tile[i, j] = w(j - i + hi - top), read off the taps laid end to end
         w_at = np.zeros(n_rows + width - 1)
         w_at[offs - (hi - top - n_rows + 1)] = wts
@@ -182,15 +185,6 @@ class TransferOperator:
                 i0 = c0 - (a - hi) - top
                 self._blocks.append((slice(a, b), slice(c0, c1),
                                      tile[i0:i0 + c1 - c0, :b - a]))
-        # the even step's blocks: each cut at output column n_g, reading only
-        # the source columns, and tile rows, that reach columns up to it
-        self._half_blocks = []
-        for out, src, blk in self._blocks:
-            b = min(out.stop, self.n_g + 1)
-            c1 = min(src.stop, b - lo)
-            if b > out.start and c1 > src.start:
-                self._half_blocks.append((slice(out.start, b), slice(src.start, c1),
-                                          blk[:c1 - src.start, :b - out.start]))
         self._rows = max(1, _SERIAL_GEMM // tile.size)
 
     def heights(self) -> np.ndarray:
@@ -204,55 +198,59 @@ class TransferOperator:
 
         The convolution along the gradient axis is v @ T with the banded
         Toeplitz T[c, c2] = w(c2 - c), done as BLAS products of column blocks
-        of v against one cached tile of T, at most `span` columns wide, where
-        span is the kernel's width in grid steps (the tap count, on a
-        contiguous support).  Each product is written through a sheared view of a zero
-        buffer padded by n_g rows above and below: row h of column c lands
-        in row h + c - n_g, so the interior is the result and whatever lands
-        in the padding has left the grid.  Output entries whose source row
-        lies off the grid are never written and stay exactly zero, and sums
-        of nonnegative products never turn a nonnegative v negative.
+        of v against one cached tile of T, w = min(nc, span, 64) columns
+        wide, span being the kernel's width in grid steps (the tap count, on
+        a contiguous support).  Each product is written through a sheared
+        view of a zero buffer padded by n_g rows above and below: row h of
+        column c lands in row h + c - n_g, so the interior is the result and
+        whatever lands in the padding has left the grid.  Output entries
+        whose source row lies off the grid stay exactly zero, and sums of
+        nonnegative products keep a nonnegative v nonnegative.
 
-        Cost: at most nr*nc*(2*span - 1) multiply-adds, under twice the direct
-        sum when the taps fill the span, and a cached tile of at most
-        (2*span - 1)*span floats, span counting the taps shorter than nc.
-        Rows go in chunks that keep one product under 2^19 multiply-adds,
-        which OpenBLAS runs on one thread, so the bits do not depend on its
-        thread count while a tile has at most 2^19 entries.  The result is a
-        view into the padded buffer.
+        Cost: at most nr*nc*(w + span - 1) multiply-adds, under twice the
+        direct sum when the taps fill the span (1.27x at 235 taps), and a
+        cached tile of at most (w + span - 1)*w floats, span counting the
+        taps shorter than nc.  Rows go in chunks that keep one product under
+        2^19 multiply-adds, which OpenBLAS runs on one thread, so the bits
+        do not depend on its thread count while a tile has at most 2^19
+        entries.  The result is a view into the padded buffer.
         """
         if v.shape != self.shape:
             raise ValueError(f"state vector must have shape {self.shape}")
         sheared, result = self._sheared()
-        self._convolve(v, sheared, self._blocks)
+        self._convolve(v, sheared, self.shape[0] - 1)
         return result
 
     def _even_step(self, v: np.ndarray, bufs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
         """`matvec` of an even v, v[::-1, ::-1] == v, into the `_sheared()`
         pair bufs, whose array it returns.
 
-        With even taps T commutes with S(h, g) = (-h, -g), so T v is even:
-        the products fill output columns 0..n_g alone, about half the work,
-        and the rest is their mirror, as is the lower half of column n_g, so
-        the result is exactly even.  The sheared writes and the mirror hit
-        the same entries on every call and the entries they skip stay zero,
-        so a solve reuses two buffers, each step writing into the one that
-        does not hold v.
+        With even taps T commutes with S(h, g) = (-h, -g), so T v is even.
+        S reverses the flattened state, so its entries up to the centre
+        m = n_h*nc + n_g fix the rest: the products fill output rows 0..n_h,
+        about half the work, and one reversed 1-D copy writes every entry
+        past m, the up to w - 1 rows a block of w columns fills past the
+        centre too, so the result is exactly even.  The products and the
+        copy hit the same entries on every call and the entries they skip
+        stay zero, so a solve reuses two buffers, each step writing into the
+        one that does not hold v.
         """
         sheared, result = bufs
-        self._convolve(v, sheared, self._half_blocks)
-        n_h, n_g = self.n_h, self.n_g
-        result[n_h + 1:, n_g] = result[:n_h, n_g][::-1]
-        result[:, n_g + 1:] = result[::-1, :n_g][:, ::-1]
+        self._convolve(v, sheared, self.n_h)
+        flat = result.reshape(-1)
+        m = flat.size // 2
+        flat[m + 1:] = flat[:m][::-1]
         return result
 
-    def _convolve(self, v: np.ndarray, sheared: np.ndarray, blocks: list) -> None:
-        """The products of `blocks` written through the sheared view, in row
-        chunks of `_rows`."""
+    def _convolve(self, v: np.ndarray, sheared: np.ndarray, last: int) -> None:
+        """Each block's products of the source rows that land in output rows
+        up to `last` in its first column, through the sheared view in chunks
+        of `_rows` rows."""
         for r in range(0, self.shape[0], self._rows):
-            rows = slice(r, r + self._rows)
-            for out, src, tile in blocks:
-                sheared[rows, out] = v[rows, src] @ tile
+            for out, src, tile in self._blocks:
+                stop = min(r + self._rows, last + self.n_g - out.start + 1)
+                if stop > r:
+                    sheared[r:stop, out] = v[r:stop, src] @ tile
 
     def _sheared(self) -> tuple[np.ndarray, np.ndarray]:
         """A zero state array and a sheared view that writes into it.
@@ -481,8 +479,8 @@ def power_iteration(op: TransferOperator, *, start: np.ndarray | None = None) ->
     The solve runs in the even sector.  T commutes with S(h, g) = (-h, -g)
     and the Perron vector is even, so S v has the same component along it
     as v: the start is symmetrised once, v + v[::-1, ::-1], and each step
-    is `TransferOperator._even_step`, which computes half of the output and
-    mirrors the rest, into two buffers that alternate for the whole solve.
+    is `TransferOperator._even_step`, which computes heights h <= 0, mirrors
+    the rest by one 1-D copy and alternates two buffers for the whole solve.
     Each step does the work of about half a matvec and counts as one.
     """
     _check_even(op)

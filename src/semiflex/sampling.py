@@ -369,6 +369,9 @@ def _mcmc_block(params, pot, bc, settings, truncation, dist, n_per_chain, job):
     numbers = 4 * n_moves + rounds * (4 * cells + 8 * per_round) + n
     chunk = max(1, _SWEEP_CHUNK_BYTES // (8 * n_chains * numbers))
     phi = np.empty((n_chains, n_per_chain, n + 2))  # chain-major heights
+    if n_moves == 0:  # N = 2: all four heights are pinned, so every draw is the start
+        phi[...] = _heights(bc.xi_left, laps, 1.0)[:, None]
+        sweeps = 0
     sel = None
     for done in range(0, sweeps, chunk):
         size = min(chunk, sweeps - done)
@@ -440,7 +443,7 @@ def sample_bridge_mcmc(
     since a single-site flip out of a flat region always makes a lap of
     size 2.  Below N=4 the move set degenerates gracefully: N=3 has one
     movable height, N=2 none (the bridge is fully pinned and the sampler
-    returns the pinned configuration).
+    returns the pinned configuration, running no sweep).
 
     delta is a +-1 flip on the lattice and N(0, w^2) in continuous mode,
     where w is eps times the standard deviation of the untruncated

@@ -242,13 +242,25 @@ def _continuous_op(tube, mesh):
 @example(op=_continuous_op(TubeSpec(0.04, 0.3), 0.02), seed=0)
 # 365 taps over 3 gradient columns
 @example(op=_continuous_op(TubeSpec(0.05, 0.01), 0.01), seed=0)
+# 201 taps over 129 gradient columns: three blocks capped at 64 columns,
+# whose tile has more rows than 2 nc - 1
+@example(op=_lattice_op(range(-100, 101), 1e-3, n_g=64), seed=0)
+# n_g > n_h: the first blocks' rows end at the grid, the last run none
+@example(op=_lattice_op([-1, 0, 1], n_h=1, n_g=6), seed=0)
+# one height row, in several column blocks
+@example(op=_lattice_op([-2, 0, 1], n_h=0), seed=0)
 def test_matvec_agrees_with_dense(op, seed):
-    # a tap |t| >= nc joins no two of the nc gradient columns, so the tile
-    # holds at most 2 nc - 1 rows however far the law reaches
+    # a tap |t| >= nc joins no two of the nc gradient columns, so the span
+    # is at most 2 nc - 1 however far the law reaches; a block is at most
+    # 64 columns wide and its tile has at most width + span - 1 rows
     nc = 2 * op.n_g + 1
-    assert all(tile.base.shape[0] <= 2 * nc - 1 for _, _, tile in op._blocks)
+    near = op.tap_offsets[np.abs(op.tap_offsets) < nc]
+    span = near.max() - near.min() + 1 if near.size else 1
+    for _, _, tile in op._blocks:
+        rows, cols = tile.base.shape
+        assert cols <= min(nc, span, 64) and rows <= cols + span - 1 <= 64 + 2 * nc - 2
     v = np.random.default_rng(seed).normal(size=(2 * op.n_h + 1, 2 * op.n_g + 1))
-    # each output sums at most 183 products w * v with weights w <= 1
+    # each output sums at most 201 products w * v with weights w <= 1
     assert_allclose(op.matvec(v).ravel(), op.dense() @ v.ravel(), rtol=0,
                     atol=1e-13 * np.max(np.abs(v)))
     # a nonnegative vector stays nonnegative, and a state whose source row
@@ -276,15 +288,21 @@ def _even(v):
 @example(op=_lattice_op([-3, -1, 1, 3], n_h=0), seed=0)
 # 37 taps over 3 gradient columns
 @example(op=_continuous_op(TubeSpec(0.1, 0.1), 0.1), seed=0)
-# 37 taps over 121 gradient columns: the half grid cuts a column block
+# 37 taps over 121 gradient columns: four column blocks share one tile
 @example(op=_continuous_op(TubeSpec(0.03, 6.0), 0.1), seed=0)
 # 183 taps over 31 gradient columns, 101 height rows in two row chunks
 @example(op=_continuous_op(TubeSpec(0.04, 0.3), 0.02), seed=0)
 # 365 taps over 3 gradient columns
 @example(op=_continuous_op(TubeSpec(0.05, 0.01), 0.01), seed=0)
+# 201 taps over 129 gradient columns: three blocks capped at 64 columns
+@example(op=_lattice_op(range(-100, 101), 1e-3, n_g=64), seed=0)
+# n_g > n_h: the first blocks' rows end at the grid, the last run none
+@example(op=_lattice_op([-1, 0, 1], n_h=1, n_g=6), seed=0)
+# one height row, in several column blocks
+@example(op=_lattice_op([-1, 0, 1], n_h=0, n_g=4), seed=0)
 def test_even_step_agrees_with_matvec(op, seed):
-    # on an even vector the half-grid products and their mirror are matvec,
-    # and the result is exactly even
+    # on an even vector the products up to the centre row and their mirror
+    # are matvec, and the result is exactly even
     v = _even(np.random.default_rng(seed).normal(size=op.shape))
     out = op._even_step(v, op._sheared())
     assert_allclose(out, op.matvec(v), rtol=0, atol=1e-13 * np.max(np.abs(v)))
@@ -327,9 +345,10 @@ def test_power_iteration_from_an_uneven_start(op):
 
 
 def test_alpha_1_solve_does_not_depend_on_blas_threads():
-    # alpha = 1 at the sweep's half mesh has 235 taps, a 469 x 235 tile: in
-    # chunks of 64 rows a product went past the one-thread GEMM size, and
-    # OpenBLAS's second thread summed in another order than one thread
+    # alpha = 1 at the sweep's half mesh has 235 taps, a 298 x 64 tile (it
+    # was 469 x 235 before blocks were capped at 64 columns): in chunks of
+    # 64 rows a product went past the one-thread GEMM size, and OpenBLAS's
+    # second thread summed in another order than one thread
     mesh = confinement._grid(CONT_N100, PowerLawPotential(1.0, 1.0), TubeSpec(0.05))[1] / 2
     code = ("import hashlib; from semiflex.confinement import *; "
             "from semiflex.model import ModelParams, PowerLawPotential; "

@@ -367,10 +367,18 @@ def test_mcmc_pins_boundary_heights():
 
 def test_mcmc_fully_pinned_smallest_chain():
     # N = 2 leaves no free heights: the sampler returns the pinned bridge
+    # without running a sweep, so a million burn-in sweeps cost nothing; a
+    # pinned start outside the cut is still refused
     params = _discrete_params(2)
-    settings = ChainSettings(seed=1, n_samples=32)
-    s = sample_bridge_mcmc(params, ZERO_POT, ZERO_BC, settings, truncation=1.0)
-    assert np.array_equal(s, np.zeros((32, 4)))
+    settings = ChainSettings(seed=1, n_samples=32, burn_in=10 ** 6)
+    start = time.perf_counter()
+    s = sample_bridge_mcmc(params, ZERO_POT, BoundaryConditions(1.0, -1.0, 2.0), settings,
+                           truncation=1.0)
+    assert time.perf_counter() - start < 5.0
+    assert np.array_equal(s, np.tile([0.0, 1.0, 1.0, 2.0], (32, 1)))
+    with pytest.raises(ValueError, match="initial configuration violates the truncation"):
+        sample_bridge_mcmc(params, ZERO_POT, BoundaryConditions(0.0, 0.0, 50.0), settings,
+                           truncation=1.0)
 
 
 def test_mcmc_single_state_n3():
