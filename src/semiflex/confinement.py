@@ -45,11 +45,15 @@ the left Perron vector.  `power_iteration` returns the two-sided quotient
 when its estimate |Tv - lam v|^2 / (lam <Pv, v>) reaches 1e-12, checked at
 steps predicted from the estimate's own decay rather than every step.
 
-`confinement_sweep` picks its meshes once and sizes every (rho, mesh) grid
-through one private builder before any solve; the builder also refuses a
-continuous mesh above eps*sigma, where the outer taps carry almost nothing,
-and a continuous tube radius R below one mesh cell, whose grid has no height
-row but 0 and so cannot see the tube.
+`build_transfer` is two steps: the step law on a grid (`_grid_law`:
+sigma2, the spacing and the taps), which refuses a continuous mesh above
+eps*sigma, where the outer taps carry almost nothing, and the tube's size on
+it (`_size_tube`: n_h, n_g and R, by arithmetic), which refuses a continuous
+tube radius R below one mesh cell, whose grid has no height row but 0 and
+so cannot see the tube, and a grid over the state cap.  `confinement_sweep`
+evaluates the law once, for sigma2 and the mesh, and sizes every (rho, mesh)
+grid from them before any solve.  Each tube is then one chain of solves
+(`_sweep_point`), each started from the one before's eigenvector.
 Each `SweepRow` carries F and F_scaled = F rho^(2/3) c^(1/3); one
 operator's F is -log(power_iteration(op).lam_norm) / op.eps.
 """
@@ -318,20 +322,16 @@ def _cut_range(params: ModelParams, tube: TubeSpec, sigma2: float) -> tuple[floa
     return min(two_r, _START_SCALES * scale), min(two_r, _MAX_SCALES * scale)
 
 
-def _grid(params: ModelParams, pot: Potential, tube: TubeSpec,
-          support: Sequence[float] | None = None, mesh: float | None = None,
-          label: str = "") -> tuple:
-    """`TransferOperator`'s arguments for one tube and mesh.
+def _grid_law(params: ModelParams, pot: Potential, support: Sequence[float] | None = None,
+              mesh: float | None = None) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """The step law on a grid: the increment variance sigma2, the spacing
+    delta and the taps (offsets in steps of delta, weights).
 
-    The increment variance is `model.build_increment_dist`'s in both height
-    modes; on the lattice the taps are its offsets and probabilities too.  A
-    continuous mesh is at most the step sd eps * sqrt(sigma2), up to the grid
-    floors' 1e-9 relative slack, and by default half of it: the law reaches
-    past one sd, so its taps -1, 0 and 1 stay.  The gradient cut is the top
-    of the tube's cut range (`_cut_range`).  Refuses any other mesh, a
-    continuous tube narrower than one mesh cell (no height row but 0, so the
-    grid cannot see the tube), and a grid over _STATE_CAP states, naming the
-    tube, `label` and the spacing.
+    sigma2 is `model.build_increment_dist`'s in both height modes; on the
+    lattice the taps are its offsets and probabilities too.  A continuous
+    mesh is at most the step sd eps * sqrt(sigma2), up to the grid floors'
+    1e-9 relative slack, and by default half of it: the law reaches past
+    one sd, so its taps -1, 0 and 1 stay.  Refuses any other mesh.
     """
     eps = params.epsilon
     if params.height_mode == "discrete":
@@ -339,18 +339,27 @@ def _grid(params: ModelParams, pot: Potential, tube: TubeSpec,
             raise ValueError("discrete mode runs on the integer lattice; mesh must be left unset")
         cut = None if support is None else _support_truncation(support, eps)
         dist = build_increment_dist(pot, params, cut)
-        delta, offs, wts, sigma2 = 1.0, np.rint(dist.values * eps), dist.probs, dist.sigma2
-    else:
-        if support is not None:
-            raise ValueError("explicit support applies to discrete mode only")
-        sigma2 = build_increment_dist(pot, params).sigma2
-        sd = eps * math.sqrt(sigma2)
-        delta = sd / 2.0 if mesh is None else float(mesh)
-        if not 0 < delta <= sd * (1 + 1e-9):
-            raise ValueError(f"mesh {delta:.4g} must be positive and at most the step sd "
-                             f"eps * sqrt(sigma2) = {sd:.4g}; lower --mesh or leave it unset")
-        offs, wts = _step_weights(pot, eps, delta)
+        return dist.sigma2, 1.0, np.rint(dist.values * eps), dist.probs
+    if support is not None:
+        raise ValueError("explicit support applies to discrete mode only")
+    sigma2 = build_increment_dist(pot, params).sigma2
+    sd = eps * math.sqrt(sigma2)
+    delta = sd / 2.0 if mesh is None else float(mesh)
+    if not 0 < delta <= sd * (1 + 1e-9):
+        raise ValueError(f"mesh {delta:.4g} must be positive and at most the step sd "
+                         f"eps * sqrt(sigma2) = {sd:.4g}; lower --mesh or leave it unset")
+    return (sigma2, delta, *_step_weights(pot, eps, delta))
 
+
+def _size_tube(params: ModelParams, tube: TubeSpec, sigma2: float, delta: float,
+               label: str = "") -> tuple[int, int, float]:
+    """n_h, n_g and R of one tube's grid at spacing delta, by arithmetic alone.
+
+    The gradient cut is the top of the tube's cut range (`_cut_range`).
+    Refuses a continuous tube narrower than one mesh cell (no height row but
+    0, so the grid cannot see the tube) and a grid over _STATE_CAP states,
+    naming the tube, `label` and the spacing.
+    """
     radius = tube_radius(tube, params, sigma2)
     n_h = int(math.floor(radius / delta + 1e-9))
     if n_h < 1 and params.height_mode != "discrete":
@@ -367,7 +376,7 @@ def _grid(params: ModelParams, pot: Potential, tube: TubeSpec,
             f"above the cap {_STATE_CAP}; coarsen the mesh (--mesh) or tighten grad_cut "
             "(--grad-cut)"
         )
-    return eps, delta, n_h, n_g, offs, wts, radius
+    return n_h, n_g, radius
 
 
 def build_transfer(
@@ -378,7 +387,8 @@ def build_transfer(
     support: Sequence[float] | None = None,
     mesh: float | None = None,
 ) -> TransferOperator:
-    """Assemble the tube-restricted transfer operator.
+    """Assemble the tube-restricted transfer operator: the step law on its
+    grid (`_grid_law`) and the tube's size on it (`_size_tube`).
 
     support, in discrete mode only, is the lattice cut (-k, ..., k) of the
     brute-force enumeration's truncated law, read as the truncation k/eps of
@@ -386,7 +396,9 @@ def build_transfer(
     mesh sets the continuous grid spacing, at most the standard deviation
     of the single-step gradient change and by default half of it.
     """
-    return TransferOperator(*_grid(params, pot, tube, support, mesh))
+    sigma2, delta, offs, wts = _grid_law(params, pot, support, mesh)
+    n_h, n_g, radius = _size_tube(params, tube, sigma2, delta)
+    return TransferOperator(params.epsilon, delta, n_h, n_g, offs, wts, radius)
 
 
 class PowerResult(NamedTuple):
@@ -474,7 +486,7 @@ def power_iteration(op: TransferOperator, *, start: np.ndarray | None = None) ->
     border states carry no weight in the limit, so any start vector with
     mass on the communicating core gives the same answer; without `start`
     the flat vector is the start (1,053 steps on the default sweep's cold
-    solves, 1,064 from a shaped one).
+    solves).
 
     The solve runs in the even sector.  T commutes with S(h, g) = (-h, -g)
     and the Perron vector is even, so S v has the same component along it
@@ -592,41 +604,30 @@ def _tail_share(op: TransferOperator, v: np.ndarray) -> float:
     return float(edge * q / (1 - q) / cols.sum())
 
 
-def _solve_cut(params: ModelParams, pot: Potential, rho: float, cuts: tuple[float, float],
-               mesh: float | None) -> tuple[TubeSpec, TransferOperator, PowerResult]:
-    """Solve a tube at the start of its cut range, and once more at the top
-    when the tail past the start cut could move F by over _TAIL_TOL relative.
+def _sweep_point(job) -> SweepRow:
+    """One tube solved in one chain: the first mesh at the start of the cut
+    range, the first mesh again at its top when the tail past the start cut
+    could move F by over _TAIL_TOL relative, then each later mesh at the
+    final cut.  Each solve after the first starts from the one before's
+    eigenvector prolonged to its grid (`_prolong`).
 
     Cutting the tail's share d of the density moves lambda by about d
-    relative, so F = -log(lam_norm) / eps by d / -log(lam_norm).  The wide
-    solve starts from the narrow eigenvector, whose states it holds at the
-    same spacing.  Returns the tube at its final cut, its operator and solve.
+    relative, so F = -log(lam_norm) / eps by d / -log(lam_norm).
     """
-    start, top = cuts
-    tube = TubeSpec(rho, start)
-    op = build_transfer(params, pot, tube, mesh=mesh)
+    params, pot, rho, (start, top), meshes = job
+    op = build_transfer(params, pot, TubeSpec(rho, start), mesh=meshes[0])
     sol = power_iteration(op)
-    if top > start and _tail_share(op, sol.eigvec) > _TAIL_TOL * -math.log(sol.lam_norm):
-        tube = TubeSpec(rho, top)
-        wide = build_transfer(params, pot, tube, mesh=mesh)
-        sol = power_iteration(wide, start=_prolong(sol.eigvec, op, wide))
-        op = wide
-    return tube, op, sol
-
-
-def _sweep_point(job) -> SweepRow:
-    """One tube solved at each of the sweep's meshes in turn: the first at
-    its cut range's start or top (`_solve_cut`), each later one at the final
-    cut, started from the one before's eigenvector prolonged to its grid."""
-    params, pot, rho, cuts, meshes = job
-    tube, op, sol = _solve_cut(params, pot, rho, cuts, meshes[0])
-    ops, sols = [op], [sol]
-    for mesh in meshes[1:]:
-        op = build_transfer(params, pot, tube, mesh=mesh)
-        sols.append(power_iteration(op, start=_prolong(sols[-1].eigvec, ops[-1], op)))
-        ops.append(op)
-    f = [-math.log(sol.lam_norm) / op.eps for sol, op in zip(sols, ops)]
-    return SweepRow(rho, f[0], sols[0].lam_norm, ops[0].n_states, abs(f[-1] - f[0]),
+    wide = top > start and _tail_share(op, sol.eigvec) > _TAIL_TOL * -math.log(sol.lam_norm)
+    # each mesh's operator and solve at the final cut
+    cut, finals, rest = (top, [], meshes) if wide else (start, [(op, sol)], meshes[1:])
+    for mesh in rest:
+        new = build_transfer(params, pot, TubeSpec(rho, cut), mesh=mesh)
+        sol = power_iteration(new, start=_prolong(sol.eigvec, op, new))
+        op = new
+        finals.append((op, sol))
+    f = [-math.log(sol.lam_norm) / op.eps for op, sol in finals]
+    op, sol = finals[0]
+    return SweepRow(rho, f[0], sol.lam_norm, op.n_states, abs(f[-1] - f[0]),
                     f[0] * rho ** (2.0 / 3.0) * params.macro_length ** (1.0 / 3.0))
 
 
@@ -641,29 +642,28 @@ def confinement_sweep(
 ) -> list[SweepRow]:
     """Free energy across tube widths; rho points are independent jobs.
 
-    The meshes are chosen once: the lattice's own, or in continuous mode
-    the requested mesh and half of it, where each point's second solve
-    starts from its first's eigenvector and mesh_delta reports |delta F|;
-    on the lattice mesh_delta is 0.  Each point's gradient cut is chosen at
-    the first mesh by `_solve_cut` and kept at the half mesh.  Every
-    (rho, mesh) grid is sized against the state cap at the widest cut it
-    may widen to, and its taps counted, before the first point is solved; a
-    lattice tube of floored radius 0 is refused there.  Results are in
-    input order and identical for any worker count.
+    The meshes are chosen once, from one evaluation of the step law
+    (`_grid_law`): the lattice's own, or in continuous mode the requested
+    mesh and half of it, where mesh_delta reports |delta F| between them;
+    on the lattice mesh_delta is 0.  Each point is solved in one chain
+    (`_sweep_point`), which chooses its gradient cut at the first mesh and
+    keeps it at the half mesh.  Before the first point is solved, every
+    (rho, mesh) grid is sized by arithmetic (`_size_tube`) against the
+    state cap at the widest cut it may widen to, and a lattice tube of
+    floored radius 0 is refused.  Results are in input order and identical
+    for any worker count.
     """
     tubes = [TubeSpec(float(r), grad_cut) for r in rhos]
     if not tubes:
         raise ValueError("need at least one rho")
-    delta = _grid(params, pot, tubes[0], mesh=mesh)[1]
+    sigma2, delta = _grid_law(params, pot, mesh=mesh)[:2]
     meshes = [delta] if params.height_mode == "discrete" else [delta, delta / 2.0]
     for tube in tubes:
-        # `_grid` cuts at the top of the tube's cut range
         for m, label in zip(meshes, ("", "half-mesh check at ")):
-            n_h = _grid(params, pot, tube, mesh=m, label=label)[2]
-        if n_h < 1:  # a lattice tube: `_grid` refuses a continuous one
+            n_h = _size_tube(params, tube, sigma2, m, label)[0]
+        if n_h < 1:  # a lattice tube: `_size_tube` refuses a continuous one
             raise ValueError(f"rho={tube.rho:g}: lattice tube radius R = 0 holds height 0 "
                              "alone, so F cannot depend on rho; raise --rho-min")
-    sigma2 = build_increment_dist(pot, params).sigma2
     jobs = [(params, pot, tube.rho, _cut_range(params, tube, sigma2), meshes) for tube in tubes]
     return list(_pool_map(_sweep_point, jobs, workers))
 

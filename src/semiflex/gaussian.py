@@ -132,7 +132,9 @@ def exact_boundary_density(n_sites: int, kappa: float, c: float,
     prefactor convention, not the density of the endpoint pair.  The mapped
     walk/area density at the raw slopes (`oracle.mapped_boundary_density`)
     equals this value times the constant N^2 / (c (N+1)), for every slope
-    pair.
+    pair.  Where the quadratic form overflows float range the exponent is
+    read as s^2 times the form at the slopes over s = max |xi|, and comes
+    out -inf, so the density 0.0, unless kappa / c is below about 1e-305.
     """
     n = n_sites
     if n <= 1:
@@ -142,7 +144,18 @@ def exact_boundary_density(n_sites: int, kappa: float, c: float,
     for name, value in dict(xi_left=xi_left, xi_right=xi_right).items():
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
-    quad = ((2 * n + 1) * (xi_left ** 2 + xi_right ** 2)
-            - 2.0 * (n + 2) * xi_left * xi_right)
+
+    def form(left, right):
+        return (2 * n + 1) * (left ** 2 + right ** 2) - 2.0 * (n + 2) * left * right
+
     pref = kappa / (2.0 * math.pi * n * n) * math.sqrt(12.0 * (n + 1) / (n - 1))
-    return pref * math.exp(-quad * n * kappa / (c * (n - 1)))
+    try:
+        quad = form(xi_left, xi_right)
+    except OverflowError:  # a square past float range
+        quad = math.inf
+    if quad < math.inf:
+        return pref * math.exp(-quad * n * kappa / (c * (n - 1)))
+    # inf, or inf - inf: the form is positive definite, and at slopes whose
+    # larger size is 1 it lies between N - 1 and 6N + 6
+    s = max(abs(xi_left), abs(xi_right))
+    return pref * math.exp(-form(xi_left / s, xi_right / s) * n * kappa / (c * (n - 1)) * s * s)

@@ -411,6 +411,14 @@ def test_exact_gauss_payload(tmp_path):
     assert len(data["config_hash"]) == 12
 
 
+@pytest.mark.parametrize("slopes", [["--xi-left", "1e154", "--xi-right", "1e154"],
+                                    ["--xi-left", "1e200"]], ids=["inf-minus-inf", "overflow"])
+def test_exact_gauss_density_past_float_range(tmp_path, slopes):
+    # slopes whose quadratic form overflows give density 0.0, not NaN or an error
+    assert main(["exact-gauss", *slopes, "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "exact_gauss.json").read_text())["density"] == 0.0
+
+
 def test_tilts_frozen_solution(tmp_path):
     assert main(["profile", "--xi-left", "1.0", "--out", str(tmp_path)]) == 0
     data = json.loads((tmp_path / "tilts.json").read_text())

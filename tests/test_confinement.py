@@ -349,7 +349,7 @@ def test_alpha_1_solve_does_not_depend_on_blas_threads():
     # was 469 x 235 before blocks were capped at 64 columns): in chunks of
     # 64 rows a product went past the one-thread GEMM size, and OpenBLAS's
     # second thread summed in another order than one thread
-    mesh = confinement._grid(CONT_N100, PowerLawPotential(1.0, 1.0), TubeSpec(0.05))[1] / 2
+    mesh = confinement._grid_law(CONT_N100, PowerLawPotential(1.0, 1.0))[1] / 2
     code = ("import hashlib; from semiflex.confinement import *; "
             "from semiflex.model import ModelParams, PowerLawPotential; "
             "op = build_transfer(ModelParams(100, 0.01, 1.0), PowerLawPotential(1.0, 1.0), "
@@ -502,6 +502,27 @@ def test_sweep_half_mesh_check_is_warm_started(monkeypatch):
     assert solves[1][1] <= 0.8 * power_iteration(fine).iterations
 
 
+def test_sweep_evaluates_the_step_law_once_per_operator_and_once_to_size(monkeypatch):
+    # the default sweep builds 16 operators, one law evaluation each, and
+    # sizes its 16 grids by arithmetic on one more
+    calls = {"build_increment_dist": 0, "_step_weights": 0}
+
+    def counting(name):
+        fn = getattr(confinement, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(confinement, name, counting(name))
+    rows = confinement_sweep(CONT_N100, GaussianPotential(1.0), np.geomspace(0.02, 0.2, 8))
+    assert len(rows) == 8
+    assert calls["build_increment_dist"] <= 17
+    assert calls["_step_weights"] <= 17
+
+
 def test_mc_survival_consistent_with_path_sum():
     # reference: the fraction of free-measure samples (phi_0 = phi_1 = 0)
     # whose heights phi_1..phi_N stay in the tube, with a binomial error
@@ -619,8 +640,22 @@ def test_doubling_the_final_cut_moves_f_by_at_most_1e_12(params, pot, rho, monke
     # of them disagreed by 4.5e-11 relative in F with the cut not moving it;
     # at 1e-15 every pair here agreed within 6e-14
     monkeypatch.setattr(confinement, "_POWER_TOL", 1e-15)
-    tube, op, sol = confinement._solve_cut(params, pot, rho, _cuts(params, pot, rho), None)
-    wide = build_transfer(params, pot, TubeSpec(rho, 2 * tube.grad_cut))
+    # a sweep's chain at the default mesh alone: its last tube, operator and solve
+    tubes, solves = [], []
+
+    def building(params, pot, tube, **kw):
+        tubes.append(tube)
+        return build_transfer(params, pot, tube, **kw)
+
+    def solving(op, **kw):
+        solves.append((op, power_iteration(op, **kw)))
+        return solves[-1][1]
+
+    monkeypatch.setattr(confinement, "build_transfer", building)
+    monkeypatch.setattr(confinement, "power_iteration", solving)
+    confinement._sweep_point((params, pot, rho, _cuts(params, pot, rho), [None]))
+    op, sol = solves[-1]
+    wide = build_transfer(params, pot, TubeSpec(rho, 2 * tubes[-1].grad_cut))
     assert wide.n_g >= 2 * op.n_g
     res = power_iteration(wide, start=confinement._prolong(sol.eigvec, op, wide))
     assert math.log(res.lam_norm) == pytest.approx(math.log(sol.lam_norm), rel=1e-12)

@@ -217,6 +217,24 @@ def test_exact_boundary_density_symmetry():
     assert a < exact_boundary_density(6, 2.0, 1.5, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("xi_left, xi_right", [(1e154, 1e154), (1e200, 0.0), (-1e300, 1e308)],
+                         ids=["inf-minus-inf", "square-overflows", "both-huge"])
+def test_exact_boundary_density_past_float_range_is_zero(xi_left, xi_right):
+    # the form overflows (inf - inf, or a square past float range); it is
+    # positive definite, so the density is 0.0, as it already is from
+    # slopes of about 40 up on this config
+    assert exact_boundary_density(100, 1.0, 1.0, xi_left, xi_right) == 0.0
+
+
+def test_exact_boundary_density_past_float_range_keeps_its_scale():
+    # slopes t times larger with c t^2 times larger leave the exponent as it
+    # is: here the slopes' squares overflow while the density is 5.5e-8
+    small = exact_boundary_density(4, 1e-3, 1.0, 20.0, -5.0)
+    assert small > 0
+    assert exact_boundary_density(4, 1e-3, 1e306, 2e154, -5e153) == pytest.approx(small,
+                                                                                   rel=1e-13)
+
+
 @pytest.mark.parametrize("call, error", [
     (lambda: ConditionedSpec(math.nan, 0.0), "conditioning values must be finite"),
     (lambda: ConditionedSpec(0.0, math.inf), "conditioning values must be finite"),
