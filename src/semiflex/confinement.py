@@ -45,15 +45,18 @@ the left Perron vector.  `power_iteration` returns the two-sided quotient
 when its estimate |Tv - lam v|^2 / (lam <Pv, v>) reaches 1e-12, checked at
 steps predicted from the estimate's own decay rather than every step.
 
-`build_transfer` is two steps: the step law on a grid (`_grid_law`:
-sigma2, the spacing and the taps), which refuses a continuous mesh above
-eps*sigma, where the outer taps carry almost nothing, and the tube's size on
-it (`_size_tube`: n_h, n_g and R, by arithmetic), which refuses a continuous
+An operator is built in two steps: the step law on a grid (`_grid_law`:
+sigma2, the spacing, the taps and their normalizer z1), which refuses a
+continuous mesh above eps*sigma, where the outer taps carry almost nothing,
+and a law over 10^7 taps each side; then the tube's size on it
+(`_size_tube`: n_h, n_g and R, by arithmetic), which refuses a continuous
 tube radius R below one mesh cell, whose grid has no height row but 0 and
-so cannot see the tube, and a grid over the state cap.  `confinement_sweep`
-evaluates the law once, for sigma2 and the mesh, and sizes every (rho, mesh)
-grid from them before any solve.  Each tube is then one chain of solves
-(`_sweep_point`), each started from the one before's eigenvector.
+so cannot see the tube, and a grid over the state cap.  `build_transfer`
+does both for one tube.  `confinement_sweep` decides the law once per mesh,
+sizes every (rho, mesh) grid before any solve, and hands each tube only the
+taps |t| <= 2 n_g its widest grid can use, with the whole law's z1.  Each
+tube is then one chain of solves (`_sweep_point`), each started from the
+one before's eigenvector.
 Each `SweepRow` carries F and F_scaled = F rho^(2/3) c^(1/3); one
 operator's F is -log(power_iteration(op).lam_norm) / op.eps.
 """
@@ -147,15 +150,17 @@ class TransferOperator:
     exp(-eps * Phi((g' - g)/eps)); landing outside the grid contributes
     nothing.  On the lattice the tap weights are the sampler's step
     probabilities (`model.build_increment_dist`), in continuous mode the
-    weights scaled so that the largest is 1; z1, the unconstrained one-step
-    mass, is their fsum, and radius the tube half-width R.
+    weights scaled so that the largest is 1.  z1 is the unconstrained
+    one-step mass, the fsum of the whole step law's weights, which belongs
+    to the law: the operator may hold only the taps that act on its grid,
+    |t| <= 2 n_g.  radius is the tube half-width R.
 
     `matvec` steps any state and `dense()` is its explicit matrix: the two
     full-grid references.  The solves step an even state with `_even_step`,
     matvec's products on the rows up to the centre and a mirror of the rest.
     """
 
-    def __init__(self, eps, delta, n_h, n_g, tap_offsets, tap_weights, radius):
+    def __init__(self, eps, delta, n_h, n_g, tap_offsets, tap_weights, z1, radius):
         self.eps = float(eps)
         self.delta = float(delta)
         self.n_h = int(n_h)
@@ -164,7 +169,7 @@ class TransferOperator:
         self.n_states = self.shape[0] * self.shape[1]
         self.tap_offsets = np.asarray(tap_offsets, dtype=np.int64)
         self.tap_weights = np.asarray(tap_weights, dtype=np.float64)
-        self.z1 = math.fsum(self.tap_weights)
+        self.z1 = float(z1)
         self.radius = float(radius)
         # T[c, c2] = w(c2 - c) is banded Toeplitz: every run of `width` output
         # columns reads `width + span - 1` input columns, span = hi - lo + 1,
@@ -323,15 +328,17 @@ def _cut_range(params: ModelParams, tube: TubeSpec, sigma2: float) -> tuple[floa
 
 
 def _grid_law(params: ModelParams, pot: Potential, support: Sequence[float] | None = None,
-              mesh: float | None = None) -> tuple[float, float, np.ndarray, np.ndarray]:
+              mesh: float | None = None) -> tuple[float, float, np.ndarray, np.ndarray, float]:
     """The step law on a grid: the increment variance sigma2, the spacing
-    delta and the taps (offsets in steps of delta, weights).
+    delta, the taps (offsets in steps of delta, weights) and z1, the fsum
+    of every weight.
 
     sigma2 is `model.build_increment_dist`'s in both height modes; on the
     lattice the taps are its offsets and probabilities too.  A continuous
     mesh is at most the step sd eps * sqrt(sigma2), up to the grid floors'
     1e-9 relative slack, and by default half of it: the law reaches past
-    one sd, so its taps -1, 0 and 1 stay.  Refuses any other mesh.
+    one sd, so its taps -1, 0 and 1 stay.  Refuses any other mesh, and
+    (`model._step_weights`) a law over 10^7 taps each side.
     """
     eps = params.epsilon
     if params.height_mode == "discrete":
@@ -339,7 +346,7 @@ def _grid_law(params: ModelParams, pot: Potential, support: Sequence[float] | No
             raise ValueError("discrete mode runs on the integer lattice; mesh must be left unset")
         cut = None if support is None else _support_truncation(support, eps)
         dist = build_increment_dist(pot, params, cut)
-        return dist.sigma2, 1.0, np.rint(dist.values * eps), dist.probs
+        return dist.sigma2, 1.0, np.rint(dist.values * eps), dist.probs, math.fsum(dist.probs)
     if support is not None:
         raise ValueError("explicit support applies to discrete mode only")
     sigma2 = build_increment_dist(pot, params).sigma2
@@ -348,7 +355,17 @@ def _grid_law(params: ModelParams, pot: Potential, support: Sequence[float] | No
     if not 0 < delta <= sd * (1 + 1e-9):
         raise ValueError(f"mesh {delta:.4g} must be positive and at most the step sd "
                          f"eps * sqrt(sigma2) = {sd:.4g}; lower --mesh or leave it unset")
-    return (sigma2, delta, *_step_weights(pot, eps, delta))
+    offs, wts = _step_weights(pot, eps, delta)
+    return sigma2, delta, offs, wts, math.fsum(wts)
+
+
+def _trim(law, n_g: int):
+    """The law's taps |t| <= 2 n_g, all that act on a grid of 2 n_g + 1
+    gradient columns; z1 stays the whole law's.  A copy, so the whole law's
+    arrays can be freed."""
+    sigma2, delta, offs, wts, z1 = law
+    near = np.abs(offs) <= 2 * n_g
+    return sigma2, delta, offs[near], wts[near], z1
 
 
 def _size_tube(params: ModelParams, tube: TubeSpec, sigma2: float, delta: float,
@@ -387,8 +404,8 @@ def build_transfer(
     support: Sequence[float] | None = None,
     mesh: float | None = None,
 ) -> TransferOperator:
-    """Assemble the tube-restricted transfer operator: the step law on its
-    grid (`_grid_law`) and the tube's size on it (`_size_tube`).
+    """Assemble the tube-restricted transfer operator from the step law on
+    its grid (`_grid_law`), every tap of it, by `_operator`.
 
     support, in discrete mode only, is the lattice cut (-k, ..., k) of the
     brute-force enumeration's truncated law, read as the truncation k/eps of
@@ -396,9 +413,15 @@ def build_transfer(
     mesh sets the continuous grid spacing, at most the standard deviation
     of the single-step gradient change and by default half of it.
     """
-    sigma2, delta, offs, wts = _grid_law(params, pot, support, mesh)
+    return _operator(params, tube, _grid_law(params, pot, support, mesh))
+
+
+def _operator(params: ModelParams, tube: TubeSpec, law) -> TransferOperator:
+    """The tube's operator on a `_grid_law` law, whole or `_trim`med: the
+    tube's size on the law's grid (`_size_tube`) and the law's taps."""
+    sigma2, delta, offs, wts, z1 = law
     n_h, n_g, radius = _size_tube(params, tube, sigma2, delta)
-    return TransferOperator(params.epsilon, delta, n_h, n_g, offs, wts, radius)
+    return TransferOperator(params.epsilon, delta, n_h, n_g, offs, wts, z1, radius)
 
 
 class PowerResult(NamedTuple):
@@ -608,20 +631,22 @@ def _sweep_point(job) -> SweepRow:
     """One tube solved in one chain: the first mesh at the start of the cut
     range, the first mesh again at its top when the tail past the start cut
     could move F by over _TAIL_TOL relative, then each later mesh at the
-    final cut.  Each solve after the first starts from the one before's
-    eigenvector prolonged to its grid (`_prolong`).
+    final cut.  The job is (params, rho, cut range, laws), one law per mesh,
+    trimmed to the taps the tube's widest grid can use; every operator is
+    built from them (`_operator`).  Each solve after the first starts from
+    the one before's eigenvector prolonged to its grid (`_prolong`).
 
     Cutting the tail's share d of the density moves lambda by about d
     relative, so F = -log(lam_norm) / eps by d / -log(lam_norm).
     """
-    params, pot, rho, (start, top), meshes = job
-    op = build_transfer(params, pot, TubeSpec(rho, start), mesh=meshes[0])
+    params, rho, (start, top), laws = job
+    op = _operator(params, TubeSpec(rho, start), laws[0])
     sol = power_iteration(op)
     wide = top > start and _tail_share(op, sol.eigvec) > _TAIL_TOL * -math.log(sol.lam_norm)
     # each mesh's operator and solve at the final cut
-    cut, finals, rest = (top, [], meshes) if wide else (start, [(op, sol)], meshes[1:])
-    for mesh in rest:
-        new = build_transfer(params, pot, TubeSpec(rho, cut), mesh=mesh)
+    cut, finals, rest = (top, [], laws) if wide else (start, [(op, sol)], laws[1:])
+    for law in rest:
+        new = _operator(params, TubeSpec(rho, cut), law)
         sol = power_iteration(new, start=_prolong(sol.eigvec, op, new))
         op = new
         finals.append((op, sol))
@@ -642,29 +667,38 @@ def confinement_sweep(
 ) -> list[SweepRow]:
     """Free energy across tube widths; rho points are independent jobs.
 
-    The meshes are chosen once, from one evaluation of the step law
-    (`_grid_law`): the lattice's own, or in continuous mode the requested
+    The meshes are the lattice's own, or in continuous mode the requested
     mesh and half of it, where mesh_delta reports |delta F| between them;
     on the lattice mesh_delta is 0.  Each point is solved in one chain
     (`_sweep_point`), which chooses its gradient cut at the first mesh and
-    keeps it at the half mesh.  Before the first point is solved, every
-    (rho, mesh) grid is sized by arithmetic (`_size_tube`) against the
-    state cap at the widest cut it may widen to, and a lattice tube of
-    floored radius 0 is refused.  Results are in input order and identical
-    for any worker count.
+    keeps it at the half mesh.  Before the first point is solved, the step
+    law is evaluated once per mesh (`_grid_law`), and every (rho, mesh)
+    grid is sized by arithmetic (`_size_tube`) against the state cap at the
+    widest cut it may widen to; a lattice tube of floored radius 0 is
+    refused, and so is a law over 10^7 taps each side.  Each point's job
+    carries each mesh's law trimmed to the taps its widest grid can use
+    (`_trim`), with the whole law's z1.  Results are in input order and
+    identical for any worker count.
     """
     tubes = [TubeSpec(float(r), grad_cut) for r in rhos]
     if not tubes:
         raise ValueError("need at least one rho")
-    sigma2, delta = _grid_law(params, pot, mesh=mesh)[:2]
+    first = _grid_law(params, pot, mesh=mesh)
+    sigma2, delta = first[:2]
     meshes = [delta] if params.height_mode == "discrete" else [delta, delta / 2.0]
+    cols = []  # each tube's n_g on each mesh
     for tube in tubes:
-        for m, label in zip(meshes, ("", "half-mesh check at ")):
-            n_h = _size_tube(params, tube, sigma2, m, label)[0]
-        if n_h < 1:  # a lattice tube: `_size_tube` refuses a continuous one
+        sizes = [_size_tube(params, tube, sigma2, m, label)
+                 for m, label in zip(meshes, ("", "half-mesh check at "))]
+        if sizes[0][0] < 1:  # a lattice tube: `_size_tube` refuses a continuous one
             raise ValueError(f"rho={tube.rho:g}: lattice tube radius R = 0 holds height 0 "
                              "alone, so F cannot depend on rho; raise --rho-min")
-    jobs = [(params, pot, tube.rho, _cut_range(params, tube, sigma2), meshes) for tube in tubes]
+        cols.append([n_g for _, n_g, _ in sizes])
+    laws = [first] + [_grid_law(params, pot, mesh=m) for m in meshes[1:]]
+    jobs = [(params, tube.rho, _cut_range(params, tube, sigma2),
+             [_trim(law, n_g) for law, n_g in zip(laws, n_gs)])
+            for tube, n_gs in zip(tubes, cols)]
+    del first, laws  # the solves need only the trimmed taps
     return list(_pool_map(_sweep_point, jobs, workers))
 
 

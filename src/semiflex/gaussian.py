@@ -135,6 +135,8 @@ def exact_boundary_density(n_sites: int, kappa: float, c: float,
     pair.  Where the quadratic form overflows float range the exponent is
     read as s^2 times the form at the slopes over s = max |xi|, and comes
     out -inf, so the density 0.0, unless kappa / c is below about 1e-305.
+    Where c (N - 1) overflows, the exponent's scale N kappa / (c (N - 1))
+    is read as (kappa / c) (N / (N - 1)).
     """
     n = n_sites
     if n <= 1:
@@ -148,14 +150,19 @@ def exact_boundary_density(n_sites: int, kappa: float, c: float,
     def form(left, right):
         return (2 * n + 1) * (left ** 2 + right ** 2) - 2.0 * (n + 2) * left * right
 
+    def exponent(quad):  # -quad * N kappa / (c (N - 1))
+        if c * (n - 1) < math.inf:
+            return -quad * n * kappa / (c * (n - 1))
+        return -quad * ((kappa / c) * (n / (n - 1)))
+
     pref = kappa / (2.0 * math.pi * n * n) * math.sqrt(12.0 * (n + 1) / (n - 1))
     try:
         quad = form(xi_left, xi_right)
     except OverflowError:  # a square past float range
         quad = math.inf
     if quad < math.inf:
-        return pref * math.exp(-quad * n * kappa / (c * (n - 1)))
+        return pref * math.exp(exponent(quad))
     # inf, or inf - inf: the form is positive definite, and at slopes whose
     # larger size is 1 it lies between N - 1 and 6N + 6
     s = max(abs(xi_left), abs(xi_right))
-    return pref * math.exp(-form(xi_left / s, xi_right / s) * n * kappa / (c * (n - 1)) * s * s)
+    return pref * math.exp(exponent(form(xi_left / s, xi_right / s)) * s * s)

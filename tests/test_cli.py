@@ -419,6 +419,19 @@ def test_exact_gauss_density_past_float_range(tmp_path, slopes):
     assert json.loads((tmp_path / "exact_gauss.json").read_text())["density"] == 0.0
 
 
+def test_exact_gauss_density_past_float_range_in_c(tmp_path):
+    # N = 4 at c = 1e308: c (N - 1) overflows, and the slopes (1.5, -0.5)
+    # scaled by 1e154 give the density at c = 1, not the zero-slope prefactor
+    cfg = _write_config(tmp_path, {"model": {"n_sites": 4, "epsilon": 2.5e307,
+                                             "macro_length": 1e308}})
+    assert main(["exact-gauss", "--config", cfg, "--xi-left", "1.5e154",
+                 "--xi-right=-0.5e154", "--out", str(tmp_path)]) == 0
+    data = json.loads((tmp_path / "exact_gauss.json").read_text())
+    assert data["density"] == pytest.approx(exact_boundary_density(4, 1.0, 1.0, 1.5, -0.5),
+                                            rel=1e-13)
+    assert data["density"] == pytest.approx(2.5577e-20, rel=1e-4)
+
+
 def test_tilts_frozen_solution(tmp_path):
     assert main(["profile", "--xi-left", "1.0", "--out", str(tmp_path)]) == 0
     data = json.loads((tmp_path / "tilts.json").read_text())

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import semiflex
-from semiflex import confinement
+from semiflex import confinement, model
 from semiflex.confinement import (
     TransferOperator,
     TubeSpec,
@@ -93,7 +93,7 @@ def test_power_iteration_starts_flat(op):
 
 def test_power_iteration_reports_lost_mass():
     # one tap of weight 0 maps every vector to zero in the first step
-    op = TransferOperator(1.0, 1.0, 1, 1, [0], [0.0], 1.0)
+    op = TransferOperator(1.0, 1.0, 1, 1, [0], [0.0], math.fsum([0.0]), 1.0)
     with pytest.raises(RuntimeError) as err:
         power_iteration(op)
     assert str(err.value) == "power iteration lost all mass; operator is degenerate"
@@ -122,6 +122,7 @@ def _reversal(op):
 DISC_N2000 = ModelParams(n_sites=2000, epsilon=1.0, macro_length=2000.0,
                         height_mode="discrete")
 CONT_N100 = ModelParams(n_sites=100, epsilon=0.01, macro_length=1.0)
+LATTICE_N250K = ModelParams(250_000, 1.0, 250_000.0, height_mode="discrete")
 
 
 @pytest.mark.parametrize("params, pot, rho, mesh", [
@@ -160,7 +161,7 @@ def test_power_iteration_start_off_the_core():
     ([-1, 0, 1], [0.5, 1.0, 0.25]),
 ])
 def test_power_iteration_needs_even_taps(taps, weights):
-    op = TransferOperator(1.0, 1.0, 2, 3, taps, weights, 1.0)
+    op = TransferOperator(1.0, 1.0, 2, 3, taps, weights, math.fsum(weights), 1.0)
     with pytest.raises(ValueError, match=r"even tap weights, w\(t\) == w\(-t\)"):
         power_iteration(op)
     with pytest.raises(ValueError, match=r"even tap weights, w\(t\) == w\(-t\)"):
@@ -210,8 +211,8 @@ def _lattice_op(taps, kappa=1.0, n_h=2, n_g=3):
     """A lattice operator built directly: build_transfer only makes the
     symmetric cuts -k..k, and these tap sets may be one-sided or gapped."""
     offsets = np.asarray(taps)
-    return TransferOperator(1.0, 1.0, n_h, n_g, offsets, np.exp(-0.5 * kappa * offsets ** 2),
-                            1.0)
+    weights = np.exp(-0.5 * kappa * offsets ** 2)
+    return TransferOperator(1.0, 1.0, n_h, n_g, offsets, weights, math.fsum(weights), 1.0)
 
 
 LATTICE_OPS = st.builds(_lattice_op, st.sets(st.integers(-3, 3), min_size=2).map(sorted),
@@ -502,10 +503,15 @@ def test_sweep_half_mesh_check_is_warm_started(monkeypatch):
     assert solves[1][1] <= 0.8 * power_iteration(fine).iterations
 
 
-def test_sweep_evaluates_the_step_law_once_per_operator_and_once_to_size(monkeypatch):
-    # the default sweep builds 16 operators, one law evaluation each, and
-    # sizes its 16 grids by arithmetic on one more
-    calls = {"build_increment_dist": 0, "_step_weights": 0}
+@pytest.mark.parametrize("params, rhos, counts", [
+    (CONT_N100, np.geomspace(0.02, 0.2, 8), {"build_increment_dist": 2, "_step_weights": 2}),
+    (LATTICE_N250K, np.geomspace(0.02, 0.2, 8), {"build_increment_dist": 1, "_step_weights": 0}),
+], ids=["default", "lattice"])
+def test_sweep_evaluates_the_step_law_once_per_mesh(monkeypatch, params, rhos, counts):
+    # the default sweep builds 16 operators on two meshes and the lattice
+    # sweep 8 on one; each mesh's law is evaluated once, before any solve
+    # (the lattice law weighs its taps inside build_increment_dist)
+    calls = dict.fromkeys(counts, 0)
 
     def counting(name):
         fn = getattr(confinement, name)
@@ -517,10 +523,60 @@ def test_sweep_evaluates_the_step_law_once_per_operator_and_once_to_size(monkeyp
 
     for name in calls:
         monkeypatch.setattr(confinement, name, counting(name))
-    rows = confinement_sweep(CONT_N100, GaussianPotential(1.0), np.geomspace(0.02, 0.2, 8))
+    rows = confinement_sweep(params, GaussianPotential(1.0), rhos)
     assert len(rows) == 8
-    assert calls["build_increment_dist"] <= 17
-    assert calls["_step_weights"] <= 17
+    assert calls == counts
+
+
+def test_sweep_refuses_a_half_mesh_law_over_the_span_limit_before_any_solve(monkeypatch):
+    # a tap limit that the first mesh's law fits and the half mesh's, twice
+    # as many grid steps each side, does not: the sweep must refuse before
+    # the first tube is solved
+    pot = GaussianPotential(1.0)
+    reach = model._step_bound(pot, CONT_N100.epsilon) * CONT_N100.epsilon / 0.08
+    limit = math.ceil(1.5 * reach)
+    monkeypatch.setattr(model, "_STEP_LIMIT", limit)
+    solves = []
+
+    def recording(op, **kw):
+        solves.append(op)
+        return power_iteration(op, **kw)
+
+    monkeypatch.setattr(confinement, "power_iteration", recording)
+    with pytest.raises(ValueError, match=rf"^the step law spans {2 * reach:.4g} grid steps "
+                                         rf"each side, above {limit}: coarsen the mesh, "
+                                         r"stiffen the potential or lower the truncation$"):
+        confinement_sweep(CONT_N100, pot, np.geomspace(0.01, 0.1, 6), mesh=0.08)
+    assert solves == []
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_sweep_whose_taps_outrun_its_grid_matches_build_transfer(monkeypatch, workers):
+    # at --grad-cut 0.05 the default mesh's 37 taps act on 3 gradient
+    # columns: the sweep hands each tube the taps |t| <= 2 n_g alone, with
+    # the whole law's z1, and must give the bits of the public route
+    pot, rhos = GaussianPotential(1.0), np.geomspace(0.02, 0.2, 8)
+    rows = confinement_sweep(CONT_N100, pot, rhos, grad_cut=0.05, workers=workers)
+    for row, rho in zip(rows, rhos):
+        tube = TubeSpec(rho, 0.05)
+        coarse = build_transfer(CONT_N100, pot, tube)
+        fine = build_transfer(CONT_N100, pot, tube, mesh=coarse.delta / 2.0)
+        assert (coarse.n_g, coarse.tap_offsets.size) == (1, 37)
+        first = power_iteration(coarse)
+        half = power_iteration(fine, start=confinement._prolong(first.eigvec, coarse, fine))
+        f = [-math.log(sol.lam_norm) / CONT_N100.epsilon for sol in (first, half)]
+        assert row == (rho, f[0], first.lam_norm, coarse.n_states, abs(f[1] - f[0]),
+                       f[0] * rho ** (2.0 / 3.0) * CONT_N100.macro_length ** (1.0 / 3.0))
+    # the sweep's own operators hold the trimmed taps, at most 2 n_g each side
+    ops = []
+
+    def recording(op, **kw):
+        ops.append(op)
+        return power_iteration(op, **kw)
+
+    monkeypatch.setattr(confinement, "power_iteration", recording)
+    confinement_sweep(CONT_N100, pot, rhos[:1], grad_cut=0.05)
+    assert [op.tap_offsets.tolist() for op in ops] == [[-2, -1, 0, 1, 2], list(range(-4, 5))]
 
 
 def test_mc_survival_consistent_with_path_sum():
@@ -621,7 +677,6 @@ def test_sweep_refuses_a_tube_whose_widest_cut_is_over_cap(monkeypatch):
     assert calls == []
 
 
-LATTICE_N250K = ModelParams(250_000, 1.0, 250_000.0, height_mode="discrete")
 TABLE_GRID = np.linspace(-40.0, 40.0, 161)
 
 
@@ -643,17 +698,19 @@ def test_doubling_the_final_cut_moves_f_by_at_most_1e_12(params, pot, rho, monke
     # a sweep's chain at the default mesh alone: its last tube, operator and solve
     tubes, solves = [], []
 
-    def building(params, pot, tube, **kw):
+    def building(params, tube, law):
         tubes.append(tube)
-        return build_transfer(params, pot, tube, **kw)
+        return operator(params, tube, law)
 
     def solving(op, **kw):
         solves.append((op, power_iteration(op, **kw)))
         return solves[-1][1]
 
-    monkeypatch.setattr(confinement, "build_transfer", building)
+    operator = confinement._operator
+    monkeypatch.setattr(confinement, "_operator", building)
     monkeypatch.setattr(confinement, "power_iteration", solving)
-    confinement._sweep_point((params, pot, rho, _cuts(params, pot, rho), [None]))
+    law = confinement._grid_law(params, pot)
+    confinement._sweep_point((params, rho, _cuts(params, pot, rho), [law]))
     op, sol = solves[-1]
     wide = build_transfer(params, pot, TubeSpec(rho, 2 * tubes[-1].grad_cut))
     assert wide.n_g >= 2 * op.n_g

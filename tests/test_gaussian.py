@@ -235,6 +235,22 @@ def test_exact_boundary_density_past_float_range_keeps_its_scale():
                                                                                    rel=1e-13)
 
 
+@pytest.mark.parametrize("c, xi_left, xi_right, small", [
+    (1e308, 1e153, 0.0, (0.1, 0.0)),
+    (1e308, 1.5e154, -0.5e154, (1.5, -0.5)),
+], ids=["form-finite", "form-overflows"])
+def test_exact_boundary_density_past_float_range_in_c_n_keeps_its_scale(c, xi_left, xi_right,
+                                                                        small):
+    # c (N - 1) = 3e308 overflows here: the exponent's scale is read as
+    # (kappa / c) (N / (N - 1)), so slopes t times larger with c t^2 times
+    # larger give the density at c = 1, 0.0394548 and 2.5577e-20, not the
+    # zero-slope prefactor 0.04449
+    ref = exact_boundary_density(4, 1.0, 1.0, *small)
+    assert ref == pytest.approx({(0.1, 0.0): 0.0394548, (1.5, -0.5): 2.5577e-20}[small],
+                                rel=1e-5)
+    assert exact_boundary_density(4, 1.0, c, xi_left, xi_right) == pytest.approx(ref, rel=1e-13)
+
+
 @pytest.mark.parametrize("call, error", [
     (lambda: ConditionedSpec(math.nan, 0.0), "conditioning values must be finite"),
     (lambda: ConditionedSpec(0.0, math.inf), "conditioning values must be finite"),
