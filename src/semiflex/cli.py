@@ -45,6 +45,7 @@ from .model import (
     ModelParams,
     PowerLawPotential,
     TabulatedPotential,
+    _check_times,
     build_increment_dist,
     continuum_energy_check,
 )
@@ -93,25 +94,9 @@ def _check_type(key: str, value, default) -> None:
         raise ValueError(f"config key {key} must be {' or '.join(takes)}, got {got}")
 
 
-def _check_keys(data: dict) -> None:
-    for key, sub in data.items():
-        if key not in _SCHEMA:
-            raise ValueError(f"unknown config key {key!r}")
-        allowed = _SCHEMA[key]
-        if not isinstance(allowed, dict):
-            _check_type(key, sub, allowed)
-            continue
-        if not isinstance(sub, dict):
-            raise ValueError(f"config section {key!r} must be a JSON object")
-        for inner, value in sub.items():
-            if inner not in allowed:
-                raise ValueError(f"unknown config key {key}.{inner}")
-            if key != "sampler":  # the sampler's values are ChainSettings' to check
-                _check_type(f"{key}.{inner}", value, allowed[inner])
-
-
 def _merge_config(args) -> dict:
-    """The effective config in one form per run: the named potential kind
+    """The effective config in one form per run: each config key checked,
+    known and of its JSON type, as it is merged, the named potential kind
     filled in with its defaults, every float-typed value a float (a list entry
     by entry); integers stay as given for the integer rule of ModelParams and
     ChainSettings."""
@@ -120,12 +105,22 @@ def _merge_config(args) -> dict:
         data = json.loads(Path(args.config).read_text())
         if not isinstance(data, dict):
             raise ValueError("config file must hold a JSON object")
-        _check_keys(data)
         for key, sub in data.items():
-            if isinstance(sub, dict):
-                cfg[key].update(sub)
-            else:
+            if key not in _SCHEMA:
+                raise ValueError(f"unknown config key {key!r}")
+            allowed = _SCHEMA[key]
+            if not isinstance(allowed, dict):
+                _check_type(key, sub, allowed)
                 cfg[key] = sub
+                continue
+            if not isinstance(sub, dict):
+                raise ValueError(f"config section {key!r} must be a JSON object")
+            for inner, value in sub.items():
+                if inner not in allowed:
+                    raise ValueError(f"unknown config key {key}.{inner}")
+                if key != "sampler":  # the sampler's values are ChainSettings' to check
+                    _check_type(f"{key}.{inner}", value, allowed[inner])
+                cfg[key][inner] = value
     # a flag that overrides a config value has that value's section.key as dest
     for dest, value in vars(args).items():
         if "." in dest and value is not None:
@@ -243,7 +238,7 @@ def _run_theta_stats(args, run: _Run) -> None:
     # before sampling, so a law without a variance or a time off the path
     # fails at once
     sigma = math.sqrt(gaussian.sigma2_increment(pot, params))
-    sampling._check_times(args.times)
+    _check_times(args.times)
     samples = _bridge_draws(args, run, params, pot)
     stats = sampling.estimate_theta_stats(samples, args.times, sigma, params.epsilon)
     run.json("theta_stats.json", times=list(stats.times), mean=list(stats.mean),

@@ -28,8 +28,8 @@ by tap and stays the reference it is tested against.  Direct, not FFT,
 convolution: the kernels have tens of taps, where the direct sum is faster,
 and it keeps nonnegative vectors nonnegative.
 
-The potentials are even, with exactly even taps (`model._step_weights`
-reads Phi at |step|), so T commutes with the parity S(h, g) = (-h, -g) and
+The potentials are exactly even (a table reads Phi at |x|), and so are
+their taps, so T commutes with the parity S(h, g) = (-h, -g) and
 the Perron vector is even.  `power_iteration` and `survival_probability`
 run in that even sector: S reverses the flattened state, so each step runs
 matvec's products only where they land at heights h <= 0, about half of
@@ -155,8 +155,9 @@ class TransferOperator:
     to the law: the operator may hold only the taps that act on its grid,
     |t| <= 2 n_g.  radius is the tube half-width R.
 
-    `matvec` steps any state and `dense()` is its explicit matrix: the two
-    full-grid references.  The solves step an even state with `_even_step`,
+    `matvec` steps any state through slices of one banded Toeplitz tile,
+    the same tile for every column block, a grid's single block included;
+    it and `dense()`, its explicit matrix, are the two full-grid references.  The solves step an even state with `_even_step`,
     matvec's products on the rows up to the centre and a mirror of the rest.
     """
 
@@ -173,25 +174,24 @@ class TransferOperator:
         self.radius = float(radius)
         # T[c, c2] = w(c2 - c) is banded Toeplitz: every run of `width` output
         # columns reads `width + span - 1` input columns, span = hi - lo + 1,
-        # through the same tile, and the blocks at the edges read a slice of
-        # it.  A tap |t| >= nc joins no two columns; a grid of `width` columns
-        # is one block, whose tile is T itself, from the band's row `top` on
+        # through the same tile, and the blocks at the edges, or a grid's one
+        # block, read a slice of it.  A tap |t| >= nc joins no two columns
         nc = self.shape[1]
         near = np.abs(self.tap_offsets) < nc
         offs, wts = self.tap_offsets[near], self.tap_weights[near]
         lo, hi = (int(offs.min()), int(offs.max())) if offs.size else (0, 0)
         width = min(nc, hi - lo + 1, _BLOCK_COLS)
-        top, n_rows = (hi, nc) if width == nc else (0, width + hi - lo)
-        # tile[i, j] = w(j - i + hi - top), read off the taps laid end to end
+        n_rows = width + hi - lo
+        # tile[i, j] = w(j - i + hi), read off the taps laid end to end
         w_at = np.zeros(n_rows + width - 1)
-        w_at[offs - (hi - top - n_rows + 1)] = wts
+        w_at[offs - (hi - n_rows + 1)] = wts
         tile = w_at[np.arange(width) - np.arange(n_rows)[:, None] + n_rows - 1]
         self._blocks = []
         for a in range(0, nc, width):
             b = min(a + width, nc)
             c0, c1 = max(0, a - hi), min(nc, b - lo)
             if c1 > c0:
-                i0 = c0 - (a - hi) - top
+                i0 = c0 - (a - hi)
                 self._blocks.append((slice(a, b), slice(c0, c1),
                                      tile[i0:i0 + c1 - c0, :b - a]))
         self._rows = max(1, _SERIAL_GEMM // tile.size)
@@ -218,7 +218,7 @@ class TransferOperator:
 
         Cost: at most nr*nc*(w + span - 1) multiply-adds, under twice the
         direct sum when the taps fill the span (1.27x at 235 taps), and a
-        cached tile of at most (w + span - 1)*w floats, span counting the
+        cached tile of (w + span - 1)*w floats, span counting the
         taps shorter than nc.  Rows go in chunks that keep one product under
         2^19 multiply-adds, which OpenBLAS runs on one thread, so the bits
         do not depend on its thread count while a tile has at most 2^19
@@ -342,7 +342,7 @@ def _grid_law(params: ModelParams, pot: Potential, support: Sequence[float] | No
     """
     eps = params.epsilon
     if params.height_mode == "discrete":
-        if mesh is not None and mesh != 1.0:
+        if mesh is not None:
             raise ValueError("discrete mode runs on the integer lattice; mesh must be left unset")
         cut = None if support is None else _support_truncation(support, eps)
         dist = build_increment_dist(pot, params, cut)

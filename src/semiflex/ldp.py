@@ -53,6 +53,7 @@ from .model import (
     Potential,
     PowerLawPotential,
     _TS_WEIGHT,
+    _check_times,
     _tanh_sinh_pieces,
 )
 
@@ -416,9 +417,7 @@ def mean_profile(t, xi_left: float, xi_right: float, slope: float, c: float,
     the series is integrated twice from x = 0 in closed form; no tilt
     outside the solver's node set is evaluated."""
     sol = tilts if tilts is not None else solve_tilts(xi_left, xi_right, slope, c, mgf)
-    t_arr = np.asarray(t, dtype=float)
-    if not np.all((t_arr >= 0) & (t_arr <= 1)):
-        raise ValueError("profile times must lie in [0, 1]")
+    t_arr = _check_times(t)
     d1 = mgf.d1(_tilt_nodes(sol.u_star, sol.v_star, mgf))
     # on s = 2x - 1 the nodes x = 1 - y sit at -_GL_NODES, and dx = ds / 2;
     # minus the series' own value at x = 0, the profile there is 0 exactly

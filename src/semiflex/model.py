@@ -56,6 +56,15 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _check_times(times) -> np.ndarray:
+    """The rule for every rescaled-path time: an array with each time in
+    [0, 1], NaN refused."""
+    times = np.asarray(times, dtype=float)
+    if not np.all((0 <= times) & (times <= 1)):
+        raise ValueError("times must lie in [0, 1]")
+    return times
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Lattice geometry: n_sites interior sites, spacing eps, n_sites*eps ~ macro_length."""
@@ -123,9 +132,12 @@ class PowerLawPotential:
 class TabulatedPotential:
     """Even potential given by linear interpolation of (grid, values) samples.
 
-    It is +inf outside [grid[0], grid[-1]]: off its grid a table is a hard
-    wall, and a step there has weight exp(-eps * inf) = 0.  The tails are not
-    extrapolated; a table must be wide enough for the steps it should allow.
+    The interpolant must be even to 1e-9 on a grid from -a to a; Phi(x)
+    reads it at |x|, so Phi(-x) == Phi(x) exactly, and every law, sampler
+    and energy reads one even function.  It is +inf past grid[-1]: off its
+    grid a table is a hard wall, and a step there has weight
+    exp(-eps * inf) = 0.  The tails are not extrapolated; a table must be
+    wide enough for the steps it should allow.
     """
 
     grid: np.ndarray
@@ -148,7 +160,7 @@ class TabulatedPotential:
         object.__setattr__(self, "values", values)
 
     def __call__(self, x):
-        return np.interp(x, self.grid, self.values, left=np.inf, right=np.inf)
+        return np.interp(np.abs(x), self.grid, self.values, left=np.inf, right=np.inf)
 
 
 Potential = Callable[[np.ndarray], np.ndarray]
@@ -184,10 +196,8 @@ def _step_bound(pot: Potential, eps: float, truncation: float | None = None) -> 
 
 def _step_weights(pot: Potential, eps: float, delta: float = 1.0,
                   d_max: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Integer offsets d and weights exp(-eps * Phi(|d|*delta/eps)) of a
+    """Integer offsets d and weights exp(-eps * Phi(d*delta/eps)) of a
     height step d*delta, divided by their largest, so the peak weighs 1.
-    Phi is read at |d| only, so the weights are exactly even even where a
-    table, accepted as even to 1e-9, is not exactly so.
 
     d_max, when given, is the cut: d runs over |d| <= d_max and every step is
     kept.  Otherwise d runs over |d| <= the largest |d| within `_step_bound`
@@ -205,7 +215,7 @@ def _step_weights(pot: Potential, eps: float, delta: float = 1.0,
     if trim:
         d_max = math.floor(reach) + 1
     offsets = np.arange(-d_max, d_max + 1)
-    g = -eps * np.asarray(pot(np.abs(offsets) * delta / eps), dtype=float)
+    g = -eps * np.asarray(pot(offsets * delta / eps), dtype=float)
     weights = np.exp(g - g.max())
     if trim:
         keep = np.abs(offsets) <= np.abs(offsets[weights >= _STEP_CUTOFF]).max()

@@ -49,8 +49,6 @@ class EnumerationSpec:
     support: tuple[float, ...]
 
     def __post_init__(self):
-        if self.params.n_sites > 8:
-            raise ValueError("enumeration is capped at 8 sites")
         if len(self.support) < 1:
             raise ValueError("support must be nonempty")
         count = len(self.support) ** self.params.n_sites

@@ -17,6 +17,7 @@ from .model import (
     IncrementDistribution,
     ModelParams,
     Potential,
+    _check_times,
     _check_truncation,
     _heights,
     _is_integer,
@@ -180,10 +181,9 @@ def _clamped_cubic_init(params: ModelParams, bc: BoundaryConditions) -> np.ndarr
     vals = np.array([0.0, bc.xi_left, bc.endpoint + bc.xi_right, bc.endpoint])
     coeffs = np.polyfit(nodes, vals, 3)
     phi = np.polyval(coeffs, k)
-    phi[[0, 1, n, n + 1]] = vals
     if params.height_mode == "discrete":
         phi = np.round(phi)
-        phi[[0, 1, n, n + 1]] = vals
+    phi[[0, 1, n, n + 1]] = vals
     return phi
 
 
@@ -504,14 +504,6 @@ class ThetaStats(NamedTuple):
     mean_se: np.ndarray
     cov: np.ndarray
     cov_se: np.ndarray
-
-
-def _check_times(times) -> np.ndarray:
-    """The rescaled-path grid as an array, every time in [0, 1]."""
-    times = np.asarray(times, dtype=float)
-    if not np.all((0 <= times) & (times <= 1)):
-        raise ValueError("times must lie in [0, 1]")
-    return times
 
 
 def estimate_theta_stats(samples: np.ndarray, times, sigma: float, epsilon: float) -> ThetaStats:

@@ -169,13 +169,13 @@ def test_power_iteration_needs_even_taps(taps, weights):
 
 
 def test_a_table_even_to_1e_10_gives_exactly_even_taps():
-    # Phi is read at |x|, so a table that is even only within the 1e-9 it
-    # is accepted at still passes the even step's exact check
+    # a table reads Phi at |x|, so one that is even only within the 1e-9 it
+    # is accepted at is exactly even, and passes the even step's exact check
     grid = np.linspace(-40.0, 40.0, 161)
     pot = TabulatedPotential(grid, np.abs(grid) ** 1.5 + 1e-10 * (grid > 0))
     op = build_transfer(CONT_N100, pot, TubeSpec(0.01, 0.5))
     x = op.tap_offsets * op.delta / op.eps
-    assert not np.array_equal(pot(x), pot(-x))
+    assert np.array_equal(pot(x), pot(-x))
     assert np.array_equal(op.tap_offsets, -op.tap_offsets[::-1])
     assert np.array_equal(op.tap_weights, op.tap_weights[::-1])
     lam_dense = float(np.max(np.linalg.eigvals(op.dense()).real))
@@ -230,6 +230,9 @@ def _continuous_op(tube, mesh):
     return build_transfer(CONT_PARAMS, GaussianPotential(1.0), tube, mesh=mesh)
 
 
+ONE_BLOCK_OP = build_transfer(CONT_N100, GaussianPotential(1.0), TubeSpec(0.00235, 0.31), mesh=0.01)
+
+
 @settings(max_examples=60, deadline=None)
 @given(op=LATTICE_OPS | CONTINUOUS_OPS, seed=st.integers(0, 2**32))
 # one-sided tap sets: the edge blocks read clipped slices of the Toeplitz tile
@@ -243,6 +246,9 @@ def _continuous_op(tube, mesh):
 @example(op=_continuous_op(TubeSpec(0.04, 0.3), 0.02), seed=0)
 # 365 taps over 3 gradient columns
 @example(op=_continuous_op(TubeSpec(0.05, 0.01), 0.01), seed=0)
+# 125 acting taps over 63 gradient columns: one block, whose 187-row tile
+# puts the 47 height rows in two row chunks
+@example(op=ONE_BLOCK_OP, seed=0)
 # 201 taps over 129 gradient columns: three blocks capped at 64 columns,
 # whose tile has more rows than 2 nc - 1
 @example(op=_lattice_op(range(-100, 101), 1e-3, n_g=64), seed=0)
@@ -295,6 +301,9 @@ def _even(v):
 @example(op=_continuous_op(TubeSpec(0.04, 0.3), 0.02), seed=0)
 # 365 taps over 3 gradient columns
 @example(op=_continuous_op(TubeSpec(0.05, 0.01), 0.01), seed=0)
+# 125 acting taps over 63 gradient columns: one block, whose 187-row tile
+# puts the 47 height rows in two row chunks
+@example(op=ONE_BLOCK_OP, seed=0)
 # 201 taps over 129 gradient columns: three blocks capped at 64 columns
 @example(op=_lattice_op(range(-100, 101), 1e-3, n_g=64), seed=0)
 # n_g > n_h: the first blocks' rows end at the grid, the last run none
@@ -597,8 +606,12 @@ def test_mc_survival_consistent_with_path_sum():
 
 def test_build_transfer_mode_guards(monkeypatch):
     disc = _discrete_params(4)
-    with pytest.raises(ValueError):
-        build_transfer(disc, ZERO_POT, TubeSpec(1.0), support=SUPPORT, mesh=0.1)
+    # the lattice takes no mesh, not even its own spacing 1
+    for mesh in (0.1, 1.0):
+        with pytest.raises(ValueError, match="mesh must be left unset"):
+            build_transfer(disc, ZERO_POT, TubeSpec(1.0), support=SUPPORT, mesh=mesh)
+        with pytest.raises(ValueError, match="mesh must be left unset"):
+            confinement_sweep(disc, ZERO_POT, [1.3], mesh=mesh)
     cont = ModelParams(n_sites=4, epsilon=0.25, macro_length=1.0)
     with pytest.raises(ValueError):
         build_transfer(cont, GaussianPotential(1.0), TubeSpec(1.0), support=SUPPORT)

@@ -319,7 +319,7 @@ def test_tilt_solver_damps_a_step_that_raises_the_residual(monkeypatch, data, da
 
 def test_mean_profile_rejects_nan_times():
     # t < 0 and t > 1 are both False at NaN
-    with pytest.raises(ValueError, match=r"profile times must lie in \[0, 1\]"):
+    with pytest.raises(ValueError, match=r"times must lie in \[0, 1\]"):
         mean_profile([math.nan, 0.5], 0.3, 0.1, 0.0, 1.0, GAUSS_MGF)
 
 

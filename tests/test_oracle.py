@@ -114,8 +114,11 @@ def test_enumeration_cap_is_one_pass():
 
 
 def test_enumeration_guards():
-    with pytest.raises(ValueError):
-        EnumerationSpec(_params(9, mode="continuous"), ZERO_POT, support=(-1.0, 0.0, 1.0))
+    # the tuple cap alone bounds the sites: 3^9 tuples run, 3^12 are refused
+    spec = EnumerationSpec(_params(9, mode="continuous"), ZERO_POT, support=(-1.0, 0.0, 1.0))
+    assert enumerate_configs(spec).z == 3.0 ** 9
+    with pytest.raises(ValueError, match="531441 tuples exceed the enumeration cap"):
+        EnumerationSpec(_params(12, mode="continuous"), ZERO_POT, support=(-1.0, 0.0, 1.0))
     with pytest.raises(ValueError):
         EnumerationSpec(_params(2), ZERO_POT, support=())
 
