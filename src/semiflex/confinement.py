@@ -52,11 +52,12 @@ and a law over 10^7 taps each side; then the tube's size on it
 (`_size_tube`: n_h, n_g and R, by arithmetic), which refuses a continuous
 tube radius R below one mesh cell, whose grid has no height row but 0 and
 so cannot see the tube, and a grid over the state cap.  `build_transfer`
-does both for one tube.  `confinement_sweep` decides the law once per mesh,
-sizes every (rho, mesh) grid before any solve, and hands each tube only the
-taps |t| <= 2 n_g its widest grid can use, with the whole law's z1.  Each
-tube is then one chain of solves (`_sweep_point`), each started from the
-one before's eigenvector.
+does both for one tube.  `confinement_sweep` decides the law once per mesh
+and sizes every (rho, mesh) grid once, before any solve: each tube's job
+holds R, its cut range and one grid per mesh, n_h with only the taps
+|t| <= 2 n_g its widest grid can use and the whole law's z1.  Each tube is
+then one chain of solves (`_sweep_point`), each started from the one
+before's eigenvector.
 Each `SweepRow` carries F and F_scaled = F rho^(2/3) c^(1/3); one
 operator's F is -log(power_iteration(op).lam_norm) / op.eps.
 """
@@ -195,12 +196,6 @@ class TransferOperator:
                 self._blocks.append((slice(a, b), slice(c0, c1),
                                      tile[i0:i0 + c1 - c0, :b - a]))
         self._rows = max(1, _SERIAL_GEMM // tile.size)
-
-    def heights(self) -> np.ndarray:
-        return self.delta * np.arange(-self.n_h, self.n_h + 1)
-
-    def gradients(self) -> np.ndarray:
-        return self.delta * np.arange(-self.n_g, self.n_g + 1)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """One raw (unnormalized) step: out[h', g'] = sum_g w(g'-g) v[h'-g', g'].
@@ -359,13 +354,10 @@ def _grid_law(params: ModelParams, pot: Potential, support: Sequence[float] | No
     return sigma2, delta, offs, wts, math.fsum(wts)
 
 
-def _trim(law, n_g: int):
-    """The law's taps |t| <= 2 n_g, all that act on a grid of 2 n_g + 1
-    gradient columns; z1 stays the whole law's.  A copy, so the whole law's
-    arrays can be freed."""
-    sigma2, delta, offs, wts, z1 = law
-    near = np.abs(offs) <= 2 * n_g
-    return sigma2, delta, offs[near], wts[near], z1
+def _cells(x: float, delta: float) -> int:
+    """Whole grid steps of delta in x, with 1e-9 relative slack: the grid's
+    half-count for a tube radius or a gradient cut x."""
+    return int(math.floor(x / delta + 1e-9))
 
 
 def _size_tube(params: ModelParams, tube: TubeSpec, sigma2: float, delta: float,
@@ -378,14 +370,14 @@ def _size_tube(params: ModelParams, tube: TubeSpec, sigma2: float, delta: float,
     naming the tube, `label` and the spacing.
     """
     radius = tube_radius(tube, params, sigma2)
-    n_h = int(math.floor(radius / delta + 1e-9))
+    n_h = _cells(radius, delta)
     if n_h < 1 and params.height_mode != "discrete":
         raise ValueError(
             f"rho={tube.rho:g}, {label}mesh {delta:.4g}: tube radius R = {radius:.4g} is "
             "narrower than one mesh cell, so the grid has no height row but 0; raise "
             "--rho-min, or set --mesh below R"
         )
-    n_g = int(math.floor(_cut_range(params, tube, sigma2)[1] / delta + 1e-9))
+    n_g = _cells(_cut_range(params, tube, sigma2)[1], delta)
     n_states = (2 * n_h + 1) * (2 * n_g + 1)
     if n_states > _STATE_CAP:
         raise ValueError(
@@ -405,7 +397,8 @@ def build_transfer(
     mesh: float | None = None,
 ) -> TransferOperator:
     """Assemble the tube-restricted transfer operator from the step law on
-    its grid (`_grid_law`), every tap of it, by `_operator`.
+    its grid (`_grid_law`), every tap of it, and the tube's size on that
+    grid (`_size_tube`).
 
     support, in discrete mode only, is the lattice cut (-k, ..., k) of the
     brute-force enumeration's truncated law, read as the truncation k/eps of
@@ -413,13 +406,7 @@ def build_transfer(
     mesh sets the continuous grid spacing, at most the standard deviation
     of the single-step gradient change and by default half of it.
     """
-    return _operator(params, tube, _grid_law(params, pot, support, mesh))
-
-
-def _operator(params: ModelParams, tube: TubeSpec, law) -> TransferOperator:
-    """The tube's operator on a `_grid_law` law, whole or `_trim`med: the
-    tube's size on the law's grid (`_size_tube`) and the law's taps."""
-    sigma2, delta, offs, wts, z1 = law
+    sigma2, delta, offs, wts, z1 = _grid_law(params, pot, support, mesh)
     n_h, n_g, radius = _size_tube(params, tube, sigma2, delta)
     return TransferOperator(params.epsilon, delta, n_h, n_g, offs, wts, z1, radius)
 
@@ -590,16 +577,16 @@ def _prolong(v: np.ndarray, coarse: TransferOperator, fine: TransferOperator) ->
     of spacing coarse.delta / k holds every coarse state, so a nonnegative v
     with positive mass prolongs to one.
     """
-    def axis(n, x):
-        pos = np.clip(x / coarse.delta + n, 0, 2 * n)
+    def axis(n, m):  # the fine points delta * (-m..m) on a coarse axis of 2 n + 1
+        pos = np.clip(fine.delta * np.arange(-m, m + 1) / coarse.delta + n, 0, 2 * n)
         i0 = np.minimum(np.floor(pos).astype(np.intp), max(2 * n - 1, 0))
         return i0, np.minimum(i0 + 1, 2 * n), pos - i0
 
     # in-place sums: fine-grid temporaries would set a sweep's peak memory
-    i0, i1, t = axis(coarse.n_h, fine.heights())
+    i0, i1, t = axis(coarse.n_h, fine.n_h)
     rows = v[i0] * (1 - t)[:, None]
     rows += v[i1] * t[:, None]
-    j0, j1, s = axis(coarse.n_g, fine.gradients())
+    j0, j1, s = axis(coarse.n_g, fine.n_g)
     out = rows[:, j0]
     out *= 1 - s
     right = rows[:, j1]
@@ -631,22 +618,29 @@ def _sweep_point(job) -> SweepRow:
     """One tube solved in one chain: the first mesh at the start of the cut
     range, the first mesh again at its top when the tail past the start cut
     could move F by over _TAIL_TOL relative, then each later mesh at the
-    final cut.  The job is (params, rho, cut range, laws), one law per mesh,
-    trimmed to the taps the tube's widest grid can use; every operator is
-    built from them (`_operator`).  Each solve after the first starts from
-    the one before's eigenvector prolonged to its grid (`_prolong`).
+    final cut.  The job is (params, rho, R, cut range, grids), one grid per
+    mesh: (delta, n_h, the taps |t| <= 2 n_g of the tube's widest grid
+    there, z1).  An operator at cut x takes n_g = floor(x / delta + 1e-9)
+    (`_cells`).  Each solve after the first starts from the one before's
+    eigenvector prolonged to its grid (`_prolong`).
 
     Cutting the tail's share d of the density moves lambda by about d
     relative, so F = -log(lam_norm) / eps by d / -log(lam_norm).
     """
-    params, rho, (start, top), laws = job
-    op = _operator(params, TubeSpec(rho, start), laws[0])
+    params, rho, radius, (start, top), grids = job
+
+    def operator(grid, cut):
+        delta, n_h, offs, wts, z1 = grid
+        return TransferOperator(params.epsilon, delta, n_h, _cells(cut, delta),
+                                offs, wts, z1, radius)
+
+    op = operator(grids[0], start)
     sol = power_iteration(op)
     wide = top > start and _tail_share(op, sol.eigvec) > _TAIL_TOL * -math.log(sol.lam_norm)
     # each mesh's operator and solve at the final cut
-    cut, finals, rest = (top, [], laws) if wide else (start, [(op, sol)], laws[1:])
-    for law in rest:
-        new = _operator(params, TubeSpec(rho, cut), law)
+    cut, finals, rest = (top, [], grids) if wide else (start, [(op, sol)], grids[1:])
+    for grid in rest:
+        new = operator(grid, cut)
         sol = power_iteration(new, start=_prolong(sol.eigvec, op, new))
         op = new
         finals.append((op, sol))
@@ -672,13 +666,13 @@ def confinement_sweep(
     on the lattice mesh_delta is 0.  Each point is solved in one chain
     (`_sweep_point`), which chooses its gradient cut at the first mesh and
     keeps it at the half mesh.  Before the first point is solved, the step
-    law is evaluated once per mesh (`_grid_law`), and every (rho, mesh)
-    grid is sized by arithmetic (`_size_tube`) against the state cap at the
-    widest cut it may widen to; a lattice tube of floored radius 0 is
-    refused, and so is a law over 10^7 taps each side.  Each point's job
-    carries each mesh's law trimmed to the taps its widest grid can use
-    (`_trim`), with the whole law's z1.  Results are in input order and
-    identical for any worker count.
+    law is evaluated once per mesh (`_grid_law`), the half mesh's after
+    every (rho, mesh) grid is sized once by arithmetic (`_size_tube`)
+    against the state cap at the widest cut it may widen to; a lattice tube
+    of floored radius 0 is refused, and so is a law over 10^7 taps each
+    side.  Each point's job carries one grid per mesh, with the taps its
+    widest grid can use and the whole law's z1.  Results are in input order
+    and identical for any worker count.
     """
     tubes = [TubeSpec(float(r), grad_cut) for r in rhos]
     if not tubes:
@@ -686,19 +680,22 @@ def confinement_sweep(
     first = _grid_law(params, pot, mesh=mesh)
     sigma2, delta = first[:2]
     meshes = [delta] if params.height_mode == "discrete" else [delta, delta / 2.0]
-    cols = []  # each tube's n_g on each mesh
+    sizes = []  # each tube's (n_h, n_g, R) on each mesh
     for tube in tubes:
-        sizes = [_size_tube(params, tube, sigma2, m, label)
-                 for m, label in zip(meshes, ("", "half-mesh check at "))]
-        if sizes[0][0] < 1:  # a lattice tube: `_size_tube` refuses a continuous one
+        sizes.append([_size_tube(params, tube, sigma2, m, label)
+                      for m, label in zip(meshes, ("", "half-mesh check at "))])
+        if sizes[-1][0][0] < 1:  # a lattice tube: `_size_tube` refuses a continuous one
             raise ValueError(f"rho={tube.rho:g}: lattice tube radius R = 0 holds height 0 "
                              "alone, so F cannot depend on rho; raise --rho-min")
-        cols.append([n_g for _, n_g, _ in sizes])
     laws = [first] + [_grid_law(params, pot, mesh=m) for m in meshes[1:]]
-    jobs = [(params, tube.rho, _cut_range(params, tube, sigma2),
-             [_trim(law, n_g) for law, n_g in zip(laws, n_gs)])
-            for tube, n_gs in zip(tubes, cols)]
-    del first, laws  # the solves need only the trimmed taps
+    jobs = []
+    for tube, per_mesh in zip(tubes, sizes):
+        grids = []
+        for (_, d, offs, wts, z1), (n_h, n_g, _) in zip(laws, per_mesh):
+            near = np.abs(offs) <= 2 * n_g  # a copy, so the whole law can be freed
+            grids.append((d, n_h, offs[near], wts[near], z1))
+        jobs.append((params, tube.rho, per_mesh[0][2], _cut_range(params, tube, sigma2), grids))
+    del first, laws  # the solves need only each grid's taps
     return list(_pool_map(_sweep_point, jobs, workers))
 
 

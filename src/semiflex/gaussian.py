@@ -75,15 +75,6 @@ def xy_moments(m: int, n_sites: int, sigma2: float) -> tuple[float, float, float
     return var_x, cov, var_y
 
 
-def _f(t):
-    return 0.5 * t * t
-
-
-def _g(s, t):
-    """Integrated-walk covariance kernel, s <= t elementwise."""
-    return s * s * (3.0 * t - s) / 6.0
-
-
 def q_matrix(times: GridTimes | np.ndarray) -> np.ndarray:
     """Covariance of (w_1, J(t_1), ..., J(t_k), J(1)) for the walk/integrated-walk
     pair: entry (0,0) is 1, row 0 is t^2/2, and the J block is s^2(3t-s)/6."""
@@ -93,12 +84,11 @@ def q_matrix(times: GridTimes | np.ndarray) -> np.ndarray:
     k1 = t.size
     q = np.empty((k1 + 1, k1 + 1))
     q[0, 0] = 1.0
-    q[0, 1:] = _f(t)
-    q[1:, 0] = _f(t)
+    q[0, 1:] = q[1:, 0] = 0.5 * t * t
     s_col, t_row = np.meshgrid(t, t, indexing="ij")
     lo = np.minimum(s_col, t_row)
     hi = np.maximum(s_col, t_row)
-    q[1:, 1:] = _g(lo, hi)
+    q[1:, 1:] = lo * lo * (3.0 * hi - lo) / 6.0
     return q
 
 
@@ -148,7 +138,7 @@ def exact_boundary_density(n_sites: int, kappa: float, c: float,
             raise ValueError(f"{name} must be finite, got {value}")
 
     def form(left, right):
-        return (2 * n + 1) * (left ** 2 + right ** 2) - 2.0 * (n + 2) * left * right
+        return (2 * n + 1) * (left * left + right * right) - 2.0 * (n + 2) * left * right
 
     def exponent(quad):  # -quad * N kappa / (c (N - 1))
         if c * (n - 1) < math.inf:
@@ -156,10 +146,7 @@ def exact_boundary_density(n_sites: int, kappa: float, c: float,
         return -quad * ((kappa / c) * (n / (n - 1)))
 
     pref = kappa / (2.0 * math.pi * n * n) * math.sqrt(12.0 * (n + 1) / (n - 1))
-    try:
-        quad = form(xi_left, xi_right)
-    except OverflowError:  # a square past float range
-        quad = math.inf
+    quad = form(xi_left, xi_right)
     if quad < math.inf:
         return pref * math.exp(exponent(quad))
     # inf, or inf - inf: the form is positive definite, and at slopes whose

@@ -15,22 +15,24 @@ Supported potentials: the Gaussian, whose limit law is the standard normal,
 and the power law kappa |x|^alpha with alpha >= 1, one unit law rescaled to
 each step and to the limit (see `limit_log_mgf`).  The power law goes through
 one tilted-moment kernel on a whole array of tilts h (a node set, say).  It
-takes the peaks of exp(-eps Phi(x) + h x) in closed form, sizes widths and
-windows (where the exponent has fallen by 60) in masked halving and doubling
-loops over the tilts still searching, and evaluates the integrands on model's
-tanh-sinh rule, in pieces that end at the window ends, the peak and the kink
-of |x|^alpha at x = 0 (`_node_set`), per piece count in chunks of at most 64
-tilts.  Each chunk's nodes, weights, integrand and centred moments are
-written in place on a workspace of three 64-tilt, three-piece arrays (0.95 MB)
-that the LogMgf holds, so a call allocates nothing of node-set size but the
-potential's values: fresh arrays of that size (200-320 KB) cost page faults
-on every call.  Each tilt's moments are a function of that tilt alone, the
-same bits in any chunk, after any earlier call.  The tests hold the kernel
-to adaptive quadrature within 1e-8 relative for alpha in {1, 1.25, 1.5, 2,
-4}, to the one-tilt kernel it replaced within 1e-13, to the Gaussian closed
-forms within 1e-12 at alpha = 2, and to the allocating expressions it
-replaced bit for bit.  Calls that share one LogMgf share its workspace, so
-they must not run at once in threads.  A table
+takes the peaks of exp(-eps Phi(x) + h x) in closed form, finds each window
+end, the power of two from the peak past where the exponent has fallen by
+60, in masked halving and doubling loops over the tilts still searching, and
+evaluates the integrands on model's tanh-sinh rule, in pieces that end at
+the window ends, the peak and the kink of |x|^alpha at x = 0 (`_node_set`),
+per piece count in chunks of at most 64 tilts.  Each chunk's nodes,
+weights, integrand and centred moments are written in place on a workspace
+of three 64-tilt, three-piece arrays (0.95 MB) that the LogMgf holds, so a
+call allocates nothing of node-set size but the potential's values: fresh
+arrays of that size (200-320 KB) cost page faults on every call.  Each
+tilt's moments are a function of that tilt alone, the same bits in any
+chunk, after any earlier call.  The tests hold the kernel to adaptive
+quadrature within 1e-8 relative for alpha in {1, 1.25, 1.5, 2, 4}, to a
+one-tilt-at-a-time version of itself within 1e-13, to the Gaussian closed
+forms within 1e-12 at alpha = 2 (1e-14 in the mean profile, for stiffness
+up to 1e16, where the window ends are far below 1), and to the allocating
+expressions it replaced bit for bit.  Calls that share one LogMgf share its
+workspace, so they must not run at once in threads.  A table
 potential is rejected: it is a hard wall (+inf) past its grid, so its tilted
 law has neither the closed-form peak nor the one rescaled unit law that the
 kernel and the limit rely on.
@@ -141,11 +143,11 @@ def _exponent(pot: PowerLawPotential, eps: float, h, x0, shift, x: np.ndarray) -
 
 
 def _node_set(pot: PowerLawPotential, eps: float, h: np.ndarray, x0: np.ndarray,
-              shift: np.ndarray, d: np.ndarray, ends: np.ndarray,
+              shift: np.ndarray, ends: np.ndarray,
               work: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Log Z, mean and variance of exp(-eps Phi(x) + h x) at each tilt h, one
     row each, on the tanh-sinh rule over pieces ending at `ends` in the
-    variable u = (x - x0) / d; shift is g at the peak x0.
+    variable u = x - x0; shift is g at the peak x0.
 
     Nodes, weights and integrand live on the first rows of the three flat
     arrays of `work`, written afresh, so no call sees an earlier one; pot
@@ -153,15 +155,15 @@ def _node_set(pot: PowerLawPotential, eps: float, h: np.ndarray, x0: np.ndarray,
     shape = (h.size, (ends.shape[1] - 1) * _TS_WEIGHT.size)
     u, w, x = (buf[:shape[0] * shape[1]].reshape(shape) for buf in work)
     _tanh_sinh_pieces(ends, out=(u, w))
-    w *= np.exp(_exponent(pot, eps, h[:, None], x0[:, None], shift[:, None],
-                          np.multiply(u, d[:, None], out=x)), out=x)
-    # centered u-moments keep every sum O(1); the raw second moment at
-    # x0 ~ h/eps would lose the variance to cancellation
+    x[...] = u
+    w *= np.exp(_exponent(pot, eps, h[:, None], x0[:, None], shift[:, None], x), out=x)
+    # moments centred at the peak: the raw second moment at x0 ~ h/eps
+    # would lose the variance to cancellation
     z = w.sum(axis=1)
     u1 = np.multiply(w, u, out=x).sum(axis=1) / z
     np.square(np.subtract(u, u1[:, None], out=x), out=x)
     var = np.multiply(w, x, out=x).sum(axis=1) / z
-    return np.log(z * d) + shift, x0 + d * u1, d * d * var
+    return np.log(z) + shift, x0 + u1, var
 
 
 def _tilted_log_mgf(pot: Potential, eps: float) -> LogMgf:
@@ -182,8 +184,8 @@ def _tilted_log_mgf(pot: Potential, eps: float) -> LogMgf:
         # the tilted integrand is a single bump (Phi is convex and even) that
         # peaks where g' = 0, at x0 = sign(h) (|h| / (eps kappa alpha))^(1/(alpha-1)),
         # or at the kink x0 = 0 when alpha = 1; for large h or small eps it
-        # sits far from the origin and is narrow, so integrate in a
-        # peak-centered, width-scaled variable and keep the exponent shift out of exp
+        # sits far from the origin and is narrow, so integrate in the
+        # peak-centred variable x - x0 and keep the exponent shift out of exp
         with np.errstate(over="ignore", invalid="ignore"):  # far past the guard below
             x0 = np.zeros_like(h) if pot.alpha == 1.0 else np.copysign(
                 (np.abs(h) / (eps * pot.kappa * pot.alpha)) ** (1.0 / (pot.alpha - 1.0)), h)
@@ -219,21 +221,22 @@ def _tilted_log_mgf(pot: Potential, eps: float) -> LogMgf:
                 scale[live] *= factor
             return scale
 
-        # width = scale over which the exponent drops by about 1/2 .. 10
-        both = np.array([1.0, -1.0])
-        d = scan(np.ones(h.size), 0.5, lambda i, d: (
-            fall(i, d[:, None] * both).min(axis=1) < -10.0) & (d > 1e-12))
-        d = scan(d, 2.0, lambda i, d: (
-            fall(i, d[:, None] * both).max(axis=1) > -0.1) & (d < 2.0**60))
-        # the window ends where the exponent has dropped below _TAIL on both
-        # sides: reach[2 i] is tilt i's right end, reach[2 i + 1] its left
-        reach = scan(np.ones(2 * h.size), 2.0, lambda k, r: fall(
-            k // 2, (both[k % 2] * (r * d[k // 2]))[:, None])[:, 0] > _TAIL)
+        # the window ends where the exponent has fallen to _TAIL on both
+        # sides, in x - x0 and powers of two: halve from 1 while the end is
+        # past the fall, then double while it is short of it.  reach[2 i] is
+        # tilt i's right end, reach[2 i + 1] its left; NaN stops either scan
+        side = np.array([1.0, -1.0])
+
+        def tail(k, r):  # g - shift at the ends r of tilts k // 2
+            return fall(k // 2, (side[k % 2] * r)[:, None])[:, 0]
+
+        reach = scan(np.ones(2 * h.size), 0.5, lambda k, r: (tail(k, r) <= _TAIL) & (r > 1e-12))
+        reach = scan(reach, 2.0, lambda k, r: tail(k, r) > _TAIL)
         right, left = reach[0::2], reach[1::2]
         # the integrand is smooth on each piece between the window ends, the
         # peak (u = 0) and the kink of |x|^alpha at x = 0; tilts whose kink
         # lies inside the window, off the peak, take three pieces, the rest two
-        kink = -x0 / d
+        kink = -x0
         inside = (-left < kink) & (kink < right) & (kink != 0.0)
         out = np.empty((3, h.size))
         for rows, cuts in ((inside, (-left, np.minimum(kink, 0.0), np.maximum(kink, 0.0), right)),
@@ -242,7 +245,7 @@ def _tilted_log_mgf(pot: Potential, eps: float) -> LogMgf:
             rows = np.flatnonzero(rows)
             # at most _TILT_CHUNK tilts at a time, each on a row of the workspace
             for i in (rows[k:k + _TILT_CHUNK] for k in range(0, rows.size, _TILT_CHUNK)):
-                out[:, i] = _node_set(pot, eps, h[i], x0[i], shift[i], d[i], ends[i], work)
+                out[:, i] = _node_set(pot, eps, h[i], x0[i], shift[i], ends[i], work)
         last[0] = h.tobytes(), out
         return out[:, back]
 

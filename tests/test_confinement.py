@@ -512,14 +512,20 @@ def test_sweep_half_mesh_check_is_warm_started(monkeypatch):
     assert solves[1][1] <= 0.8 * power_iteration(fine).iterations
 
 
-@pytest.mark.parametrize("params, rhos, counts", [
-    (CONT_N100, np.geomspace(0.02, 0.2, 8), {"build_increment_dist": 2, "_step_weights": 2}),
-    (LATTICE_N250K, np.geomspace(0.02, 0.2, 8), {"build_increment_dist": 1, "_step_weights": 0}),
-], ids=["default", "lattice"])
-def test_sweep_evaluates_the_step_law_once_per_mesh(monkeypatch, params, rhos, counts):
+@pytest.mark.parametrize("params, pot, rhos, counts", [
+    (CONT_N100, GaussianPotential(1.0), np.geomspace(0.02, 0.2, 8),
+     {"build_increment_dist": 2, "_step_weights": 2, "_size_tube": 16}),
+    (CONT_N100, PowerLawPotential(1.0, 1.0), [0.02, 0.025],
+     {"build_increment_dist": 2, "_step_weights": 2, "_size_tube": 4}),
+    (LATTICE_N250K, GaussianPotential(1.0), np.geomspace(0.02, 0.2, 8),
+     {"build_increment_dist": 1, "_step_weights": 0, "_size_tube": 8}),
+], ids=["default", "alpha-1-widening", "lattice"])
+def test_sweep_evaluates_the_step_law_once_per_mesh(monkeypatch, params, pot, rhos, counts):
     # the default sweep builds 16 operators on two meshes and the lattice
     # sweep 8 on one; each mesh's law is evaluated once, before any solve
-    # (the lattice law weighs its taps inside build_increment_dist)
+    # (the lattice law weighs its taps inside build_increment_dist), and
+    # each (rho, mesh) grid is sized once: the solves, a widened cut's
+    # (alpha = 1) included, build their operators from the job's grids
     calls = dict.fromkeys(counts, 0)
 
     def counting(name):
@@ -532,8 +538,8 @@ def test_sweep_evaluates_the_step_law_once_per_mesh(monkeypatch, params, rhos, c
 
     for name in calls:
         monkeypatch.setattr(confinement, name, counting(name))
-    rows = confinement_sweep(params, GaussianPotential(1.0), rhos)
-    assert len(rows) == 8
+    rows = confinement_sweep(params, pot, rhos)
+    assert len(rows) == len(rhos)
     assert calls == counts
 
 
@@ -708,24 +714,21 @@ def test_doubling_the_final_cut_moves_f_by_at_most_1e_12(params, pot, rho, monke
     # of them disagreed by 4.5e-11 relative in F with the cut not moving it;
     # at 1e-15 every pair here agreed within 6e-14
     monkeypatch.setattr(confinement, "_POWER_TOL", 1e-15)
-    # a sweep's chain at the default mesh alone: its last tube, operator and solve
-    tubes, solves = [], []
-
-    def building(params, tube, law):
-        tubes.append(tube)
-        return operator(params, tube, law)
+    # a sweep's chain at the default mesh alone, on a one-grid job: its last
+    # operator and solve, whose cut is the edge of its gradient grid
+    solves = []
 
     def solving(op, **kw):
         solves.append((op, power_iteration(op, **kw)))
         return solves[-1][1]
 
-    operator = confinement._operator
-    monkeypatch.setattr(confinement, "_operator", building)
     monkeypatch.setattr(confinement, "power_iteration", solving)
-    law = confinement._grid_law(params, pot)
-    confinement._sweep_point((params, rho, _cuts(params, pot, rho), [law]))
+    sigma2, delta, offs, wts, z1 = confinement._grid_law(params, pot)
+    n_h, _, radius = confinement._size_tube(params, TubeSpec(rho), sigma2, delta)
+    confinement._sweep_point((params, rho, radius, _cuts(params, pot, rho),
+                              [(delta, n_h, offs, wts, z1)]))
     op, sol = solves[-1]
-    wide = build_transfer(params, pot, TubeSpec(rho, 2 * tubes[-1].grad_cut))
+    wide = build_transfer(params, pot, TubeSpec(rho, 2 * op.n_g * op.delta))
     assert wide.n_g >= 2 * op.n_g
     res = power_iteration(wide, start=confinement._prolong(sol.eigvec, op, wide))
     assert math.log(res.lam_norm) == pytest.approx(math.log(sol.lam_norm), rel=1e-12)

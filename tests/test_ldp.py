@@ -162,6 +162,17 @@ def test_mean_profile_numerical_mgf():
     assert_allclose(prof, _cubic(ts, 1.0, 0.0, 0.0), atol=1e-5)
 
 
+@pytest.mark.parametrize("kappa", [1.0, 1e4, 1e8, 1e12, 1e16])
+def test_stiff_quadratic_profile_is_the_gaussian_one(kappa):
+    # the unit law exp(-kappa x^2) has sd 1 / sqrt(2 kappa), down to 7e-9:
+    # its tilted window ends are found by halving from 1, and a window that
+    # starts at 1 and only doubles was off by 1.6e-9 at kappa = 1e8
+    mgf = limit_log_mgf(PowerLawPotential(kappa=kappa, alpha=2.0))
+    ts = np.linspace(0.0, 1.0, 11)
+    prof = mean_profile(ts, 0.7, -0.3, 0.2, 1.0, mgf)
+    assert_allclose(prof, mean_profile(ts, 0.7, -0.3, 0.2, 1.0, GAUSS_MGF), rtol=0, atol=1e-14)
+
+
 @pytest.mark.parametrize("alpha", [1.0, 1.5, 4.0])
 @pytest.mark.parametrize("triple", [(0.2, -0.1, 0.15), (-0.25, 0.05, -0.2),
                                     (0.1, 0.25, 0.05)])
@@ -548,8 +559,8 @@ def test_moments_share_one_potential_evaluation(monkeypatch):
 
 def _scalar_moments(pot, eps, h):
     """(log Z, mean, variance) of exp(-eps*Phi(x) + h x) at one tilt h, and
-    the number of pieces of its rule: the kernel as it ran one tilt at a time,
-    with scalar width and window searches.
+    the number of pieces of its rule: the kernel one tilt at a time, with
+    scalar window searches.
 
     The closed-form peak goes through numpy's array power, as in the batched
     kernel.  C's pow, which the one-tilt kernel used, differs from it in the
@@ -571,24 +582,24 @@ def _scalar_moments(pot, eps, h):
             f"float64 precision at h={h}; the integral is finite but cannot be "
             "evaluated there")
     shift = float(g(x0))
-    d = 1.0
-    while min(g(x0 + d), g(x0 - d)) - shift < -10.0 and d > 1e-12:
-        d *= 0.5
-    while max(g(x0 + d), g(x0 - d)) - shift > -0.1 and d < 2.0**60:
-        d *= 2.0
-    left = right = 1.0
-    while g(x0 - left * d) - shift > -60.0:
-        left *= 2.0
-    while g(x0 + right * d) - shift > -60.0:
-        right *= 2.0
-    kink = -x0 / d
+
+    def reach(side):  # the window end: halve from 1 past the fall, double short of it
+        r = 1.0
+        while g(x0 + side * r) - shift <= -60.0 and r > 1e-12:
+            r *= 0.5
+        while g(x0 + side * r) - shift > -60.0:
+            r *= 2.0
+        return r
+
+    left, right = reach(-1.0), reach(1.0)
+    kink = -x0
     cuts = sorted({-left, 0.0, right} | ({kink} if -left < kink < right else set()))
     u, w = model._tanh_sinh_pieces(np.array(cuts))
-    w = w * np.exp(g(x0 + u * d) - shift)
+    w = w * np.exp(g(x0 + u) - shift)
     z = float(np.sum(w))
     u1 = float(np.dot(w, u)) / z
     var = float(np.dot(w, np.square(u - u1))) / z
-    return math.log(z * d) + shift, x0 + d * u1, d * d * var, len(cuts) - 1
+    return math.log(z) + shift, x0 + u1, var, len(cuts) - 1
 
 
 def _mixed_tilts(mgf):
@@ -611,7 +622,8 @@ def test_batched_kernel_matches_the_scalar_one(alpha, eps, monkeypatch):
     assert set(pieces) == ({2.0} if alpha == 1.0 else {2.0, 3.0})
     # each tilt makes the same search decisions, so the batch reads the
     # potential at as many points as the tilts did one at a time; the moments
-    # hardly depend on the width, so only this count would see a changed one
+    # hardly depend on the window ends, so only this count would see a
+    # changed search
     n_scalar = sum(calls)
     del calls[:]
     mgf.value(tilts)
@@ -654,19 +666,19 @@ def test_batched_kernel_names_the_first_bad_tilt(alpha, eps, tilts, bad):
 # The node-set quadrature on its workspace against the allocating expressions
 # it replaced.
 
-def _allocating_node_set(pot, eps, h, x0, shift, d, ends):
+def _allocating_node_set(pot, eps, h, x0, shift, ends):
     """`ldp._node_set` as it ran before its workspace: each intermediate a
     fresh array, and the tanh-sinh nodes from `np.where`."""
     width = np.diff(ends)[..., None]
     u = (np.where(model._TS_FROM_LEFT, ends[:, :-1, None], ends[:, 1:, None])
          + width * model._TS_OFFSET).reshape(h.size, -1)
     w = (width * model._TS_WEIGHT).reshape(h.size, -1)
-    x = x0[:, None] + u * d[:, None]
+    x = x0[:, None] + u
     w = w * np.exp(-eps * pot(x) + h[:, None] * x - shift[:, None])
     z = w.sum(axis=1)
     u1 = (w * u).sum(axis=1) / z
     var = (w * np.square(u - u1[:, None])).sum(axis=1) / z
-    return np.log(z * d) + shift, x0 + d * u1, d * d * var
+    return np.log(z) + shift, x0 + u1, var
 
 
 def _record_node_sets(monkeypatch):
